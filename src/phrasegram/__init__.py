@@ -2,9 +2,7 @@
 
 from phrasegram.composition import (
     CompositionConfig,
-    compose_phrase,
-    phi,
-    phi_prime,
+    compose_rows,
     sigma,
     sigma_jacobian_diag,
 )
@@ -62,14 +60,12 @@ __all__ = [
     "build_vocab",
     "checkpoint_load",
     "checkpoint_save",
-    "compose_phrase",
+    "compose_rows",
     "cosine",
     "export_embeddings",
     "init_params",
     "nearest_neighbors",
     "parse_chunked_line",
-    "phi",
-    "phi_prime",
     "phrase_similarity_eval",
     "read_embeddings",
     "sigma",

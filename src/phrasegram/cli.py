@@ -100,7 +100,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=_MODES, default=Mode.BASELINE.value)
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--lr", type=float, default=0.025)
     p.add_argument("--lr-end", type=float, default=None)
     p.add_argument("--subsample", type=float, default=0.0)
@@ -191,7 +190,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         lr_end=args.lr_end,
         epochs=args.epochs,
         seed=args.seed,
-        workers=args.workers,
         subsample=args.subsample,
         lowercase=not args.no_lowercase,
         plain_text=args.plain,

@@ -1,8 +1,8 @@
-"""Phrase composition: weighted combination of power-transformed word vectors.
+"""Phrase composition: uniform combination of power-transformed word vectors.
 
 A phrase vector is built from its component word vectors by applying a
 sign-preserving elementwise power map to each word vector and then taking
-a weighted sum.  With uniform weights and exponent 1 this reduces to the
+the uniform (1/n) weighted sum.  With exponent 1 this reduces to the
 arithmetic mean of the word vectors.
 
 The exact elementwise derivative of the power map is exposed so that
@@ -19,12 +19,8 @@ import numpy as np
 
 __all__ = [
     "CompositionConfig",
-    "phi",
-    "phi_prime",
     "sigma",
     "sigma_jacobian_diag",
-    "uniform_weights",
-    "compose_phrase",
     "compose_rows",
 ]
 
@@ -34,50 +30,21 @@ class CompositionConfig:
     """How phrase vectors are built from component word vectors.
 
     alpha: exponent of the elementwise power map; must be >= 1.
-    weight_scheme: only "uniform" is supported (each of the n component
-        words gets weight 1/n).  The field exists so a learned per-phrase
-        scheme can be added without changing call sites.
     """
 
     alpha: float = 1.0
-    weight_scheme: str = "uniform"
 
     def __post_init__(self) -> None:
         if self.alpha < 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.weight_scheme != "uniform":
-            raise ValueError(f"unsupported weight scheme: {self.weight_scheme!r}")
-
-    def weights(self, n: int) -> np.ndarray:
-        """Combination weights for a phrase of n component words."""
-        if n < 1:
-            raise ValueError("phrase must have at least one component word")
-        return np.full(n, 1.0 / n)
-
-
-def phi(x: float, alpha: float) -> float:
-    """Sign-preserving power map sign(x) * |x|**alpha.
-
-    alpha = 1 is exactly the identity.  Odd function of x for every alpha.
-    """
-    if alpha == 1.0:
-        return float(x)
-    return float(np.sign(x) * abs(x) ** alpha)
-
-
-def phi_prime(x: float, alpha: float) -> float:
-    """Derivative of phi with respect to x: alpha * |x|**(alpha-1).
-
-    At x = 0 the value is 1 when alpha = 1 (identity map) and 0 when
-    alpha > 1 (the true one-sided derivative).
-    """
-    if alpha == 1.0:
-        return 1.0
-    return float(alpha * abs(x) ** (alpha - 1.0))
 
 
 def sigma(v: np.ndarray, alpha: float) -> np.ndarray:
-    """Elementwise phi over a vector. Returns a new array."""
+    """Sign-preserving power map sign(x) * |x|**alpha, elementwise.
+
+    alpha = 1 is exactly the identity.  Odd in v for every alpha.
+    Returns a new array.
+    """
     v = np.asarray(v, dtype=np.float64)
     if alpha == 1.0:
         return v.copy()
@@ -88,51 +55,20 @@ def sigma_jacobian_diag(v: np.ndarray, alpha: float) -> np.ndarray:
     """Diagonal of the Jacobian of sigma at v, as a vector.
 
     Multiplying a vector elementwise by the result applies the Jacobian.
+    At 0 the derivative is 1 when alpha = 1 (identity map) and 0 when
+    alpha > 1 (the true one-sided derivative).
     """
     v = np.asarray(v, dtype=np.float64)
     if alpha == 1.0:
         return np.ones_like(v)
-    # |x|**(alpha-1) is 0 at x=0 for alpha>1, matching phi_prime.
     return alpha * np.abs(v) ** (alpha - 1.0)
-
-
-def uniform_weights(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("phrase must have at least one component word")
-    return np.full(n, 1.0 / n)
-
-
-def _accumulate(vectors: Sequence[np.ndarray], weights: np.ndarray, alpha: float) -> np.ndarray:
-    # Fixed left-to-right summation order for reproducibility.
-    acc = weights[0] * sigma(vectors[0], alpha)
-    for i in range(1, len(vectors)):
-        acc += weights[i] * sigma(vectors[i], alpha)
-    return acc
-
-
-def compose_phrase(
-    word_vectors: Sequence[np.ndarray], config: CompositionConfig
-) -> np.ndarray:
-    """Compose a phrase vector from its component word vectors.
-
-    Each vector is passed through sigma and the results are combined with
-    the config's weights (uniform: 1/n each), accumulating left to right.
-    """
-    if len(word_vectors) == 0:
-        raise ValueError("cannot compose an empty phrase")
-    vecs = [np.asarray(v, dtype=np.float64) for v in word_vectors]
-    d = vecs[0].shape
-    for v in vecs[1:]:
-        if v.shape != d:
-            raise ValueError(f"dimension mismatch: {v.shape} != {d}")
-    return _accumulate(vecs, config.weights(len(vecs)), config.alpha)
 
 
 def compose_rows(matrix: np.ndarray, ids: Sequence[int], alpha: float) -> np.ndarray:
     """Compose a phrase vector from rows of an embedding matrix.
 
-    Same arithmetic and summation order as compose_phrase with uniform
-    weights; avoids materializing the row list on the training hot path.
+    Each row is passed through sigma and weighted 1/n; the sum runs left
+    to right in a fixed order, so results are reproducible bitwise.
     """
     n = len(ids)
     if n == 0:

@@ -26,7 +26,6 @@ __all__ = [
     "build_vocab",
     "build_phrase_vocab",
     "iter_corpus",
-    "read_corpus_sentences",
 ]
 
 OUTSIDE_LABEL = "O"
@@ -42,6 +41,8 @@ class ParseError(ValueError):
     """
 
     def __init__(self, message: str, line: str, char_offset: int):
+        self.reason = message
+        self.char_offset = char_offset
         self.byte_offset = len(line[:char_offset].encode("utf-8"))
         super().__init__(f"{message} at byte offset {self.byte_offset}")
 
@@ -163,19 +164,11 @@ def iter_corpus(
                     sent = parse_chunked_line(line)
                 except ParseError as exc:
                     raise ParseError(
-                        f"{path}:{lineno}: {exc.args[0].rsplit(' at byte', 1)[0]}",
-                        line,
-                        0,
+                        f"{path}:{lineno}: {exc.reason}", line, exc.char_offset
                     ) from exc
             if lowercase:
                 sent = _lowercase(sent)
             yield sent
-
-
-def read_corpus_sentences(
-    path: str | Path, *, lowercase: bool = True, plain: bool = False
-) -> list[ChunkedSentence]:
-    return list(iter_corpus(path, lowercase=lowercase, plain=plain))
 
 
 class Vocab:
@@ -204,34 +197,6 @@ class Vocab:
 
     def id_of(self, word: str) -> int | None:
         return self.word2id.get(word)
-
-    def save(self, path: str | Path) -> None:
-        """Dump as text: header line ``W total_tokens``, then ``word<TAB>count``
-        per line in id order."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(f"{len(self.words)} {self.total_tokens}\n")
-            for w, c in zip(self.words, self.counts):
-                fh.write(f"{w}\t{int(c)}\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocab":
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ValueError(f"{path}: malformed vocab header")
-            n, total = int(header[0]), int(header[1])
-            words, counts = [], []
-            for _ in range(n):
-                line = fh.readline().rstrip("\n")
-                w, c = line.split("\t")
-                words.append(w)
-                counts.append(int(c))
-        vocab = cls(words, counts)
-        if vocab.total_tokens != total:
-            raise ValueError(f"{path}: vocab total mismatch")
-        return vocab
 
 
 def build_vocab(sentences: Iterable[ChunkedSentence], min_count: int) -> Vocab:

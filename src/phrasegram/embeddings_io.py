@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from phrasegram.composition import CompositionConfig, compose_phrase
+from phrasegram.composition import CompositionConfig, compose_rows
 from phrasegram.corpus import Vocab
 from phrasegram.evaluation import WordEmbeddings
 from phrasegram.model import ModelParams
@@ -167,8 +167,8 @@ def nearest_neighbors(
     """Top-k cosine neighbors of a word or a bracketed phrase.
 
     A query of the form ``[w1 w2 ...]`` is composed from its word
-    vectors (comp defaults to uniform weights at alpha=1).  The query's
-    own words are excluded from the result.
+    vectors (comp defaults to alpha=1, the mean).  The query's own words
+    are excluded from the result.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -179,21 +179,21 @@ def nearest_neighbors(
             raise ValueError("empty phrase query")
     else:
         words = [query]
-    missing = [w for w in words if w not in embeddings]
+    ids = [embeddings.id_of(w) for w in words]
+    missing = [w for w, i in zip(words, ids) if i is None]
     if missing:
         raise KeyError("out of vocabulary: " + ", ".join(missing))
-    vectors = [embeddings.get(w) for w in words]
-    if len(vectors) == 1:
-        target = vectors[0]
+    if len(ids) == 1:
+        target = embeddings.matrix[ids[0]]
     else:
-        target = compose_phrase(vectors, comp or CompositionConfig())
+        alpha = comp.alpha if comp is not None else 1.0
+        target = compose_rows(embeddings.matrix, ids, alpha)
     norm = np.linalg.norm(target)
     if norm == 0.0:
         raise ValueError("query vector is zero")
     unit = embeddings.unit_matrix()
     scores = unit @ (target / norm)
-    for w in words:
-        scores[embeddings.word2id[embeddings.fold(w)]] = -np.inf
+    scores[ids] = -np.inf
     k = min(k, int(np.sum(np.isfinite(scores))))
     top = np.argpartition(-scores, k - 1)[:k] if k else np.array([], dtype=int)
     top = top[np.argsort(-scores[top], kind="stable")]

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from phrasegram.composition import CompositionConfig, compose_phrase
+from phrasegram.composition import CompositionConfig, compose_rows
 
 __all__ = [
     "EvaluationError",
@@ -91,8 +91,11 @@ class WordEmbeddings:
     def __contains__(self, word: str) -> bool:
         return self.fold(word) in self.word2id
 
+    def id_of(self, word: str) -> int | None:
+        return self.word2id.get(self.fold(word))
+
     def get(self, word: str) -> np.ndarray | None:
-        idx = self.word2id.get(self.fold(word))
+        idx = self.id_of(word)
         return None if idx is None else self.matrix[idx]
 
     def unit_matrix(self) -> np.ndarray:
@@ -222,12 +225,11 @@ def phrase_similarity_eval(
     """
     model_scores, human_scores = [], []
     for item in dataset:
-        vs = embeddings.get(item.subject)
-        vv = embeddings.get(item.reference_verb)
+        ids = [embeddings.id_of(item.subject), embeddings.id_of(item.reference_verb)]
         vl = embeddings.get(item.landmark)
-        if vs is None or vv is None or vl is None:
+        if None in ids or vl is None:
             continue
-        composed = compose_phrase([vs, vv], comp)
+        composed = compose_rows(embeddings.matrix, ids, comp.alpha)
         model_scores.append(cosine(composed, vl))
         human_scores.append(item.rating)
     if not model_scores:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -85,7 +85,6 @@ class TrainConfig:
     lr_end: float | None = None
     epochs: int = 1
     seed: int = 1
-    workers: int = 1
     subsample: float = 0.0
     noise_exponent: float = 0.75
     lowercase: bool = True
@@ -108,8 +107,6 @@ class TrainConfig:
             raise ValueError("alpha must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.lr_start <= 0:
             raise ValueError("lr_start must be > 0")
         if self.min_count < 1 or self.phrase_min_count < 1:
@@ -126,6 +123,21 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Inverse of to_dict; rejects keys that are not config fields.
+
+        v1 checkpoints written before training became single-state carry
+        ``workers: 1``, which is accepted and dropped.
+        """
+        d = dict(d)
+        workers = d.pop("workers", 1)
+        if workers != 1:
+            raise ValueError(
+                f"config.workers={workers!r}: multi-worker training was removed, "
+                "only workers=1 checkpoints can be loaded"
+            )
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         return cls(**d)
 
 

@@ -27,7 +27,6 @@ occupy a position.
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -295,15 +294,60 @@ def iter_window_pairs(
             yield t, u, u - t
 
 
+def _rng_from(seedseq: np.random.SeedSequence) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seedseq))
+
+
+def _restore_rng(state: dict) -> np.random.Generator:
+    bg = np.random.PCG64()
+    bg.state = state
+    return np.random.Generator(bg)
+
+
 @dataclass
 class TrainingState:
-    """Per-worker optimizer bookkeeping."""
+    """Optimizer bookkeeping: learning rate, RNG streams and progress."""
 
     lr: float
     word_rng: np.random.Generator
     phrase_rng: np.random.Generator
     tokens_processed: int = 0
     epoch: int = 0
+
+    @classmethod
+    def fresh(cls, config: TrainConfig) -> "TrainingState":
+        """Start state; child 0 of SeedSequence(seed) seeds init_params."""
+        children = np.random.SeedSequence(config.seed).spawn(3)
+        return cls(config.lr_start, _rng_from(children[1]), _rng_from(children[2]))
+
+    def to_dict(self) -> dict:
+        # `workers` stays a one-entry list: the v1 checkpoint layout.
+        return {
+            "epoch": self.epoch,
+            "tokens_processed": self.tokens_processed,
+            "workers": [
+                {
+                    "word_rng": self.word_rng.bit_generator.state,
+                    "phrase_rng": self.phrase_rng.bit_generator.state,
+                }
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, state: dict, lr: float) -> "TrainingState":
+        workers = state["workers"]
+        if len(workers) != 1:
+            raise ValueError(
+                f"checkpoint state holds {len(workers)} workers entries; "
+                "only single-state (workers=1) checkpoints can be resumed"
+            )
+        return cls(
+            lr=lr,
+            word_rng=_restore_rng(workers[0]["word_rng"]),
+            phrase_rng=_restore_rng(workers[0]["phrase_rng"]),
+            tokens_processed=state["tokens_processed"],
+            epoch=state["epoch"],
+        )
 
 
 @dataclass
@@ -418,69 +462,9 @@ class TrainResult:
     state_dict: dict
 
 
-def _rng_from(seedseq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seedseq))
-
-
-def _restore_rng(state: dict) -> np.random.Generator:
-    bg = np.random.PCG64()
-    bg.state = state
-    return np.random.Generator(bg)
-
-
-def _worker_states(config: TrainConfig, lr: float) -> list[TrainingState]:
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(1 + 2 * config.workers)
-    states = []
-    for w in range(config.workers):
-        states.append(
-            TrainingState(
-                lr=lr,
-                word_rng=_rng_from(children[1 + 2 * w]),
-                phrase_rng=_rng_from(children[2 + 2 * w]),
-            )
-        )
-    return states
-
-
 def _init_rng(config: TrainConfig) -> np.random.Generator:
     root = np.random.SeedSequence(config.seed)
     return _rng_from(root.spawn(1)[0])
-
-
-def _states_to_dict(
-    states: list[TrainingState], epoch: int, tokens_processed: int
-) -> dict:
-    return {
-        "epoch": epoch,
-        "tokens_processed": tokens_processed,
-        "workers": [
-            {
-                "word_rng": s.word_rng.bit_generator.state,
-                "phrase_rng": s.phrase_rng.bit_generator.state,
-            }
-            for s in states
-        ],
-    }
-
-
-def _states_from_dict(state: dict, config: TrainConfig, lr: float) -> list[TrainingState]:
-    workers = state["workers"]
-    if len(workers) != config.workers:
-        raise ValueError(
-            f"checkpoint was written with {len(workers)} workers, "
-            f"config asks for {config.workers}"
-        )
-    return [
-        TrainingState(
-            lr=lr,
-            word_rng=_restore_rng(w["word_rng"]),
-            phrase_rng=_restore_rng(w["phrase_rng"]),
-            tokens_processed=state["tokens_processed"],
-            epoch=state["epoch"],
-        )
-        for w in workers
-    ]
 
 
 def _subsample_keep_prob(vocab: Vocab, threshold: float) -> np.ndarray:
@@ -488,15 +472,6 @@ def _subsample_keep_prob(vocab: Vocab, threshold: float) -> np.ndarray:
     freq = vocab.counts / vocab.total_tokens
     keep = (np.sqrt(freq / threshold) + 1.0) * (threshold / freq)
     return np.minimum(keep, 1.0)
-
-
-class _Progress:
-    """Shared token counter; unsynchronized by design for worker threads."""
-
-    __slots__ = ("processed",)
-
-    def __init__(self, processed: int = 0):
-        self.processed = processed
 
 
 def train(
@@ -508,16 +483,13 @@ def train(
 ) -> TrainResult:
     """Train a model over a chunked corpus file.
 
-    With a single worker and a fixed seed the run is bit-reproducible.
-    Passing a checkpoint as `start` resumes training at the saved epoch
-    boundary and continues identically to an uninterrupted run (the
-    checkpoint must come from the same config).  `stop_after_epoch` ends
-    the run early at that epoch boundary, e.g. to write a mid-run
-    checkpoint.
+    With a fixed seed the run is bit-reproducible.  Passing a checkpoint
+    as `start` resumes training at the saved epoch boundary and continues
+    identically to an uninterrupted run (the checkpoint must come from the
+    same config).  `stop_after_epoch` ends the run early at that epoch
+    boundary, e.g. to write a mid-run checkpoint.
 
-    The mapped corpus is held in memory across epochs; workers > 1 share
-    parameter matrices without synchronization, trading bitwise
-    reproducibility for throughput.
+    The mapped corpus is held in memory across epochs.
     """
     corpus_path = Path(corpus_path)
     if not corpus_path.exists():
@@ -536,6 +508,7 @@ def train(
         params = start.params
         if start.state is None:
             raise ValueError("checkpoint carries no training state to resume from")
+        state = TrainingState.from_dict(start.state, config.lr_start)
     else:
         vocab = build_vocab(sentences(), config.min_count)
         if len(vocab) == 0:
@@ -552,6 +525,7 @@ def train(
                     "no phrases retained; phrase-level pass will be skipped"
                 )
         params = init_params(len(vocab), config, _init_rng(config))
+        state = TrainingState.fresh(config)
 
     word_dist = build_noise_distribution(vocab.counts, config.noise_exponent)
     phrase_dist = None
@@ -575,14 +549,7 @@ def train(
     budget = max(config.epochs * vocab.total_tokens, 1)
     floor = config.lr_floor
 
-    if start is not None:
-        states = _states_from_dict(start.state, config, config.lr_start)
-        progress = _Progress(start.state["tokens_processed"])
-        first_epoch = start.state["epoch"]
-    else:
-        states = _worker_states(config, config.lr_start)
-        progress = _Progress(0)
-        first_epoch = 0
+    first_epoch = state.epoch
 
     report = TrainReport()
     run_started = time.perf_counter()
@@ -590,39 +557,20 @@ def train(
         stop_after_epoch, config.epochs
     )
 
-    def run_shard(worker: int, state: TrainingState, sums: list):
+    for epoch in range(first_epoch, last_epoch):
+        epoch_started = time.perf_counter()
         ew = ep = 0.0
         n_w = n_p = 0
-        for si in range(worker, len(mapped), config.workers):
+        for m, n_tokens in zip(mapped, token_counts):
             state.lr = max(
-                config.lr_start * (1.0 - progress.processed / (budget + 1)), floor
+                config.lr_start * (1.0 - state.tokens_processed / (budget + 1)), floor
             )
-            sew, snw, sep, snp = train_sentence(params, state, mapped[si], config, ctx)
+            sew, snw, sep, snp = train_sentence(params, state, m, config, ctx)
             ew += sew
             ep += sep
             n_w += snw
             n_p += snp
-            progress.processed += token_counts[si]
-        sums[worker] = (ew, n_w, ep, n_p)
-
-    for epoch in range(first_epoch, last_epoch):
-        epoch_started = time.perf_counter()
-        sums: list = [None] * config.workers
-        if config.workers == 1:
-            run_shard(0, states[0], sums)
-        else:
-            threads = [
-                threading.Thread(target=run_shard, args=(w, states[w], sums))
-                for w in range(config.workers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        ew = sum(s[0] for s in sums)
-        n_w = sum(s[1] for s in sums)
-        ep = sum(s[2] for s in sums)
-        n_p = sum(s[3] for s in sums)
+            state.tokens_processed += n_tokens
         if not params.all_finite():
             raise RuntimeError(f"non-finite parameter detected after epoch {epoch}")
         stats = EpochStats(
@@ -634,18 +582,16 @@ def train(
             tokens=sum(token_counts),
             seconds=time.perf_counter() - epoch_started,
         )
-        for s in states:
-            s.epoch = epoch + 1
+        state.epoch = epoch + 1
         report.epochs.append(stats)
         logger.info("%s", stats.line())
 
     report.total_seconds = time.perf_counter() - run_started
-    done_epoch = max(last_epoch, first_epoch)
     return TrainResult(
         params=params,
         report=report,
         vocab=vocab,
         phrase_vocab=phrase_vocab,
         config=config,
-        state_dict=_states_to_dict(states, done_epoch, progress.processed),
+        state_dict=state.to_dict(),
     )

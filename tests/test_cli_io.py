@@ -2,6 +2,10 @@
 manifests, and the command-line surface with its exit-code contract.
 """
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -28,7 +32,13 @@ from phrasegram.manifest import (
     read_manifest,
     write_manifest,
 )
-from phrasegram.model import Mode, TrainConfig, checkpoint_load, init_params
+from phrasegram.model import (
+    Mode,
+    TrainConfig,
+    checkpoint_load,
+    checkpoint_save,
+    init_params,
+)
 from phrasegram.trainer import train
 
 
@@ -372,6 +382,75 @@ class TestCliExitCodes:
         bad.write_text("only two\tfields\n")
         code = main(["eval-sim", str(bad), "--model", str(ckpt)])
         assert code == 2
+
+
+def _edit_checkpoint_header(path, edit):
+    """Apply edit(header) to a checkpoint's JSON header; recompute the CRC."""
+    data = path.read_bytes()
+    payload = data[24:]
+    (header_len,) = struct.unpack("<I", payload[:4])
+    header = json.loads(payload[4 : 4 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header).encode("utf-8")
+    payload = struct.pack("<I", len(header_bytes)) + header_bytes + payload[4 + header_len :]
+    crc_and_length = struct.pack("<IQ", zlib.crc32(payload), len(payload))
+    path.write_bytes(data[:12] + crc_and_length + payload)
+
+
+class TestCheckpointConfigKeys:
+    """Checkpoint config keys: unknown keys, and v1 files from multi-worker builds."""
+
+    def _half_run(self, tmp_path):
+        corpus = tmp_path / "c.txt"
+        tiny_corpus(corpus)
+        cfg = TrainConfig(
+            dim=4, window=2, min_count=1, phrase_min_count=1, epochs=2,
+            word_negatives=2, phrase_negatives=2, seed=3, mode=Mode.COMPOSITIONAL,
+        )
+        half = train(corpus, cfg, stop_after_epoch=1)
+        ckpt = tmp_path / "half.ckpt"
+        checkpoint_save(
+            ckpt, half.params, cfg, half.vocab, half.phrase_vocab, half.state_dict
+        )
+        return corpus, cfg, ckpt
+
+    def test_unknown_config_key_is_data_error(self, tmp_path, capsys):
+        _, _, ckpt = self._half_run(tmp_path)
+        _edit_checkpoint_header(ckpt, lambda h: h["config"].update(shards=4))
+        with pytest.raises(ValueError, match="shards"):
+            checkpoint_load(ckpt)
+        code = main(["export", "--model", str(ckpt), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "shards" in capsys.readouterr().err
+
+    def test_legacy_workers_one_resumes_bitwise(self, tmp_path):
+        corpus, cfg, ckpt = self._half_run(tmp_path)
+        _edit_checkpoint_header(ckpt, lambda h: h["config"].update(workers=1))
+        data = checkpoint_load(ckpt)
+        assert data.config == cfg
+        resumed = train(corpus, cfg, start=data)
+        straight = train(corpus, cfg)
+        assert params_sha256(resumed.params.matrices()) == params_sha256(
+            straight.params.matrices()
+        )
+
+    def test_legacy_workers_two_rejected(self, tmp_path, capsys):
+        _, _, ckpt = self._half_run(tmp_path)
+        _edit_checkpoint_header(ckpt, lambda h: h["config"].update(workers=2))
+        with pytest.raises(ValueError, match="workers=2"):
+            checkpoint_load(ckpt)
+        code = main(["export", "--model", str(ckpt), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_two_state_entries_rejected_on_resume(self, tmp_path):
+        corpus, cfg, ckpt = self._half_run(tmp_path)
+        _edit_checkpoint_header(
+            ckpt, lambda h: h["state"].update(workers=h["state"]["workers"] * 2)
+        )
+        data = checkpoint_load(ckpt)
+        with pytest.raises(ValueError, match="2 workers entries"):
+            train(corpus, cfg, start=data)
 
 
 def _cli_train(corpus, out, *extra):

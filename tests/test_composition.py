@@ -14,13 +14,9 @@ from hypothesis import strategies as st
 
 from phrasegram.composition import (
     CompositionConfig,
-    compose_phrase,
     compose_rows,
-    phi,
-    phi_prime,
     sigma,
     sigma_jacobian_diag,
-    uniform_weights,
 )
 
 # frozen 40-digit mpmath evaluations of 0.5**1.5 and 1.5 * 0.5**0.5
@@ -28,34 +24,43 @@ PHI_HALF_1P5 = 0.3535533905932737622
 PHI_PRIME_HALF_1P5 = 1.0606601717798212866
 
 
+def power(x: float, alpha: float) -> float:
+    """sigma at one point, as a Python float."""
+    return float(sigma(np.array([x]), alpha)[0])
+
+
+def power_prime(x: float, alpha: float) -> float:
+    return float(sigma_jacobian_diag(np.array([x]), alpha)[0])
+
+
 class TestPowerMap:
     def test_identity_at_one_is_exact(self):
         rng = np.random.default_rng(7)
         for x in rng.normal(size=100):
-            assert phi(x, 1.0) == x
+            assert power(x, 1.0) == x
 
     def test_square_values(self):
-        assert phi(2.0, 2.0) == 4.0
-        assert phi(-2.0, 2.0) == -4.0
-        assert phi(-1.7, 2.0) == pytest.approx(-2.89, rel=1e-15)
-        assert phi(0.0, 2.0) == 0.0
+        assert power(2.0, 2.0) == 4.0
+        assert power(-2.0, 2.0) == -4.0
+        assert power(-1.7, 2.0) == pytest.approx(-2.89, rel=1e-15)
+        assert power(0.0, 2.0) == 0.0
 
     def test_frozen_fractional_exponent(self):
-        assert phi(0.5, 1.5) == pytest.approx(PHI_HALF_1P5, rel=1e-15)
-        assert phi(-0.5, 1.5) == pytest.approx(-PHI_HALF_1P5, rel=1e-15)
-        assert phi_prime(0.5, 1.5) == pytest.approx(PHI_PRIME_HALF_1P5, rel=1e-15)
+        assert power(0.5, 1.5) == pytest.approx(PHI_HALF_1P5, rel=1e-15)
+        assert power(-0.5, 1.5) == pytest.approx(-PHI_HALF_1P5, rel=1e-15)
+        assert power_prime(0.5, 1.5) == pytest.approx(PHI_PRIME_HALF_1P5, rel=1e-15)
 
     def test_derivative_at_zero(self):
-        assert phi_prime(0.0, 1.0) == 1.0
-        assert phi_prime(0.0, 2.0) == 0.0
-        assert phi_prime(0.0, 1.5) == 0.0
+        assert power_prime(0.0, 1.0) == 1.0
+        assert power_prime(0.0, 2.0) == 0.0
+        assert power_prime(0.0, 1.5) == 0.0
 
     @given(
         st.floats(min_value=-100.0, max_value=100.0),
         st.sampled_from([1.0, 1.5, 2.0, 3.0]),
     )
     def test_oddness(self, x, alpha):
-        assert phi(-x, alpha) == -phi(x, alpha)
+        assert power(-x, alpha) == -power(x, alpha)
 
     @given(
         st.floats(min_value=0.01, max_value=50.0),
@@ -63,9 +68,9 @@ class TestPowerMap:
         st.sampled_from([1.0, 1.5, 2.0]),
     )
     def test_positive_scaling(self, x, scale, alpha):
-        # phi(s*x) = s**alpha * phi(x) for s > 0
+        # sigma(s*x) = s**alpha * sigma(x) for s > 0
         assert math.isclose(
-            phi(scale * x, alpha), scale**alpha * phi(x, alpha), rel_tol=1e-12
+            power(scale * x, alpha), scale**alpha * power(x, alpha), rel_tol=1e-12
         )
 
 
@@ -89,7 +94,7 @@ class TestSigma:
         rng = np.random.default_rng(17)
         v = rng.normal(size=20)
         for alpha in (1.0, 1.5, 2.0):
-            expected = np.array([phi(x, alpha) for x in v])
+            expected = np.array([math.copysign(abs(x) ** alpha, x) for x in v])
             np.testing.assert_allclose(sigma(v, alpha), expected, rtol=1e-15)
 
     def test_jacobian_matches_finite_difference(self):
@@ -112,71 +117,60 @@ class TestSigma:
 class TestUniformComposition:
     def test_mean_identity_bitwise_at_alpha_one(self):
         rng = np.random.default_rng(23)
-        cfg = CompositionConfig(alpha=1.0)
         for n in (1, 2, 3, 5, 9):
-            vecs = [rng.normal(size=12) for _ in range(n)]
-            composed = compose_phrase(vecs, cfg)
+            matrix = rng.normal(size=(n, 12))
+            composed = compose_rows(matrix, list(range(n)), 1.0)
             w = 1.0 / n
-            expected = w * vecs[0].copy()
-            for v in vecs[1:]:
+            expected = w * matrix[0].copy()
+            for v in matrix[1:]:
                 expected += w * v
             assert np.array_equal(composed, expected)
 
     def test_close_to_numpy_mean(self):
         rng = np.random.default_rng(29)
-        vecs = [rng.normal(size=30) for _ in range(7)]
-        composed = compose_phrase(vecs, CompositionConfig(alpha=1.0))
-        np.testing.assert_allclose(composed, np.mean(vecs, axis=0), rtol=1e-13)
+        matrix = rng.normal(size=(7, 30))
+        composed = compose_rows(matrix, list(range(7)), 1.0)
+        np.testing.assert_allclose(composed, matrix.mean(axis=0), rtol=1e-13)
 
     def test_singleton_is_sigma(self):
         rng = np.random.default_rng(31)
-        v = rng.normal(size=10)
+        matrix = rng.normal(size=(1, 10))
         for alpha in (1.0, 2.0):
             np.testing.assert_array_equal(
-                compose_phrase([v], CompositionConfig(alpha=alpha)), sigma(v, alpha)
+                compose_rows(matrix, [0], alpha), sigma(matrix[0], alpha)
             )
 
-    def test_compose_rows_matches_compose_phrase(self):
+    def test_compose_rows_matches_left_to_right_sum(self):
         rng = np.random.default_rng(37)
         matrix = rng.normal(size=(8, 6))
         ids = [3, 1, 3, 7]
         for alpha in (1.0, 1.5):
-            a = compose_rows(matrix, ids, alpha)
-            b = compose_phrase([matrix[i] for i in ids], CompositionConfig(alpha=alpha))
-            assert np.array_equal(a, b)
+            expected = 0.25 * sigma(matrix[3], alpha)
+            for i in ids[1:]:
+                expected += 0.25 * sigma(matrix[i], alpha)
+            assert np.array_equal(compose_rows(matrix, ids, alpha), expected)
 
     def test_weights_sum_to_one(self):
+        # n copies of one row compose back to that row, up to n roundings
+        row = np.array([[1.0, -2.0, 0.5]])
         for n in range(1, 12):
-            w = uniform_weights(n)
-            assert w.shape == (n,)
-            assert w.sum() == pytest.approx(1.0, rel=1e-15)
-            np.testing.assert_array_equal(w, np.full(n, 1.0 / n))
+            np.testing.assert_allclose(
+                compose_rows(row, [0] * n, 1.0), row[0], rtol=n * np.finfo(float).eps
+            )
 
     def test_permutation_invariance_up_to_rounding(self):
         rng = np.random.default_rng(41)
-        vecs = [rng.normal(size=16) for _ in range(4)]
-        a = compose_phrase(vecs, CompositionConfig(alpha=1.5))
-        b = compose_phrase(vecs[::-1], CompositionConfig(alpha=1.5))
+        matrix = rng.normal(size=(4, 16))
+        a = compose_rows(matrix, [0, 1, 2, 3], 1.5)
+        b = compose_rows(matrix, [3, 2, 1, 0], 1.5)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 class TestValidation:
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            compose_phrase([], CompositionConfig())
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            compose_phrase([np.zeros(3), np.zeros(4)], CompositionConfig())
+            compose_rows(np.zeros((2, 3)), [], 1.0)
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             CompositionConfig(alpha=0.5)
-
-    def test_unknown_weight_scheme_rejected(self):
-        with pytest.raises(ValueError, match="scheme"):
-            CompositionConfig(weight_scheme="learned")
-
-    def test_zero_length_weights_rejected(self):
-        with pytest.raises(ValueError):
-            uniform_weights(0)

@@ -127,9 +127,10 @@ class TestCorpusIO:
 
     def test_parse_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("fine line\n[NP broken\n")
-        with pytest.raises(ParseError, match=r"c\.txt:2"):
+        path.write_text("fine line\nthe cat ] sat\n")
+        with pytest.raises(ParseError, match=r"c\.txt:2: .* at byte offset 8$") as exc:
             list(iter_corpus(path))
+        assert exc.value.byte_offset == 8
 
     def test_one_sentence_per_line(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -162,21 +163,6 @@ class TestVocab:
         vocab = build_vocab(sents, min_count=1)
         # c outranks by count; b and a tie at 2 and break by first occurrence
         assert vocab.words == ["c", "b", "a"]
-
-    def test_save_load_round_trip(self, tmp_path):
-        vocab = Vocab(["x", "y", "z"], [7, 5, 2])
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        loaded = Vocab.load(path)
-        assert loaded.words == vocab.words
-        np.testing.assert_array_equal(loaded.counts, vocab.counts)
-        assert loaded.total_tokens == vocab.total_tokens
-
-    def test_load_rejects_bad_total(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        path.write_text("1 99\nx\t7\n")
-        with pytest.raises(ValueError, match="total"):
-            Vocab.load(path)
 
     def test_min_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="min_count"):

@@ -166,7 +166,7 @@ class TestTrainConfig:
             {"beta": -0.1},
             {"alpha": 0.9},
             {"epochs": -1},
-            {"workers": 0},
+            {"phrase_min_count": 0},
             {"lr_start": 0.0},
             {"min_count": 0},
         ],

@@ -544,12 +544,12 @@ class TestTrainEndToEnd:
         assert all(s.phrase_steps == 0 for s in result.report.epochs)
         assert np.all(result.params.phrase_output_words[0] == 0.0)
 
-    def test_multi_worker_run_completes(self, tmp_path):
+    def test_state_dict_keeps_one_workers_entry(self, tmp_path):
         corpus = tmp_path / "c.txt"
         self._write_corpus(corpus)
-        result = train(corpus, self._config(workers=3, mode=Mode.COMPOSITIONAL))
+        result = train(corpus, self._config(mode=Mode.COMPOSITIONAL))
         assert result.params.all_finite()
-        assert len(result.state_dict["workers"]) == 3
+        assert len(result.state_dict["workers"]) == 1
 
     def test_subsampling_drops_frequent_tokens(self, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -563,35 +563,36 @@ class TestTrainEndToEnd:
 
 class TestRngStateRoundTrip:
     def test_serialized_states_resume_identically(self):
-        cfg = TrainConfig(dim=4, window=2, min_count=1, workers=2, seed=9)
-        states = trainer._worker_states(cfg, lr=0.01)
-        snapshot = trainer._states_to_dict(states, epoch=1, tokens_processed=42)
-        restored = trainer._states_from_dict(snapshot, cfg, lr=0.01)
-        for orig, rest in zip(states, restored):
-            np.testing.assert_array_equal(
-                orig.word_rng.random(20), rest.word_rng.random(20)
-            )
-            np.testing.assert_array_equal(
-                orig.phrase_rng.random(20), rest.phrase_rng.random(20)
-            )
-            assert rest.epoch == 1
-            assert rest.tokens_processed == 42
+        cfg = TrainConfig(dim=4, window=2, min_count=1, seed=9)
+        state = trainer.TrainingState.fresh(cfg)
+        state.epoch, state.tokens_processed = 1, 42
+        restored = trainer.TrainingState.from_dict(state.to_dict(), lr=0.01)
+        np.testing.assert_array_equal(
+            state.word_rng.random(20), restored.word_rng.random(20)
+        )
+        np.testing.assert_array_equal(
+            state.phrase_rng.random(20), restored.phrase_rng.random(20)
+        )
+        assert restored.epoch == 1
+        assert restored.tokens_processed == 42
 
     def test_worker_streams_are_distinct(self):
-        cfg = TrainConfig(dim=4, window=2, min_count=1, workers=2, seed=9)
-        states = trainer._worker_states(cfg, lr=0.01)
-        a = states[0].word_rng.random(10)
-        b = states[1].word_rng.random(10)
-        assert not np.array_equal(a, b)
+        # The single state draws words and phrases from children 1 and 2 of
+        # SeedSequence(seed), the streams v1 checkpoints store as worker 0.
+        cfg = TrainConfig(dim=4, window=2, min_count=1, seed=9)
+        state = trainer.TrainingState.fresh(cfg)
+        children = np.random.SeedSequence(9).spawn(3)
+        for rng, child in ((state.word_rng, children[1]), (state.phrase_rng, children[2])):
+            expected = np.random.Generator(np.random.PCG64(child)).random(10)
+            np.testing.assert_array_equal(rng.random(10), expected)
+        assert not np.array_equal(state.word_rng.random(10), state.phrase_rng.random(10))
 
     def test_worker_count_mismatch_rejected(self):
-        cfg2 = TrainConfig(dim=4, window=2, min_count=1, workers=2)
-        cfg3 = TrainConfig(dim=4, window=2, min_count=1, workers=3)
-        snapshot = trainer._states_to_dict(
-            trainer._worker_states(cfg2, 0.01), epoch=0, tokens_processed=0
-        )
+        cfg = TrainConfig(dim=4, window=2, min_count=1)
+        snapshot = trainer.TrainingState.fresh(cfg).to_dict()
+        snapshot["workers"] = snapshot["workers"] * 2
         with pytest.raises(ValueError, match="workers"):
-            trainer._states_from_dict(snapshot, cfg3, 0.01)
+            trainer.TrainingState.from_dict(snapshot, 0.01)
 
 
 class TestSubsampleKeepProb:
