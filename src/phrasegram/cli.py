@@ -45,7 +45,6 @@ from phrasegram.model import (
     checkpoint_load,
     checkpoint_save,
 )
-from phrasegram.sampling import SamplingError
 from phrasegram.trainer import train
 
 __all__ = ["main"]
@@ -59,7 +58,6 @@ _DATA_ERRORS = (
     EmbeddingsFormatError,
     ManifestError,
     EvaluationError,
-    SamplingError,
     KeyError,
     ValueError,
 )

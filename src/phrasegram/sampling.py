@@ -8,15 +8,13 @@ error from a slot table.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["NoiseDistribution", "build_noise_distribution", "SamplingError"]
+__all__ = ["NoiseDistribution", "build_noise_distribution"]
 
-EXCLUSION_RETRY_LIMIT = 100
-
-
-class SamplingError(RuntimeError):
-    """Sampling could not produce a valid draw within the retry budget."""
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class NoiseDistribution:
@@ -42,31 +40,47 @@ class NoiseDistribution:
         k: int,
         exclude: int | None = None,
     ) -> np.ndarray:
-        """Draw k ids i.i.d.; draws equal to exclude are redrawn.
+        """Draw k ids i.i.d., each conditioned on being != exclude.
 
-        Redrawing (rather than skipping) keeps the result length at
-        exactly k.  Raises SamplingError if an excluded draw cannot be
-        replaced within the retry limit.
+        Uses exactly k uniforms.  A draw that lands on the excluded id is
+        moved to the conditional distribution without drawing again.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        ids = np.searchsorted(self.cumulative, rng.random(k), side="right")
+        u = rng.random(k)
+        ids = np.searchsorted(self.cumulative, u, side="right")
         if exclude is not None:
-            bad = ids == exclude
-            retries = 0
-            while bad.any():
-                retries += 1
-                if retries > EXCLUSION_RETRY_LIMIT:
-                    raise SamplingError(
-                        f"could not draw a sample != {exclude} "
-                        f"within {EXCLUSION_RETRY_LIMIT} retries"
-                    )
-                n_bad = int(bad.sum())
-                ids[bad] = np.searchsorted(
-                    self.cumulative, rng.random(n_bad), side="right"
-                )
-                bad = ids == exclude
+            hit = ids == exclude
+            if hit.any():  # cheaper than flatnonzero on the collision-free path
+                for i in np.flatnonzero(hit):
+                    ids[i] = self._redirect(float(u[i]), exclude)
         return ids
+
+    def _redirect(self, u: float, exclude: int) -> int:
+        """Map a uniform from the excluded id's interval onto the other ids.
+
+        A uniform in [lo, hi), rescaled to (u - lo) / (hi - lo), is a fresh
+        uniform on [0, 1).  It is spread over the remaining mass
+        [0, lo) + [hi, 1) and looked up once in the table, which draws
+        from the distribution conditioned on id != exclude.
+        """
+        cum = self.cumulative
+        lo = float(cum[exclude - 1]) if exclude > 0 else 0.0
+        hi = float(cum[exclude])
+        rest = lo + (1.0 - hi)
+        if rest <= 0.0:
+            raise ValueError(
+                f"id {exclude} holds all the noise mass; no other id to draw"
+            )
+        t = (u - lo) / (hi - lo) * rest
+        # Rounding must neither land a shifted value back inside [lo, hi)
+        # nor push it to 1.0, past the top of the table; when no mass lies
+        # above hi, every value stays below lo.
+        if t >= lo and hi < 1.0:
+            t = min(max(t + (hi - lo), hi), _BELOW_ONE)
+        else:
+            t = min(t, math.nextafter(lo, 0.0))
+        return int(np.searchsorted(cum, t, side="right"))
 
 
 def build_noise_distribution(

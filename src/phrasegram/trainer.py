@@ -511,18 +511,21 @@ def train(
         state = TrainingState.from_dict(start.state, config.lr_start)
     else:
         vocab = build_vocab(sentences(), config.min_count)
-        if len(vocab) == 0:
+        if len(vocab) < 2:
             raise ValueError(
-                f"{corpus_path}: no words survive min_count={config.min_count}"
+                f"{corpus_path}: vocabulary has {len(vocab)} word(s) at "
+                f"min_count={config.min_count}; negative sampling needs at least 2"
             )
         phrase_vocab = None
         if config.mode.compositional:
             phrase_vocab = build_phrase_vocab(
                 sentences(), vocab, config.phrase_min_count, config.include_singletons
             )
-            if len(phrase_vocab) == 0:
+            if len(phrase_vocab) < 2:
                 logger.warning(
-                    "no phrases retained; phrase-level pass will be skipped"
+                    "%d phrase(s) retained, fewer than the 2 negative sampling "
+                    "needs; phrase-level pass will be skipped",
+                    len(phrase_vocab),
                 )
         params = init_params(len(vocab), config, _init_rng(config))
         state = TrainingState.fresh(config)
@@ -530,7 +533,7 @@ def train(
     word_dist = build_noise_distribution(vocab.counts, config.noise_exponent)
     phrase_dist = None
     phrase_components: list[tuple[int, ...]] = []
-    if phrase_vocab is not None and len(phrase_vocab) > 0:
+    if phrase_vocab is not None and len(phrase_vocab) >= 2:
         phrase_dist = build_noise_distribution(phrase_vocab.counts, config.noise_exponent)
         phrase_components = [phrase_vocab.component_ids(i) for i in range(len(phrase_vocab))]
     ctx = _SentenceContext(

@@ -373,6 +373,28 @@ class TestCliExitCodes:
         code = main(["export", "--model", str(bogus), "--out", str(tmp_path / "e")])
         assert code == 2
 
+    def test_single_word_corpus_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a a a a\n")
+        out = tmp_path / "m.ckpt"
+        code = main(["train", str(corpus), "--out", str(out), "--min-count", "1"])
+        assert code == 2
+        assert "vocabulary has 1 word" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_skewed_phrase_corpus_trains(self, tmp_path, capsys):
+        # one phrase holds ~95% of the phrase noise mass
+        corpus = tmp_path / "c.txt"
+        lines = ["[NP a b] x [NP a b]"] * 295 + ["[NP c d] x [NP c d]"] * 5
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.ckpt"
+        code = main([
+            "train", str(corpus), "--out", str(out), "--mode", "compositional",
+            "--min-count", "1", "--phrase-min-count", "1",
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert checkpoint_load(out).params.all_finite()
+
     def test_malformed_dataset_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         tiny_corpus(corpus)

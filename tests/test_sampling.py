@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phrasegram.sampling import (
-    EXCLUSION_RETRY_LIMIT,
-    SamplingError,
-    build_noise_distribution,
-)
+from phrasegram.sampling import build_noise_distribution
 
 # frozen 40-digit mpmath evaluation of c**0.75 / sum for counts [2, 3, 7]
 PROBS_2_3_7 = [
@@ -92,6 +88,24 @@ class TestInverseCdfMapping:
         assert not np.any(draws == 1)
 
 
+def below(x):
+    return float(np.nextafter(x, 0.0))
+
+
+def conditional_oracle(dist, u, exclude):
+    """Rescale u out of the excluded interval and scan the table with that
+    interval removed, built explicitly."""
+    cum = dist.cumulative
+    lo = cum[exclude - 1] if exclude > 0 else 0.0
+    hi = cum[exclude]
+    if not lo <= u < hi:
+        return next(i for i, c in enumerate(cum) if u < c)
+    rest = np.concatenate([cum[:exclude], cum[exclude + 1 :] - (hi - lo)])
+    t = (u - lo) / (hi - lo) * (lo + 1.0 - hi)
+    j = next(i for i, c in enumerate(rest) if t < c)
+    return j + (j >= exclude)
+
+
 class TestExclusion:
     def test_excluded_id_never_returned(self):
         dist = build_noise_distribution(np.array([5, 3, 2]))
@@ -107,18 +121,76 @@ class TestExclusion:
 
     def test_single_item_with_exclusion_raises(self):
         dist = build_noise_distribution(np.array([4]))
-        with pytest.raises(SamplingError, match="retries"):
+        with pytest.raises(ValueError, match="all the noise mass"):
             dist.sample(np.random.default_rng(17), 1, exclude=0)
 
-    def test_redraw_consumes_further_uniforms(self):
+    def test_excluded_id_holding_all_mass_raises(self):
+        dist = build_noise_distribution(np.array([0, 4, 0]))
+        with pytest.raises(ValueError, match="all the noise mass"):
+            dist.sample(np.random.default_rng(17), 3, exclude=1)
+
+    def test_collision_draws_no_further_uniforms(self):
         dist = build_noise_distribution(np.array([1, 16]))
-        # first uniform hits id 1 (excluded), redraw pulls the next one
-        rng = ScriptedRng([0.5, 0.0])
+        # the uniform hits id 1 (excluded); the script holds no second one
+        rng = ScriptedRng([0.5])
         assert dist.sample(rng, 1, exclude=1)[0] == 0
         assert rng.values == []
 
-    def test_retry_limit_is_finite(self):
-        assert 1 <= EXCLUSION_RETRY_LIMIT <= 10000
+    # Exponent 1 and power-of-two masses keep every table entry and every
+    # rescaled uniform exact, so each boundary below is hit exactly.  The
+    # excluded id holds half the mass: first, in the middle, and last.
+    @pytest.mark.parametrize(
+        "counts, exclude, script",
+        [
+            (
+                [4, 1, 1, 2],  # cumulative [0.5, 0.625, 0.75, 1]
+                0,
+                [(0.0, 1), (0.0625, 1), (0.125, 2), (0.25, 3), (below(0.5), 3),
+                 (0.5, 1), (0.9, 3)],
+            ),
+            (
+                [1, 4, 1, 2],  # cumulative [0.125, 0.625, 0.75, 1]
+                1,
+                [(0.125, 0), (below(0.25), 0), (0.25, 2), (0.375, 3),
+                 (below(0.625), 3), (0.0, 0), (0.7, 2)],
+            ),
+            (
+                [2, 1, 1, 4],  # cumulative [0.25, 0.375, 0.5, 1]
+                3,
+                [(0.5, 0), (0.75, 1), (0.875, 2), (below(1.0), 2),
+                 (0.1, 0), (0.4, 2)],
+            ),
+        ],
+        ids=["first", "middle", "last"],
+    )
+    def test_scripted_collisions_map_exactly(self, counts, exclude, script):
+        dist = build_noise_distribution(np.array(counts), exponent=1.0)
+        uniforms, expected = zip(*script)
+        rng = ScriptedRng(uniforms)
+        got = dist.sample(rng, len(uniforms), exclude=exclude)
+        np.testing.assert_array_equal(got, expected)
+        assert rng.values == []
+        assert [conditional_oracle(dist, u, exclude) for u in uniforms] == list(expected)
+
+    def test_collisions_match_conditional_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            counts = rng.integers(0, 50, size=9)
+            counts[rng.integers(9)] = 400  # a heavy id, often excluded
+            dist = build_noise_distribution(counts)
+            for exclude in np.flatnonzero(counts):
+                us = rng.random(200)
+                got = dist.sample(ScriptedRng(us.tolist()), 200, exclude=int(exclude))
+                assert not np.any(got == exclude)
+                assert np.all(counts[got] > 0)
+                oracle = [conditional_oracle(dist, u, exclude) for u in us]
+                np.testing.assert_array_equal(got, oracle)
+
+    def test_skewed_pair_always_returns_the_other_id(self):
+        # the phrase counts of the 295/5 skewed-corpus regression
+        dist = build_noise_distribution(np.array([295, 5]))
+        draws = dist.sample(np.random.default_rng(25), 10000, exclude=0)
+        np.testing.assert_array_equal(draws, np.ones(10000, dtype=draws.dtype))
 
 
 class TestStatistics:
@@ -127,6 +199,18 @@ class TestStatistics:
         draws = dist.sample(np.random.default_rng(19), 100000)
         freq = np.bincount(draws, minlength=4) / len(draws)
         np.testing.assert_allclose(freq, dist.probs, atol=0.02)
+
+    def test_excluded_frequencies_track_conditional_probabilities(self):
+        counts = np.array([2, 3, 7, 20])
+        dist = build_noise_distribution(counts)
+        rng = np.random.default_rng(27)
+        for exclude in range(len(counts)):
+            draws = dist.sample(rng, 100000, exclude=exclude)
+            freq = np.bincount(draws, minlength=4) / len(draws)
+            conditional = dist.probs.copy()
+            conditional[exclude] = 0.0
+            conditional /= conditional.sum()
+            np.testing.assert_allclose(freq, conditional, atol=0.01)
 
     def test_same_seed_same_draws(self):
         dist = build_noise_distribution(np.array([1, 2, 3, 4]))

@@ -538,11 +538,12 @@ class TestTrainEndToEnd:
 
     def test_no_multiword_chunks_skips_phrase_pass(self, tmp_path):
         corpus = tmp_path / "c.txt"
-        lines = ["w0 w1 w2 w3"] * 30
-        corpus.write_text("\n".join(lines) + "\n")
-        result = train(corpus, self._config(mode=Mode.COMPOSITIONAL))
-        assert all(s.phrase_steps == 0 for s in result.report.epochs)
-        assert np.all(result.params.phrase_output_words[0] == 0.0)
+        # no phrase at all, then a single phrase: negative sampling needs 2
+        for line in ("w0 w1 w2 w3", "[NP w0 w1] w2 [NP w0 w1] w3"):
+            corpus.write_text("\n".join([line] * 30) + "\n")
+            result = train(corpus, self._config(mode=Mode.COMPOSITIONAL))
+            assert all(s.phrase_steps == 0 for s in result.report.epochs)
+            assert np.all(result.params.phrase_output_words[0] == 0.0)
 
     def test_state_dict_keeps_one_workers_entry(self, tmp_path):
         corpus = tmp_path / "c.txt"
