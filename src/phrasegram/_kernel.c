@@ -1,0 +1,192 @@
+/* Per-sentence training kernel: the word-level pass of train_sentence.
+ *
+ * One call runs the pass over one mapped sentence: it enumerates the window
+ * pairs, draws each pair's negatives from caller-supplied uniforms and applies
+ * the skip-gram negative-sampling step.  The arithmetic is that of
+ * trainer.word_step, which stays as the reference the tests compare against:
+ *
+ *   - every score and gradient of a step is read from the pre-update
+ *     parameters before the step writes anything, so an id that repeats
+ *     within a step accumulates its deltas exactly as np.add.at does;
+ *   - elementwise products and sums run in the numpy expressions' order;
+ *     only dot products may round differently from BLAS.
+ *
+ * Matrices are C-contiguous float64, row i belonging to word id i.  The
+ * caller supplies the scratch buffers, so nothing here allocates.  Build with
+ * -ffp-contract=off: a fused multiply-add would round differently from the
+ * numpy reference.
+ */
+#include <math.h>
+#include <stdint.h>
+
+static double sigmoid(double x)
+{
+    /* The same clip as trainer._sigmoid. */
+    if (x > 60.0)
+        x = 60.0;
+    else if (x < -60.0)
+        x = -60.0;
+    return 1.0 / (1.0 + exp(-x));
+}
+
+/* log(1 + exp(x)), i.e. np.logaddexp(0, x). */
+static double log1pexp(double x)
+{
+    return x > 0.0 ? x + log1p(exp(-x)) : log1p(exp(x));
+}
+
+static double dot(const double *a, const double *b, int64_t dim)
+{
+    double s = 0.0;
+    for (int64_t j = 0; j < dim; j++)
+        s += a[j] * b[j];
+    return s;
+}
+
+/* Window [*lo, *hi) around position t, as trainer.iter_window_pairs. */
+static void window_bounds(int64_t t, int64_t n, int64_t window, int64_t *lo, int64_t *hi)
+{
+    *lo = t >= window ? t - window : 0;
+    *hi = n - t > window ? t + window + 1 : n;
+}
+
+/* Output bank of a relative offset, as model.bank_for_offset. */
+static int64_t bank_of(int64_t offset, int64_t window, int64_t positional)
+{
+    if (!positional)
+        return 0;
+    return offset < 0 ? offset + window : offset + window - 1;
+}
+
+/* First index i with cum[i] > u: np.searchsorted(cum, u, side="right"). */
+static int64_t search_right(const double *cum, int64_t len, double u)
+{
+    int64_t lo = 0, hi = len;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (cum[mid] <= u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* One draw of NoiseDistribution.sample: the id whose interval holds u, or,
+ * when that is `exclude`, NoiseDistribution._redirect of u with the same
+ * float clamps.  Returns -1 when `exclude` holds all the mass. */
+static int64_t draw(const double *cum, int64_t len, double u, int64_t exclude)
+{
+    int64_t id = search_right(cum, len, u);
+    if (id != exclude)
+        return id;
+    double lo = exclude > 0 ? cum[exclude - 1] : 0.0;
+    double hi = cum[exclude];
+    double rest = lo + (1.0 - hi);
+    if (rest <= 0.0)
+        return -1;
+    double t = (u - lo) / (hi - lo) * rest;
+    if (t >= lo && hi < 1.0) {
+        t = t + (hi - lo);
+        if (t < hi)
+            t = hi;
+        if (t > nextafter(1.0, 0.0))
+            t = nextafter(1.0, 0.0);
+    } else if (t > nextafter(lo, 0.0)) {
+        t = nextafter(lo, 0.0);
+    }
+    return search_right(cum, len, t);
+}
+
+/* Draws k ids excluding `exclude` from the uniforms u[0..k) into out.
+ * Returns 0, or -1 when `exclude` holds all the mass. */
+int64_t sample_noise(const double *cum, int64_t len, const double *u, int64_t k,
+                     int64_t exclude, int64_t *out)
+{
+    for (int64_t i = 0; i < k; i++) {
+        out[i] = draw(cum, len, u[i], exclude);
+        if (out[i] < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Number of (center, context) pairs word_pass visits in ids[0..n). */
+int64_t count_pairs(const int64_t *ids, int64_t n, int64_t window)
+{
+    int64_t pairs = 0;
+    for (int64_t t = 0; t < n; t++) {
+        if (ids[t] < 0)
+            continue;
+        int64_t lo, hi;
+        window_bounds(t, n, window, &lo, &hi);
+        for (int64_t u = lo; u < hi; u++)
+            pairs += u != t && ids[u] >= 0;
+    }
+    return pairs;
+}
+
+/* Skip-gram negative-sampling pass over the word ids of one sentence.
+ *
+ * inp: input embeddings; out: the output banks (one, or 2 * window when
+ * positional); ids: word ids, -1 for a hole; cum: the noise table of
+ * `vocab` ids; u: k uniforms per pair in visiting order; work: k + 1 + dim
+ * doubles; negs: k + 1 ids.  Stores the sum of the pre-update objective
+ * terms in *objective.  Returns -1, or the center id that holds all the
+ * noise mass.
+ */
+int64_t word_pass(double *inp, double *const *out, int64_t dim,
+                  const int64_t *ids, int64_t n, int64_t window, int64_t positional,
+                  const double *cum, int64_t vocab, const double *u, int64_t k,
+                  double lr, double *work, int64_t *negs, double *objective)
+{
+    double *coef = work;         /* k + 1 */
+    double *grad = work + k + 1; /* dim */
+    double total = 0.0;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t center = ids[t];
+        if (center < 0)
+            continue;
+        double *v = inp + center * dim;
+        int64_t lo, hi;
+        window_bounds(t, n, window, &lo, &hi);
+        for (int64_t c = lo; c < hi; c++) {
+            if (c == t || ids[c] < 0)
+                continue;
+            double *bank = out[bank_of(c - t, window, positional)];
+            negs[0] = ids[c];
+            if (sample_noise(cum, vocab, u, k, center, negs + 1) < 0)
+                return center;
+            u += k;
+
+            double term = 0.0, neg_sum = 0.0;
+            for (int64_t i = 0; i <= k; i++) {
+                double score = dot(bank + negs[i] * dim, v, dim);
+                if (i == 0)
+                    term = -log1pexp(-score);
+                else
+                    neg_sum += log1pexp(score);
+                coef[i] = (i == 0 ? 1.0 : 0.0) - sigmoid(score);
+            }
+            total += term - neg_sum;
+
+            for (int64_t j = 0; j < dim; j++)
+                grad[j] = 0.0;
+            for (int64_t i = 0; i <= k; i++) {
+                const double *row = bank + negs[i] * dim;
+                for (int64_t j = 0; j < dim; j++)
+                    grad[j] += coef[i] * row[j];
+            }
+            for (int64_t i = 0; i <= k; i++) {
+                double *row = bank + negs[i] * dim;
+                double scale = lr * coef[i];
+                for (int64_t j = 0; j < dim; j++)
+                    row[j] += scale * v[j];
+            }
+            for (int64_t j = 0; j < dim; j++)
+                v[j] += lr * grad[j];
+        }
+    }
+    *objective = total;
+    return -1;
+}

@@ -151,12 +151,19 @@ def iter_corpus(
     """Stream a corpus file as ChunkedSentences, one per line.
 
     Chunk labels are never lowercased; tokens are iff lowercase is set.
-    Parse failures are re-raised with file and line context.
+    Parse failures, and bytes that are not UTF-8, are raised as ParseError
+    with file and line context.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    # surrogateescape keeps a bad byte in place as a lone surrogate, so the
+    # line can name its offset; valid UTF-8 never decodes to one.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid UTF-8", line, exc.start) from None
             if plain:
                 sent = _plain_sentence(line)
             else:

@@ -17,6 +17,8 @@ component word vectors.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -91,8 +93,12 @@ class TrainConfig:
     plain_text: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.mode, str) and not isinstance(self.mode, Mode):
+        try:
             self.mode = Mode(self.mode)
+        except ValueError:
+            names = ", ".join(m.value for m in Mode)
+            raise ValueError(f"mode must be one of {names}, got {self.mode!r}") from None
+        self._check_types()
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.window < 1:
@@ -111,6 +117,32 @@ class TrainConfig:
             raise ValueError("lr_start must be > 0")
         if self.min_count < 1 or self.phrase_min_count < 1:
             raise ValueError("min counts must be >= 1")
+        if self.lr_end is not None and self.lr_end < 0:
+            raise ValueError("lr_end must be >= 0")
+
+    def _check_types(self) -> None:
+        """Reject a field of the wrong type, naming it; numbers become int or float.
+
+        A checkpoint header or a caller can hand any JSON value to any
+        field, and the range checks cannot order a string against a number.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                setattr(self, f.name, int(value))
+            elif f.type == "bool":
+                if not isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            elif f.type == "float" or (f.type == "float | None" and value is not None):
+                if (
+                    not isinstance(value, numbers.Real)
+                    or isinstance(value, bool)
+                    or not math.isfinite(value)
+                ):
+                    raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+                setattr(self, f.name, float(value))
 
     @property
     def lr_floor(self) -> float:
@@ -189,10 +221,18 @@ class ModelParams:
                     raise ValueError("phrase output must be distinct storage")
 
     def all_finite(self) -> bool:
-        return all(
-            np.isfinite(m).all()
-            for m in [self.input_words, *self.output_words, *self.phrase_output_words]
-        )
+        return self.first_non_finite() is None
+
+    def first_non_finite(self) -> tuple[str, int] | None:
+        """(matrix name, row) of the first row holding a NaN or infinity, if any.
+
+        Matrices are searched in `matrices()` order.
+        """
+        for name, m in self.matrices():
+            rows = np.flatnonzero(~np.isfinite(m).all(axis=1))
+            if len(rows):
+                return name, int(rows[0])
+        return None
 
     def matrices(self) -> list[tuple[str, np.ndarray]]:
         named = [("input", self.input_words)]

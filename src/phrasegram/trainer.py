@@ -18,6 +18,18 @@ apply the writes, so the net parameter change of one step equals the
 learning rate times the exact simultaneous gradient of that step's
 objective term, even when an id appears more than once in the step.
 
+Training runs the word-level pass of each sentence as one call into the
+compiled kernel (`_kernel.c`, built and loaded by `phrasegram.kernel`).
+The kernel keeps the same read-before-write rule per step: it reads every
+score and the center's gradient from the pre-update rows, then writes the
+output rows and then the center row, so it matches `word_step` up to the
+rounding of dot products.  `word_step` stays as the reference the tests
+compare the kernel against, as do `iter_window_pairs` and
+`NoiseDistribution.sample`, which still drive the phrase-level pass.  The
+word pass draws its uniforms in one call per sentence from the same
+stream, in the same order, so every seed draws the same negatives as the
+per-pair reference.
+
 Window distances are surface distances: positions in the token sequence
 for words and in the chunk sequence for phrases.  Out-of-vocab tokens and
 non-retained chunks stay in place as holes that never pair but still
@@ -34,6 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from phrasegram import kernel
 from phrasegram.composition import (
     CompositionConfig,
     compose_rows,
@@ -361,6 +374,21 @@ class _SentenceContext:
     keep_prob: np.ndarray | None  # per word id, only when subsampling
 
 
+def _subsample(
+    word_ids: Sequence[int], keep_prob: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Drop each in-vocab token (to -1) unless its uniform is < its keep probability.
+
+    Draws one uniform per in-vocab token, in sentence order, in one call.
+    """
+    ids = np.array(word_ids, dtype=np.int64)
+    kept = np.flatnonzero(ids >= 0)
+    if len(kept):
+        u = rng.random(len(kept))
+        ids[kept[u >= keep_prob[ids[kept]]]] = -1
+    return ids
+
+
 def train_sentence(
     params: ModelParams,
     state: TrainingState,
@@ -370,6 +398,7 @@ def train_sentence(
 ) -> tuple[float, int, float, int]:
     """Run the word-level and phrase-level passes over one sentence.
 
+    The word pass, subsampled first when configured, is one kernel call.
     Returns (E_w sum, word step count, E_p sum, phrase step count).  The
     phrase pass runs only in compositional modes with beta > 0 and a
     non-empty phrase vocabulary; its updates are scaled by lr * beta.
@@ -380,20 +409,18 @@ def train_sentence(
 
     word_ids = mapped.word_ids
     if ctx.keep_prob is not None:
-        word_ids = [
-            wid
-            if wid >= 0 and state.word_rng.random() < ctx.keep_prob[wid]
-            else -1
-            for wid in word_ids
-        ]
-
-    ew, n_w = 0.0, 0
-    k = config.word_negatives
-    for t, u, off in iter_window_pairs(word_ids, c):
-        negs = ctx.word_dist.sample(state.word_rng, k, exclude=word_ids[t])
-        bank = bank_for_offset(off, c, positional)
-        ew += word_step(params, word_ids[t], word_ids[u], negs, lr, bank)
-        n_w += 1
+        word_ids = _subsample(word_ids, ctx.keep_prob, state.word_rng)
+    ew, n_w = kernel.word_pass(
+        params.input_words,
+        params.output_words,
+        word_ids,
+        c,
+        positional,
+        ctx.word_dist.cumulative,
+        state.word_rng,
+        config.word_negatives,
+        lr,
+    )
 
     ep, n_p = 0.0, 0
     if config.beta > 0 and params.mode.compositional and ctx.phrase_dist is not None:
@@ -574,8 +601,11 @@ def train(
             n_w += snw
             n_p += snp
             state.tokens_processed += n_tokens
-        if not params.all_finite():
-            raise RuntimeError(f"non-finite parameter detected after epoch {epoch}")
+        bad = params.first_non_finite()
+        if bad is not None:
+            raise RuntimeError(
+                f"non-finite parameter in {bad[0]} row {bad[1]} after epoch {epoch}"
+            )
         stats = EpochStats(
             epoch=epoch,
             mean_ew=ew / n_w if n_w else 0.0,

@@ -445,6 +445,20 @@ class TestCheckpointConfigKeys:
         assert code == 2
         assert "shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", "10"), ("dim", True), ("seed", 1.5), ("beta", "1"), ("alpha", None),
+         ("lowercase", 1), ("lr_end", "x"), ("lr_end", -1.0), ("mode", 3)],
+    )
+    def test_wrong_typed_config_value_is_data_error(self, tmp_path, capsys, field, value):
+        _, _, ckpt = self._half_run(tmp_path)
+        _edit_checkpoint_header(ckpt, lambda h: h["config"].update({field: value}))
+        with pytest.raises(ValueError, match=field):
+            checkpoint_load(ckpt)
+        code = main(["export", "--model", str(ckpt), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert f"error: {field} must be" in capsys.readouterr().err
+
     def test_legacy_workers_one_resumes_bitwise(self, tmp_path):
         corpus, cfg, ckpt = self._half_run(tmp_path)
         _edit_checkpoint_header(ckpt, lambda h: h["config"].update(workers=1))

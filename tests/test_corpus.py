@@ -132,6 +132,14 @@ class TestCorpusIO:
             list(iter_corpus(path))
         assert exc.value.byte_offset == 8
 
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_invalid_utf8_names_file_line_and_byte(self, tmp_path, plain):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"a b c\nd \xc3\xa9 \xff e\n")
+        with pytest.raises(ParseError, match=r"c\.txt:2: invalid UTF-8 at byte offset 5$") as exc:
+            list(iter_corpus(path, plain=plain))
+        assert exc.value.byte_offset == 5
+
     def test_one_sentence_per_line(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("a b\n\nc\n")

@@ -92,6 +92,32 @@ def below(x):
     return float(np.nextafter(x, 0.0))
 
 
+# Exponent 1 and power-of-two masses keep every table entry and every
+# rescaled uniform exact, so each boundary below is hit exactly.  The
+# excluded id holds half the mass: first, in the middle, and last.
+# (counts, excluded id, [(uniform, expected id), ...])
+SCRIPTED_COLLISIONS = [
+    (
+        [4, 1, 1, 2],  # cumulative [0.5, 0.625, 0.75, 1]
+        0,
+        [(0.0, 1), (0.0625, 1), (0.125, 2), (0.25, 3), (below(0.5), 3),
+         (0.5, 1), (0.9, 3)],
+    ),
+    (
+        [1, 4, 1, 2],  # cumulative [0.125, 0.625, 0.75, 1]
+        1,
+        [(0.125, 0), (below(0.25), 0), (0.25, 2), (0.375, 3),
+         (below(0.625), 3), (0.0, 0), (0.7, 2)],
+    ),
+    (
+        [2, 1, 1, 4],  # cumulative [0.25, 0.375, 0.5, 1]
+        3,
+        [(0.5, 0), (0.75, 1), (0.875, 2), (below(1.0), 2),
+         (0.1, 0), (0.4, 2)],
+    ),
+]
+
+
 def conditional_oracle(dist, u, exclude):
     """Rescale u out of the excluded interval and scan the table with that
     interval removed, built explicitly."""
@@ -136,32 +162,8 @@ class TestExclusion:
         assert dist.sample(rng, 1, exclude=1)[0] == 0
         assert rng.values == []
 
-    # Exponent 1 and power-of-two masses keep every table entry and every
-    # rescaled uniform exact, so each boundary below is hit exactly.  The
-    # excluded id holds half the mass: first, in the middle, and last.
     @pytest.mark.parametrize(
-        "counts, exclude, script",
-        [
-            (
-                [4, 1, 1, 2],  # cumulative [0.5, 0.625, 0.75, 1]
-                0,
-                [(0.0, 1), (0.0625, 1), (0.125, 2), (0.25, 3), (below(0.5), 3),
-                 (0.5, 1), (0.9, 3)],
-            ),
-            (
-                [1, 4, 1, 2],  # cumulative [0.125, 0.625, 0.75, 1]
-                1,
-                [(0.125, 0), (below(0.25), 0), (0.25, 2), (0.375, 3),
-                 (below(0.625), 3), (0.0, 0), (0.7, 2)],
-            ),
-            (
-                [2, 1, 1, 4],  # cumulative [0.25, 0.375, 0.5, 1]
-                3,
-                [(0.5, 0), (0.75, 1), (0.875, 2), (below(1.0), 2),
-                 (0.1, 0), (0.4, 2)],
-            ),
-        ],
-        ids=["first", "middle", "last"],
+        "counts, exclude, script", SCRIPTED_COLLISIONS, ids=["first", "middle", "last"]
     )
     def test_scripted_collisions_map_exactly(self, counts, exclude, script):
         dist = build_noise_distribution(np.array(counts), exponent=1.0)

@@ -1,5 +1,6 @@
 """Training-step gradients against finite differences, window-pair
-enumeration against brute force, and end-to-end run properties:
+enumeration against brute force, the compiled word pass against the
+per-pair numpy loop it replaced, and end-to-end run properties:
 objective ascent, determinism, resume fidelity, and the beta = 0
 reduction to the baseline mode.
 """
@@ -14,6 +15,7 @@ from phrasegram.model import (
     CheckpointData,
     Mode,
     TrainConfig,
+    bank_for_offset,
     checkpoint_load,
     checkpoint_save,
     init_params,
@@ -329,81 +331,143 @@ class TestMapSentence:
         assert mapped.phrase_ids == [-1, -1]
 
 
+def reference_train_sentence(params, state, mapped, config, ctx):
+    """The per-pair loop train_sentence ran before the kernel: the oracle.
+
+    iter_window_pairs -> NoiseDistribution.sample -> word_step, after one
+    scalar subsampling draw per in-vocab token; the phrase pass as in
+    train_sentence.
+    """
+    c = config.window
+    positional = params.mode.positional
+    lr = state.lr
+    word_ids = mapped.word_ids
+    if ctx.keep_prob is not None:
+        word_ids = [
+            wid if wid >= 0 and state.word_rng.random() < ctx.keep_prob[wid] else -1
+            for wid in word_ids
+        ]
+    ew, n_w = 0.0, 0
+    for t, u, off in iter_window_pairs(word_ids, c):
+        negs = ctx.word_dist.sample(state.word_rng, config.word_negatives, exclude=word_ids[t])
+        bank = bank_for_offset(off, c, positional)
+        ew += word_step(params, word_ids[t], word_ids[u], negs, lr, bank)
+        n_w += 1
+    ep, n_p = 0.0, 0
+    if config.beta > 0 and params.mode.compositional and ctx.phrase_dist is not None:
+        comps = ctx.phrase_components
+        for i, j, off in iter_window_pairs(mapped.phrase_ids, c):
+            pid = mapped.phrase_ids[i]
+            negs = ctx.phrase_dist.sample(state.phrase_rng, config.phrase_negatives, exclude=pid)
+            bank = bank_for_offset(off, c, positional)
+            ep += phrase_step(
+                params, comps[pid], comps[mapped.phrase_ids[j]], [comps[g] for g in negs],
+                lr * config.beta, ctx.comp, bank,
+            )
+            n_p += 1
+    return ew, n_w, ep, n_p
+
+
+PHRASES = [(0, 1), (2,), (1, 1, 0), (2, 0)]  # components over word ids 0..2
+
+
+def run_against_reference(mode, vocab_size, sentences, alpha=1.0, subsample=0.0, seed=51):
+    """train_sentence and the reference loop on copies of one model, sentence by sentence.
+
+    After each sentence every matrix must agree to rtol 1e-12, atol 1e-15,
+    the returns must agree, and both RNG streams must be in the same state.
+    """
+    rng = np.random.default_rng(seed)
+    params = rand_params(rng, vocab_size=vocab_size, mode=mode, window=2)
+    config = TrainConfig(
+        dim=params.dim, window=2, min_count=1, mode=mode, alpha=alpha,
+        word_negatives=3, phrase_negatives=2, subsample=subsample,
+    )
+    vocab = Vocab(
+        [f"w{i}" for i in range(vocab_size)], list(range(3 * vocab_size, 2 * vocab_size, -1))
+    )
+    ctx = trainer._SentenceContext(
+        word_dist=trainer.build_noise_distribution(vocab.counts),
+        phrase_dist=trainer.build_noise_distribution(np.array([5, 4, 3, 2])),
+        phrase_components=PHRASES,
+        comp=CompositionConfig(alpha=alpha),
+        keep_prob=trainer._subsample_keep_prob(vocab, subsample) if subsample else None,
+    )
+    ref_params = params.copy()
+    state, ref_state = (
+        TrainingState(0.05, np.random.default_rng(seed + 1), np.random.default_rng(seed + 2))
+        for _ in range(2)
+    )
+    for mapped in sentences:
+        got = train_sentence(params, state, mapped, config, ctx)
+        want = reference_train_sentence(ref_params, ref_state, mapped, config, ctx)
+        assert got[1::2] == want[1::2]
+        assert got[0::2] == pytest.approx(want[0::2], rel=1e-12, abs=1e-15)
+        for (name, m), (_, r) in zip(params.matrices(), ref_params.matrices()):
+            np.testing.assert_allclose(m, r, rtol=1e-12, atol=1e-15, err_msg=name)
+        assert state.word_rng.bit_generator.state == ref_state.word_rng.bit_generator.state
+        assert state.phrase_rng.bit_generator.state == ref_state.phrase_rng.bit_generator.state
+
+
+def random_sentences(rng, vocab_size, count=12):
+    """Sentences with holes (-1) in both the word and the phrase sequence."""
+    return [
+        MappedSentence(
+            [int(x) for x in rng.integers(-1, vocab_size, size=n)],
+            [int(x) for x in rng.integers(-1, len(PHRASES), size=n // 2)],
+        )
+        for n in rng.integers(0, 12, size=count)
+    ]
+
+
 class TestTrainSentencePairSelection:
-    def _setup(self, mode=Mode.BASELINE, window=2, seed=51):
-        rng = np.random.default_rng(seed)
-        params = rand_params(rng, vocab_size=6, mode=mode, window=window)
-        config = TrainConfig(
-            dim=4, window=window, min_count=1, mode=mode,
-            word_negatives=2, phrase_negatives=2,
-        )
-        vocab = Vocab([f"w{i}" for i in range(6)], [10, 9, 8, 7, 6, 5])
-        word_dist = trainer.build_noise_distribution(vocab.counts)
+    """Pair order, banks and negatives of the kernel's word pass, against the reference loop."""
+
+    def test_word_pass_visits_window_pairs_in_order(self):
+        # Visiting the same pairs in another order applies the same steps in
+        # another sequence, which moves the matrices far beyond the tolerance.
+        sentences = [MappedSentence([3, 1, -1, 2, 4, 0], [-1] * 6)] * 3
+        run_against_reference(Mode.BASELINE, 6, sentences)
+
+    def test_positional_banks_follow_offsets(self):
+        sentences = [MappedSentence([0, 1, 2, -1, 3], [-1] * 5)] * 3
+        run_against_reference(Mode.POSITIONAL, 6, sentences)
+
+    def test_negatives_exclude_center(self):
+        # With two words every draw that lands on the center is redirected
+        # to the other word; a negative equal to the center would diverge.
+        run_against_reference(Mode.BASELINE, 2, [MappedSentence([0, 1, 0, 1, 0], [])] * 40)
+
+
+class TestTrainSentenceMatchesReference:
+    @pytest.mark.parametrize("mode", [Mode.BASELINE, Mode.POSITIONAL, Mode.COMPOSITIONAL_POSITIONAL])
+    @pytest.mark.parametrize("vocab_size", [3, 9])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    @pytest.mark.parametrize("subsample", [0.0, 0.02])
+    def test_matches_per_pair_loop(self, mode, vocab_size, alpha, subsample):
+        sentences = random_sentences(np.random.default_rng(61), vocab_size)
+        run_against_reference(mode, vocab_size, sentences, alpha, subsample)
+
+    def test_gradient_suite_instances(self):
+        # rand_params with its defaults, as the gradient checks use it
+        for seed in range(5):
+            sentences = random_sentences(np.random.default_rng(seed), 8)
+            run_against_reference(Mode.COMPOSITIONAL, 8, sentences, seed=100 + seed)
+
+    def test_unwritable_matrix_rejected(self):
+        rng = np.random.default_rng(53)
+        params = rand_params(rng, mode=Mode.BASELINE)
+        config = TrainConfig(dim=params.dim, window=2, min_count=1, word_negatives=2)
         ctx = trainer._SentenceContext(
-            word_dist=word_dist,
-            phrase_dist=None,
-            phrase_components=[],
-            comp=CompositionConfig(),
-            keep_prob=None,
+            trainer.build_noise_distribution(np.arange(1, 9)), None, [], CompositionConfig(), None
         )
-        state = TrainingState(
-            lr=0.01,
-            word_rng=np.random.default_rng(seed + 1),
-            phrase_rng=np.random.default_rng(seed + 2),
-        )
-        return params, config, vocab, ctx, state
-
-    def test_word_pass_visits_window_pairs_in_order(self, monkeypatch):
-        params, config, vocab, ctx, state = self._setup()
-        calls = []
-
-        def recorder(params_, center, context, negatives, lr, bank=0):
-            calls.append((center, context, bank))
-            return 0.0
-
-        monkeypatch.setattr(trainer, "word_step", recorder)
-        mapped = MappedSentence([3, 1, -1, 2], [-1] * 4)
-        train_sentence(params, state, mapped, config, ctx)
-        ids = mapped.word_ids
-        expected = [
-            (ids[t], ids[u], 0) for t, u, _ in iter_window_pairs(ids, config.window)
-        ]
-        assert calls == expected
-
-    def test_positional_banks_follow_offsets(self, monkeypatch):
-        params, config, vocab, ctx, state = self._setup(mode=Mode.POSITIONAL)
-        calls = []
-
-        def recorder(params_, center, context, negatives, lr, bank=0):
-            calls.append(bank)
-            return 0.0
-
-        monkeypatch.setattr(trainer, "word_step", recorder)
-        mapped = MappedSentence([0, 1, 2], [-1] * 3)
-        train_sentence(params, state, mapped, config, ctx)
-        from phrasegram.model import bank_for_offset
-
-        expected = [
-            bank_for_offset(off, config.window, True)
-            for _, _, off in iter_window_pairs(mapped.word_ids, config.window)
-        ]
-        assert calls == expected
-
-    def test_negatives_exclude_center(self, monkeypatch):
-        params, config, vocab, ctx, state = self._setup()
-        seen = []
-
-        def recorder(params_, center, context, negatives, lr, bank=0):
-            seen.append((center, list(negatives)))
-            return 0.0
-
-        monkeypatch.setattr(trainer, "word_step", recorder)
-        mapped = MappedSentence([0, 1, 0, 1, 0], [-1] * 5)
-        for _ in range(40):
-            train_sentence(params, state, mapped, config, ctx)
-        assert seen
-        for center, negatives in seen:
-            assert center not in negatives
+        state = TrainingState(0.05, np.random.default_rng(1), np.random.default_rng(2))
+        params.output_words[0].flags.writeable = False
+        with pytest.raises(ValueError, match="writable C-contiguous float64"):
+            train_sentence(params, state, MappedSentence([0, 1, 2], []), config, ctx)
+        params.output_words[0] = np.asfortranarray(params.output_words[0])
+        with pytest.raises(ValueError, match="writable C-contiguous float64"):
+            train_sentence(params, state, MappedSentence([0, 1, 2], []), config, ctx)
 
 
 class TestTrainEndToEnd:
@@ -445,6 +509,39 @@ class TestTrainEndToEnd:
         for (_, ma), (_, mb) in zip(a.params.matrices(), b.params.matrices()):
             np.testing.assert_array_equal(ma, mb)
         assert a.state_dict == b.state_dict
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_epochs_match_per_pair_loop(self, tmp_path, monkeypatch, mode):
+        corpus = tmp_path / "c.txt"
+        self._write_corpus(corpus)
+        cfg = self._config(mode=mode, alpha=1.5, subsample=0.01)
+        got = train(corpus, cfg)
+        monkeypatch.setattr(trainer, "train_sentence", reference_train_sentence)
+        want = train(corpus, cfg)
+        for (name, m), (_, r) in zip(got.params.matrices(), want.params.matrices()):
+            np.testing.assert_allclose(m, r, rtol=1e-12, atol=1e-15, err_msg=name)
+        assert got.state_dict == want.state_dict
+        for a, b in zip(got.report.epochs, want.report.epochs):
+            assert (a.word_steps, a.phrase_steps) == (b.word_steps, b.phrase_steps)
+            assert a.mean_ew == pytest.approx(b.mean_ew, rel=1e-12)
+            assert a.mean_ep == pytest.approx(b.mean_ep, rel=1e-12)
+
+    def test_non_finite_parameter_names_matrix_and_row(self, tmp_path):
+        corpus = tmp_path / "c.txt"
+        self._write_corpus(corpus)
+        # beta = 0: the phrase output matrices are never trained, so the
+        # poisoned row stays the only bad one
+        cfg = self._config(mode=Mode.COMPOSITIONAL, beta=0.0)
+        half = train(corpus, cfg, stop_after_epoch=1)
+        half.params.phrase_output_words[0][3, 1] = np.inf
+        ckpt = tmp_path / "poisoned.ckpt"
+        checkpoint_save(
+            ckpt, half.params, cfg, half.vocab, half.phrase_vocab, half.state_dict
+        )
+        with pytest.raises(
+            RuntimeError, match=r"^non-finite parameter in phrase_output:0 row 3 after epoch 1$"
+        ):
+            train(corpus, cfg, start=checkpoint_load(ckpt))
 
     def test_different_seeds_differ(self, tmp_path):
         corpus = tmp_path / "c.txt"
