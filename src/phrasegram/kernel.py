@@ -86,6 +86,7 @@ def build(source: Path, cache_dir: Path, cc: Sequence[str]) -> Path:
                 f"cannot build the training kernel: {shlex.join(command)} "
                 f"exited {proc.returncode}:\n{proc.stderr.strip()}"
             )
+        os.chmod(tmp, 0o755)  # mkstemp made it owner-only; others must load it too
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):

@@ -110,6 +110,7 @@ class TestBuildCache:
         source.write_bytes(kernel.SOURCE.read_bytes())
         cache = tmp_path / "cache"
         first = kernel.build(source, cache, _fake_compiler())
+        assert first.stat().st_mode & 0o777 == 0o755
         assert kernel.build(source, cache, _fake_compiler()) == first
         source.write_bytes(kernel.SOURCE.read_bytes() + b"/* edited */\n")
         second = kernel.build(source, cache, _fake_compiler())
