@@ -3,7 +3,7 @@
 Subcommands: train, export, eval-sim, eval-analogy, eval-phrase,
 neighbors, inspect-manifest.  Exit codes: 0 on success, 1 on usage
 errors, 2 on data errors (unreadable files, malformed inputs,
-out-of-vocabulary queries).
+out-of-vocabulary queries, a training run that diverges).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from phrasegram.model import (
     checkpoint_load,
     checkpoint_save,
 )
-from phrasegram.trainer import train
+from phrasegram.trainer import TrainingDivergedError, train
 
 __all__ = ["main"]
 
@@ -58,6 +58,7 @@ _DATA_ERRORS = (
     EmbeddingsFormatError,
     ManifestError,
     EvaluationError,
+    TrainingDivergedError,
     KeyError,
     ValueError,
 )

@@ -65,10 +65,13 @@ def write_embeddings_text(
     matrix = np.asarray(matrix, dtype=np.float32)
     if len(words) != matrix.shape[0]:
         raise ValueError("word list and matrix row count differ")
+    # One format for the whole row, filled one row at a time: converting
+    # the whole matrix to Python floats at once would hold it all in memory.
+    fmt = " ".join(["%.9g"] * matrix.shape[1])
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
         for word, row in zip(words, matrix):
-            fh.write(word + " " + " ".join("%.9g" % x for x in row) + "\n")
+            fh.write(word + " " + fmt % tuple(row.tolist()) + "\n")
 
 
 def write_embeddings_binary(

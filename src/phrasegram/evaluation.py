@@ -3,9 +3,13 @@
 Word similarity reports Spearman's rank correlation between human scores
 and cosine similarities of the input embeddings.  Analogy questions are
 answered with 3CosAdd over unit-normalized vectors, excluding the three
-question words.  The phrase task composes a (subject, reference verb)
-pair with the configured composition function and correlates its cosine
-against the landmark verb's vector with the human ratings.
+question words; each section's questions are scored in blocks of one
+matrix product each.  The phrase task composes a (subject, reference
+verb) pair with the configured composition function and correlates its
+cosine against the landmark verb's vector with the human ratings.
+
+`WordEmbeddings` is a read-only snapshot: its row-normalized matrix is
+computed on first use and shared by every later query and analogy.
 
 Items containing out-of-vocabulary words are dropped and counted; every
 evaluator reports coverage alongside its score.
@@ -70,6 +74,12 @@ class WordEmbeddings:
 
     lowercased marks whether the training corpus was lowercased; dataset
     words are folded the same way on lookup.
+
+    The embeddings are a snapshot.  `matrix` is a read-only view of the
+    array passed in (a float64 copy if it had another dtype), and
+    `unit_matrix()` caches its row-normalized form on first call.  The
+    source array must not change after construction: build a new
+    WordEmbeddings for new values, or the cached unit rows go stale.
     """
 
     def __init__(
@@ -78,9 +88,11 @@ class WordEmbeddings:
         if len(words) != matrix.shape[0]:
             raise ValueError("word list and matrix row count differ")
         self.words = list(words)
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.matrix = np.asarray(matrix, dtype=np.float64).view()
+        self.matrix.flags.writeable = False
         self.lowercased = lowercased
         self.word2id = {w: i for i, w in enumerate(self.words)}
+        self._unit: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -99,10 +111,17 @@ class WordEmbeddings:
         return None if idx is None else self.matrix[idx]
 
     def unit_matrix(self) -> np.ndarray:
-        """Row-normalized copy; zero rows are left at zero."""
-        norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        return self.matrix / safe
+        """Row-normalized matrix, read-only; zero rows are left at zero.
+
+        Computed on the first call; every later call returns the same array.
+        """
+        if self._unit is None:
+            norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
+            safe = np.where(norms == 0.0, 1.0, norms)
+            unit = self.matrix / safe
+            unit.flags.writeable = False
+            self._unit = unit
+        return self._unit
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -185,24 +204,18 @@ def analogy_eval(
     per_section: dict[str, float] = {}
     total_correct = total_usable = total_questions = 0
     for name, questions in sections.items():
-        correct = usable = 0
+        total_questions += len(questions)
+        usable = []
         for q in questions:
-            total_questions += 1
-            ids = [embeddings.word2id.get(embeddings.fold(w)) for w in (q.a, q.b, q.c)]
-            expected = embeddings.word2id.get(embeddings.fold(q.expected))
-            if any(i is None for i in ids) or expected is None:
-                continue
-            usable += 1
-            ia, ib, ic = ids
-            target = unit[ib] - unit[ia] + unit[ic]
-            scores = unit @ target
-            scores[[ia, ib, ic]] = -np.inf
-            if int(np.argmax(scores)) == expected:
-                correct += 1
-        if usable:
-            per_section[name] = correct / usable
+            ids = [embeddings.id_of(w) for w in (q.a, q.b, q.c, q.expected)]
+            if None not in ids:
+                usable.append(ids)
+        if not usable:
+            continue
+        correct = _count_cos_add_hits(unit, np.array(usable, dtype=np.int64))
+        per_section[name] = correct / len(usable)
         total_correct += correct
-        total_usable += usable
+        total_usable += len(usable)
     if total_usable == 0:
         raise EvaluationError("no analogy question is fully in vocabulary")
     return (
@@ -210,6 +223,24 @@ def analogy_eval(
         per_section,
         total_usable / total_questions,
     )
+
+
+# Scores held at once by one analogy block: big enough for a matrix product
+# to amortize reading `unit`, small enough to stay a minor share of memory.
+_ANALOGY_BLOCK_BYTES = 4 << 20
+
+
+def _count_cos_add_hits(unit: np.ndarray, questions: np.ndarray) -> int:
+    """How many (a, b, c, expected) id rows 3CosAdd over `unit` answers right."""
+    rows = max(1, _ANALOGY_BLOCK_BYTES // (unit.itemsize * unit.shape[0]))
+    correct = 0
+    for start in range(0, len(questions), rows):
+        block = questions[start : start + rows]
+        a, b, c, expected = block.T
+        scores = (unit[b] - unit[a] + unit[c]) @ unit.T
+        scores[np.arange(len(block))[:, None], block[:, :3]] = -np.inf
+        correct += int(np.count_nonzero(scores.argmax(axis=1) == expected))
+    return correct
 
 
 def phrase_similarity_eval(

@@ -374,8 +374,9 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
     """Read a checkpoint written by checkpoint_save.
 
     Raises CheckpointFormatError, CheckpointVersionError,
-    CheckpointTruncatedError or CheckpointChecksumError; never returns a
-    partially read model.
+    CheckpointTruncatedError or CheckpointChecksumError, and ValueError,
+    naming the field, when the config or the vocabularies do not fit the
+    matrices; never returns a partially read model.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -401,21 +402,15 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
     (header_len,) = struct.unpack("<I", payload[:4])
     header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
     config = TrainConfig.from_dict(header["config"])
-    vocab = Vocab(header["vocab"]["words"], header["vocab"]["counts"])
-    phrase_vocab = None
-    if header["phrase_vocab"] is not None:
-        phrase_vocab = PhraseVocab(
-            [(tuple(ids), label) for ids, label in header["phrase_vocab"]["keys"]],
-            header["phrase_vocab"]["counts"],
-        )
+    # One copy per matrix, straight out of the payload: aligned, writable
+    # and C-contiguous, as training a resumed model needs.
     offset = 4 + header_len
     by_name: dict[str, np.ndarray] = {}
     for spec_ in header["matrices"]:
         rows, dim = spec_["rows"], spec_["dim"]
-        nbytes = rows * dim * 8
-        mat = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8")
-        by_name[spec_["name"]] = mat.reshape(rows, dim).copy()
-        offset += nbytes
+        mat = np.frombuffer(payload, dtype="<f8", count=rows * dim, offset=offset)
+        by_name[spec_["name"]] = mat.reshape(rows, dim).astype(np.float64)
+        offset += mat.nbytes
     out_names = sorted(
         (n for n in by_name if n.startswith("output:")), key=lambda n: int(n.split(":")[1])
     )
@@ -431,4 +426,35 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
         window=config.window,
     )
     params.validate()
+    vocab, phrase_vocab = _load_vocabularies(header, params.vocab_size, path)
     return CheckpointData(params, config, vocab, phrase_vocab, header["state"])
+
+
+def _load_vocabularies(
+    header: dict, rows: int, path: Path
+) -> tuple[Vocab, PhraseVocab | None]:
+    """The header's vocabularies, checked against the matrices' row count."""
+    words, counts = header["vocab"]["words"], header["vocab"]["counts"]
+    if len(words) != rows:
+        raise ValueError(
+            f"{path}: vocab.words has {len(words)} entries, the matrices have {rows} rows"
+        )
+    if len(counts) != rows:
+        raise ValueError(
+            f"{path}: vocab.counts has {len(counts)} entries, vocab.words has {rows}"
+        )
+    vocab = Vocab(words, counts)
+    if header["phrase_vocab"] is None:
+        return vocab, None
+    keys = header["phrase_vocab"]["keys"]
+    for ids, _ in keys:
+        for i in ids:
+            if type(i) is not int or not 0 <= i < rows:
+                raise ValueError(
+                    f"{path}: phrase_vocab.keys component {i!r} is not a word id "
+                    f"in [0, {rows})"
+                )
+    phrase_vocab = PhraseVocab(
+        [(tuple(ids), label) for ids, label in keys], header["phrase_vocab"]["counts"]
+    )
+    return vocab, phrase_vocab

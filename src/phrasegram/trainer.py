@@ -71,6 +71,7 @@ from phrasegram.model import (
 from phrasegram.sampling import NoiseDistribution, build_noise_distribution
 
 __all__ = [
+    "TrainingDivergedError",
     "TrainingState",
     "MappedSentence",
     "EpochStats",
@@ -449,6 +450,10 @@ def train_sentence(
 # ---------------------------------------------------------------------------
 
 
+class TrainingDivergedError(RuntimeError):
+    """A parameter became NaN or infinite; the message names matrix, row and epoch."""
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -516,7 +521,8 @@ def train(
     same config).  `stop_after_epoch` ends the run early at that epoch
     boundary, e.g. to write a mid-run checkpoint.
 
-    The mapped corpus is held in memory across epochs.
+    The mapped corpus is held in memory across epochs.  A parameter that
+    is not finite after an epoch raises TrainingDivergedError.
     """
     corpus_path = Path(corpus_path)
     if not corpus_path.exists():
@@ -603,7 +609,7 @@ def train(
             state.tokens_processed += n_tokens
         bad = params.first_non_finite()
         if bad is not None:
-            raise RuntimeError(
+            raise TrainingDivergedError(
                 f"non-finite parameter in {bad[0]} row {bad[1]} after epoch {epoch}"
             )
         stats = EpochStats(

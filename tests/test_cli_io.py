@@ -61,6 +61,22 @@ class TestTextFormat:
         assert got_words == words
         np.testing.assert_array_equal(got, matrix)
 
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(9)
+        words = [f"w{i}" for i in range(30)] + ["café"]
+        matrix = rng.normal(size=(31, 9)) * 10.0 ** rng.integers(-44, 38, size=(31, 9))
+        matrix = matrix.astype(np.float32)
+        specials = [0.0, -0.0, 1e-45, -3e-39, 1.1754942e-38, 3.4028235e38, -1e38, 1e-7]
+        matrix[0, : len(specials)] = specials
+        path = tmp_path / "e.txt"
+        write_embeddings_text(path, words, matrix)
+        expected = f"{len(words)} 9\n" + "".join(
+            word + " " + " ".join("%.9g" % x for x in row) + "\n"
+            for word, row in zip(words, matrix)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert "-0 " in path.read_text() and "e-45" in path.read_text()
+
     def test_header_and_line_count(self, tmp_path):
         path = tmp_path / "e.txt"
         write_embeddings_text(path, ["a", "b"], np.zeros((2, 2), dtype=np.float32))
@@ -373,6 +389,20 @@ class TestCliExitCodes:
         code = main(["export", "--model", str(bogus), "--out", str(tmp_path / "e")])
         assert code == 2
 
+    def test_diverging_run_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b c\nb c a\nc a b\n")
+        out = tmp_path / "m.ckpt"
+        code = main([
+            "train", str(corpus), "--out", str(out), "--min-count", "1",
+            "--dim", "4", "--lr", "1e300", "--epochs", "2",
+        ])
+        assert code == 2
+        assert "error: non-finite parameter in input row 0 after epoch 0" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_single_word_corpus_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a a a a\n")
@@ -458,6 +488,27 @@ class TestCheckpointConfigKeys:
         code = main(["export", "--model", str(ckpt), "--out", str(tmp_path / "e")])
         assert code == 2
         assert f"error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("vocab.words", lambda h: (h["vocab"]["words"].pop(), h["vocab"]["counts"].pop())),
+            ("vocab.words", lambda h: (h["vocab"]["words"].append("zz"), h["vocab"]["counts"].append(1))),
+            ("vocab.counts", lambda h: h["vocab"]["counts"].pop()),
+            ("vocab.counts", lambda h: h["vocab"]["counts"].append(1)),
+            ("phrase_vocab.keys", lambda h: h["phrase_vocab"]["keys"][0].__setitem__(0, [0, 99])),
+            ("phrase_vocab.keys", lambda h: h["phrase_vocab"]["keys"][-1].__setitem__(0, [-1, 0])),
+            ("phrase_vocab.keys", lambda h: h["phrase_vocab"]["keys"][0].__setitem__(0, [0, 1.0])),
+        ],
+    )
+    def test_vocabulary_not_fitting_matrices_is_data_error(self, tmp_path, capsys, field, edit):
+        corpus, cfg, ckpt = self._half_run(tmp_path)
+        _edit_checkpoint_header(ckpt, edit)
+        with pytest.raises(ValueError, match=field):
+            checkpoint_load(ckpt)
+        code = main(["export", "--model", str(ckpt), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert f"error: {ckpt}: {field}" in capsys.readouterr().err
 
     def test_legacy_workers_one_resumes_bitwise(self, tmp_path):
         corpus, cfg, ckpt = self._half_run(tmp_path)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from phrasegram import evaluation
 from phrasegram.composition import CompositionConfig
 from phrasegram.evaluation import (
     AnalogyQuestion,
@@ -139,6 +140,28 @@ class TestWordEmbeddings:
         with pytest.raises(ValueError, match="row count"):
             WordEmbeddings(["a"], np.zeros((2, 3)))
 
+    def test_unit_matrix_is_computed_once_and_read_only(self):
+        matrix = np.random.default_rng(5).normal(size=(6, 3))
+        matrix[2] = 0.0
+        emb = WordEmbeddings([f"w{i}" for i in range(6)], matrix)
+        unit = emb.unit_matrix()
+        assert emb.unit_matrix() is unit
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        expected = matrix / np.where(norms == 0.0, 1.0, norms)
+        np.testing.assert_array_equal(unit.view(np.uint64), expected.view(np.uint64))
+        assert not unit.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            unit[0, 0] = 1.0
+
+    def test_matrix_is_a_read_only_view_of_the_source(self):
+        source = np.ones((2, 3))
+        emb = WordEmbeddings(["a", "b"], source)
+        with pytest.raises(ValueError, match="read-only"):
+            emb.matrix[0, 0] = 2.0
+        assert np.shares_memory(emb.matrix, source)
+        assert source.flags.writeable
+        source[0, 0] = 2.0
+
 
 class TestWordSimilarityEval:
     def test_matches_direct_computation(self):
@@ -187,7 +210,62 @@ def orthogonal_analogy_embeddings(n_pairs=4):
     return WordEmbeddings(words, np.array(rows))
 
 
+def reference_analogy_eval(embeddings, sections):
+    """The per-question 3CosAdd loop: one matrix-vector product per question."""
+    unit = embeddings.unit_matrix()
+    per_section = {}
+    total_correct = total_usable = total_questions = 0
+    for name, questions in sections.items():
+        correct = usable = 0
+        for q in questions:
+            total_questions += 1
+            ids = [embeddings.word2id.get(embeddings.fold(w)) for w in (q.a, q.b, q.c)]
+            expected = embeddings.word2id.get(embeddings.fold(q.expected))
+            if any(i is None for i in ids) or expected is None:
+                continue
+            usable += 1
+            ia, ib, ic = ids
+            scores = unit @ (unit[ib] - unit[ia] + unit[ic])
+            scores[[ia, ib, ic]] = -np.inf
+            if int(np.argmax(scores)) == expected:
+                correct += 1
+        if usable:
+            per_section[name] = correct / usable
+        total_correct += correct
+        total_usable += usable
+    return total_correct / total_usable, per_section, total_usable / total_questions
+
+
 class TestAnalogyEval:
+    @pytest.mark.parametrize("block_bytes", [None, 1, 3 * 8 * 12])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_question_reference(self, monkeypatch, seed, block_bytes):
+        if block_bytes is not None:
+            # blocks of 1 and of 3 questions: every section spans several
+            monkeypatch.setattr(evaluation, "_ANALOGY_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(12)]
+        matrix = rng.normal(size=(12, 5))
+        matrix[3] = 0.0
+        emb = WordEmbeddings(words, matrix, lowercased=True)
+        # mixed case folds to the vocabulary; "ghost" is out of it
+        pool = words + [w.upper() for w in words] + ["ghost"]
+        sections = {}
+        for name in ("s0", "s1", "s2", "oov"):
+            questions = []
+            for _ in range(40):
+                a, b, c, d = rng.choice(len(pool) if name == "oov" else 24, size=4)
+                if rng.random() < 0.2:
+                    c = a
+                questions.append(AnalogyQuestion(pool[a], pool[b], pool[c], pool[d]))
+            sections[name] = questions
+        sections["all-oov"] = [AnalogyQuestion("ghost", "w0", "w1", "w2")]
+        got = analogy_eval(emb, sections)
+        want = reference_analogy_eval(emb, sections)
+        assert got == want
+        assert set(got[1]) == {"s0", "s1", "s2", "oov"}
+        assert 0.0 < got[0] < 1.0 and got[2] < 1.0
+
     def test_constructed_analogies_score_perfectly(self):
         emb = orthogonal_analogy_embeddings(4)
         questions = [

@@ -206,6 +206,18 @@ class TestCheckpoint:
             assert name_a == name_b
             np.testing.assert_array_equal(a, b)
 
+    def test_loaded_matrices_are_separate_writable_arrays(self, tmp_path):
+        params, cfg, vocab, pv, state = _fixture(Mode.COMPOSITIONAL_POSITIONAL)
+        path = tmp_path / "m.ckpt"
+        checkpoint_save(path, params, cfg, vocab, pv, state)
+        loaded = [m for _, m in checkpoint_load(path).params.matrices()]
+        for m in loaded:
+            assert m.dtype == np.float64
+            assert m.flags.writeable and m.flags.aligned and m.flags.c_contiguous
+        for i, a in enumerate(loaded):
+            for b in loaded[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
     def test_positional_banks_keep_their_order(self, tmp_path):
         params, cfg, vocab, _, _ = _fixture(Mode.COMPOSITIONAL_POSITIONAL)
         path = tmp_path / "m.ckpt"
