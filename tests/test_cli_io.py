@@ -502,7 +502,7 @@ class TestCheckpointConfigKeys:
         ],
     )
     def test_vocabulary_not_fitting_matrices_is_data_error(self, tmp_path, capsys, field, edit):
-        corpus, cfg, ckpt = self._half_run(tmp_path)
+        _, _, ckpt = self._half_run(tmp_path)
         _edit_checkpoint_header(ckpt, edit)
         with pytest.raises(ValueError, match=field):
             checkpoint_load(ckpt)
