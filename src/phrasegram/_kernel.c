@@ -1,9 +1,10 @@
 /* Per-sentence training kernel: the word-level pass of train_sentence.
  *
- * One call runs the pass over one mapped sentence: it enumerates the window
- * pairs, draws each pair's negatives from caller-supplied uniforms and applies
- * the skip-gram negative-sampling step.  The arithmetic is that of
- * trainer.word_step, which stays as the reference the tests compare against:
+ * One call subsamples one mapped sentence, then visits its window pairs,
+ * drawing each pair's negatives and applying the skip-gram negative-sampling
+ * step.  It alone consumes the word stream: one uniform per in-vocab token
+ * when subsampling, in sentence order, then k per pair in visiting order.
+ * The arithmetic is that of trainer.word_step, the tests' reference:
  *
  *   - every score and gradient of a step is read from the pre-update
  *     parameters before the step writes anything, so an id that repeats
@@ -41,13 +42,6 @@ static double dot(const double *a, const double *b, int64_t dim)
     for (int64_t j = 0; j < dim; j++)
         s += a[j] * b[j];
     return s;
-}
-
-/* Window [*lo, *hi) around position t, as trainer.iter_window_pairs. */
-static void window_bounds(int64_t t, int64_t n, int64_t window, int64_t *lo, int64_t *hi)
-{
-    *lo = t >= window ? t - window : 0;
-    *hi = n - t > window ? t + window + 1 : n;
 }
 
 /* Output bank of a relative offset, as model.bank_for_offset. */
@@ -111,53 +105,53 @@ int64_t sample_noise(const double *cum, int64_t len, const double *u, int64_t k,
     return 0;
 }
 
-/* Number of (center, context) pairs word_pass visits in ids[0..n). */
-int64_t count_pairs(const int64_t *ids, int64_t n, int64_t window)
-{
-    int64_t pairs = 0;
-    for (int64_t t = 0; t < n; t++) {
-        if (ids[t] < 0)
-            continue;
-        int64_t lo, hi;
-        window_bounds(t, n, window, &lo, &hi);
-        for (int64_t u = lo; u < hi; u++)
-            pairs += u != t && ids[u] >= 0;
-    }
-    return pairs;
-}
+typedef double (*next_double_fn)(void *state); /* from BitGenerator.ctypes */
 
 /* Skip-gram negative-sampling pass over the word ids of one sentence.
  *
  * inp: input embeddings; out: the output banks (one, or 2 * window when
- * positional); ids: word ids, -1 for a hole; cum: the noise table of
- * `vocab` ids; u: k uniforms per pair in visiting order; work: k + 1 + dim
- * doubles; negs: k + 1 ids.  Stores the sum of the pre-update objective
- * terms in *objective.  Returns -1, or the center id that holds all the
- * noise mass.
+ * positional); ids: word ids, -1 for a hole, overwritten with -1 where a
+ * token is dropped; keep: per-id keep probability of `vocab` ids, or NULL
+ * for no subsampling; cum: the noise table of `vocab` ids; next_double and
+ * state: the generator the uniforms come from; work: k + 1 + dim doubles;
+ * negs: k + 1 ids.  A token is dropped iff its uniform is >= keep[id].
+ * Stores the sum of the pre-update objective terms in *objective.  Returns
+ * the number of pairs, or -1 - center when a center holds all the noise
+ * mass.
  */
 int64_t word_pass(double *inp, double *const *out, int64_t dim,
-                  const int64_t *ids, int64_t n, int64_t window, int64_t positional,
-                  const double *cum, int64_t vocab, const double *u, int64_t k,
+                  int64_t *ids, int64_t n, int64_t window, int64_t positional,
+                  const double *keep, const double *cum, int64_t vocab,
+                  next_double_fn next_double, void *state, int64_t k,
                   double lr, double *work, int64_t *negs, double *objective)
 {
     double *coef = work;         /* k + 1 */
     double *grad = work + k + 1; /* dim */
     double total = 0.0;
+    int64_t pairs = 0;
+    if (keep)
+        for (int64_t t = 0; t < n; t++)
+            if (ids[t] >= 0 && next_double(state) >= keep[ids[t]])
+                ids[t] = -1;
     for (int64_t t = 0; t < n; t++) {
         int64_t center = ids[t];
         if (center < 0)
             continue;
         double *v = inp + center * dim;
-        int64_t lo, hi;
-        window_bounds(t, n, window, &lo, &hi);
+        /* The window [lo, hi) around t, as trainer.iter_window_pairs. */
+        int64_t lo = t >= window ? t - window : 0;
+        int64_t hi = n - t > window ? t + window + 1 : n;
         for (int64_t c = lo; c < hi; c++) {
             if (c == t || ids[c] < 0)
                 continue;
             double *bank = out[bank_of(c - t, window, positional)];
             negs[0] = ids[c];
-            if (sample_noise(cum, vocab, u, k, center, negs + 1) < 0)
-                return center;
-            u += k;
+            /* The uniforms wait in coef[1..k] until the scores overwrite them. */
+            for (int64_t i = 1; i <= k; i++)
+                coef[i] = next_double(state);
+            if (sample_noise(cum, vocab, coef + 1, k, center, negs + 1) < 0)
+                return -1 - center;
+            pairs++;
 
             double term = 0.0, neg_sum = 0.0;
             for (int64_t i = 0; i <= k; i++) {
@@ -188,5 +182,5 @@ int64_t word_pass(double *inp, double *const *out, int64_t dim,
         }
     }
     *objective = total;
-    return -1;
+    return pairs;
 }

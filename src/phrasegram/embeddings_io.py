@@ -86,23 +86,36 @@ def write_embeddings_binary(
             fh.write(word.encode("utf-8") + b" " + row.tobytes() + b"\n")
 
 
+def _parse_header(fields: Sequence[str | bytes], where: str) -> tuple[int, int]:
+    try:
+        count, dim = (int(x) for x in fields)
+    except ValueError:
+        count = dim = -1
+    if count < 0 or dim < 0:
+        raise EmbeddingsFormatError(f"{where}: header must be '<count> <dim>'")
+    return count, dim
+
+
 def read_embeddings_text(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Words and float32 matrix of a text file; errors name `path:line`."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise EmbeddingsFormatError("header must be '<count> <dim>'")
-        count, dim = int(header[0]), int(header[1])
+        count, dim = _parse_header(fh.readline().split(), f"{path}:1")
         words = []
         matrix = np.empty((count, dim), dtype=np.float32)
         for i in range(count):
+            where = f"{path}:{i + 2}"
             line = fh.readline()
             if not line:
-                raise EmbeddingsFormatError(f"expected {count} rows, got {i}")
+                raise EmbeddingsFormatError(f"{where}: expected {count} rows, got {i}")
             fields = line.rstrip("\n").split(" ")
             if len(fields) != dim + 1:
-                raise EmbeddingsFormatError(f"row {i}: expected {dim} values")
+                raise EmbeddingsFormatError(f"{where}: expected {dim} values, got {len(fields) - 1}")
             words.append(fields[0])
-            matrix[i] = [float(x) for x in fields[1:]]
+            # Parsed to float64 first, then rounded to float32, as float() would.
+            try:
+                matrix[i] = np.array(fields[1:], dtype=np.float64)
+            except ValueError as exc:
+                raise EmbeddingsFormatError(f"{where}: {exc}") from None
     return words, matrix
 
 
@@ -110,11 +123,8 @@ def read_embeddings_binary(path: str | Path) -> tuple[list[str], np.ndarray]:
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
     if nl < 0:
-        raise EmbeddingsFormatError("missing header line")
-    header = data[:nl].split()
-    if len(header) != 2:
-        raise EmbeddingsFormatError("header must be '<count> <dim>'")
-    count, dim = int(header[0]), int(header[1])
+        raise EmbeddingsFormatError(f"{path}: missing header line")
+    count, dim = _parse_header(data[:nl].split(), str(path))
     row_bytes = 4 * dim
     words = []
     matrix = np.empty((count, dim), dtype=np.float32)
@@ -122,15 +132,15 @@ def read_embeddings_binary(path: str | Path) -> tuple[list[str], np.ndarray]:
     for i in range(count):
         sep = data.find(b" ", pos)
         if sep < 0:
-            raise EmbeddingsFormatError(f"row {i}: missing word separator")
+            raise EmbeddingsFormatError(f"{path}: row {i}: missing word separator")
         words.append(data[pos:sep].decode("utf-8"))
         start = sep + 1
         end = start + row_bytes
         if end + 1 > len(data):
-            raise EmbeddingsFormatError(f"row {i}: truncated vector")
+            raise EmbeddingsFormatError(f"{path}: row {i}: truncated vector")
         matrix[i] = np.frombuffer(data[start:end], dtype="<f4")
         if data[end : end + 1] != b"\n":
-            raise EmbeddingsFormatError(f"row {i}: missing newline terminator")
+            raise EmbeddingsFormatError(f"{path}: row {i}: missing newline terminator")
         pos = end + 1
     return words, matrix
 

@@ -12,7 +12,9 @@ concurrent process never loads a half-written one.
 The kernel indexes matrices by id without bounds checks, so the wrappers
 here check what it will read and write: matrices must be writable,
 C-contiguous float64 of one shape (never copied, which would drop the
-updates), and every id it reads must index them.
+updates), and every id it reads must index them.  The word pass draws its
+uniforms itself, through numpy's documented `BitGenerator.ctypes`
+interface, holding the generator's lock as `Generator.random` does.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "KernelBuildError",
     "build",
     "load",
-    "count_pairs",
     "sample_noise",
     "word_pass",
 ]
@@ -98,9 +99,8 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
 _SIGNATURES = {
-    "count_pairs": [_P, _I, _I],
     "sample_noise": [_P, _I, _P, _I, _I, _P],
-    "word_pass": [_P, _P, _I, _P, _I, _I, _I, _P, _I, _P, _I, _D, _P, _P, _P],
+    "word_pass": [_P, _P, _I, _P, _I, _I, _I, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P],
 }
 
 
@@ -134,12 +134,6 @@ def _noise_mass_error(exclude: int) -> ValueError:
     return ValueError(f"id {exclude} holds all the noise mass; no other id to draw")
 
 
-def count_pairs(ids: Sequence[int], window: int) -> int:
-    """Number of window pairs, as len(list(iter_window_pairs(ids, window)))."""
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    return load().count_pairs(ids.ctypes.data, len(ids), window)
-
-
 def sample_noise(cumulative: np.ndarray, u: np.ndarray, exclude: int) -> np.ndarray:
     """The kernel's draws for the uniforms u, as NoiseDistribution.sample."""
     cum = np.ascontiguousarray(cumulative, dtype=np.float64)
@@ -157,6 +151,7 @@ def word_pass(
     window: int,
     positional: bool,
     cumulative: np.ndarray,
+    keep: np.ndarray | None,
     rng: np.random.Generator,
     k: int,
     lr: float,
@@ -164,32 +159,37 @@ def word_pass(
     """The word-level pass of train_sentence over word ids (-1 for a hole).
 
     `banks` are the output matrices, indexed as model.bank_for_offset
-    does.  Draws the k uniforms of every pair from rng in one call, after
-    counting the pairs.  Returns the summed pre-update objective and the
-    number of pairs.
+    does.  With a per-id `keep` table the kernel first drops each in-vocab
+    token whose uniform is >= its keep probability; it then draws every
+    pair's k uniforms from rng.  Returns the summed pre-update objective
+    and the number of pairs.
     """
     rows, dim = inp.shape
     if len(banks) != (2 * window if positional else 1):
         raise ValueError(f"{len(banks)} output banks for window {window}")
     if len(cumulative) != rows:
         raise ValueError(f"noise table has {len(cumulative)} ids for {rows} rows")
+    if keep is not None:
+        if len(keep) != rows:
+            raise ValueError(f"keep table has {len(keep)} ids for {rows} rows")
+        keep = np.ascontiguousarray(keep, dtype=np.float64)
     cum = np.ascontiguousarray(cumulative, dtype=np.float64)
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    ids = np.array(ids, dtype=np.int64)  # a copy: the kernel marks dropped tokens -1
     if len(ids) and ids.max() >= rows:
         raise ValueError(f"word id {int(ids.max())} is out of range for {rows} rows")
-    pairs = count_pairs(ids, window)
-    if pairs == 0:
-        return 0.0, 0
     table = (ctypes.c_void_p * len(banks))(*(_address(m, inp.shape) for m in banks))
-    u = rng.random(pairs * k)
     work = np.empty(k + 1 + dim)
     negs = np.empty(k + 1, dtype=np.int64)
     objective = ctypes.c_double()
-    bad = load().word_pass(
-        _address(inp, inp.shape), table, dim, ids.ctypes.data, len(ids), window,
-        positional, cum.ctypes.data, rows, u.ctypes.data, k, lr,
-        work.ctypes.data, negs.ctypes.data, ctypes.byref(objective),
-    )
-    if bad >= 0:
-        raise _noise_mass_error(bad)
+    bitgen = rng.bit_generator
+    fns = bitgen.ctypes  # next_double converts to the function's address
+    with bitgen.lock:
+        pairs = load().word_pass(
+            _address(inp, inp.shape), table, dim, ids.ctypes.data, len(ids), window,
+            positional, None if keep is None else keep.ctypes.data, cum.ctypes.data,
+            rows, fns.next_double, fns.state_address, k, lr,
+            work.ctypes.data, negs.ctypes.data, ctypes.byref(objective),
+        )
+    if pairs < 0:
+        raise _noise_mass_error(-1 - pairs)
     return objective.value, pairs

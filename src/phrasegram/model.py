@@ -119,6 +119,10 @@ class TrainConfig:
             raise ValueError("min counts must be >= 1")
         if self.lr_end is not None and self.lr_end < 0:
             raise ValueError("lr_end must be >= 0")
+        if self.subsample < 0:
+            raise ValueError("subsample must be >= 0")
+        if self.noise_exponent <= 0:
+            raise ValueError("noise_exponent must be > 0")
 
     def _check_types(self) -> None:
         """Reject a field of the wrong type, naming it; numbers become int or float.

@@ -26,9 +26,10 @@ output rows and then the center row, so it matches `word_step` up to the
 rounding of dot products.  `word_step` stays as the reference the tests
 compare the kernel against, as do `iter_window_pairs` and
 `NoiseDistribution.sample`, which still drive the phrase-level pass.  The
-word pass draws its uniforms in one call per sentence from the same
-stream, in the same order, so every seed draws the same negatives as the
-per-pair reference.
+kernel also subsamples the sentence and draws every uniform of the word
+pass itself, from the word stream's generator, in the per-pair
+reference's order: one per in-vocab token when subsampling, then k per
+pair.  So every seed keeps the same tokens and draws the same negatives.
 
 Window distances are surface distances: positions in the token sequence
 for words and in the chunk sequence for phrases.  Out-of-vocab tokens and
@@ -375,21 +376,6 @@ class _SentenceContext:
     keep_prob: np.ndarray | None  # per word id, only when subsampling
 
 
-def _subsample(
-    word_ids: Sequence[int], keep_prob: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Drop each in-vocab token (to -1) unless its uniform is < its keep probability.
-
-    Draws one uniform per in-vocab token, in sentence order, in one call.
-    """
-    ids = np.array(word_ids, dtype=np.int64)
-    kept = np.flatnonzero(ids >= 0)
-    if len(kept):
-        u = rng.random(len(kept))
-        ids[kept[u >= keep_prob[ids[kept]]]] = -1
-    return ids
-
-
 def train_sentence(
     params: ModelParams,
     state: TrainingState,
@@ -408,16 +394,14 @@ def train_sentence(
     positional = params.mode.positional
     lr = state.lr
 
-    word_ids = mapped.word_ids
-    if ctx.keep_prob is not None:
-        word_ids = _subsample(word_ids, ctx.keep_prob, state.word_rng)
     ew, n_w = kernel.word_pass(
         params.input_words,
         params.output_words,
-        word_ids,
+        mapped.word_ids,
         c,
         positional,
         ctx.word_dist.cumulative,
+        ctx.keep_prob,
         state.word_rng,
         config.word_negatives,
         lr,

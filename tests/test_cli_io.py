@@ -3,6 +3,7 @@ manifests, and the command-line surface with its exit-code contract.
 """
 
 import json
+import re
 import struct
 import zlib
 
@@ -102,6 +103,24 @@ class TestTextFormat:
         with pytest.raises(EmbeddingsFormatError, match="expected 3 values"):
             read_embeddings_text(path)
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("2 x\n", 1, "header must be '<count> <dim>'"),
+            ("-1 2\n", 1, "header must be '<count> <dim>'"),
+            ("", 1, "header must be '<count> <dim>'"),
+            ("2 2\na 1 2\n", 3, "expected 2 rows, got 1"),
+            ("2 3\na 1 2 3\nb 1 2\n", 3, "expected 3 values, got 2"),
+            ("1 2\na 1 x\n", 2, "could not convert string to float: 'x'"),
+            ("1 2\na 1 \n", 2, "could not convert string to float: ''"),
+        ],
+    )
+    def test_errors_name_path_and_line(self, tmp_path, text, line, reason):
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        with pytest.raises(EmbeddingsFormatError, match="^" + re.escape(f"{path}:{line}: {reason}")):
+            read_embeddings_text(path)
+
 
 class TestBinaryFormat:
     def test_round_trip_is_exact(self, tmp_path):
@@ -138,6 +157,22 @@ class TestBinaryFormat:
         data = path.read_bytes()
         path.write_bytes(data[:-6])
         with pytest.raises(EmbeddingsFormatError, match="truncated|newline|separator"):
+            read_embeddings_binary(path)
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"1 2", "missing header line"),
+            (b"1 x\n", "header must be '<count> <dim>'"),
+            (b"1 1\na", "row 0: missing word separator"),
+            (b"1 1\na \0\0\0\0", "row 0: truncated vector"),
+            (b"1 1\na \0\0\0\0x", "row 0: missing newline terminator"),
+        ],
+    )
+    def test_errors_name_path(self, tmp_path, data, reason):
+        path = tmp_path / "e.bin"
+        path.write_bytes(data)
+        with pytest.raises(EmbeddingsFormatError, match="^" + re.escape(f"{path}: {reason}")):
             read_embeddings_binary(path)
 
     def test_unicode_words_survive(self, tmp_path):

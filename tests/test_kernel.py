@@ -1,9 +1,12 @@
 """The compiled kernel's pieces against their numpy references, and its build cache.
 
 The noise draw must give the ids NoiseDistribution.sample gives for the
-same uniforms, and count_pairs the length of iter_window_pairs.  The
-build is cached per key, reused across processes, and a failing compiler
-is reported by command and message.
+same uniforms.  The word pass must check its inputs, leave the caller's
+ids alone and draw one subsampling uniform per in-vocab token; its pairs
+and updates are checked against the per-pair reference in test_trainer.
+The build is cached per key, reused across processes, and a failing
+compiler is reported by command and message; the source compiles without
+warnings.
 """
 
 import os
@@ -18,7 +21,6 @@ import pytest
 from phrasegram import kernel
 from phrasegram.cli import main
 from phrasegram.sampling import build_noise_distribution
-from phrasegram.trainer import iter_window_pairs
 from test_sampling import SCRIPTED_COLLISIONS, ScriptedRng
 
 SRC = Path(kernel.__file__).resolve().parents[1]
@@ -57,21 +59,37 @@ class TestSampleNoise:
             kernel.sample_noise(dist.cumulative, np.array([0.5]), 1)
 
 
-class TestCountPairs:
-    @pytest.mark.parametrize(
-        "ids, window",
-        [([10, 11, 12], 1), ([10, -1, 12], 1), ([10, -1, 12], 2), ([], 3), ([-1, -1], 3)],
-    )
-    def test_window_pair_cases(self, ids, window):
-        assert kernel.count_pairs(ids, window) == len(list(iter_window_pairs(ids, window)))
+def _word_pass_args(rows=3, dim=4):
+    rng = np.random.default_rng(5)
+    return rng.normal(size=(rows, dim)), [rng.normal(size=(rows, dim))]
 
-    def test_matches_iter_window_pairs(self):
-        rng = np.random.default_rng(47)
-        for _ in range(200):
-            n = int(rng.integers(0, 15))
-            ids = [int(x) if x >= 0 else -1 for x in rng.integers(-3, 9, size=n)]
-            window = int(rng.integers(1, 20))
-            assert kernel.count_pairs(ids, window) == len(list(iter_window_pairs(ids, window)))
+
+class TestWordPass:
+    def test_center_holding_all_noise_mass_is_named(self):
+        inp, banks = _word_pass_args()
+        cum = build_noise_distribution(np.array([0, 4, 0])).cumulative
+        with pytest.raises(ValueError, match=r"^id 1 holds all the noise mass"):
+            kernel.word_pass(inp, banks, [0, 1], 1, False, cum, None, np.random.default_rng(1), 2, 0.05)
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5])
+    def test_callers_ids_unchanged_by_subsampling(self, keep):
+        inp, banks = _word_pass_args()
+        cum = build_noise_distribution(np.array([3, 2, 1])).cumulative
+        ids = np.array([0, -1, 2, 1, 0, 2], dtype=np.int64)
+        rng, expected = np.random.default_rng(7), np.random.default_rng(7)
+        _, pairs = kernel.word_pass(inp, banks, ids, 2, False, cum, np.full(3, keep), rng, 2, 0.05)
+        np.testing.assert_array_equal(ids, [0, -1, 2, 1, 0, 2])
+        if keep == 0.0:
+            # every token dropped: one uniform per in-vocab token, none for the hole
+            assert pairs == 0
+            expected.random(5)
+            assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_keep_table_of_wrong_length_rejected(self):
+        inp, banks = _word_pass_args()
+        cum = build_noise_distribution(np.array([3, 2, 1])).cumulative
+        with pytest.raises(ValueError, match="keep table has 2 ids for 3 rows"):
+            kernel.word_pass(inp, banks, [0, 1], 1, False, cum, np.ones(2), np.random.default_rng(1), 2, 0.05)
 
 
 def _fake_compiler() -> list[str]:
@@ -90,7 +108,7 @@ class TestBuildCache:
         load = (
             "import ctypes, sys; from pathlib import Path; from phrasegram import kernel; "
             "p = kernel.build(kernel.SOURCE, Path(sys.argv[1]), [sys.argv[2]]); "
-            "ctypes.CDLL(str(p)).count_pairs; print(p)"
+            "ctypes.CDLL(str(p)).word_pass; print(p)"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         paths = []
@@ -104,6 +122,13 @@ class TestBuildCache:
         assert paths[0] == paths[1]
         assert log.read_text().splitlines() == ["run"]
         assert [p.name for p in cache.iterdir()] == [paths[0][0].name]
+
+    def test_source_compiles_without_warnings(self):
+        command = kernel.compiler() + [
+            "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(kernel.SOURCE)
+        ]
+        proc = subprocess.run(command, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_source_edit_changes_key(self, tmp_path):
         source = tmp_path / "_kernel.c"

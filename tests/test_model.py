@@ -169,6 +169,9 @@ class TestTrainConfig:
             {"phrase_min_count": 0},
             {"lr_start": 0.0},
             {"min_count": 0},
+            {"subsample": -1.0},
+            {"noise_exponent": 0.0},
+            {"noise_exponent": -0.75},
         ],
     )
     def test_invalid_values_rejected(self, kw):
