@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from phrasegram.composition import CompositionConfig
-from phrasegram.corpus import ParseError
 from phrasegram.evaluation import (
-    EvaluationError,
     WordEmbeddings,
     analogy_eval,
     load_analogy_dataset,
@@ -26,13 +25,11 @@ from phrasegram.evaluation import (
     word_similarity_eval,
 )
 from phrasegram.embeddings_io import (
-    EmbeddingsFormatError,
     export_embeddings,
     nearest_neighbors,
     read_embeddings,
 )
 from phrasegram.manifest import (
-    ManifestError,
     build_manifest,
     file_sha256,
     read_manifest,
@@ -51,17 +48,11 @@ __all__ = ["main"]
 
 _MODES = [m.value for m in Mode]
 
-_DATA_ERRORS = (
-    OSError,
-    ParseError,
-    CheckpointError,
-    EmbeddingsFormatError,
-    ManifestError,
-    EvaluationError,
-    TrainingDivergedError,
-    KeyError,
-    ValueError,
-)
+_CONFIG_FIELDS = {f.name for f in fields(TrainConfig)}
+
+# The readers' own errors (ParseError, EmbeddingsFormatError, ManifestError,
+# EvaluationError) are ValueErrors.
+_DATA_ERRORS = (OSError, CheckpointError, TrainingDivergedError, KeyError, ValueError)
 
 
 class _UsageError(Exception):
@@ -79,34 +70,42 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="phrasegram", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("train", help="train a model on a chunk-annotated corpus")
+    # Every hyperparameter flag stores into the TrainConfig field it names
+    # and is absent unless given, so TrainConfig supplies the defaults.
+    p = sub.add_parser(
+        "train",
+        help="train a model on a chunk-annotated corpus",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("corpus", help="corpus file, one sentence per line")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--manifest", help="manifest path (default: <out>.manifest)")
-    p.add_argument("--dim", type=int, default=300)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--word-negatives", type=int, default=10)
     p.add_argument(
-        "--phrase-negatives",
-        type=int,
-        default=None,
-        help="defaults to the --word-negatives value",
+        "--manifest", default=None, help="manifest path (default: <out>.manifest)"
     )
-    p.add_argument("--min-count", type=int, default=20)
-    p.add_argument("--phrase-min-count", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--mode", choices=_MODES, default=Mode.BASELINE.value)
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--lr-end", type=float, default=None)
-    p.add_argument("--subsample", type=float, default=0.0)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--word-negatives", type=int)
+    p.add_argument(
+        "--phrase-negatives", type=int, help="defaults to the --word-negatives value"
+    )
+    p.add_argument("--min-count", type=int)
+    p.add_argument("--phrase-min-count", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--mode", choices=_MODES)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--lr", dest="lr_start", type=float)
+    p.add_argument("--lr-end", type=float)
+    p.add_argument("--subsample", type=float)
     p.add_argument("--include-singletons", action="store_true")
-    p.add_argument("--plain", action="store_true", help="corpus has no chunk brackets")
+    p.add_argument(
+        "--plain", dest="plain_text", action="store_true", help="corpus has no chunk brackets"
+    )
     p.add_argument(
         "--no-lowercase",
-        action="store_true",
+        dest="lowercase",
+        action="store_false",
         help="keep corpus case as-is instead of lowercasing",
     )
 
@@ -170,29 +169,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     corpus = Path(args.corpus)
     if not corpus.is_file():
         raise FileNotFoundError(f"corpus file not found: {corpus}")
-    config = TrainConfig(
-        dim=args.dim,
-        window=args.window,
-        word_negatives=args.word_negatives,
-        phrase_negatives=(
-            args.phrase_negatives
-            if args.phrase_negatives is not None
-            else args.word_negatives
-        ),
-        beta=args.beta,
-        alpha=args.alpha,
-        mode=Mode(args.mode),
-        min_count=args.min_count,
-        phrase_min_count=args.phrase_min_count,
-        include_singletons=args.include_singletons,
-        lr_start=args.lr,
-        lr_end=args.lr_end,
-        epochs=args.epochs,
-        seed=args.seed,
-        subsample=args.subsample,
-        lowercase=not args.no_lowercase,
-        plain_text=args.plain,
-    )
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    if "word_negatives" in given:
+        given.setdefault("phrase_negatives", given["word_negatives"])
+    config = TrainConfig(**given)
     digest = file_sha256(corpus)
     started = time.perf_counter()
     result = train(corpus, config)
@@ -294,7 +274,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except _DATA_ERRORS as exc:
-        message = exc.args[0] if exc.args else exc
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"{exc.filename}: {exc.strerror}"
+        else:
+            message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
 

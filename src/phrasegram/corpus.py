@@ -10,6 +10,8 @@ chunk only at the start of a token and ``]`` closes one only at the end.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -26,6 +28,7 @@ __all__ = [
     "build_vocab",
     "build_phrase_vocab",
     "iter_corpus",
+    "numbered_lines",
 ]
 
 OUTSIDE_LABEL = "O"
@@ -145,6 +148,25 @@ def _lowercase(sentence: ChunkedSentence) -> ChunkedSentence:
     return sentence
 
 
+def numbered_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Stream a UTF-8 text file as ("path:lineno", line without its newline).
+
+    Bytes that are not UTF-8 raise ParseError naming the line and the byte
+    offset of the first bad byte in it.
+    """
+    # surrogateescape keeps a bad byte in place as a lone surrogate, so the
+    # line can name its offset; valid UTF-8 never decodes to one.
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            line = line.rstrip("\n")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(f"{where}: invalid UTF-8", line, exc.start) from None
+            yield where, line
+
+
 def iter_corpus(
     path: str | Path, *, lowercase: bool = True, plain: bool = False
 ) -> Iterator[ChunkedSentence]:
@@ -154,25 +176,15 @@ def iter_corpus(
     Parse failures, and bytes that are not UTF-8, are raised as ParseError
     with file and line context.
     """
-    path = Path(path)
-    # surrogateescape keeps a bad byte in place as a lone surrogate, so the
-    # line can name its offset; valid UTF-8 never decodes to one.
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid UTF-8", line, exc.start) from None
+    with closing(numbered_lines(path)) as lines:
+        for where, line in lines:
             if plain:
                 sent = _plain_sentence(line)
             else:
                 try:
                     sent = parse_chunked_line(line)
                 except ParseError as exc:
-                    raise ParseError(
-                        f"{path}:{lineno}: {exc.reason}", line, exc.char_offset
-                    ) from exc
+                    raise ParseError(f"{where}: {exc.reason}", line, exc.char_offset) from exc
             if lowercase:
                 sent = _lowercase(sent)
             yield sent
@@ -210,19 +222,19 @@ def build_vocab(sentences: Iterable[ChunkedSentence], min_count: int) -> Vocab:
     """Count words over a sentence stream and retain those with count >= min_count."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    n_seen = 0
-    for sent in sentences:
-        for tok in sent.tokens():
-            if tok not in counts:
-                counts[tok] = 0
-                first_seen[tok] = n_seen
-                n_seen += 1
-            counts[tok] += 1
-    retained = [w for w, c in counts.items() if c >= min_count]
-    retained.sort(key=lambda w: (-counts[w], first_seen[w]))
-    return Vocab(retained, [counts[w] for w in retained])
+    counts = Counter(tok for sent in sentences for tok in sent.tokens())
+    words = _ranked(counts, min_count)
+    return Vocab(words, [counts[w] for w in words])
+
+
+def _ranked(counts: Counter, min_count: int) -> list:
+    """Keys counted at least min_count times, by descending count.
+
+    Counter keeps first-insertion order and the sort is stable, so ties
+    keep first-occurrence order.
+    """
+    kept = [k for k, c in counts.items() if c >= min_count]
+    return sorted(kept, key=lambda k: -counts[k])
 
 
 PhraseKey = tuple[tuple[int, ...], str]
@@ -282,21 +294,13 @@ def build_phrase_vocab(
     """
     if phrase_min_count < 1:
         raise ValueError("phrase_min_count must be >= 1")
-    counts: dict[PhraseKey, int] = {}
-    first_seen: dict[PhraseKey, int] = {}
-    n_seen = 0
+    counts: Counter = Counter()
     for sent in sentences:
         for chunk in sent.chunks:
             if len(chunk.tokens) == 1 and not include_singletons:
                 continue
             key = chunk_phrase_key(chunk, vocab)
-            if key is None:
-                continue
-            if key not in counts:
-                counts[key] = 0
-                first_seen[key] = n_seen
-                n_seen += 1
-            counts[key] += 1
-    retained = [k for k, c in counts.items() if c >= phrase_min_count]
-    retained.sort(key=lambda k: (-counts[k], first_seen[k]))
-    return PhraseVocab(retained, [counts[k] for k in retained])
+            if key is not None:
+                counts[key] += 1
+    keys = _ranked(counts, phrase_min_count)
+    return PhraseVocab(keys, [counts[k] for k in keys])

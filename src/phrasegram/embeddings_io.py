@@ -10,13 +10,14 @@ formats.
 
 from __future__ import annotations
 
+from contextlib import closing
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from phrasegram.composition import CompositionConfig, compose_rows
-from phrasegram.corpus import Vocab
+from phrasegram.corpus import Vocab, numbered_lines
 from phrasegram.evaluation import WordEmbeddings
 from phrasegram.model import ModelParams
 
@@ -38,25 +39,20 @@ class EmbeddingsFormatError(ValueError):
 
 
 def select_matrix(params: ModelParams, which: str, bank: int = 0) -> np.ndarray:
-    """Pick an embedding matrix: 'input', 'output', or 'phrase-output'."""
-    if which == "input":
-        return params.input_words
-    if which == "output":
-        if not 0 <= bank < len(params.output_words):
-            raise ValueError(
-                f"output bank {bank} out of range [0, {len(params.output_words)})"
-            )
-        return params.output_words[bank]
-    if which == "phrase-output":
-        if not params.phrase_output_words:
-            raise ValueError("model has no component-word output vectors")
-        if not 0 <= bank < len(params.phrase_output_words):
-            raise ValueError(
-                f"phrase-output bank {bank} out of range "
-                f"[0, {len(params.phrase_output_words)})"
-            )
-        return params.phrase_output_words[bank]
-    raise ValueError(f"unknown matrix selector: {which!r}")
+    """Pick bank `bank` of an embedding matrix: 'input', 'output', or 'phrase-output'."""
+    banks = {
+        "input": [params.input_words],
+        "output": params.output_words,
+        "phrase-output": params.phrase_output_words,
+    }
+    if which not in banks:
+        raise ValueError(f"unknown matrix selector: {which!r}")
+    matrices = banks[which]
+    if not matrices:
+        raise ValueError("model has no component-word output vectors")
+    if not 0 <= bank < len(matrices):
+        raise ValueError(f"{which} bank {bank} out of range [0, {len(matrices)})")
+    return matrices[bank]
 
 
 def write_embeddings_text(
@@ -98,16 +94,13 @@ def _parse_header(fields: Sequence[str | bytes], where: str) -> tuple[int, int]:
 
 def read_embeddings_text(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Words and float32 matrix of a text file; errors name `path:line`."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        count, dim = _parse_header(fh.readline().split(), f"{path}:1")
+    with closing(numbered_lines(path)) as lines:
+        where, header = next(lines, (f"{path}:1", ""))
+        count, dim = _parse_header(header.split(), where)
         words = []
         matrix = np.empty((count, dim), dtype=np.float32)
-        for i in range(count):
-            where = f"{path}:{i + 2}"
-            line = fh.readline()
-            if not line:
-                raise EmbeddingsFormatError(f"{where}: expected {count} rows, got {i}")
-            fields = line.rstrip("\n").split(" ")
+        for i, (where, line) in zip(range(count), lines):
+            fields = line.split(" ")
             if len(fields) != dim + 1:
                 raise EmbeddingsFormatError(f"{where}: expected {dim} values, got {len(fields) - 1}")
             words.append(fields[0])
@@ -116,6 +109,8 @@ def read_embeddings_text(path: str | Path) -> tuple[list[str], np.ndarray]:
                 matrix[i] = np.array(fields[1:], dtype=np.float64)
             except ValueError as exc:
                 raise EmbeddingsFormatError(f"{where}: {exc}") from None
+    if len(words) < count:
+        raise EmbeddingsFormatError(f"{path}:{len(words) + 2}: expected {count} rows, got {len(words)}")
     return words, matrix
 
 
@@ -133,7 +128,12 @@ def read_embeddings_binary(path: str | Path) -> tuple[list[str], np.ndarray]:
         sep = data.find(b" ", pos)
         if sep < 0:
             raise EmbeddingsFormatError(f"{path}: row {i}: missing word separator")
-        words.append(data[pos:sep].decode("utf-8"))
+        try:
+            words.append(data[pos:sep].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise EmbeddingsFormatError(
+                f"{path}: row {i}: invalid UTF-8 at byte offset {pos + exc.start}"
+            ) from None
         start = sep + 1
         end = start + row_bytes
         if end + 1 > len(data):

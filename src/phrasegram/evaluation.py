@@ -17,6 +17,7 @@ evaluator reports coverage alongside its score.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from phrasegram.composition import CompositionConfig, compose_rows
+from phrasegram.corpus import numbered_lines
 
 __all__ = [
     "EvaluationError",
@@ -273,18 +275,26 @@ def phrase_similarity_eval(
 # ---------------------------------------------------------------------------
 
 
+def _number(text: str, what: str, where: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{where}: {what} is not a number: {text!r}") from None
+
+
 def load_similarity_dataset(path: str | Path) -> list[SimilarityPair]:
     """Tab-separated ``word_a<TAB>word_b<TAB>score``; '#' lines are comments."""
     pairs = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with closing(numbered_lines(path)) as lines:
+        for where, line in lines:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            pairs.append(SimilarityPair(fields[0], fields[1], float(fields[2])))
+                raise ValueError(f"{where}: expected 3 tab-separated fields")
+            score = _number(fields[2], "score", where)
+            pairs.append(SimilarityPair(fields[0], fields[1], score))
     return pairs
 
 
@@ -292,8 +302,8 @@ def load_analogy_dataset(path: str | Path) -> dict[str, list[AnalogyQuestion]]:
     """Google analogy format: ``: section`` headers, then 4 words per line."""
     sections: dict[str, list[AnalogyQuestion]] = {}
     current = "default"
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with closing(numbered_lines(path)) as lines:
+        for where, line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -302,7 +312,7 @@ def load_analogy_dataset(path: str | Path) -> dict[str, list[AnalogyQuestion]]:
                 continue
             words = line.split()
             if len(words) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 words")
+                raise ValueError(f"{where}: expected 4 words")
             sections.setdefault(current, []).append(AnalogyQuestion(*words))
     return sections
 
@@ -310,15 +320,14 @@ def load_analogy_dataset(path: str | Path) -> dict[str, list[AnalogyQuestion]]:
 def load_phrase_dataset(path: str | Path) -> list[PhraseCompositionItem]:
     """Tab-separated ``subject<TAB>reference_verb<TAB>landmark<TAB>rating``."""
     items = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with closing(numbered_lines(path)) as lines:
+        for where, line in lines:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            items.append(
-                PhraseCompositionItem(fields[0], fields[1], fields[2], float(fields[3]))
-            )
+                raise ValueError(f"{where}: expected 4 tab-separated fields")
+            rating = _number(fields[3], "rating", where)
+            items.append(PhraseCompositionItem(fields[0], fields[1], fields[2], rating))
     return items

@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from contextlib import closing
 from pathlib import Path
 from typing import Mapping
 
+from phrasegram.corpus import numbered_lines
 from phrasegram.trainer import TrainResult
 
 __all__ = [
@@ -100,18 +102,17 @@ def write_manifest(path: str | Path, items: Mapping[str, str]) -> None:
 
 def read_manifest(path: str | Path) -> dict[str, str]:
     items: dict[str, str] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with closing(numbered_lines(path)) as lines:
+        for where, line in lines:
             if not line:
                 continue
             if "=" not in line:
-                raise ManifestError(f"{path}:{lineno}: expected key=value")
+                raise ManifestError(f"{where}: expected key=value")
             key, _, value = line.partition("=")
             if not key:
-                raise ManifestError(f"{path}:{lineno}: empty key")
+                raise ManifestError(f"{where}: empty key")
             if key in items:
-                raise ManifestError(f"{path}:{lineno}: duplicate key {key!r}")
+                raise ManifestError(f"{where}: duplicate key {key!r}")
             items[key] = value
     return items
 

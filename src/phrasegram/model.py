@@ -190,8 +190,6 @@ class ModelParams:
     input_words: np.ndarray
     output_words: list[np.ndarray]
     phrase_output_words: list[np.ndarray] = field(default_factory=list)
-    mode: Mode = Mode.BASELINE
-    window: int = 5
 
     @property
     def vocab_size(self) -> int:
@@ -201,19 +199,20 @@ class ModelParams:
     def dim(self) -> int:
         return self.input_words.shape[1]
 
-    def validate(self) -> None:
-        """Check mode/shape consistency; raises ValueError on violation."""
+    def validate(self, config: TrainConfig) -> None:
+        """Check bank counts against config's mode and window, and shapes; raises ValueError."""
         w, d = self.input_words.shape
-        n_banks = 2 * self.window if self.mode.positional else 1
+        mode = config.mode
+        n_banks = 2 * config.window if mode.positional else 1
         if len(self.output_words) != n_banks:
             raise ValueError(
-                f"mode {self.mode.value} with window {self.window} needs "
+                f"mode {mode.value} with window {config.window} needs "
                 f"{n_banks} output matrices, got {len(self.output_words)}"
             )
-        expected_phrase = n_banks if self.mode.compositional else 0
+        expected_phrase = n_banks if mode.compositional else 0
         if len(self.phrase_output_words) != expected_phrase:
             raise ValueError(
-                f"mode {self.mode.value} needs {expected_phrase} phrase output "
+                f"mode {mode.value} needs {expected_phrase} phrase output "
                 f"matrices, got {len(self.phrase_output_words)}"
             )
         for m in self.output_words + self.phrase_output_words:
@@ -249,8 +248,6 @@ class ModelParams:
             input_words=self.input_words.copy(),
             output_words=[m.copy() for m in self.output_words],
             phrase_output_words=[m.copy() for m in self.phrase_output_words],
-            mode=self.mode,
-            window=self.window,
         )
 
 
@@ -287,14 +284,8 @@ def init_params(
         if config.mode.compositional
         else []
     )
-    params = ModelParams(
-        input_words=inp,
-        output_words=out,
-        phrase_output_words=phrase_out,
-        mode=config.mode,
-        window=config.window,
-    )
-    params.validate()
+    params = ModelParams(inp, out, phrase_out)
+    params.validate(config)
     return params
 
 
@@ -426,10 +417,8 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
         input_words=by_name["input"],
         output_words=[by_name[n] for n in out_names],
         phrase_output_words=[by_name[n] for n in phrase_names],
-        mode=config.mode,
-        window=config.window,
     )
-    params.validate()
+    params.validate(config)
     vocab, phrase_vocab = _load_vocabularies(header, params.vocab_size, path)
     return CheckpointData(params, config, vocab, phrase_vocab, header["state"])
 

@@ -24,9 +24,8 @@ class NoiseDistribution:
     caller supplies its own random generator.
     """
 
-    def __init__(self, probs: np.ndarray, exponent: float):
+    def __init__(self, probs: np.ndarray):
         self.probs = probs
-        self.exponent = exponent
         self.cumulative = np.cumsum(probs)
         # Guard against rounding drift at the top of the table.
         self.cumulative[-1] = 1.0
@@ -99,4 +98,4 @@ def build_noise_distribution(
         raise ValueError("counts must be non-negative")
     powered = counts**exponent
     z = powered.sum()
-    return NoiseDistribution(powered / z, exponent)
+    return NoiseDistribution(powered / z)

@@ -391,7 +391,7 @@ def train_sentence(
     non-empty phrase vocabulary; its updates are scaled by lr * beta.
     """
     c = config.window
-    positional = params.mode.positional
+    positional = config.mode.positional
     lr = state.lr
 
     ew, n_w = kernel.word_pass(
@@ -408,7 +408,7 @@ def train_sentence(
     )
 
     ep, n_p = 0.0, 0
-    if config.beta > 0 and params.mode.compositional and ctx.phrase_dist is not None:
+    if config.beta > 0 and config.mode.compositional and ctx.phrase_dist is not None:
         phrase_lr = lr * config.beta
         n = config.phrase_negatives
         comps = ctx.phrase_components
@@ -462,7 +462,6 @@ class EpochStats:
 @dataclass
 class TrainReport:
     epochs: list[EpochStats] = field(default_factory=list)
-    total_seconds: float = 0.0
 
     def lines(self) -> list[str]:
         return [e.line() for e in self.epochs]
@@ -572,7 +571,6 @@ def train(
     first_epoch = state.epoch
 
     report = TrainReport()
-    run_started = time.perf_counter()
     last_epoch = config.epochs if stop_after_epoch is None else min(
         stop_after_epoch, config.epochs
     )
@@ -609,7 +607,6 @@ def train(
         report.epochs.append(stats)
         logger.info("%s", stats.line())
 
-    report.total_seconds = time.perf_counter() - run_started
     return TrainResult(
         params=params,
         report=report,

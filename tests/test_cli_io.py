@@ -167,6 +167,7 @@ class TestBinaryFormat:
             (b"1 1\na", "row 0: missing word separator"),
             (b"1 1\na \0\0\0\0", "row 0: truncated vector"),
             (b"1 1\na \0\0\0\0x", "row 0: missing newline terminator"),
+            (b"1 1\n\xff \0\0\0\0\n", "row 0: invalid UTF-8 at byte offset 4"),
         ],
     )
     def test_errors_name_path(self, tmp_path, data, reason):
@@ -209,6 +210,8 @@ class TestExportSelection:
             select_matrix(params, "output", 3)
         with pytest.raises(ValueError, match="out of range"):
             select_matrix(params, "phrase-output", 1)
+        with pytest.raises(ValueError, match="input bank 1 out of range"):
+            select_matrix(params, "input", 1)
 
     def test_phrase_matrix_absent_in_baseline(self):
         params = self._params(Mode.BASELINE)
@@ -470,6 +473,81 @@ class TestCliExitCodes:
         code = main(["eval-sim", str(bad), "--model", str(ckpt)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            pytest.param(
+                "train c.txt --out x.ckpt", {"c.txt": b"a b\n\xff\n"},
+                "c.txt:2: invalid UTF-8 at byte offset 0", id="corpus-utf8",
+            ),
+            pytest.param(
+                "eval-sim d.tsv --embeddings bad.txt",
+                {"bad.txt": b"1 2\n\xff 1 2\n", "d.tsv": b"a\tb\t1\n"},
+                "bad.txt:2: invalid UTF-8 at byte offset 0", id="embeddings-utf8",
+            ),
+            pytest.param(
+                "eval-sim d.tsv --embeddings e.txt", {"d.tsv": b"a\tb\t1\n\xff\tb\t2\n"},
+                "d.tsv:2: invalid UTF-8 at byte offset 0", id="similarity-utf8",
+            ),
+            pytest.param(
+                "eval-analogy d.txt --embeddings e.txt", {"d.txt": b"a b a \xff\n"},
+                "d.txt:1: invalid UTF-8 at byte offset 6", id="analogy-utf8",
+            ),
+            pytest.param(
+                "eval-phrase d.tsv --embeddings e.txt", {"d.tsv": b"a\t\xffb\ta\t1\n"},
+                "d.tsv:1: invalid UTF-8 at byte offset 2", id="phrase-utf8",
+            ),
+            pytest.param(
+                "inspect-manifest m.manifest", {"m.manifest": b"k=v\n\xff=1\n"},
+                "m.manifest:2: invalid UTF-8 at byte offset 0", id="manifest-utf8",
+            ),
+            pytest.param(
+                "eval-sim d.tsv --embeddings e.txt", {"d.tsv": b"# c\na\tb\tx\n"},
+                "d.tsv:2: score is not a number: 'x'", id="similarity-score",
+            ),
+            pytest.param(
+                "eval-phrase d.tsv --embeddings e.txt", {"d.tsv": b"a\tb\ta\thigh\n"},
+                "d.tsv:1: rating is not a number: 'high'", id="phrase-rating",
+            ),
+            pytest.param(
+                "eval-sim missing.tsv --model m.ckpt", {},
+                "missing.tsv: No such file or directory", id="eval-sim-missing",
+            ),
+            pytest.param(
+                "export --model nope.ckpt --out e2.txt", {},
+                "nope.ckpt: No such file or directory", id="export-missing-model",
+            ),
+            pytest.param(
+                "export --model m.ckpt --out nodir/e2.txt", {},
+                "nodir/e2.txt: No such file or directory", id="export-missing-dir",
+            ),
+            pytest.param(
+                "inspect-manifest nope", {},
+                "nope: No such file or directory", id="inspect-manifest-missing",
+            ),
+            pytest.param(
+                "eval-sim d.tsv --embeddings e.bin --format binary",
+                {"e.bin": b"1 1\n\xff \0\0\0\0\n", "d.tsv": b"a\tb\t1\n"},
+                "e.bin: row 0: invalid UTF-8 at byte offset 4", id="binary-word-utf8",
+            ),
+            pytest.param(
+                "export --model m.ckpt --out e2.txt --which input --bank 1", {},
+                "input bank 1 out of range [0, 1)", id="export-input-bank",
+            ),
+        ],
+    )
+    def test_reader_errors_are_located(self, tmp_path, monkeypatch, capsys, argv, files, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = TrainConfig(dim=2, window=1, min_count=1)
+        params = init_params(2, cfg, np.random.default_rng(0))
+        checkpoint_save("m.ckpt", params, cfg, Vocab(["a", "b"], [2, 1]))
+        write_embeddings_text("e.txt", ["a", "b"], np.eye(2, dtype=np.float32))
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "e2.txt").exists()
+
 
 def _edit_checkpoint_header(path, edit):
     """Apply edit(header) to a checkpoint's JSON header; recompute the CRC."""
@@ -690,6 +768,18 @@ class TestCliWorkflows:
         ckpt = tmp_path / "m.ckpt"
         assert _cli_train(corpus, ckpt, "--word-negatives", "4") == 0
         assert checkpoint_load(ckpt).config.phrase_negatives == 4
+
+    def test_train_defaults_are_train_config_defaults(self, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b c\n" * 20)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", str(corpus), "--out", str(ckpt)]) == 0
+        written = {
+            key[len("config."):]: value
+            for key, value in read_manifest(f"{ckpt}.manifest").items()
+            if key.startswith("config.")
+        }
+        assert written == {k: str(v) for k, v in TrainConfig().to_dict().items()}
 
     def test_plain_flag_treats_corpus_as_unchunked(self, tmp_path):
         corpus = tmp_path / "c.txt"

@@ -105,18 +105,18 @@ class TestInitParams:
             init_params(0, small_config(), np.random.default_rng(1))
 
     def test_validate_rejects_wrong_bank_count(self):
-        params = init_params(5, small_config(mode=Mode.POSITIONAL), np.random.default_rng(1))
+        cfg = small_config(mode=Mode.POSITIONAL)
+        params = init_params(5, cfg, np.random.default_rng(1))
         params.output_words = params.output_words[:-1]
         with pytest.raises(ValueError, match="output matrices"):
-            params.validate()
+            params.validate(cfg)
 
     def test_validate_rejects_shared_storage(self):
-        params = init_params(
-            5, small_config(mode=Mode.COMPOSITIONAL), np.random.default_rng(1)
-        )
+        cfg = small_config(mode=Mode.COMPOSITIONAL)
+        params = init_params(5, cfg, np.random.default_rng(1))
         params.phrase_output_words[0] = params.output_words[0]
         with pytest.raises(ValueError, match="distinct"):
-            params.validate()
+            params.validate(cfg)
 
     def test_copy_is_deep(self):
         params = init_params(

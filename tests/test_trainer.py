@@ -339,7 +339,7 @@ def reference_train_sentence(params, state, mapped, config, ctx):
     train_sentence.
     """
     c = config.window
-    positional = params.mode.positional
+    positional = config.mode.positional
     lr = state.lr
     word_ids = mapped.word_ids
     if ctx.keep_prob is not None:
@@ -354,7 +354,7 @@ def reference_train_sentence(params, state, mapped, config, ctx):
         ew += word_step(params, word_ids[t], word_ids[u], negs, lr, bank)
         n_w += 1
     ep, n_p = 0.0, 0
-    if config.beta > 0 and params.mode.compositional and ctx.phrase_dist is not None:
+    if config.beta > 0 and config.mode.compositional and ctx.phrase_dist is not None:
         comps = ctx.phrase_components
         for i, j, off in iter_window_pairs(mapped.phrase_ids, c):
             pid = mapped.phrase_ids[i]
