@@ -781,6 +781,14 @@ class TestCliWorkflows:
         }
         assert written == {k: str(v) for k, v in TrainConfig().to_dict().items()}
 
+    def test_renamed_flags_set_their_fields(self, tmp_path):
+        corpus = tmp_path / "c.txt"
+        tiny_corpus(corpus)
+        ckpt = tmp_path / "m.ckpt"
+        assert _cli_train(corpus, ckpt, "--lr", "0.05", "--no-lowercase") == 0
+        config = checkpoint_load(ckpt).config
+        assert (config.lr_start, config.lowercase) == (0.05, False)
+
     def test_plain_flag_treats_corpus_as_unchunked(self, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("just plain tokens here\n" * 20)
