@@ -2,8 +2,8 @@
 
 Subcommands: train, export, eval-sim, eval-analogy, eval-phrase,
 neighbors, inspect-manifest.  Exit codes: 0 on success, 1 on usage
-errors, 2 on data errors (unreadable files, malformed inputs,
-out-of-vocabulary queries, a training run that diverges).
+errors, 2 on data errors (unreadable files, unusable output paths,
+malformed inputs, out-of-vocabulary queries, a diverging training run).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from phrasegram.composition import CompositionConfig
+from phrasegram.corpus import output_file
 from phrasegram.evaluation import (
     WordEmbeddings,
     analogy_eval,
@@ -165,38 +166,42 @@ def _load_embeddings(args: argparse.Namespace) -> tuple[WordEmbeddings, float]:
     return WordEmbeddings(words, matrix, args.lowercase), 1.0
 
 
+def _check_distinct(*named: tuple[str, str]) -> None:
+    """Reject a command whose output would replace another of its files."""
+    seen: dict[Path, tuple[str, str]] = {}
+    for name, path in named:
+        other = seen.setdefault(Path(path).resolve(), (name, path))
+        if other != (name, path):
+            raise ValueError(f"{path}: {name} names the same file as {other[0]} {other[1]}")
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     corpus = Path(args.corpus)
-    if not corpus.is_file():
-        raise FileNotFoundError(f"corpus file not found: {corpus}")
     given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
     if "word_negatives" in given:
         given.setdefault("phrase_negatives", given["word_negatives"])
     config = TrainConfig(**given)
-    digest = file_sha256(corpus)
-    started = time.perf_counter()
-    result = train(corpus, config)
-    wallclock = time.perf_counter() - started
-    for line in result.report.lines():
-        print(line)
-    checkpoint_save(
-        args.out,
-        result.params,
-        result.config,
-        result.vocab,
-        result.phrase_vocab,
-        result.state_dict,
-    )
     manifest_path = args.manifest or f"{args.out}.manifest"
-    write_manifest(
-        manifest_path, build_manifest(result, corpus, digest, wallclock)
-    )
+    _check_distinct(("corpus", args.corpus), ("--out", args.out), ("--manifest", manifest_path))
+    # Outputs exist before any work: a bad path fails at once, a failed run publishes neither.
+    with output_file(args.out, "wb") as ckpt, output_file(manifest_path) as manifest:
+        digest = file_sha256(corpus)
+        started = time.perf_counter()
+        result = train(corpus, config)
+        wallclock = time.perf_counter() - started
+        for line in result.report.lines():
+            print(line)
+        checkpoint_save(
+            ckpt, result.params, result.config, result.vocab, result.phrase_vocab, result.state_dict
+        )
+        write_manifest(manifest, build_manifest(result, corpus, digest, wallclock))
     print(f"checkpoint written to {args.out}")
     print(f"manifest written to {manifest_path}")
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    _check_distinct(("--model", args.model), ("--out", args.out))
     ckpt = checkpoint_load(args.model)
     export_embeddings(
         ckpt.params, ckpt.vocab, args.out, args.format, args.which, args.bank

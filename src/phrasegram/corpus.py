@@ -9,12 +9,14 @@ chunk only at the start of a token and ``]`` closes one only at the end.
 
 from __future__ import annotations
 
+import errno
+import os
 import re
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "build_phrase_vocab",
     "iter_corpus",
     "numbered_lines",
+    "output_file",
 ]
 
 OUTSIDE_LABEL = "O"
@@ -165,6 +168,33 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[str, str]]:
             except UnicodeEncodeError as exc:
                 raise ParseError(f"{where}: invalid UTF-8", line, exc.start) from None
             yield where, line
+
+
+@contextmanager
+def output_file(target: str | Path | IO, mode: str = "w") -> Iterator[IO]:
+    """Write `target` whole or not at all: into a new temporary file beside it,
+    made with open()'s mode (0666 less the umask), that replaces it when the
+    block ends and is deleted if the block raises; errors name `target`.  An
+    open file is yielded as is, so a caller can create outputs before the work.
+    """
+    if not isinstance(target, (str, os.PathLike)):
+        yield target
+        return
+    path = os.fspath(target)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        if os.path.isdir(path):  # else only the rename, after the work, would fail
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8",
+                  opener=lambda p, flags: os.open(p, flags | os.O_EXCL, 0o666)) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def iter_corpus(

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from phrasegram.composition import CompositionConfig, compose_rows
-from phrasegram.corpus import Vocab, numbered_lines
+from phrasegram.corpus import Vocab, numbered_lines, output_file
 from phrasegram.evaluation import WordEmbeddings
 from phrasegram.model import ModelParams
 
@@ -64,7 +64,7 @@ def write_embeddings_text(
     # One format for the whole row, filled one row at a time: converting
     # the whole matrix to Python floats at once would hold it all in memory.
     fmt = " ".join(["%.9g"] * matrix.shape[1])
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
         for word, row in zip(words, matrix):
             fh.write(word + " " + fmt % tuple(row.tolist()) + "\n")
@@ -76,7 +76,7 @@ def write_embeddings_binary(
     matrix = np.asarray(matrix, dtype="<f4")
     if len(words) != matrix.shape[0]:
         raise ValueError("word list and matrix row count differ")
-    with Path(path).open("wb") as fh:
+    with output_file(path, "wb") as fh:
         fh.write(f"{len(words)} {matrix.shape[1]}\n".encode("utf-8"))
         for word, row in zip(words, matrix):
             fh.write(word.encode("utf-8") + b" " + row.tobytes() + b"\n")
@@ -100,7 +100,8 @@ def read_embeddings_text(path: str | Path) -> tuple[list[str], np.ndarray]:
         words = []
         matrix = np.empty((count, dim), dtype=np.float32)
         for i, (where, line) in zip(range(count), lines):
-            fields = line.split(" ")
+            # word2vec's C tool ends each row with a space after the last value
+            fields = line.removesuffix(" ").split(" ")
             if len(fields) != dim + 1:
                 raise EmbeddingsFormatError(f"{where}: expected {dim} values, got {len(fields) - 1}")
             words.append(fields[0])

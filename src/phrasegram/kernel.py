@@ -6,8 +6,8 @@ first with the C compiler Python was built with (`sysconfig` CC) if that
 file does not exist.  The key hashes the source, the compiler command,
 the flags, the interpreter's cache tag and the machine, so a change to
 any of them builds a new object and an unchanged one is reused.  The
-object is written to a temporary file and renamed into place, so a
-concurrent process never loads a half-written one.
+object is written through `corpus.output_file`, so a concurrent process
+never loads a half-written one.
 
 The kernel indexes matrices by id without bounds checks, so the wrappers
 here check what it will read and write: matrices must be writable,
@@ -28,11 +28,12 @@ import shlex
 import subprocess
 import sys
 import sysconfig
-import tempfile
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from phrasegram.corpus import output_file
 
 __all__ = [
     "KernelBuildError",
@@ -70,28 +71,16 @@ def build(source: Path, cache_dir: Path, cc: Sequence[str]) -> Path:
         return target
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{target.name}.", suffix=".tmp")
-    except OSError as exc:
-        raise KernelBuildError(f"cannot build the training kernel into {cache_dir}: {exc}") from exc
-    os.close(fd)
-    command = [*cc, *FLAGS, "-o", tmp, str(source), *LIBS]
-    try:
-        try:
+        with output_file(target, "wb") as fh:
+            command = [*cc, *FLAGS, "-o", fh.name, str(source), *LIBS]
             proc = subprocess.run(command, capture_output=True, text=True)
-        except OSError as exc:
-            raise KernelBuildError(
-                f"cannot build the training kernel: {shlex.join(command)}: {exc}"
-            ) from exc
-        if proc.returncode != 0:
-            raise KernelBuildError(
-                f"cannot build the training kernel: {shlex.join(command)} "
-                f"exited {proc.returncode}:\n{proc.stderr.strip()}"
-            )
-        os.chmod(tmp, 0o755)  # mkstemp made it owner-only; others must load it too
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+            if proc.returncode != 0:
+                raise KernelBuildError(
+                    f"{shlex.join(command)} exited {proc.returncode}:\n{proc.stderr.strip()}"
+                )
+            os.chmod(fh.name, 0o755)  # every user loads it, whatever the umask
+    except OSError as exc:
+        raise KernelBuildError(f"cannot build the training kernel: {exc}") from exc
     return target
 
 

@@ -10,13 +10,11 @@ comparable_items() which drops them.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 from contextlib import closing
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, TextIO
 
-from phrasegram.corpus import numbered_lines
+from phrasegram.corpus import numbered_lines, output_file
 from phrasegram.trainer import TrainResult
 
 __all__ = [
@@ -82,22 +80,15 @@ def build_manifest(
     return items
 
 
-def write_manifest(path: str | Path, items: Mapping[str, str]) -> None:
-    """Atomic write of ``key=value`` lines, sorted by key."""
-    path = Path(path)
+def write_manifest(path: str | Path | TextIO, items: Mapping[str, str]) -> None:
+    """Write ``key=value`` lines, sorted by key, through output_file."""
     for key, value in items.items():
-        if "=" in key or "\n" in key or "\n" in str(value):
+        text = key + str(value)  # read back by numbered_lines, which ends a line at \r or \n
+        if "=" in key or "\n" in text or "\r" in text:
             raise ValueError(f"key/value not representable: {key!r}")
     body = "".join(f"{k}={v}\n" for k, v in sorted(items.items()))
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with output_file(path) as fh:
+        fh.write(body)
 
 
 def read_manifest(path: str | Path) -> dict[str, str]:

@@ -24,10 +24,11 @@ import zlib
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from phrasegram.corpus import PhraseVocab, Vocab
+from phrasegram.corpus import PhraseVocab, Vocab, output_file
 
 __all__ = [
     "Mode",
@@ -319,7 +320,7 @@ class CheckpointData:
 
 
 def checkpoint_save(
-    path: str | Path,
+    path: str | Path | BinaryIO,
     params: ModelParams,
     config: TrainConfig,
     vocab: Vocab,
@@ -354,15 +355,12 @@ def checkpoint_save(
         blobs.append(np.ascontiguousarray(m, dtype="<f8").tobytes())
     payload = b"".join(blobs)
     crc = zlib.crc32(payload)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
+    with output_file(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _FORMAT_VERSION))
         fh.write(struct.pack("<I", crc))
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)
-    tmp.replace(path)
 
 
 def checkpoint_load(path: str | Path) -> CheckpointData:

@@ -1,18 +1,26 @@
 """Embedding interchange round-trips, nearest-neighbor queries, run
-manifests, and the command-line surface with its exit-code contract.
+manifests, the one writer of every output file, and the command-line
+surface with its exit-code contract.
 """
 
+import ast
+import errno
 import json
+import os
 import re
 import struct
 import zlib
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phrasegram.cli
+import phrasegram.corpus
 from phrasegram.cli import main
 from phrasegram.composition import CompositionConfig
-from phrasegram.corpus import Vocab
+from phrasegram.corpus import Vocab, output_file
 from phrasegram.evaluation import WordEmbeddings, cosine
 from phrasegram.embeddings_io import (
     EmbeddingsFormatError,
@@ -103,6 +111,14 @@ class TestTextFormat:
         with pytest.raises(EmbeddingsFormatError, match="expected 3 values"):
             read_embeddings_text(path)
 
+    def test_rows_may_end_in_one_space(self, tmp_path):
+        # as the original word2vec C tool writes every row ("%lf " per value)
+        path = tmp_path / "e.txt"
+        path.write_text("2 3\na 1 2 3 \nb 4 5 6 \n")
+        words, matrix = read_embeddings_text(path)
+        assert words == ["a", "b"]
+        assert matrix.tolist() == [[1, 2, 3], [4, 5, 6]]
+
     @pytest.mark.parametrize(
         "text, line, reason",
         [
@@ -112,7 +128,8 @@ class TestTextFormat:
             ("2 2\na 1 2\n", 3, "expected 2 rows, got 1"),
             ("2 3\na 1 2 3\nb 1 2\n", 3, "expected 3 values, got 2"),
             ("1 2\na 1 x\n", 2, "could not convert string to float: 'x'"),
-            ("1 2\na 1 \n", 2, "could not convert string to float: ''"),
+            ("1 2\na 1 \n", 2, "expected 2 values, got 1"),
+            ("1 2\na 1 2  \n", 2, "expected 2 values, got 3"),
         ],
     )
     def test_errors_name_path_and_line(self, tmp_path, text, line, reason):
@@ -340,6 +357,13 @@ class TestManifest:
         with pytest.raises(ValueError, match="representable"):
             write_manifest(tmp_path / "m", {"a": "1\n2"})
 
+    @pytest.mark.parametrize("items", [{"a\rb": "1"}, {"a": "1\r2"}, {"corpus.path": "a\rx=1"}])
+    def test_carriage_return_rejected(self, tmp_path, items):
+        # numbered_lines, which reads manifests back, ends a line at \r too
+        with pytest.raises(ValueError, match="representable"):
+            write_manifest(tmp_path / "m", items)
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "m"
         path.write_text("novalue\n")
@@ -400,6 +424,101 @@ class TestManifest:
         assert file_sha256(path) == hashlib.sha256(b"hello world").hexdigest()
 
 
+@contextmanager
+def _umask(mask):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def _fill_disk_after(monkeypatch, budget):
+    """Files output_file opens take `budget` characters, then fail as a full disk does."""
+    def open_small(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write, left = fh.write, [budget]
+
+        def write_some(data):
+            if len(data) > left[0]:
+                write(data[: left[0]])
+                left[0] = 0
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            left[0] -= len(data)
+            return write(data)
+
+        fh.write = write_some
+        return fh
+
+    monkeypatch.setattr(phrasegram.corpus, "open", open_small, raising=False)
+
+
+def _writers():
+    cfg = TrainConfig(dim=2, window=1, min_count=1)
+    params = init_params(2, cfg, np.random.default_rng(0))
+    vocab = Vocab(["a", "b"], [2, 1])
+    matrix = np.eye(2, dtype=np.float32)
+    return {
+        "checkpoint": lambda path: checkpoint_save(path, params, cfg, vocab),
+        "manifest": lambda path: write_manifest(path, {"a": "1", "b": "2"}),
+        "text": lambda path: write_embeddings_text(path, ["a", "b"], matrix),
+        "binary": lambda path: write_embeddings_binary(path, ["a", "b"], matrix),
+    }
+
+
+class TestOutputFile:
+    """Every output file goes through corpus.output_file (the kernel object
+    too, in test_kernel): it is published whole or not at all."""
+
+    @pytest.mark.parametrize("writer", sorted(_writers()))
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        target = tmp_path / "out"
+        target.write_bytes(b"previous contents")
+        _fill_disk_after(monkeypatch, 4)
+        with pytest.raises(OSError, match="No space left on device"):
+            _writers()[writer](target)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert target.read_bytes() == b"previous contents"
+
+    @pytest.mark.parametrize("writer", sorted(_writers()))
+    def test_new_file_gets_open_mode(self, tmp_path, writer):
+        with _umask(0o027):
+            _writers()[writer](tmp_path / "out")
+        assert (tmp_path / "out").stat().st_mode & 0o777 == 0o640
+
+    def test_errors_name_the_target(self, tmp_path):
+        missing = tmp_path / "nodir" / "out"
+        with pytest.raises(FileNotFoundError) as info:
+            with output_file(missing):
+                pass
+        assert info.value.filename == str(missing)
+        target = tmp_path / "out"
+        with pytest.raises(IsADirectoryError) as info:
+            with output_file(target) as fh:
+                fh.write("x")
+                target.mkdir()  # only the final rename can fail now
+        assert info.value.filename == str(target)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_only_the_writer_renames_files(self):
+        """No other code replaces, renames or makes temporary files."""
+        found = []
+        for path in sorted(Path(phrasegram.corpus.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    names = []
+                    if isinstance(node, ast.ImportFrom):
+                        names = [a.name for a in node.names]
+                    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                        on_os = getattr(node.func.value, "id", None) == "os"
+                        # str.replace takes two arguments, Path.replace one
+                        if node.func.attr != "replace" or on_os or len(node.args) == 1:
+                            names = [node.func.attr]
+                    found += [(path.name, getattr(top, "name", None), n)
+                              for n in names if n in ("replace", "rename", "mkstemp")]
+        assert found == [("corpus.py", "output_file", "replace")]
+
+
 class TestCliExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -420,6 +539,53 @@ class TestCliExitCodes:
         code = main(["train", str(missing), "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("train c.txt --out nodir/m.ckpt", "nodir/m.ckpt: No such file or directory"),
+            (
+                "train c.txt --out m.ckpt --manifest nodir/m.manifest",
+                "nodir/m.manifest: No such file or directory",
+            ),
+            ("train c.txt --out d", "d: Is a directory"),
+            ("train nope.txt --out m.ckpt", "nope.txt: No such file or directory"),
+            ("train c.txt --out ./c.txt", "./c.txt: --out names the same file as corpus c.txt"),
+            (
+                "train c.txt --out m.ckpt --manifest m.ckpt",
+                "m.ckpt: --manifest names the same file as --out m.ckpt",
+            ),
+            (
+                "train c.txt --out c.txt.manifest --manifest d/../c.txt",
+                "d/../c.txt: --manifest names the same file as corpus c.txt",
+            ),
+            ("export --model e.ckpt --out e.ckpt", "e.ckpt: --out names the same file as --model e.ckpt"),
+        ],
+    )
+    def test_bad_output_path_fails_before_any_work(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called after a bad output path")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(phrasegram.cli, "train", must_not_run)
+        monkeypatch.setattr(phrasegram.cli, "checkpoint_load", must_not_run)
+        tiny_corpus(tmp_path / "c.txt")
+        (tmp_path / "d").mkdir()
+        _writers()["checkpoint"]("e.ckpt")
+        before = {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_run_publishes_neither_file(self, tmp_path, capsys):
+        corpus = tmp_path / "c\n.txt"  # a path the manifest cannot hold
+        tiny_corpus(corpus)
+        code = main(["train", str(corpus), "--out", str(tmp_path / "m.ckpt"), "--min-count", "1"])
+        assert code == 2
+        assert "not representable: 'corpus.path'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [corpus.name]
 
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, capsys):
         bogus = tmp_path / "bad.ckpt"

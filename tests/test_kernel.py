@@ -143,11 +143,15 @@ class TestBuildCache:
         assert first.exists() and second.exists()
         assert kernel.build(source, cache, _fake_compiler()[:2] + ["pass"]) != first
 
-    @pytest.mark.parametrize("kind", ["fails", "missing"])
+    @pytest.mark.parametrize("kind", ["fails", "missing", "fails-mid-write"])
     def test_failing_compiler_is_named(self, tmp_path, kind):
         if kind == "fails":
             cc = [sys.executable, "-c", "import sys; sys.exit('cc: unknown flag -O2')"]
             expected = "cc: unknown flag -O2"
+        elif kind == "fails-mid-write":
+            write = "open(sys.argv[sys.argv.index('-o') + 1], 'wb').write(b'\\x7fELF')"
+            cc = [sys.executable, "-c", f"import sys; {write}; sys.exit('cc: killed')"]
+            expected = "cc: killed"
         else:
             cc = [str(tmp_path / "no-such-cc")]
             expected = "No such file"
@@ -158,6 +162,14 @@ class TestBuildCache:
         assert "cannot build the training kernel" in message
         assert shlex.join(cc) in message and expected in message
         assert list(cache.iterdir()) == []  # no temporary file left behind
+
+    def test_object_is_0755_under_any_umask(self, tmp_path):
+        old = os.umask(0o077)
+        try:
+            built = kernel.build(kernel.SOURCE, tmp_path, _fake_compiler())
+        finally:
+            os.umask(old)
+        assert built.stat().st_mode & 0o777 == 0o755
 
     def test_cli_reports_build_failure(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path / "cache")
