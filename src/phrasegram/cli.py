@@ -279,8 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except _DATA_ERRORS as exc:
-        if isinstance(exc, OSError) and exc.filename is not None:
-            message = f"{exc.filename}: {exc.strerror}"
+        if isinstance(exc, OSError) and exc.strerror is not None:
+            message = exc.strerror if exc.filename is None else f"{exc.filename}: {exc.strerror}"
         else:
             message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -170,6 +170,29 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[str, str]]:
             yield where, line
 
 
+class _TargetFile:
+    """The temporary file of `output_file`: a write or close (with its flush)
+    that fails, say on a full disk, raises an OSError naming the target."""
+
+    def __init__(self, fh: IO, target: str):
+        self._fh, self._target = fh, target
+
+    def __getattr__(self, name: str):
+        return getattr(self._fh, name)
+
+    def write(self, data):
+        try:
+            return self._fh.write(data)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, self._target) from None
+
+    def close(self) -> None:
+        try:
+            self._fh.close()
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, self._target) from None
+
+
 @contextmanager
 def output_file(target: str | Path | IO, mode: str = "w") -> Iterator[IO]:
     """Write `target` whole or not at all: into a new temporary file beside it,
@@ -185,9 +208,10 @@ def output_file(target: str | Path | IO, mode: str = "w") -> Iterator[IO]:
     try:
         if os.path.isdir(path):  # else only the rename, after the work, would fail
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8",
-                  opener=lambda p, flags: os.open(p, flags | os.O_EXCL, 0o666)) as fh:
-            yield fh
+        fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8",
+                  opener=lambda p, flags: os.open(p, flags | os.O_EXCL, 0o666))
+        with closing(_TargetFile(fh, path)) as out:
+            yield out
         os.replace(tmp, path)
     except BaseException as exc:
         with suppress(FileNotFoundError):

@@ -10,6 +10,7 @@ formats.
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from pathlib import Path
 from typing import Sequence
@@ -172,6 +173,41 @@ def export_embeddings(
         raise ValueError(f"unknown format: {format!r}")
 
 
+_FLOAT32_LOWEST = float(np.finfo(np.float32).min)
+
+
+def _float32_score_error(dim: int) -> float:
+    """eps(d): a bound on |s32 - s64| for a unit-matrix row and the unit query.
+
+    s64 is the float64 dot product of row x and query y, of dimension d;
+    s32 is the float32 dot product of their roundings to float32.  Let
+    u = 2**-24, gamma_n = n*u / (1 - n*u), s the exact x . y and
+    S = sum |x_j y_j| <= |x| |y|.
+
+    - Rounding x_j or y_j to float32 scales it by (1 + delta), |delta| <= u;
+      a value in float32's subnormal range moves by at most 2**-150 instead.
+    - A float32 dot product of d terms, summed in any order, with or without
+      fused multiply-add, rounds each term at most d times: its product and
+      the additions on its way to the result, or one fused step for both.
+      With the two input roundings, |s32 - s| <= gamma_(d+2) S, plus at most
+      2**-150 for each input or product that underflows (numpy keeps IEEE
+      gradual underflow, which makes the additions exact there), under
+      d * 2**-146 in all.
+    - The float64 dot product has |s64 - s| <= gamma_d(2**-53) S, the same
+      argument with float64's u = 2**-53.
+    - Rows and query are normalized in float64, so S <= 1 + 2 (d + 3) 2**-53.
+      That holds unless all of a vector's entries are below about 1e-150 in
+      magnitude, where their squares underflow in the norm.
+
+    So |s32 - s64| <= gamma_(d+2) + 4 (d + 3) 2**-53 <= gamma_(d+3) = eps(d):
+    gamma_(d+3) - gamma_(d+2) >= u, and 4 (d + 3) 2**-53 < u while
+    (d + 3) u <= 1/2.  Past that every row's error is unbounded here.  At
+    d = 100, eps is 6.14e-6.
+    """
+    g = (dim + 3) * 2.0**-24
+    return g / (1.0 - g) if g <= 0.5 else math.inf
+
+
 def nearest_neighbors(
     embeddings: WordEmbeddings,
     query: str,
@@ -181,8 +217,16 @@ def nearest_neighbors(
     """Top-k cosine neighbors of a word or a bracketed phrase.
 
     A query of the form ``[w1 w2 ...]`` is composed from its word
-    vectors (comp defaults to alpha=1, the mean).  The query's own words
-    are excluded from the result.
+    vectors (comp defaults to alpha=1, the mean).  The query's own words,
+    and rows that are not finite, are excluded from the result.  Neighbors
+    come by descending float64 cosine, equal cosines by lower row id.
+
+    Every row is scored against the float32 copy of the unit matrix; only
+    rows within 2 eps(d) of the k-th float32 score are scored again in
+    float64.  These include every row of the float64 top k: at least k
+    rows have s32 >= kth, so s64 >= kth - eps for k rows, so the k-th
+    float64 score t64 is >= kth - eps, and a row with s64 >= t64 has
+    s32 >= t64 - eps >= kth - 2 eps.  The result is a full float64 scan's.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -202,13 +246,22 @@ def nearest_neighbors(
     else:
         alpha = comp.alpha if comp is not None else 1.0
         target = compose_rows(embeddings.matrix, ids, alpha)
-    norm = np.linalg.norm(target)
-    if norm == 0.0:
-        raise ValueError("query vector is zero")
+    norm = math.sqrt(target @ target)  # np.linalg.norm's arithmetic, without its checks
+    if not (norm > 0.0 and math.isfinite(norm)):
+        raise ValueError(f"query vector of {query} is {'zero' if norm == 0.0 else 'not finite'}")
     unit = embeddings.unit_matrix()
-    scores = unit @ (target / norm)
-    scores[ids] = -np.inf
-    k = min(k, int(np.sum(np.isfinite(scores))))
-    top = np.argpartition(-scores, k - 1)[:k] if k else np.array([], dtype=int)
-    top = top[np.argsort(-scores[top], kind="stable")]
-    return [(embeddings.words[i], float(scores[i])) for i in top]
+    target = target / norm
+    scores = embeddings.unit_matrix_f32() @ target.astype(np.float32)
+    scores[ids] = np.nan
+    np.fmax(scores, -np.inf, out=scores)  # the query's own rows and NaN rows score -inf
+    last = max(len(scores) - k, 0)
+    kth = np.partition(scores, last)[last]
+    # 2**-22, half a float32 ulp below 8, covers rounding the threshold to
+    # float32.  kth is -inf when fewer than k rows are left; the floor then
+    # keeps the excluded rows out.
+    margin = 2.0 * _float32_score_error(unit.shape[1]) + 2.0**-22
+    candidates = np.flatnonzero(scores >= max(float(kth) - margin, _FLOAT32_LOWEST))
+    # Row by row, unlike a matrix product, so equal rows score equal.
+    exact = np.einsum("ij,j->i", unit[candidates], target)
+    top = sorted(zip((-exact).tolist(), candidates.tolist()))[:k]
+    return [(embeddings.words[i], -score) for score, i in top]

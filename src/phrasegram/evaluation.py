@@ -8,8 +8,9 @@ matrix product each.  The phrase task composes a (subject, reference
 verb) pair with the configured composition function and correlates its
 cosine against the landmark verb's vector with the human ratings.
 
-`WordEmbeddings` is a read-only snapshot: its row-normalized matrix is
-computed on first use and shared by every later query and analogy.
+`WordEmbeddings` is a read-only snapshot: its row-normalized matrix, and
+a float32 copy of it for the nearest-neighbor scan, are computed on first
+use and shared by every later query and analogy.
 
 Items containing out-of-vocabulary words are dropped and counted; every
 evaluator reports coverage alongside its score.
@@ -79,9 +80,11 @@ class WordEmbeddings:
 
     The embeddings are a snapshot.  `matrix` is a read-only view of the
     array passed in (a float64 copy if it had another dtype), and
-    `unit_matrix()` caches its row-normalized form on first call.  The
-    source array must not change after construction: build a new
-    WordEmbeddings for new values, or the cached unit rows go stale.
+    `unit_matrix()` caches its row-normalized form on first call, with a
+    float32 copy of it (`unit_matrix_f32()`, 4 more bytes per entry) that
+    `nearest_neighbors` scans before it rescores in float64.  The source
+    array must not change after construction: build a new WordEmbeddings
+    for new values, or the cached unit rows go stale.
     """
 
     def __init__(
@@ -95,6 +98,7 @@ class WordEmbeddings:
         self.lowercased = lowercased
         self.word2id = {w: i for i, w in enumerate(self.words)}
         self._unit: np.ndarray | None = None
+        self._unit32: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -115,15 +119,23 @@ class WordEmbeddings:
     def unit_matrix(self) -> np.ndarray:
         """Row-normalized matrix, read-only; zero rows are left at zero.
 
-        Computed on the first call; every later call returns the same array.
+        Computed on the first call, together with `unit_matrix_f32()`;
+        every later call returns the same array.
         """
         if self._unit is None:
             norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
             safe = np.where(norms == 0.0, 1.0, norms)
             unit = self.matrix / safe
-            unit.flags.writeable = False
-            self._unit = unit
+            unit32 = unit.astype(np.float32)
+            unit.flags.writeable = unit32.flags.writeable = False
+            self._unit, self._unit32 = unit, unit32
         return self._unit
+
+    def unit_matrix_f32(self) -> np.ndarray:
+        """`unit_matrix()` rounded to float32, read-only, built by its first call."""
+        if self._unit32 is None:
+            self.unit_matrix()
+        return self._unit32
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

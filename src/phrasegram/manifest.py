@@ -84,7 +84,7 @@ def write_manifest(path: str | Path | TextIO, items: Mapping[str, str]) -> None:
     """Write ``key=value`` lines, sorted by key, through output_file."""
     for key, value in items.items():
         text = key + str(value)  # read back by numbered_lines, which ends a line at \r or \n
-        if "=" in key or "\n" in text or "\r" in text:
+        if not key or "=" in key or "\n" in text or "\r" in text:
             raise ValueError(f"key/value not representable: {key!r}")
     body = "".join(f"{k}={v}\n" for k, v in sorted(items.items()))
     with output_file(path) as fh:

@@ -15,15 +15,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phrasegram.cli
 import phrasegram.corpus
 from phrasegram.cli import main
-from phrasegram.composition import CompositionConfig
+from phrasegram.composition import CompositionConfig, compose_rows
 from phrasegram.corpus import Vocab, output_file
 from phrasegram.evaluation import WordEmbeddings, cosine
 from phrasegram.embeddings_io import (
     EmbeddingsFormatError,
+    _float32_score_error,
     export_embeddings,
     nearest_neighbors,
     read_embeddings_binary,
@@ -251,6 +254,23 @@ class TestExportSelection:
         )
 
 
+def brute_force_neighbors(emb, query_ids, target, k):
+    """Float64 reference: every row scored, ordered by (-score, row id), the
+    query's own rows and rows that are not finite left out."""
+    norms = np.linalg.norm(emb.matrix, axis=1, keepdims=True)
+    unit = emb.matrix / np.where(norms == 0.0, 1.0, norms)
+    scores = unit @ (target / np.linalg.norm(target))
+    eligible = np.isfinite(scores)
+    eligible[list(query_ids)] = False
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return [(emb.words[i], float(scores[i])) for i in order[eligible[order]][:k]]
+
+
+def assert_same_neighbors(got, expected):
+    assert [w for w, _ in got] == [w for w, _ in expected]
+    np.testing.assert_allclose([s for _, s in got], [s for _, s in expected], rtol=0, atol=1e-12)
+
+
 class TestNearestNeighbors:
     def test_duplicate_vector_ranks_first_with_cosine_one(self):
         matrix = np.array([[1.0, 2.0], [3.0, -1.0], [2.0, 4.0]])
@@ -314,6 +334,139 @@ class TestNearestNeighbors:
         with pytest.raises(ValueError, match="k"):
             nearest_neighbors(emb, "a", k=0)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_serving_sized_matrix_matches_brute_force(self, alpha):
+        # 5000 x 100 like the served benchmark checkpoint: init_params' input range
+        rng = np.random.default_rng(29)
+        n, d = 5000, 100
+        emb = WordEmbeddings([f"w{i}" for i in range(n)], rng.uniform(-0.5 / d, 0.5 / d, (n, d)))
+        comp = CompositionConfig(alpha=alpha)
+        for size in [1, 2, 3] * 12:
+            ids = [int(i) for i in rng.integers(0, n, size)]
+            query = " ".join(f"w{i}" for i in ids)
+            if size == 1:
+                target = emb.matrix[ids[0]]
+            else:
+                query, target = f"[{query}]", compose_rows(emb.matrix, ids, alpha)
+            assert_same_neighbors(
+                nearest_neighbors(emb, query, k=10, comp=comp),
+                brute_force_neighbors(emb, ids, target, 10),
+            )
+
+    @pytest.mark.parametrize("k", [3, 5, 8, 20])
+    def test_zero_rows_tie_by_row_id(self, k):
+        # two rows score above the zero rows' exact 0.0, three below
+        matrix = np.zeros((10, 4))
+        matrix[[0, 4, 9]] = [[1.0, 0.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.0]]
+        matrix[[1, 5, 7]] = [[-1.0, 1.0, 0.0, 0.0], [-2.0, 0.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 5.0]]
+        emb = WordEmbeddings([f"w{i}" for i in range(10)], matrix)
+        got = nearest_neighbors(emb, "w0", k=k)
+        assert_same_neighbors(got, brute_force_neighbors(emb, [0], matrix[0], k))
+        assert [w for w, _ in got][:6] == ["w4", "w9", "w2", "w3", "w6", "w8"][:k]
+
+    @pytest.mark.parametrize("k", [6, 7, 100])
+    def test_repeated_word_phrase_with_k_past_the_eligible_rows(self, k):
+        rng = np.random.default_rng(31)
+        emb = WordEmbeddings([f"w{i}" for i in range(7)], rng.normal(size=(7, 5)))
+        got = nearest_neighbors(emb, "[w3 w3]", k=k)
+        assert len(got) == 6
+        assert_same_neighbors(got, brute_force_neighbors(emb, [3, 3], emb.matrix[3], k))
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 5e-6])
+    def test_planted_near_ties_at_the_kth_place(self, gap):
+        # 30 rows with cosines 0.6, 0.6 - gap, ..., at shuffled row ids; the
+        # 10th place falls among them and float32 cannot tell most apart
+        rng = np.random.default_rng(37)
+        n, d = 2000, 100
+        matrix = rng.normal(size=(n, d))
+        query = rng.normal(size=d)
+        query /= np.linalg.norm(query)
+        matrix[0] = query
+        planted = rng.permutation(np.arange(1, n))[:30]
+        for j, row in enumerate(planted):
+            other = rng.normal(size=d)
+            other -= (other @ query) * query
+            cos = 0.6 - j * gap
+            matrix[row] = cos * query + np.sqrt(1.0 - cos * cos) * other / np.linalg.norm(other)
+        emb = WordEmbeddings([f"w{i}" for i in range(n)], matrix)
+        got = nearest_neighbors(emb, "w0", k=10)
+        assert_same_neighbors(got, brute_force_neighbors(emb, [0], query, 10))
+        assert [w for w, _ in got] == [f"w{i}" for i in planted[:10]]
+
+    @pytest.mark.parametrize("count, k", [(7, 7), (14, 1), (14, 4), (14, 14)])
+    def test_equal_rows_tie_by_row_id(self, count, k):
+        # a matrix product can score equal rows a rounding apart by position
+        # (OpenBLAS's gemv, when the row count is not a multiple of 4)
+        rng = np.random.default_rng(41)
+        n, d = 500, 100
+        matrix = rng.normal(size=(n, d))
+        copies = np.sort(rng.choice(np.arange(1, n), size=count, replace=False))
+        matrix[copies] = matrix[0] + 0.1 * rng.normal(size=d)
+        emb = WordEmbeddings([f"w{i}" for i in range(n)], matrix)
+        got = nearest_neighbors(emb, "w0", k=k)
+        assert [w for w, _ in got] == [f"w{i}" for i in copies[:k]]
+        assert len({s for _, s in got}) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected_by_name(self, bad):
+        matrix = np.ones((4, 3))
+        matrix[1, 2] = bad
+        emb = WordEmbeddings(["a", "b", "c", "d"], matrix)
+        with pytest.raises(ValueError, match=re.escape("query vector of b is not finite")):
+            nearest_neighbors(emb, "b")
+        with pytest.raises(ValueError, match=re.escape("query vector of [a b] is not finite")):
+            nearest_neighbors(emb, "[a b]")
+        matrix[1] = 0.0
+        with pytest.raises(ValueError, match=re.escape("query vector of b is zero")):
+            nearest_neighbors(WordEmbeddings(["a", "b", "c", "d"], matrix), "b")
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_non_finite_rows_never_returned(self, k):
+        rng = np.random.default_rng(43)
+        matrix = rng.normal(size=(8, 5))
+        matrix[2, 1], matrix[5, 0], matrix[6, 4] = np.nan, np.inf, -np.inf
+        # the query's nearest rows, but not finite
+        matrix[[2, 5, 6]] += 100.0 * matrix[0]
+        emb = WordEmbeddings([f"w{i}" for i in range(8)], matrix)
+        got = nearest_neighbors(emb, "w0", k=k)
+        assert_same_neighbors(got, brute_force_neighbors(emb, [0], matrix[0], k))
+        assert len(got) == min(k, 4)
+
+
+class TestFloat32ScoreBound:
+    """eps(d) bounds |float32 score - float64 score| on the unit rows that
+    nearest_neighbors scans, computed the same way."""
+
+    @staticmethod
+    def unit_vectors(rng, d):
+        n = 64
+        dominant = rng.normal(size=(n, d)) * 1e-3
+        dominant[:, 0] = 1.0
+        tiny = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-46, -36, (n, d))
+        tiny[:, 0] = rng.choice([-1.0, 1.0], n)  # the rest near or in float32's subnormals
+        equal = np.ones((2, d))
+        equal[1, ::2] = -1.0  # cancels to about 0 with the first
+        return np.vstack([rng.normal(size=(n, d)), dominant, tiny, equal, -equal])
+
+    @pytest.mark.parametrize("d", [2, 100, 300])
+    def test_bound_holds_on_random_and_adversarial_vectors(self, d):
+        vectors = self.unit_vectors(np.random.default_rng(d), d)
+        emb = WordEmbeddings([f"w{i}" for i in range(len(vectors))], vectors)
+        unit, unit32 = emb.unit_matrix(), emb.unit_matrix_f32()
+        worst = 0.0
+        for target in vectors:
+            query = target / np.linalg.norm(target)
+            s32 = unit32 @ query.astype(np.float32)
+            s64 = np.einsum("ij,j->i", unit, query)
+            worst = max(worst, float(np.max(np.abs(s32 - s64))))
+        assert 0.0 < worst <= _float32_score_error(d)
+
+    def test_bound_is_about_d_plus_3_float32_roundings(self):
+        for d in (1, 2, 100, 300, 10_000):
+            eps = (d + 3) * 2.0**-24
+            assert eps < _float32_score_error(d) < eps * (1.0 + 2.0 * eps)
+        assert _float32_score_error(2**23) == np.inf
+
 
 def tiny_corpus(path, n=60, seed=23):
     rng = np.random.default_rng(seed)
@@ -356,6 +509,19 @@ class TestManifest:
             write_manifest(tmp_path / "m", {"a=b": "1"})
         with pytest.raises(ValueError, match="representable"):
             write_manifest(tmp_path / "m", {"a": "1\n2"})
+        with pytest.raises(ValueError, match="representable"):
+            write_manifest(tmp_path / "m", {"": "1"})  # read back as "empty key"
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(), st.text()))
+    def test_every_manifest_written_reads_back(self, tmp_path_factory, items):
+        path = tmp_path_factory.getbasetemp() / "round-trip.manifest"
+        try:
+            write_manifest(path, items)
+        except ValueError:
+            return
+        assert read_manifest(path) == items
 
     @pytest.mark.parametrize("items", [{"a\rb": "1"}, {"a": "1\r2"}, {"corpus.path": "a\rx=1"}])
     def test_carriage_return_rejected(self, tmp_path, items):
@@ -451,6 +617,22 @@ def _fill_disk_after(monkeypatch, budget):
         return fh
 
     monkeypatch.setattr(phrasegram.corpus, "open", open_small, raising=False)
+
+
+def _fail_close(monkeypatch):
+    """Files output_file opens take every write, then fail to close as a full disk does."""
+    def open_full(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        close = fh.close
+
+        def close_full():
+            close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fh.close = close_full
+        return fh
+
+    monkeypatch.setattr(phrasegram.corpus, "open", open_full, raising=False)
 
 
 def _writers():
@@ -586,6 +768,39 @@ class TestCliExitCodes:
         assert code == 2
         assert "not representable: 'corpus.path'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == [corpus.name]
+
+    @pytest.mark.parametrize(
+        "argv, target, fails_in",
+        [
+            ("export --model e.ckpt --out e.txt", "e.txt", "write"),
+            ("export --model e.ckpt --out e.txt", "e.txt", "close"),
+            ("export --model e.ckpt --out e.bin --format binary", "e.bin", "close"),
+            ("train c.txt --out m.ckpt --min-count 1", "m.ckpt", "write"),
+        ],
+    )
+    def test_full_disk_names_the_output(
+        self, tmp_path, monkeypatch, capsys, argv, target, fails_in
+    ):
+        monkeypatch.chdir(tmp_path)
+        tiny_corpus(tmp_path / "c.txt")
+        _writers()["checkpoint"]("e.ckpt")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        if fails_in == "write":
+            _fill_disk_after(monkeypatch, 4)
+        else:
+            _fail_close(monkeypatch)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err == f"error: {target}: No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_unnamed_os_error_prints_its_reason(self, tmp_path, monkeypatch, capsys):
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(phrasegram.cli, "export_embeddings", full_disk)
+        _writers()["checkpoint"](tmp_path / "e.ckpt")
+        assert main(["export", "--model", str(tmp_path / "e.ckpt"), "--out", "e.txt"]) == 2
+        assert capsys.readouterr().err == "error: No space left on device\n"
 
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, capsys):
         bogus = tmp_path / "bad.ckpt"
@@ -917,6 +1132,14 @@ class TestCliWorkflows:
         _cli_train(corpus, ckpt)
         assert main(["neighbors", "unicorn", "--model", str(ckpt)]) == 2
         assert "unicorn" in capsys.readouterr().err
+
+    def test_neighbors_of_a_nan_row_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "e.txt"
+        path.write_text("4 2\na 1 0\nb nan 1\nc 1 1\nd 0 1\n")
+        assert main(["neighbors", "b", "--embeddings", str(path)]) == 2
+        assert capsys.readouterr().err == "error: query vector of b is not finite\n"
+        assert main(["neighbors", "a", "--embeddings", str(path)]) == 0
+        assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == ["c", "d"]
 
     def test_inspect_manifest_prints_items(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -153,6 +153,19 @@ class TestWordEmbeddings:
         with pytest.raises(ValueError, match="read-only"):
             unit[0, 0] = 1.0
 
+    def test_float32_unit_matrix_is_built_once_and_read_only(self):
+        matrix = np.random.default_rng(7).normal(size=(6, 3))
+        matrix[2] = 0.0
+        emb = WordEmbeddings([f"w{i}" for i in range(6)], matrix)
+        unit32 = emb.unit_matrix_f32()
+        unit = emb.unit_matrix()
+        assert emb.unit_matrix_f32() is unit32 and emb.unit_matrix() is unit
+        assert unit32.dtype == np.float32
+        np.testing.assert_array_equal(unit32, unit.astype(np.float32))
+        assert not unit32.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            unit32[0, 0] = 1.0
+
     def test_matrix_is_a_read_only_view_of_the_source(self):
         source = np.ones((2, 3))
         emb = WordEmbeddings(["a", "b"], source)
