@@ -4,7 +4,9 @@
  * drawing each pair's negatives and applying the skip-gram negative-sampling
  * step.  It alone consumes the word stream: one uniform per in-vocab token
  * when subsampling, in sentence order, then k per pair in visiting order.
- * The arithmetic is that of trainer.word_step, the tests' reference:
+ * Each negative is looked up through the noise table's guide table, which
+ * gives the id np.searchsorted gives for every uniform.  The arithmetic is
+ * that of trainer.word_step, the tests' reference:
  *
  *   - every score and gradient of a step is read from the pre-update
  *     parameters before the step writes anything, so an id that repeats
@@ -52,10 +54,20 @@ static int64_t bank_of(int64_t offset, int64_t window, int64_t positional)
     return offset < 0 ? offset + window : offset + window - 1;
 }
 
-/* First index i with cum[i] > u: np.searchsorted(cum, u, side="right"). */
-static int64_t search_right(const double *cum, int64_t len, double u)
+/* np.searchsorted(cum, u, side="right") for u in [0, 1): the first id whose
+ * cum exceeds u, found through the guide table of Chen & Asau (1974).
+ * guide[j] is that id for the cell edge e_j = j / len as numpy rounds it
+ * (NoiseDistribution.guide), so for u in cell c, e_c <= u < e_(c+1), the id
+ * lies in [guide[c], guide[c + 1]].  j = floor(u * len) is at most one cell
+ * from c: u * len and each e_j round with relative error at most 2**-53,
+ * which moves them by less than one cell while len < 2**50.  So the search
+ * spans cells j - 1 to j + 1, clamped to [0, len]; j = len only when u * len
+ * rounds up. */
+static int64_t lookup(const double *cum, const int64_t *guide, int64_t len, double u)
 {
-    int64_t lo = 0, hi = len;
+    int64_t j = (int64_t)(u * (double)len);
+    int64_t lo = guide[j > 0 ? j - 1 : 0];
+    int64_t hi = guide[len - j > 2 ? j + 2 : len];
     while (lo < hi) {
         int64_t mid = lo + (hi - lo) / 2;
         if (cum[mid] <= u)
@@ -69,9 +81,10 @@ static int64_t search_right(const double *cum, int64_t len, double u)
 /* One draw of NoiseDistribution.sample: the id whose interval holds u, or,
  * when that is `exclude`, NoiseDistribution._redirect of u with the same
  * float clamps.  Returns -1 when `exclude` holds all the mass. */
-static int64_t draw(const double *cum, int64_t len, double u, int64_t exclude)
+static int64_t draw(const double *cum, const int64_t *guide, int64_t len, double u,
+                    int64_t exclude)
 {
-    int64_t id = search_right(cum, len, u);
+    int64_t id = lookup(cum, guide, len, u);
     if (id != exclude)
         return id;
     double lo = exclude > 0 ? cum[exclude - 1] : 0.0;
@@ -89,16 +102,16 @@ static int64_t draw(const double *cum, int64_t len, double u, int64_t exclude)
     } else if (t > nextafter(lo, 0.0)) {
         t = nextafter(lo, 0.0);
     }
-    return search_right(cum, len, t);
+    return lookup(cum, guide, len, t);
 }
 
 /* Draws k ids excluding `exclude` from the uniforms u[0..k) into out.
  * Returns 0, or -1 when `exclude` holds all the mass. */
-int64_t sample_noise(const double *cum, int64_t len, const double *u, int64_t k,
-                     int64_t exclude, int64_t *out)
+int64_t sample_noise(const double *cum, const int64_t *guide, int64_t len, const double *u,
+                     int64_t k, int64_t exclude, int64_t *out)
 {
     for (int64_t i = 0; i < k; i++) {
-        out[i] = draw(cum, len, u[i], exclude);
+        out[i] = draw(cum, guide, len, u[i], exclude);
         if (out[i] < 0)
             return -1;
     }
@@ -112,17 +125,17 @@ typedef double (*next_double_fn)(void *state); /* from BitGenerator.ctypes */
  * inp: input embeddings; out: the output banks (one, or 2 * window when
  * positional); ids: word ids, -1 for a hole, overwritten with -1 where a
  * token is dropped; keep: per-id keep probability of `vocab` ids, or NULL
- * for no subsampling; cum: the noise table of `vocab` ids; next_double and
- * state: the generator the uniforms come from; work: k + 1 + dim doubles;
- * negs: k + 1 ids.  A token is dropped iff its uniform is >= keep[id].
- * Stores the sum of the pre-update objective terms in *objective.  Returns
- * the number of pairs, or -1 - center when a center holds all the noise
- * mass.
+ * for no subsampling; cum: the noise table of `vocab` ids; guide: its
+ * vocab + 1 cell edges (see lookup); next_double and state: the generator the
+ * uniforms come from; work: k + 1 + dim doubles; negs: k + 1 ids.  A token is
+ * dropped iff its uniform is >= keep[id].  Stores the sum of the pre-update
+ * objective terms in *objective.  Returns the number of pairs, or -1 - center
+ * when a center holds all the noise mass.
  */
 int64_t word_pass(double *inp, double *const *out, int64_t dim,
                   int64_t *ids, int64_t n, int64_t window, int64_t positional,
-                  const double *keep, const double *cum, int64_t vocab,
-                  next_double_fn next_double, void *state, int64_t k,
+                  const double *keep, const double *cum, const int64_t *guide,
+                  int64_t vocab, next_double_fn next_double, void *state, int64_t k,
                   double lr, double *work, int64_t *negs, double *objective)
 {
     double *coef = work;         /* k + 1 */
@@ -149,7 +162,7 @@ int64_t word_pass(double *inp, double *const *out, int64_t dim,
             /* The uniforms wait in coef[1..k] until the scores overwrite them. */
             for (int64_t i = 1; i <= k; i++)
                 coef[i] = next_double(state);
-            if (sample_noise(cum, vocab, coef + 1, k, center, negs + 1) < 0)
+            if (sample_noise(cum, guide, vocab, coef + 1, k, center, negs + 1) < 0)
                 return -1 - center;
             pairs++;
 

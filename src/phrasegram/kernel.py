@@ -12,7 +12,11 @@ never loads a half-written one.
 The kernel indexes matrices by id without bounds checks, so the wrappers
 here check what it will read and write: matrices must be writable,
 C-contiguous float64 of one shape (never copied, which would drop the
-updates), and every id it reads must index them.  The word pass draws its
+updates), and every id it reads must index them.  Noise draws look ids
+up through a NoiseDistribution's `cumulative` table and its `guide`
+table, which the kernel indexes by cell: the guide must have one entry
+more than the table has ids, and the uniforms given to `sample_noise`
+must lie in [0, 1).  The word pass draws its
 uniforms itself, through numpy's documented `BitGenerator.ctypes`
 interface, holding the generator's lock as `Generator.random` does.
 """
@@ -88,8 +92,8 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
 _SIGNATURES = {
-    "sample_noise": [_P, _I, _P, _I, _I, _P],
-    "word_pass": [_P, _P, _I, _P, _I, _I, _I, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P],
+    "sample_noise": [_P, _P, _I, _P, _I, _I, _P],
+    "word_pass": [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P],
 }
 
 
@@ -123,12 +127,30 @@ def _noise_mass_error(exclude: int) -> ValueError:
     return ValueError(f"id {exclude} holds all the noise mass; no other id to draw")
 
 
-def sample_noise(cumulative: np.ndarray, u: np.ndarray, exclude: int) -> np.ndarray:
-    """The kernel's draws for the uniforms u, as NoiseDistribution.sample."""
+def _guide_table(guide: np.ndarray, ids: int) -> np.ndarray:
+    """`guide` as the kernel reads it: ids + 1 int64 cell edges."""
+    if len(guide) != ids + 1:
+        raise ValueError(f"guide table has {len(guide)} entries for {ids} ids, not {ids + 1}")
+    return np.ascontiguousarray(guide, dtype=np.int64)
+
+
+def sample_noise(
+    cumulative: np.ndarray, guide: np.ndarray, u: np.ndarray, exclude: int
+) -> np.ndarray:
+    """The kernel's draws for the uniforms u, as NoiseDistribution.sample.
+
+    `cumulative` and `guide` are a NoiseDistribution's tables; every
+    uniform must lie in [0, 1).
+    """
     cum = np.ascontiguousarray(cumulative, dtype=np.float64)
+    guide = _guide_table(guide, len(cum))
     u = np.ascontiguousarray(u, dtype=np.float64)
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise ValueError("uniforms must lie in [0, 1)")
     out = np.empty(len(u), dtype=np.int64)
-    if load().sample_noise(cum.ctypes.data, len(cum), u.ctypes.data, len(u), exclude, out.ctypes.data):
+    if load().sample_noise(
+        cum.ctypes.data, guide.ctypes.data, len(cum), u.ctypes.data, len(u), exclude, out.ctypes.data
+    ):
         raise _noise_mass_error(exclude)
     return out
 
@@ -140,6 +162,7 @@ def word_pass(
     window: int,
     positional: bool,
     cumulative: np.ndarray,
+    guide: np.ndarray,
     keep: np.ndarray | None,
     rng: np.random.Generator,
     k: int,
@@ -148,7 +171,8 @@ def word_pass(
     """The word-level pass of train_sentence over word ids (-1 for a hole).
 
     `banks` are the output matrices, indexed as model.bank_for_offset
-    does.  With a per-id `keep` table the kernel first drops each in-vocab
+    does; `cumulative` and `guide` are the word NoiseDistribution's
+    tables.  With a per-id `keep` table the kernel first drops each in-vocab
     token whose uniform is >= its keep probability; it then draws every
     pair's k uniforms from rng.  Returns the summed pre-update objective
     and the number of pairs.
@@ -163,6 +187,7 @@ def word_pass(
             raise ValueError(f"keep table has {len(keep)} ids for {rows} rows")
         keep = np.ascontiguousarray(keep, dtype=np.float64)
     cum = np.ascontiguousarray(cumulative, dtype=np.float64)
+    guide = _guide_table(guide, rows)
     ids = np.array(ids, dtype=np.int64)  # a copy: the kernel marks dropped tokens -1
     if len(ids) and ids.max() >= rows:
         raise ValueError(f"word id {int(ids.max())} is out of range for {rows} rows")
@@ -176,7 +201,7 @@ def word_pass(
         pairs = load().word_pass(
             _address(inp, inp.shape), table, dim, ids.ctypes.data, len(ids), window,
             positional, None if keep is None else keep.ctypes.data, cum.ctypes.data,
-            rows, fns.next_double, fns.state_address, k, lr,
+            guide.ctypes.data, rows, fns.next_double, fns.state_address, k, lr,
             work.ctypes.data, negs.ctypes.data, ctypes.byref(objective),
         )
     if pairs < 0:

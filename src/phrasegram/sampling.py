@@ -4,6 +4,15 @@ Noise probabilities are proportional to count**exponent (default 3/4).
 Sampling uses an exact cumulative table with binary search, so empirical
 frequencies converge to the exact probabilities with no quantization
 error from a slot table.
+
+Each distribution also carries a guide table (Chen & Asau 1974; Devroye
+1986, *Non-Uniform Random Variate Generation*, sec. III.2.4) for the
+compiled kernel: with V ids, guide[j] is the id the table search returns
+for the cell edge j/V.  A uniform in cell j then needs a search only
+between guide[j] and guide[j + 1], about one id on average, and the
+lookup still returns the id `np.searchsorted` returns for every uniform.
+`NoiseDistribution.sample`, the whole-table search, is the reference the
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ class NoiseDistribution:
     """Immutable categorical distribution over dense ids.
 
     probs[i] = counts[i]**exponent / Z.  Safe for concurrent reads; each
-    caller supplies its own random generator.
+    caller supplies its own random generator.  `guide` holds V + 1 int64
+    entries, guide[j] = searchsorted(cumulative, j / V, side="right").
     """
 
     def __init__(self, probs: np.ndarray):
@@ -29,6 +39,8 @@ class NoiseDistribution:
         self.cumulative = np.cumsum(probs)
         # Guard against rounding drift at the top of the table.
         self.cumulative[-1] = 1.0
+        edges = np.arange(len(probs) + 1) / len(probs)
+        self.guide = np.searchsorted(self.cumulative, edges, side="right").astype(np.int64)
 
     def __len__(self) -> int:
         return len(self.probs)

@@ -29,7 +29,10 @@ compare the kernel against, as do `iter_window_pairs` and
 kernel also subsamples the sentence and draws every uniform of the word
 pass itself, from the word stream's generator, in the per-pair
 reference's order: one per in-vocab token when subsampling, then k per
-pair.  So every seed keeps the same tokens and draws the same negatives.
+pair.  It looks each negative up through the noise table's guide table
+(`NoiseDistribution.guide`), which returns the id `sample`'s whole-table
+search returns.  So every seed keeps the same tokens and draws the same
+negatives.
 
 Window distances are surface distances: positions in the token sequence
 for words and in the chunk sequence for phrases.  Out-of-vocab tokens and
@@ -401,6 +404,7 @@ def train_sentence(
         c,
         positional,
         ctx.word_dist.cumulative,
+        ctx.word_dist.guide,
         ctx.keep_prob,
         state.word_rng,
         config.word_negatives,

@@ -1,7 +1,7 @@
 """The compiled kernel's pieces against their numpy references, and its build cache.
 
 The noise draw must give the ids NoiseDistribution.sample gives for the
-same uniforms.  The word pass must check its inputs, leave the caller's
+same uniforms, on every table edge and cell edge of the guide table.  The word pass must check its inputs, leave the caller's
 ids alone and draw one subsampling uniform per in-vocab token; its pairs
 and updates are checked against the per-pair reference in test_trainer.
 The build is cached per key, reused across processes, and a failing
@@ -33,7 +33,7 @@ class TestSampleNoise:
     def test_scripted_collisions_match_sample(self, counts, exclude, script):
         dist = build_noise_distribution(np.array(counts), exponent=1.0)
         uniforms, expected = zip(*script)
-        got = kernel.sample_noise(dist.cumulative, np.array(uniforms), exclude)
+        got = kernel.sample_noise(dist.cumulative, dist.guide, np.array(uniforms), exclude)
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(
             got, dist.sample(ScriptedRng(uniforms), len(uniforms), exclude=exclude)
@@ -48,7 +48,7 @@ class TestSampleNoise:
             dist = build_noise_distribution(counts)
             for exclude in [*np.flatnonzero(counts), -1]:
                 us = rng.random(300)
-                got = kernel.sample_noise(dist.cumulative, us, int(exclude))
+                got = kernel.sample_noise(dist.cumulative, dist.guide, us, int(exclude))
                 want = dist.sample(ScriptedRng(us.tolist()), 300, exclude=int(exclude))
                 np.testing.assert_array_equal(got, want)
                 assert not np.any(got == exclude)
@@ -56,7 +56,63 @@ class TestSampleNoise:
     def test_excluded_id_holding_all_mass_raises(self):
         dist = build_noise_distribution(np.array([0, 4, 0]))
         with pytest.raises(ValueError, match="all the noise mass"):
-            kernel.sample_noise(dist.cumulative, np.array([0.5]), 1)
+            kernel.sample_noise(dist.cumulative, dist.guide, np.array([0.5]), 1)
+
+
+def _edge_uniforms(dist):
+    """Every cumulative entry and every cell edge j/V, with their float neighbours, in [0, 1)."""
+    v = len(dist.cumulative)
+    points = np.concatenate([dist.cumulative, np.arange(v + 1) / v])
+    us = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    return us[(us >= 0.0) & (us < 1.0)]
+
+
+# (counts, exponent, id excluded in the redirect cases)
+GUIDE_TABLES = {
+    # zero-count ids make flat runs in the cumulative table
+    "zero-counts": ([0, 0, 3, 0, 0, 1, 0, 5, 0, 0, 2, 0], 1.0, 7),
+    # the flat run sits on the cell edge 5/6, and floor(u * 6) is 5 for the
+    # uniform just below that edge: only a search one cell wider finds id 0
+    "flat-run-on-an-edge": ([5, 0, 0, 0, 0, 1], 1.0, 0),
+    "two-ids": ([1, 3], 0.75, 1),
+    "one-id-holds-99.9%": ([1] * 49 + [48951], 1.0, 49),
+    "zipf-5000": (np.round(1e6 / np.arange(1, 5001)), 0.75, 0),
+}
+
+
+def _assert_kernel_matches_sample(dist, us, exclude):
+    got = kernel.sample_noise(dist.cumulative, dist.guide, us, -1 if exclude is None else exclude)
+    want = dist.sample(ScriptedRng(us.tolist()), len(us), exclude=exclude)
+    np.testing.assert_array_equal(got, want)
+
+
+class TestGuideTable:
+    """The guided lookup returns NoiseDistribution.sample's ids for every uniform."""
+
+    @pytest.mark.parametrize("excluded", [False, True], ids=["all-ids", "excluded"])
+    @pytest.mark.parametrize("table", GUIDE_TABLES)
+    def test_edges_match_sample(self, table, excluded):
+        counts, exponent, exclude = GUIDE_TABLES[table]
+        dist = build_noise_distribution(np.array(counts), exponent)
+        _assert_kernel_matches_sample(dist, _edge_uniforms(dist), exclude if excluded else None)
+
+    @pytest.mark.parametrize(
+        "table, excluded",
+        [*((t, False) for t in GUIDE_TABLES), ("one-id-holds-99.9%", True), ("zipf-5000", True)],
+    )
+    def test_random_uniforms_match_sample(self, table, excluded):
+        # The oracle redirects each excluded hit in Python, so the redirect runs
+        # on 10**6 uniforms only for the tables whose excluded id is the point.
+        counts, exponent, exclude = GUIDE_TABLES[table]
+        dist = build_noise_distribution(np.array(counts), exponent)
+        us = np.random.default_rng(len(counts)).random(10**6)
+        _assert_kernel_matches_sample(dist, us, exclude if excluded else None)
+
+    def test_uniform_outside_unit_interval_rejected(self):
+        dist = build_noise_distribution(np.array([3, 2, 1]))
+        for bad in (1.0, -1e-300, np.nan):
+            with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+                kernel.sample_noise(dist.cumulative, dist.guide, np.array([0.5, bad]), -1)
 
 
 def _word_pass_args(rows=3, dim=4):
@@ -67,17 +123,20 @@ def _word_pass_args(rows=3, dim=4):
 class TestWordPass:
     def test_center_holding_all_noise_mass_is_named(self):
         inp, banks = _word_pass_args()
-        cum = build_noise_distribution(np.array([0, 4, 0])).cumulative
+        dist = build_noise_distribution(np.array([0, 4, 0]))
         with pytest.raises(ValueError, match=r"^id 1 holds all the noise mass"):
-            kernel.word_pass(inp, banks, [0, 1], 1, False, cum, None, np.random.default_rng(1), 2, 0.05)
+            kernel.word_pass(inp, banks, [0, 1], 1, False, dist.cumulative, dist.guide, None,
+                             np.random.default_rng(1), 2, 0.05)
 
     @pytest.mark.parametrize("keep", [0.0, 0.5])
     def test_callers_ids_unchanged_by_subsampling(self, keep):
         inp, banks = _word_pass_args()
-        cum = build_noise_distribution(np.array([3, 2, 1])).cumulative
+        dist = build_noise_distribution(np.array([3, 2, 1]))
         ids = np.array([0, -1, 2, 1, 0, 2], dtype=np.int64)
         rng, expected = np.random.default_rng(7), np.random.default_rng(7)
-        _, pairs = kernel.word_pass(inp, banks, ids, 2, False, cum, np.full(3, keep), rng, 2, 0.05)
+        _, pairs = kernel.word_pass(
+            inp, banks, ids, 2, False, dist.cumulative, dist.guide, np.full(3, keep), rng, 2, 0.05
+        )
         np.testing.assert_array_equal(ids, [0, -1, 2, 1, 0, 2])
         if keep == 0.0:
             # every token dropped: one uniform per in-vocab token, none for the hole
@@ -87,9 +146,19 @@ class TestWordPass:
 
     def test_keep_table_of_wrong_length_rejected(self):
         inp, banks = _word_pass_args()
-        cum = build_noise_distribution(np.array([3, 2, 1])).cumulative
+        dist = build_noise_distribution(np.array([3, 2, 1]))
         with pytest.raises(ValueError, match="keep table has 2 ids for 3 rows"):
-            kernel.word_pass(inp, banks, [0, 1], 1, False, cum, np.ones(2), np.random.default_rng(1), 2, 0.05)
+            kernel.word_pass(inp, banks, [0, 1], 1, False, dist.cumulative, dist.guide, np.ones(2),
+                             np.random.default_rng(1), 2, 0.05)
+
+    def test_guide_table_of_wrong_length_rejected(self):
+        inp, banks = _word_pass_args()
+        dist = build_noise_distribution(np.array([3, 2, 1]))
+        with pytest.raises(ValueError, match="guide table has 3 entries for 3 ids, not 4"):
+            kernel.word_pass(inp, banks, [0, 1], 1, False, dist.cumulative, dist.guide[:-1], None,
+                             np.random.default_rng(1), 2, 0.05)
+        with pytest.raises(ValueError, match="guide table has 5 entries for 3 ids, not 4"):
+            kernel.sample_noise(dist.cumulative, np.append(dist.guide, 3), np.array([0.5]), -1)
 
 
 def _fake_compiler() -> list[str]:
@@ -123,9 +192,11 @@ class TestBuildCache:
         assert log.read_text().splitlines() == ["run"]
         assert [p.name for p in cache.iterdir()] == [paths[0][0].name]
 
-    def test_source_compiles_without_warnings(self):
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # At the shipped flags, so warnings only the optimizer emits count too.
         command = kernel.compiler() + [
-            "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(kernel.SOURCE)
+            *kernel.FLAGS, "-std=c99", "-Wall", "-Wextra", "-Werror",
+            "-o", str(tmp_path / "kernel.so"), str(kernel.SOURCE), *kernel.LIBS,
         ]
         proc = subprocess.run(command, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

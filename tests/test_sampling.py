@@ -62,6 +62,15 @@ class TestProbabilities:
 
 
 class TestInverseCdfMapping:
+    @pytest.mark.parametrize("counts", [[1, 16], [5, 0, 0, 0, 0, 1], [0, 3, 0, 2, 7, 0, 1]])
+    def test_guide_holds_the_lookup_of_each_cell_edge(self, counts):
+        dist = build_noise_distribution(np.array(counts), exponent=1.0)
+        v = len(counts)
+        edges = [j / v for j in range(v + 1)]
+        expected = [next((i for i, c in enumerate(dist.cumulative) if e < c), v) for e in edges]
+        assert dist.guide.dtype == np.int64
+        assert dist.guide.tolist() == expected
+
     def test_scripted_uniforms_map_through_cumulative(self):
         dist = build_noise_distribution(np.array([1, 16]))
         # cumulative = [1/9, 1.0]

@@ -371,21 +371,25 @@ def reference_train_sentence(params, state, mapped, config, ctx):
 PHRASES = [(0, 1), (2,), (1, 1, 0), (2, 0)]  # components over word ids 0..2
 
 
-def run_against_reference(mode, vocab_size, sentences, alpha=1.0, subsample=0.0, seed=51):
+def run_against_reference(
+    mode, vocab_size, sentences, alpha=1.0, subsample=0.0, seed=51, dim=4, counts=None
+):
     """train_sentence and the reference loop on copies of one model, sentence by sentence.
 
     After each sentence every matrix must agree to rtol 1e-12, atol 1e-15,
     the returns must agree, and both RNG streams must be in the same state.
+    `counts` are the word counts behind the noise table, by default a
+    gentle slope from 3 * vocab_size down.
     """
     rng = np.random.default_rng(seed)
-    params = rand_params(rng, vocab_size=vocab_size, mode=mode, window=2)
+    params = rand_params(rng, vocab_size=vocab_size, dim=dim, mode=mode, window=2)
     config = TrainConfig(
         dim=params.dim, window=2, min_count=1, mode=mode, alpha=alpha,
         word_negatives=3, phrase_negatives=2, subsample=subsample,
     )
-    vocab = Vocab(
-        [f"w{i}" for i in range(vocab_size)], list(range(3 * vocab_size, 2 * vocab_size, -1))
-    )
+    if counts is None:
+        counts = list(range(3 * vocab_size, 2 * vocab_size, -1))
+    vocab = Vocab([f"w{i}" for i in range(vocab_size)], counts)
     ctx = trainer._SentenceContext(
         word_dist=trainer.build_noise_distribution(vocab.counts),
         phrase_dist=trainer.build_noise_distribution(np.array([5, 4, 3, 2])),
@@ -447,6 +451,25 @@ class TestTrainSentenceMatchesReference:
     def test_matches_per_pair_loop(self, mode, vocab_size, alpha, subsample):
         sentences = random_sentences(np.random.default_rng(61), vocab_size)
         run_against_reference(mode, vocab_size, sentences, alpha, subsample)
+
+    @pytest.mark.parametrize("dim", [1, 3, 101])
+    @pytest.mark.parametrize("mode", [Mode.BASELINE, Mode.COMPOSITIONAL_POSITIONAL])
+    def test_dims_off_the_dot_lanes(self, mode, dim):
+        # the kernel's dot sums 4 lanes and then dim % 4 tail terms
+        sentences = random_sentences(np.random.default_rng(67), 9)
+        run_against_reference(mode, 9, sentences, dim=dim)
+
+    def test_zipf_vocabulary(self):
+        # ~300 cells in the noise table's guide, heavy ids spanning many
+        rng = np.random.default_rng(71)
+        vocab_size = 300
+        counts = np.round(3000 / np.arange(1, vocab_size + 1) ** 0.9).astype(int)
+        p = counts / counts.sum()
+        sentences = [
+            MappedSentence([int(w) if rng.random() > 0.1 else -1 for w in rng.choice(vocab_size, n, p=p)], [])
+            for n in rng.integers(0, 30, size=12)
+        ]
+        run_against_reference(Mode.POSITIONAL, vocab_size, sentences, subsample=0.01, counts=counts)
 
     def test_gradient_suite_instances(self):
         # rand_params with its defaults, as the gradient checks use it
