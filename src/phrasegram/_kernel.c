@@ -12,7 +12,8 @@
  *     parameters before the step writes anything, so an id that repeats
  *     within a step accumulates its deltas exactly as np.add.at does;
  *   - elementwise products and sums run in the numpy expressions' order;
- *     only dot products may round differently from BLAS.
+ *     dot products sum in four lanes in a fixed order (see dot), which
+ *     rounds differently from BLAS but the same on every host.
  *
  * Matrices are C-contiguous float64, row i belonging to word id i.  The
  * caller supplies the scratch buffers, so nothing here allocates.  Build with
@@ -38,12 +39,22 @@ static double log1pexp(double x)
     return x > 0.0 ? x + log1p(exp(-x)) : log1p(exp(x));
 }
 
+/* Four partial sums, lane j % 4 for the first dim - dim % 4 terms, then the
+ * tail into s0, combined as (s0 + s1) + (s2 + s3): a fixed order, which the
+ * compiler keeps without -ffast-math, so results never depend on the host. */
 static double dot(const double *a, const double *b, int64_t dim)
 {
-    double s = 0.0;
-    for (int64_t j = 0; j < dim; j++)
-        s += a[j] * b[j];
-    return s;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    int64_t j = 0;
+    for (; j + 4 <= dim; j += 4) {
+        s0 += a[j] * b[j];
+        s1 += a[j + 1] * b[j + 1];
+        s2 += a[j + 2] * b[j + 2];
+        s3 += a[j + 3] * b[j + 3];
+    }
+    for (; j < dim; j++)
+        s0 += a[j] * b[j];
+    return (s0 + s1) + (s2 + s3);
 }
 
 /* Output bank of a relative offset, as model.bank_for_offset. */

@@ -3,7 +3,10 @@
 The first trained sentence of a process loads the kernel with ctypes
 from `__pycache__/_kernel-<key>.so` next to this file, compiling it there
 first with the C compiler Python was built with (`sysconfig` CC) if that
-file does not exist.  The key hashes the source, the compiler command,
+file does not exist.  `FLAGS` build at -O3 with -ffp-contract=off and no
+host-specific instruction set: the optimizer may vectorize, but never
+fuses a multiply-add or reorders a sum, so an object built anywhere
+gives the same bits.  The key hashes the source, the compiler command,
 the flags, the interpreter's cache tag and the machine, so a change to
 any of them builds a new object and an unchanged one is reused.  The
 object is written through `corpus.output_file`, so a concurrent process
@@ -49,7 +52,7 @@ __all__ = [
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE_DIR = SOURCE.parent / "__pycache__"
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 
 
