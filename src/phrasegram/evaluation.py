@@ -82,7 +82,8 @@ class WordEmbeddings:
     array passed in (a float64 copy if it had another dtype), and
     `unit_matrix()` caches its row-normalized form on first call, with a
     float32 copy of it (`unit_matrix_f32()`, 4 more bytes per entry) that
-    `nearest_neighbors` scans before it rescores in float64.  The source
+    `nearest_neighbors` scans before it rescores in float64, and the ids of
+    the rows that normalize to NaN (`non_finite_rows()`).  The source
     array must not change after construction: build a new WordEmbeddings
     for new values, or the cached unit rows go stale.
     """
@@ -99,6 +100,7 @@ class WordEmbeddings:
         self.word2id = {w: i for i, w in enumerate(self.words)}
         self._unit: np.ndarray | None = None
         self._unit32: np.ndarray | None = None
+        self._non_finite: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -119,13 +121,18 @@ class WordEmbeddings:
     def unit_matrix(self) -> np.ndarray:
         """Row-normalized matrix, read-only; zero rows are left at zero.
 
-        Computed on the first call, together with `unit_matrix_f32()`;
-        every later call returns the same array.
+        A row holding NaN or ±inf normalizes to NaN, without a warning.
+        Computed on the first call, together with `unit_matrix_f32()` and
+        `non_finite_rows()`; every later call returns the same array.
         """
         if self._unit is None:
             norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
             safe = np.where(norms == 0.0, 1.0, norms)
-            unit = self.matrix / safe
+            with np.errstate(invalid="ignore"):  # inf / inf in a row holding ±inf
+                unit = self.matrix / safe
+            # Only a row whose norm is not finite can normalize to NaN.
+            suspect = np.flatnonzero(~np.isfinite(norms[:, 0]))
+            self._non_finite = suspect[~np.isfinite(unit[suspect]).all(axis=1)]
             unit32 = unit.astype(np.float32)
             unit.flags.writeable = unit32.flags.writeable = False
             self._unit, self._unit32 = unit, unit32
@@ -136,6 +143,12 @@ class WordEmbeddings:
         if self._unit32 is None:
             self.unit_matrix()
         return self._unit32
+
+    def non_finite_rows(self) -> np.ndarray:
+        """Ids of the rows of `unit_matrix()` that are not finite, ascending; found by its first call."""
+        if self._non_finite is None:
+            self.unit_matrix()
+        return self._non_finite
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -211,10 +224,13 @@ def analogy_eval(
     """3CosAdd analogy accuracy over unit-normalized embeddings.
 
     The predicted word maximizes cosine with (b - a + c), excluding the
-    three question words.  Questions with out-of-vocab words are dropped.
+    three question words and rows that are not finite; a question over a
+    word whose row is not finite counts as wrong.  Questions with
+    out-of-vocab words are dropped.
     Returns (overall accuracy, per-section accuracy, coverage).
     """
     unit = embeddings.unit_matrix()
+    non_finite = embeddings.non_finite_rows()
     per_section: dict[str, float] = {}
     total_correct = total_usable = total_questions = 0
     for name, questions in sections.items():
@@ -226,7 +242,7 @@ def analogy_eval(
                 usable.append(ids)
         if not usable:
             continue
-        correct = _count_cos_add_hits(unit, np.array(usable, dtype=np.int64))
+        correct = _count_cos_add_hits(unit, np.array(usable, dtype=np.int64), non_finite)
         per_section[name] = correct / len(usable)
         total_correct += correct
         total_usable += len(usable)
@@ -244,8 +260,15 @@ def analogy_eval(
 _ANALOGY_BLOCK_BYTES = 4 << 20
 
 
-def _count_cos_add_hits(unit: np.ndarray, questions: np.ndarray) -> int:
-    """How many (a, b, c, expected) id rows 3CosAdd over `unit` answers right."""
+def _count_cos_add_hits(unit: np.ndarray, questions: np.ndarray, non_finite: np.ndarray) -> int:
+    """How many (a, b, c, expected) id rows 3CosAdd over `unit` answers right.
+
+    `non_finite` lists the rows of `unit` that are not finite.  Their
+    NaN scores would win argmax, so they score -inf, and a question over
+    one of them has no answer.
+    """
+    if len(non_finite):
+        questions = questions[~np.isin(questions, non_finite).any(axis=1)]
     rows = max(1, _ANALOGY_BLOCK_BYTES // (unit.itemsize * unit.shape[0]))
     correct = 0
     for start in range(0, len(questions), rows):
@@ -253,6 +276,8 @@ def _count_cos_add_hits(unit: np.ndarray, questions: np.ndarray) -> int:
         a, b, c, expected = block.T
         scores = (unit[b] - unit[a] + unit[c]) @ unit.T
         scores[np.arange(len(block))[:, None], block[:, :3]] = -np.inf
+        if len(non_finite):
+            scores[:, non_finite] = -np.inf
         correct += int(np.count_nonzero(scores.argmax(axis=1) == expected))
     return correct
 

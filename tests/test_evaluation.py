@@ -153,6 +153,16 @@ class TestWordEmbeddings:
         with pytest.raises(ValueError, match="read-only"):
             unit[0, 0] = 1.0
 
+    def test_non_finite_rows_found_with_the_unit_matrix(self):
+        matrix = np.ones((6, 3))
+        matrix[1, 2], matrix[3, 0] = np.nan, -np.inf
+        matrix[4] = 1e300  # its norm overflows, but it normalizes to zeros
+        emb = WordEmbeddings([f"w{i}" for i in range(6)], matrix)
+        with np.errstate(over="ignore"):
+            unit = emb.unit_matrix()
+        np.testing.assert_array_equal(emb.non_finite_rows(), [1, 3])
+        assert np.isfinite(unit).all(axis=1).tolist() == [True, False, True, False, True, True]
+
     def test_float32_unit_matrix_is_built_once_and_read_only(self):
         matrix = np.random.default_rng(7).normal(size=(6, 3))
         matrix[2] = 0.0
@@ -335,6 +345,20 @@ class TestAnalogyEval:
             emb, {"s": [AnalogyQuestion("a", "b", "c", "d")]}
         )
         assert accuracy == 1.0
+
+    def test_non_finite_row_never_answers(self):
+        # 3CosAdd on e1, e2, e3 answers (-1, 1, 1); the fifth row's NaN once
+        # made argmax pick it for every question.
+        matrix = np.array(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 1.0, 1.0], [np.nan, 0.5, 0.5]]
+        )
+        emb = WordEmbeddings(list("abcde"), matrix)
+        accuracy, _, _ = analogy_eval(emb, {"s": [AnalogyQuestion("a", "b", "c", "d")]})
+        assert accuracy == 1.0
+        np.testing.assert_array_equal(emb.non_finite_rows(), [4])
+        # over the NaN word every other score is NaN; the first one is c's
+        accuracy, _, coverage = analogy_eval(emb, {"s": [AnalogyQuestion("a", "b", "e", "c")]})
+        assert (accuracy, coverage) == (0.0, 1.0)
 
     def test_oov_questions_dropped(self):
         emb = orthogonal_analogy_embeddings(2)
