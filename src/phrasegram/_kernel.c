@@ -69,16 +69,19 @@ static int64_t bank_of(int64_t offset, int64_t window, int64_t positional)
  * cum exceeds u, found through the guide table of Chen & Asau (1974).
  * guide[j] is that id for the cell edge e_j = j / len as numpy rounds it
  * (NoiseDistribution.guide), so for u in cell c, e_c <= u < e_(c+1), the id
- * lies in [guide[c], guide[c + 1]].  j = floor(u * len) is at most one cell
- * from c: u * len and each e_j round with relative error at most 2**-53,
- * which moves them by less than one cell while len < 2**50.  So the search
- * spans cells j - 1 to j + 1, clamped to [0, len]; j = len only when u * len
- * rounds up. */
+ * lies in [guide[c], guide[c + 1]].  j = floor(u * len) is c or c + 1:
+ *   - a u above e_c is at least the next double after e_c, which lies above
+ *     c / len, so u * len > c and rounds to at least c.  At u = e_c, j may be
+ *     c - 1, but the id is then guide[c] itself;
+ *   - u * len < (c + 1)(1 + 2**-53) rounds to less than c + 2 while
+ *     len < 2**50, but may round up to c + 1.
+ * So the search spans cells j - 1 and j, and j = len only when u * len
+ * rounds up to len. */
 static int64_t lookup(const double *cum, const int64_t *guide, int64_t len, double u)
 {
     int64_t j = (int64_t)(u * (double)len);
     int64_t lo = guide[j > 0 ? j - 1 : 0];
-    int64_t hi = guide[len - j > 2 ? j + 2 : len];
+    int64_t hi = guide[j < len ? j + 1 : len];
     while (lo < hi) {
         int64_t mid = lo + (hi - lo) / 2;
         if (cum[mid] <= u)
