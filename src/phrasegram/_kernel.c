@@ -13,7 +13,7 @@
  *     within a step accumulates its deltas exactly as np.add.at does;
  *   - elementwise products and sums run in the numpy expressions' order;
  *     dot products sum in four lanes in a fixed order (see dot), which
- *     rounds differently from BLAS but the same on every host.
+ *     rounds differently from BLAS but not differently from host to host.
  *
  * Matrices are C-contiguous float64, row i belonging to word id i.  The
  * caller supplies the scratch buffers, so nothing here allocates.  Build with
@@ -41,7 +41,7 @@ static double log1pexp(double x)
 
 /* Four partial sums, lane j % 4 for the first dim - dim % 4 terms, then the
  * tail into s0, combined as (s0 + s1) + (s2 + s3): a fixed order, which the
- * compiler keeps without -ffast-math, so results never depend on the host. */
+ * compiler keeps without -ffast-math whatever vector width it uses. */
 static double dot(const double *a, const double *b, int64_t dim)
 {
     double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;

@@ -121,14 +121,14 @@ class WordEmbeddings:
     def unit_matrix(self) -> np.ndarray:
         """Row-normalized matrix, read-only; zero rows are left at zero.
 
-        A row holding NaN or ±inf normalizes to NaN, without a warning.
+        A row holding NaN or an infinity normalizes to NaN, without a warning.
         Computed on the first call, together with `unit_matrix_f32()` and
         `non_finite_rows()`; every later call returns the same array.
         """
         if self._unit is None:
             norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
             safe = np.where(norms == 0.0, 1.0, norms)
-            with np.errstate(invalid="ignore"):  # inf / inf in a row holding ±inf
+            with np.errstate(invalid="ignore"):  # inf / inf in a row holding an infinity
                 unit = self.matrix / safe
             # Only a row whose norm is not finite can normalize to NaN.
             suspect = np.flatnonzero(~np.isfinite(norms[:, 0]))

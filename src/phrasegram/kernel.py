@@ -5,8 +5,8 @@ from `__pycache__/_kernel-<key>.so` next to this file, compiling it there
 first with the C compiler Python was built with (`sysconfig` CC) if that
 file does not exist.  `FLAGS` build at -O3 with -ffp-contract=off and no
 host-specific instruction set: the optimizer may vectorize, but never
-fuses a multiply-add or reorders a sum, so an object built anywhere
-gives the same bits.  The key hashes the source, the compiler command,
+fuses a multiply-add or reorders a sum, so the kernel's arithmetic does
+not depend on the host's instruction set.  The key hashes the source, the compiler command,
 the flags, the interpreter's cache tag and the machine, so a change to
 any of them builds a new object and an unchanged one is reused.  The
 object is written through `corpus.output_file`, so a concurrent process
@@ -19,9 +19,9 @@ updates), and every id it reads must index them.  Noise draws look ids
 up through a NoiseDistribution's `cumulative` table and its `guide`
 table, which the kernel indexes by cell: the guide must have one entry
 more than the table has ids, and the uniforms given to `sample_noise`
-must lie in [0, 1).  The word pass draws its
-uniforms itself, through numpy's documented `BitGenerator.ctypes`
-interface, holding the generator's lock as `Generator.random` does.
+must lie in [0, 1).  The word pass draws its uniforms itself, through
+numpy's documented `BitGenerator.ctypes` interface, holding the
+generator's lock as `Generator.random` does.
 """
 
 from __future__ import annotations

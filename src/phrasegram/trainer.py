@@ -24,7 +24,7 @@ The kernel keeps the same read-before-write rule per step: it reads every
 score and the center's gradient from the pre-update rows, then writes the
 output rows and then the center row, so it matches `word_step` up to the
 rounding of dot products, which it sums in four lanes in a fixed order
-(built at -O3 with -ffp-contract=off, the same bits on every host).  `word_step` stays as the reference the tests
+(built at -O3 with -ffp-contract=off, so the order holds on every host).  `word_step` stays as the reference the tests
 compare the kernel against, as do `iter_window_pairs` and
 `NoiseDistribution.sample`, which still drive the phrase-level pass.  The
 kernel also subsamples the sentence and draws every uniform of the word

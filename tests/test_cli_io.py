@@ -259,7 +259,7 @@ def brute_force_neighbors(emb, query_ids, target, k):
     """Float64 reference: every row scored, ordered by (-score, row id), the
     query's own rows and rows that are not finite left out."""
     norms = np.linalg.norm(emb.matrix, axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):  # a row holding ±inf normalizes to NaN
+    with np.errstate(invalid="ignore"):  # a row holding an infinity normalizes to NaN
         unit = emb.matrix / np.where(norms == 0.0, 1.0, norms)
     scores = unit @ (target / np.linalg.norm(target))
     eligible = np.isfinite(scores)
@@ -431,7 +431,7 @@ class TestNearestNeighbors:
         matrix[[2, 5, 6]] += 100.0 * matrix[0]
         emb = WordEmbeddings([f"w{i}" for i in range(8)], matrix)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the ±inf rows normalize without a warning
+            warnings.simplefilter("error")  # the infinite rows normalize without a warning
             got = nearest_neighbors(emb, "w0", k=k)
         assert_same_neighbors(got, brute_force_neighbors(emb, [0], matrix[0], k))
         assert len(got) == min(k, 4)
