@@ -1,8 +1,9 @@
 """The compiled kernel's pieces against their numpy references, and its build cache.
 
 The noise draw must give the ids NoiseDistribution.sample gives for the
-same uniforms, on every table edge and cell edge of the guide table.  The word pass must check its inputs, leave the caller's
-ids alone and draw one subsampling uniform per in-vocab token; its pairs
+same uniforms, on every table edge and every cell edge of the guide
+table.  The word pass must check its inputs, leave the caller's ids
+alone and draw one subsampling uniform per in-vocab token; its pairs
 and updates are checked against the per-pair reference in test_trainer.
 The build is cached per key, reused across processes, and a failing
 compiler is reported by command and message; the source compiles without
@@ -72,7 +73,8 @@ GUIDE_TABLES = {
     # zero-count ids make flat runs in the cumulative table
     "zero-counts": ([0, 0, 3, 0, 0, 1, 0, 5, 0, 0, 2, 0], 1.0, 7),
     # the flat run sits on the cell edge 5/6, and floor(u * 6) is 5 for the
-    # uniform just below that edge: only a search one cell wider finds id 0
+    # uniform just below that edge: only a search reaching into the cell
+    # below finds id 0
     "flat-run-on-an-edge": ([5, 0, 0, 0, 0, 1], 1.0, 0),
     "two-ids": ([1, 3], 0.75, 1),
     "one-id-holds-99.9%": ([1] * 49 + [48951], 1.0, 49),

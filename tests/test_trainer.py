@@ -465,10 +465,11 @@ class TestTrainSentenceMatchesReference:
         vocab_size = 300
         counts = np.round(3000 / np.arange(1, vocab_size + 1) ** 0.9).astype(int)
         p = counts / counts.sum()
-        sentences = [
-            MappedSentence([int(w) if rng.random() > 0.1 else -1 for w in rng.choice(vocab_size, n, p=p)], [])
-            for n in rng.integers(0, 30, size=12)
-        ]
+        sentences = []
+        for n in rng.integers(0, 30, size=12):
+            words = rng.choice(vocab_size, n, p=p)
+            words[rng.random(n) < 0.1] = -1  # holes
+            sentences.append(MappedSentence([int(w) for w in words], []))
         run_against_reference(Mode.POSITIONAL, vocab_size, sentences, subsample=0.01, counts=counts)
 
     def test_gradient_suite_instances(self):
