@@ -19,6 +19,14 @@
  * caller supplies the scratch buffers, so nothing here allocates.  Build with
  * -ffp-contract=off: a fused multiply-add would round differently from the
  * numpy reference.
+ *
+ * On x86-64 word_pass is cloned for AVX2 and for baseline x86-64, and the
+ * dynamic loader picks the clone for the host when it loads the object.  The
+ * clones compute the same bits: without -ffast-math the compiler may not
+ * reassociate a sum, and with -ffp-contract=off it may not fuse a multiply and
+ * an add, so a wider vector only does more of the same IEEE operations, each
+ * rounded as before, in the same order.  The elementwise loops have no order
+ * to change, and dot's four lanes fix the order of its sum.
  */
 #include <math.h>
 #include <stdint.h>
@@ -146,6 +154,9 @@ typedef double (*next_double_fn)(void *state); /* from BitGenerator.ctypes */
  * objective terms in *objective.  Returns the number of pairs, or -1 - center
  * when a center holds all the noise mass.
  */
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target_clones("avx2", "default")))
+#endif
 int64_t word_pass(double *inp, double *const *out, int64_t dim,
                   int64_t *ids, int64_t n, int64_t window, int64_t positional,
                   const double *keep, const double *cum, const int64_t *guide,

@@ -1,16 +1,20 @@
 """Builds, caches and calls the compiled training kernel, `_kernel.c`.
 
-The first trained sentence of a process loads the kernel with ctypes
-from `__pycache__/_kernel-<key>.so` next to this file, compiling it there
+The first epoch a process trains loads the kernel with ctypes from
+`__pycache__/_kernel-<key>.so` next to this file, compiling it there
 first with the C compiler Python was built with (`sysconfig` CC) if that
 file does not exist.  `FLAGS` build at -O3 with -ffp-contract=off and no
 host-specific instruction set: the optimizer may vectorize, but never
 fuses a multiply-add or reorders a sum, so the kernel's arithmetic does
-not depend on the host's instruction set.  The key hashes the source, the compiler command,
-the flags, the interpreter's cache tag and the machine, so a change to
-any of them builds a new object and an unchanged one is reused.  The
-object is written through `corpus.output_file`, so a concurrent process
-never loads a half-written one.
+not depend on the host's instruction set.  On x86-64 the object holds two
+clones of the word pass, for AVX2 and for baseline x86-64, and the
+dynamic loader picks one for the host when it loads the object (an
+ifunc), so the object stays portable and both clones compute the same
+bits.  The key hashes the source, the compiler command, the flags, the
+interpreter's cache tag and the machine, so a change to any of them
+builds a new object and an unchanged one is reused.  The object is
+written through `corpus.output_file`, so a concurrent process never loads
+a half-written one.
 
 The kernel indexes matrices by id without bounds checks, so the wrappers
 here check what it will read and write: matrices must be writable,
@@ -19,9 +23,12 @@ updates), and every id it reads must index them.  Noise draws look ids
 up through a NoiseDistribution's `cumulative` table and its `guide`
 table, which the kernel indexes by cell: the guide must have one entry
 more than the table has ids, and the uniforms given to `sample_noise`
-must lie in [0, 1).  The word pass draws its uniforms itself, through
-numpy's documented `BitGenerator.ctypes` interface, holding the
-generator's lock as `Generator.random` does.
+must lie in [0, 1).  A `WordPass` is the word pass prepared for one run:
+its construction does every check and conversion that is fixed for the
+run, so a call only copies and range-checks the sentence's ids.  The
+word pass draws its uniforms itself, through numpy's documented
+`BitGenerator.ctypes` interface, holding the generator's lock as
+`Generator.random` does.
 """
 
 from __future__ import annotations
@@ -41,13 +48,14 @@ from typing import Sequence
 import numpy as np
 
 from phrasegram.corpus import output_file
+from phrasegram.sampling import NoiseDistribution
 
 __all__ = [
     "KernelBuildError",
+    "WordPass",
     "build",
     "load",
     "sample_noise",
-    "word_pass",
 ]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -158,55 +166,75 @@ def sample_noise(
     return out
 
 
-def word_pass(
-    inp: np.ndarray,
-    banks: Sequence[np.ndarray],
-    ids: Sequence[int],
-    window: int,
-    positional: bool,
-    cumulative: np.ndarray,
-    guide: np.ndarray,
-    keep: np.ndarray | None,
-    rng: np.random.Generator,
-    k: int,
-    lr: float,
-) -> tuple[float, int]:
-    """The word-level pass of train_sentence over word ids (-1 for a hole).
+class WordPass:
+    """The word-level pass of train_sentence, prepared once for a run.
 
-    `banks` are the output matrices, indexed as model.bank_for_offset
-    does; `cumulative` and `guide` are the word NoiseDistribution's
-    tables.  With a per-id `keep` table the kernel first drops each in-vocab
-    token whose uniform is >= its keep probability; it then draws every
-    pair's k uniforms from rng.  Returns the summed pre-update objective
-    and the number of pairs.
+    `inp` and `banks` are the input matrix and the output matrices,
+    indexed as model.bank_for_offset does; `noise` is the word
+    NoiseDistribution.  With a per-id `keep` table the kernel first drops
+    each in-vocab token whose uniform is >= its keep probability; it then
+    draws every pair's k uniforms from rng.  Everything fixed for the run
+    is checked and converted here, once: the object holds every array
+    whose address it passes to the kernel, so the matrices are updated in
+    place for as long as it lives and must not be replaced meanwhile.
     """
-    rows, dim = inp.shape
-    if len(banks) != (2 * window if positional else 1):
-        raise ValueError(f"{len(banks)} output banks for window {window}")
-    if len(cumulative) != rows:
-        raise ValueError(f"noise table has {len(cumulative)} ids for {rows} rows")
-    if keep is not None:
-        if len(keep) != rows:
-            raise ValueError(f"keep table has {len(keep)} ids for {rows} rows")
-        keep = np.ascontiguousarray(keep, dtype=np.float64)
-    cum = np.ascontiguousarray(cumulative, dtype=np.float64)
-    guide = _guide_table(guide, rows)
-    ids = np.array(ids, dtype=np.int64)  # a copy: the kernel marks dropped tokens -1
-    if len(ids) and ids.max() >= rows:
-        raise ValueError(f"word id {int(ids.max())} is out of range for {rows} rows")
-    table = (ctypes.c_void_p * len(banks))(*(_address(m, inp.shape) for m in banks))
-    work = np.empty(k + 1 + dim)
-    negs = np.empty(k + 1, dtype=np.int64)
-    objective = ctypes.c_double()
-    bitgen = rng.bit_generator
-    fns = bitgen.ctypes  # next_double converts to the function's address
-    with bitgen.lock:
-        pairs = load().word_pass(
-            _address(inp, inp.shape), table, dim, ids.ctypes.data, len(ids), window,
-            positional, None if keep is None else keep.ctypes.data, cum.ctypes.data,
-            guide.ctypes.data, rows, fns.next_double, fns.state_address, k, lr,
-            work.ctypes.data, negs.ctypes.data, ctypes.byref(objective),
+
+    def __init__(
+        self,
+        inp: np.ndarray,
+        banks: Sequence[np.ndarray],
+        noise: NoiseDistribution,
+        keep: np.ndarray | None,
+        rng: np.random.Generator,
+        k: int,
+        window: int,
+        positional: bool,
+    ) -> None:
+        rows, dim = inp.shape
+        if len(banks) != (2 * window if positional else 1):
+            raise ValueError(f"{len(banks)} output banks for window {window}")
+        if len(noise.cumulative) != rows:
+            raise ValueError(f"noise table has {len(noise.cumulative)} ids for {rows} rows")
+        if keep is not None:
+            if len(keep) != rows:
+                raise ValueError(f"keep table has {len(keep)} ids for {rows} rows")
+            keep = np.ascontiguousarray(keep, dtype=np.float64)
+        self.noise = noise
+        self.keep = keep
+        self.rows = rows
+        cum = np.ascontiguousarray(noise.cumulative, dtype=np.float64)
+        guide = _guide_table(noise.guide, rows)
+        table = (ctypes.c_void_p * len(banks))(*(_address(m, inp.shape) for m in banks))
+        work = np.empty(k + 1 + dim)
+        negs = np.empty(k + 1, dtype=np.int64)
+        self._objective = ctypes.c_double()
+        bitgen = rng.bit_generator
+        fns = bitgen.ctypes  # next_double converts to the function's address
+        # Everything whose address the kernel is given, kept alive with the object.
+        self._held = (inp, *banks, cum, guide, table, work, negs, bitgen, fns)
+        # The generator's lock also guards the scratch buffers and the objective.
+        self._lock = bitgen.lock
+        self._fn = load().word_pass
+        self._head = (_address(inp, inp.shape), table, dim)
+        self._tail = (
+            window, positional, None if keep is None else keep.ctypes.data, cum.ctypes.data,
+            guide.ctypes.data, rows, fns.next_double, fns.state_address, k,
         )
-    if pairs < 0:
-        raise _noise_mass_error(-1 - pairs)
-    return objective.value, pairs
+        self._scratch = (work.ctypes.data, negs.ctypes.data, ctypes.byref(self._objective))
+
+    def __call__(self, ids: Sequence[int], lr: float) -> tuple[float, int]:
+        """The pass over word ids (-1 for a hole) at learning rate lr.
+
+        Returns the summed pre-update objective and the number of pairs.
+        """
+        ids = np.array(ids, dtype=np.int64)  # a copy: the kernel marks dropped tokens -1
+        if len(ids) and ids.max() >= self.rows:
+            raise ValueError(f"word id {int(ids.max())} is out of range for {self.rows} rows")
+        with self._lock:
+            pairs = self._fn(
+                *self._head, ids.ctypes.data, len(ids), *self._tail, lr, *self._scratch
+            )
+            objective = self._objective.value
+        if pairs < 0:
+            raise _noise_mass_error(-1 - pairs)
+        return objective, pairs

@@ -19,15 +19,18 @@ learning rate times the exact simultaneous gradient of that step's
 objective term, even when an id appears more than once in the step.
 
 Training runs the word-level pass of each sentence as one call into the
-compiled kernel (`_kernel.c`, built and loaded by `phrasegram.kernel`).
-The kernel keeps the same read-before-write rule per step: it reads every
-score and the center's gradient from the pre-update rows, then writes the
-output rows and then the center row, so it matches `word_step` up to the
-rounding of dot products, which it sums in four lanes in a fixed order
-(built at -O3 with -ffp-contract=off, so the order holds on every host).  `word_step` stays as the reference the tests
-compare the kernel against, as do `iter_window_pairs` and
-`NoiseDistribution.sample`, which still drive the phrase-level pass.  The
-kernel also subsamples the sentence and draws every uniform of the word
+compiled kernel (`_kernel.c`, built and loaded by `phrasegram.kernel`),
+through a `kernel.WordPass` that `train` prepares once per run, when an
+epoch is to run, from the run's matrices, word noise table, keep table
+and word generator.  The kernel keeps the same read-before-write rule
+per step: it reads every score and the center's gradient from the
+pre-update rows, then writes the output rows and then the center row, so
+it matches `word_step` up to the rounding of dot products, which it sums
+in four lanes in a fixed order (built at -O3 with -ffp-contract=off, so
+the order holds on every host and in either of its x86-64 clones).
+`word_step` stays as the reference the tests compare the kernel against,
+as do `iter_window_pairs` and `NoiseDistribution.sample`, which still
+drive the phrase-level pass.  The kernel also subsamples the sentence and draws every uniform of the word
 pass itself, from the word stream's generator, in the per-pair
 reference's order: one per in-vocab token when subsampling, then k per
 pair.  It looks each negative up through the noise table's guide table
@@ -373,11 +376,10 @@ class TrainingState:
 class _SentenceContext:
     """Immutable per-run lookups shared by train_sentence calls."""
 
-    word_dist: NoiseDistribution
+    word_pass: kernel.WordPass  # bound to the run's matrices and word stream
     phrase_dist: NoiseDistribution | None
     phrase_components: list[tuple[int, ...]]
     comp: CompositionConfig
-    keep_prob: np.ndarray | None  # per word id, only when subsampling
 
 
 def train_sentence(
@@ -389,28 +391,18 @@ def train_sentence(
 ) -> tuple[float, int, float, int]:
     """Run the word-level and phrase-level passes over one sentence.
 
-    The word pass, subsampled first when configured, is one kernel call.
-    Returns (E_w sum, word step count, E_p sum, phrase step count).  The
-    phrase pass runs only in compositional modes with beta > 0 and a
-    non-empty phrase vocabulary; its updates are scaled by lr * beta.
+    The word pass, subsampled first when configured, is one call of
+    ctx.word_pass, which updates the matrices and advances the word stream
+    it was prepared with.  Returns (E_w sum, word step count, E_p sum,
+    phrase step count).  The phrase pass runs only in compositional modes
+    with beta > 0 and a non-empty phrase vocabulary; its updates are scaled
+    by lr * beta.
     """
     c = config.window
     positional = config.mode.positional
     lr = state.lr
 
-    ew, n_w = kernel.word_pass(
-        params.input_words,
-        params.output_words,
-        mapped.word_ids,
-        c,
-        positional,
-        ctx.word_dist.cumulative,
-        ctx.word_dist.guide,
-        ctx.keep_prob,
-        state.word_rng,
-        config.word_negatives,
-        lr,
-    )
+    ew, n_w = ctx.word_pass(mapped.word_ids, lr)
 
     ep, n_p = 0.0, 0
     if config.beta > 0 and config.mode.compositional and ctx.phrase_dist is not None:
@@ -557,30 +549,35 @@ def train(
     if phrase_vocab is not None and len(phrase_vocab) >= 2:
         phrase_dist = build_noise_distribution(phrase_vocab.counts, config.noise_exponent)
         phrase_components = [phrase_vocab.component_ids(i) for i in range(len(phrase_vocab))]
-    ctx = _SentenceContext(
-        word_dist=word_dist,
-        phrase_dist=phrase_dist,
-        phrase_components=phrase_components,
-        comp=CompositionConfig(alpha=config.alpha),
-        keep_prob=_subsample_keep_prob(vocab, config.subsample)
-        if config.subsample > 0
-        else None,
-    )
-
     mapped = [map_sentence(s, vocab, phrase_vocab) for s in sentences()]
     token_counts = [sum(1 for w in m.word_ids if w >= 0) for m in mapped]
 
     budget = max(config.epochs * vocab.total_tokens, 1)
     floor = config.lr_floor
 
-    first_epoch = state.epoch
-
     report = TrainReport()
     last_epoch = config.epochs if stop_after_epoch is None else min(
         stop_after_epoch, config.epochs
     )
+    epochs = range(state.epoch, last_epoch)
+    if epochs:  # a run without epochs never loads the kernel
+        ctx = _SentenceContext(
+            word_pass=kernel.WordPass(
+                params.input_words,
+                params.output_words,
+                word_dist,
+                _subsample_keep_prob(vocab, config.subsample) if config.subsample > 0 else None,
+                state.word_rng,
+                config.word_negatives,
+                config.window,
+                config.mode.positional,
+            ),
+            phrase_dist=phrase_dist,
+            phrase_components=phrase_components,
+            comp=CompositionConfig(alpha=config.alpha),
+        )
 
-    for epoch in range(first_epoch, last_epoch):
+    for epoch in epochs:
         epoch_started = time.perf_counter()
         ew = ep = 0.0
         n_w = n_p = 0

@@ -10,17 +10,22 @@ compiler is reported by command and message; the source compiles without
 warnings.
 """
 
+import json
 import os
+import platform
 import shlex
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phrasegram import kernel
+from phrasegram import kernel, trainer
 from phrasegram.cli import main
+from phrasegram.model import TrainConfig
 from phrasegram.sampling import build_noise_distribution
 from test_sampling import SCRIPTED_COLLISIONS, ScriptedRng
 
@@ -117,28 +122,28 @@ class TestGuideTable:
                 kernel.sample_noise(dist.cumulative, dist.guide, np.array([0.5, bad]), -1)
 
 
-def _word_pass_args(rows=3, dim=4):
+def _matrices(rows=3, dim=4, banks=1):
     rng = np.random.default_rng(5)
-    return rng.normal(size=(rows, dim)), [rng.normal(size=(rows, dim))]
+    return rng.normal(size=(rows, dim)), [rng.normal(size=(rows, dim)) for _ in range(banks)]
+
+
+def _prepare(inp, banks, noise, keep=None, rng=None, window=1, positional=False):
+    rng = np.random.default_rng(1) if rng is None else rng
+    return kernel.WordPass(inp, banks, noise, keep, rng, 2, window, positional)
 
 
 class TestWordPass:
     def test_center_holding_all_noise_mass_is_named(self):
-        inp, banks = _word_pass_args()
-        dist = build_noise_distribution(np.array([0, 4, 0]))
+        word_pass = _prepare(*_matrices(), build_noise_distribution(np.array([0, 4, 0])))
         with pytest.raises(ValueError, match=r"^id 1 holds all the noise mass"):
-            kernel.word_pass(inp, banks, [0, 1], 1, False, dist.cumulative, dist.guide, None,
-                             np.random.default_rng(1), 2, 0.05)
+            word_pass([0, 1], 0.05)
 
     @pytest.mark.parametrize("keep", [0.0, 0.5])
     def test_callers_ids_unchanged_by_subsampling(self, keep):
-        inp, banks = _word_pass_args()
         dist = build_noise_distribution(np.array([3, 2, 1]))
         ids = np.array([0, -1, 2, 1, 0, 2], dtype=np.int64)
         rng, expected = np.random.default_rng(7), np.random.default_rng(7)
-        _, pairs = kernel.word_pass(
-            inp, banks, ids, 2, False, dist.cumulative, dist.guide, np.full(3, keep), rng, 2, 0.05
-        )
+        _, pairs = _prepare(*_matrices(), dist, np.full(3, keep), rng, window=2)(ids, 0.05)
         np.testing.assert_array_equal(ids, [0, -1, 2, 1, 0, 2])
         if keep == 0.0:
             # every token dropped: one uniform per in-vocab token, none for the hole
@@ -146,21 +151,86 @@ class TestWordPass:
             expected.random(5)
             assert rng.bit_generator.state == expected.bit_generator.state
 
+    def test_id_out_of_range_rejected_before_any_draw(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        word_pass = _prepare(*_matrices(), build_noise_distribution(np.array([3, 2, 1])), rng=rng)
+        with pytest.raises(ValueError, match="word id 3 is out of range for 3 rows"):
+            word_pass([0, 3, 1], 0.05)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "banks, window, positional",
+        [(2, 1, False), (1, 2, True), (3, 2, True)],
+        ids=["two-plain", "one-positional", "odd-positional"],
+    )
+    def test_bank_count_rejected(self, banks, window, positional):
+        inp, out = _matrices(banks=banks)
+        dist = build_noise_distribution(np.array([3, 2, 1]))
+        with pytest.raises(ValueError, match=f"^{banks} output banks for window {window}$"):
+            _prepare(inp, out, dist, window=window, positional=positional)
+
+    def test_noise_table_of_wrong_length_rejected(self):
+        dist = build_noise_distribution(np.array([3, 2, 1, 1]))
+        with pytest.raises(ValueError, match="noise table has 4 ids for 3 rows"):
+            _prepare(*_matrices(), dist)
+
     def test_keep_table_of_wrong_length_rejected(self):
-        inp, banks = _word_pass_args()
         dist = build_noise_distribution(np.array([3, 2, 1]))
         with pytest.raises(ValueError, match="keep table has 2 ids for 3 rows"):
-            kernel.word_pass(inp, banks, [0, 1], 1, False, dist.cumulative, dist.guide, np.ones(2),
-                             np.random.default_rng(1), 2, 0.05)
+            _prepare(*_matrices(), dist, np.ones(2))
 
     def test_guide_table_of_wrong_length_rejected(self):
-        inp, banks = _word_pass_args()
         dist = build_noise_distribution(np.array([3, 2, 1]))
+        guide = dist.guide
+        dist.guide = guide[:-1]
         with pytest.raises(ValueError, match="guide table has 3 entries for 3 ids, not 4"):
-            kernel.word_pass(inp, banks, [0, 1], 1, False, dist.cumulative, dist.guide[:-1], None,
-                             np.random.default_rng(1), 2, 0.05)
+            _prepare(*_matrices(), dist)
         with pytest.raises(ValueError, match="guide table has 5 entries for 3 ids, not 4"):
-            kernel.sample_noise(dist.cumulative, np.append(dist.guide, 3), np.array([0.5]), -1)
+            kernel.sample_noise(dist.cumulative, np.append(guide, 3), np.array([0.5]), -1)
+
+    @pytest.mark.parametrize("which", ["input", "bank"])
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda m: m.setflags(write=False) or m,
+            np.asfortranarray,
+            lambda m: m.astype(np.float32),
+            lambda m: np.ascontiguousarray(m[:, :3]),
+        ],
+        ids=["unwritable", "fortran-order", "float32", "narrow"],
+    )
+    def test_matrix_the_kernel_cannot_update_in_place_rejected(self, which, spoil):
+        inp, banks = _matrices()
+        if which == "input":
+            inp = spoil(inp)
+        else:
+            banks[0] = spoil(banks[0])
+        dist = build_noise_distribution(np.array([3, 2, 1]))
+        with pytest.raises(ValueError, match="writable C-contiguous float64"):
+            _prepare(inp, banks, dist)
+
+    def test_waits_for_the_generators_lock(self):
+        # numpy's Generator methods hold bit_generator.lock while they draw;
+        # the pass must too, or a second thread's draws interleave with its own.
+        dist = build_noise_distribution(np.array([3, 2, 1]))
+        ids = [0, 1, 2, 1, 0]
+        free_inp, free_banks = _matrices()
+        want = _prepare(free_inp, free_banks, dist, rng=np.random.default_rng(9))(ids, 0.05)
+        inp, banks = _matrices()
+        rng = np.random.default_rng(9)
+        word_pass = _prepare(inp, banks, dist, rng=rng)
+        got = []
+        with rng.bit_generator.lock:
+            thread = threading.Thread(target=lambda: got.append(word_pass(ids, 0.05)))
+            thread.start()
+            thread.join(0.2)
+            assert thread.is_alive() and got == []
+        thread.join(30)
+        assert not thread.is_alive()
+        assert got == [want]
+        np.testing.assert_array_equal(inp, free_inp)
+        np.testing.assert_array_equal(banks[0], free_banks[0])
 
 
 def _fake_compiler() -> list[str]:
@@ -277,3 +347,95 @@ class TestBuildCache:
             capture_output=True, text=True, timeout=120, check=True,
         )
         assert proc.stdout.split() == ["0", "1"]
+
+    def test_ingest_prepares_no_word_pass(self, tmp_path, monkeypatch):
+        # train(epochs=0) is the ingest alone, which must not pay for the kernel
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b c\nb c a\n")
+        built = []
+        prepare = kernel.WordPass
+        monkeypatch.setattr(kernel, "WordPass", lambda *args: built.append(args) or prepare(*args))
+        trainer.train(corpus, TrainConfig(dim=4, min_count=1, epochs=0))
+        assert built == []
+        trainer.train(corpus, TrainConfig(dim=4, min_count=1))
+        assert len(built) == 1
+
+
+# Trains one fixed run per config with the kernel built from argv[2] into
+# argv[3] at kernel.FLAGS plus the flags in argv[4:], or with the shipped
+# build when only the corpus is given; prints each run's parameter hash and
+# word stream state.  Exit code 3 means the build failed.
+CROSS_BUILD_RUN = """
+import json, sys
+from pathlib import Path
+from phrasegram import kernel, trainer
+from phrasegram.manifest import params_sha256
+from phrasegram.model import Mode, TrainConfig
+
+if len(sys.argv) > 2:
+    kernel.SOURCE, kernel.CACHE_DIR = Path(sys.argv[2]), Path(sys.argv[3])
+    kernel.FLAGS = kernel.FLAGS + tuple(sys.argv[4:])
+configs = [
+    TrainConfig(dim=101, window=3, subsample=1e-3, mode=Mode.POSITIONAL, min_count=1, seed=12),
+    TrainConfig(dim=100, window=5, word_negatives=5, min_count=1, seed=13),
+]
+runs = []
+for config in configs:
+    try:
+        result = trainer.train(sys.argv[1], config)
+    except kernel.KernelBuildError as exc:
+        print(exc, file=sys.stderr)
+        sys.exit(3)
+    runs.append([params_sha256(result.params.matrices()), result.state_dict])
+print(json.dumps(runs))
+"""
+
+
+def _cross_build_run(corpus, *build):
+    return subprocess.run(
+        [sys.executable, "-c", CROSS_BUILD_RUN, str(corpus), *map(str, build)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.fixture(scope="module")
+def cross_build_corpus(tmp_path_factory):
+    """~3000 Zipf-distributed tokens, with the shipped build's runs over them."""
+    rng = np.random.default_rng(12)
+    words = rng.zipf(1.3, size=3000) % 400
+    corpus = tmp_path_factory.mktemp("cross-build") / "c.txt"
+    corpus.write_text("".join(" ".join(f"w{w}" for w in line) + "\n" for line in words.reshape(150, 20)))
+    shipped = _cross_build_run(corpus)
+    assert shipped.returncode == 0, shipped.stderr
+    return corpus, shipped.stdout
+
+
+class TestCrossBuild:
+    """Every instruction set the compiler may use gives the shipped build's bits.
+
+    -ffp-contract=off and dot's fixed order forbid every rounding change a
+    vector width could bring, so the default clone alone, and whole builds
+    for AVX2 and AVX-512, must train exactly as the shipped object does,
+    whichever clone the loader picked for this host.
+    """
+
+    @pytest.mark.parametrize("extra", [(), ("-mavx2",), ("-mavx512f",)], ids=["default", "avx2", "avx512f"])
+    def test_train_bitwise_equal_to_shipped_build(self, tmp_path, cross_build_corpus, extra):
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip(f"the kernel has clones only on x86-64, not {platform.machine()}")
+        corpus, shipped = cross_build_corpus
+        original = kernel.SOURCE.read_text()
+        stripped = "".join(
+            line for line in original.splitlines(keepends=True) if "target_clones" not in line
+        )
+        assert stripped != original
+        source = tmp_path / "_kernel.c"
+        source.write_text(stripped)
+        proc = _cross_build_run(corpus, source, tmp_path / "cache", *extra)
+        if proc.returncode == 3 and any(flag in proc.stderr for flag in extra):
+            pytest.skip(f"the compiler rejects {' '.join(extra)}: {proc.stderr.strip()}")
+        if proc.returncode == -signal.SIGILL:
+            pytest.skip(f"this host cannot run a build with {' '.join(extra)}")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == json.loads(shipped)

@@ -7,6 +7,8 @@ reduction to the baseline mode.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradient_utils import bound_away_from_zero, check_step_against_fd
 from phrasegram.composition import CompositionConfig
@@ -20,7 +22,7 @@ from phrasegram.model import (
     checkpoint_save,
     init_params,
 )
-from phrasegram import trainer
+from phrasegram import kernel, trainer
 from phrasegram.trainer import (
     MappedSentence,
     TrainingState,
@@ -335,21 +337,23 @@ def reference_train_sentence(params, state, mapped, config, ctx):
     """The per-pair loop train_sentence ran before the kernel: the oracle.
 
     iter_window_pairs -> NoiseDistribution.sample -> word_step, after one
-    scalar subsampling draw per in-vocab token; the phrase pass as in
+    scalar subsampling draw per in-vocab token, with the noise and keep
+    tables ctx.word_pass was prepared with; the phrase pass as in
     train_sentence.
     """
     c = config.window
     positional = config.mode.positional
     lr = state.lr
     word_ids = mapped.word_ids
-    if ctx.keep_prob is not None:
+    keep, noise = ctx.word_pass.keep, ctx.word_pass.noise
+    if keep is not None:
         word_ids = [
-            wid if wid >= 0 and state.word_rng.random() < ctx.keep_prob[wid] else -1
+            wid if wid >= 0 and state.word_rng.random() < keep[wid] else -1
             for wid in word_ids
         ]
     ew, n_w = 0.0, 0
     for t, u, off in iter_window_pairs(word_ids, c):
-        negs = ctx.word_dist.sample(state.word_rng, config.word_negatives, exclude=word_ids[t])
+        negs = noise.sample(state.word_rng, config.word_negatives, exclude=word_ids[t])
         bank = bank_for_offset(off, c, positional)
         ew += word_step(params, word_ids[t], word_ids[u], negs, lr, bank)
         n_w += 1
@@ -371,8 +375,27 @@ def reference_train_sentence(params, state, mapped, config, ctx):
 PHRASES = [(0, 1), (2,), (1, 1, 0), (2, 0)]  # components over word ids 0..2
 
 
+def _context(params, state, config, counts):
+    """The per-run context train() builds, over a vocabulary with these counts."""
+    vocab = Vocab([f"w{i}" for i in range(len(counts))], counts)
+    keep = (
+        trainer._subsample_keep_prob(vocab, config.subsample) if config.subsample else None
+    )
+    return trainer._SentenceContext(
+        word_pass=kernel.WordPass(
+            params.input_words, params.output_words,
+            trainer.build_noise_distribution(vocab.counts), keep, state.word_rng,
+            config.word_negatives, config.window, config.mode.positional,
+        ),
+        phrase_dist=trainer.build_noise_distribution(np.array([5, 4, 3, 2])),
+        phrase_components=PHRASES,
+        comp=CompositionConfig(alpha=config.alpha),
+    )
+
+
 def run_against_reference(
-    mode, vocab_size, sentences, alpha=1.0, subsample=0.0, seed=51, dim=4, counts=None
+    mode, vocab_size, sentences, alpha=1.0, subsample=0.0, seed=51, dim=4, counts=None,
+    window=2, k=3, beta=1.0,
 ):
     """train_sentence and the reference loop on copies of one model, sentence by sentence.
 
@@ -382,26 +405,19 @@ def run_against_reference(
     gentle slope from 3 * vocab_size down.
     """
     rng = np.random.default_rng(seed)
-    params = rand_params(rng, vocab_size=vocab_size, dim=dim, mode=mode, window=2)
+    params = rand_params(rng, vocab_size=vocab_size, dim=dim, mode=mode, window=window)
     config = TrainConfig(
-        dim=params.dim, window=2, min_count=1, mode=mode, alpha=alpha,
-        word_negatives=3, phrase_negatives=2, subsample=subsample,
+        dim=params.dim, window=window, min_count=1, mode=mode, alpha=alpha, beta=beta,
+        word_negatives=k, phrase_negatives=2, subsample=subsample,
     )
     if counts is None:
         counts = list(range(3 * vocab_size, 2 * vocab_size, -1))
-    vocab = Vocab([f"w{i}" for i in range(vocab_size)], counts)
-    ctx = trainer._SentenceContext(
-        word_dist=trainer.build_noise_distribution(vocab.counts),
-        phrase_dist=trainer.build_noise_distribution(np.array([5, 4, 3, 2])),
-        phrase_components=PHRASES,
-        comp=CompositionConfig(alpha=alpha),
-        keep_prob=trainer._subsample_keep_prob(vocab, subsample) if subsample else None,
-    )
     ref_params = params.copy()
     state, ref_state = (
         TrainingState(0.05, np.random.default_rng(seed + 1), np.random.default_rng(seed + 2))
         for _ in range(2)
     )
+    ctx = _context(params, state, config, counts)
     for mapped in sentences:
         got = train_sentence(params, state, mapped, config, ctx)
         want = reference_train_sentence(ref_params, ref_state, mapped, config, ctx)
@@ -482,17 +498,48 @@ class TestTrainSentenceMatchesReference:
         rng = np.random.default_rng(53)
         params = rand_params(rng, mode=Mode.BASELINE)
         config = TrainConfig(dim=params.dim, window=2, min_count=1, word_negatives=2)
-        ctx = trainer._SentenceContext(
-            trainer.build_noise_distribution(np.arange(1, 9)), None, [], CompositionConfig(), None
-        )
         state = TrainingState(0.05, np.random.default_rng(1), np.random.default_rng(2))
         params.output_words[0].flags.writeable = False
         with pytest.raises(ValueError, match="writable C-contiguous float64"):
-            train_sentence(params, state, MappedSentence([0, 1, 2], []), config, ctx)
+            _context(params, state, config, np.arange(1, 9))
         params.output_words[0] = np.asfortranarray(params.output_words[0])
         with pytest.raises(ValueError, match="writable C-contiguous float64"):
-            train_sentence(params, state, MappedSentence([0, 1, 2], []), config, ctx)
+            _context(params, state, config, np.arange(1, 9))
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_pair_loop_on_drawn_runs(self, data):
+        vocab_size = data.draw(st.integers(3, 12), label="vocab_size")
+        word = st.integers(-1, vocab_size - 1)  # holes and, from so few ids, repeats
+        phrase = st.integers(-1, len(PHRASES) - 1)
+        sentences = data.draw(
+            st.lists(
+                st.builds(
+                    MappedSentence,
+                    st.one_of(st.lists(word, min_size=1, max_size=1), st.lists(word, max_size=14)),
+                    st.lists(phrase, max_size=6),
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+            label="sentences",
+        )
+        run_against_reference(
+            data.draw(st.sampled_from(list(Mode)), label="mode"),
+            vocab_size,
+            sentences,
+            alpha=data.draw(st.sampled_from([1.0, 1.5, 3.0]), label="alpha"),
+            subsample=data.draw(st.sampled_from([0.0, 0.02]), label="subsample"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+            dim=data.draw(st.one_of(st.integers(1, 9), st.just(101)), label="dim"),
+            counts=data.draw(
+                st.lists(st.integers(1, 60), min_size=vocab_size, max_size=vocab_size),
+                label="counts",
+            ),
+            window=data.draw(st.integers(1, 5), label="window"),
+            k=data.draw(st.integers(1, 6), label="k"),
+            beta=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]), label="beta"),
+        )
 
 class TestTrainEndToEnd:
     def _write_corpus(self, path, n_sentences=80, seed=61):
