@@ -26,7 +26,8 @@
  * reassociate a sum, and with -ffp-contract=off it may not fuse a multiply and
  * an add, so a wider vector only does more of the same IEEE operations, each
  * rounded as before, in the same order.  The elementwise loops have no order
- * to change, and dot's four lanes fix the order of its sum.
+ * to change, and dot's four lanes fix the order of its sum.  Both clones call
+ * the same C library exp and log1p.
  */
 #include <math.h>
 #include <stdint.h>

@@ -5,12 +5,13 @@ The first epoch a process trains loads the kernel with ctypes from
 first with the C compiler Python was built with (`sysconfig` CC) if that
 file does not exist.  `FLAGS` build at -O3 with -ffp-contract=off and no
 host-specific instruction set: the optimizer may vectorize, but never
-fuses a multiply-add or reorders a sum, so the kernel's arithmetic does
-not depend on the host's instruction set.  On x86-64 the object holds two
-clones of the word pass, for AVX2 and for baseline x86-64, and the
-dynamic loader picks one for the host when it loads the object (an
-ifunc), so the object stays portable and both clones compute the same
-bits.  The key hashes the source, the compiler command, the flags, the
+fuses a multiply-add or reorders a sum, so the kernel's own arithmetic
+does not depend on the host's instruction set (its exp and log1p come
+from the C library, whose variants for different hosts may differ in the
+last bit).  On x86-64 the object holds two clones of the word pass, for
+AVX2 and for baseline x86-64, and the dynamic loader picks one for the
+host when it loads the object (an ifunc), so the object stays portable
+and both clones compute the same bits.  The key hashes the source, the compiler command, the flags, the
 interpreter's cache tag and the machine, so a change to any of them
 builds a new object and an unchanged one is reused.  The object is
 written through `corpus.output_file`, so a concurrent process never loads
@@ -177,6 +178,8 @@ class WordPass:
     is checked and converted here, once: the object holds every array
     whose address it passes to the kernel, so the matrices are updated in
     place for as long as it lives and must not be replaced meanwhile.
+    The noise distribution and the float64 keep table (or None) stay
+    readable as `noise` and `keep`.
     """
 
     def __init__(
@@ -201,7 +204,7 @@ class WordPass:
             keep = np.ascontiguousarray(keep, dtype=np.float64)
         self.noise = noise
         self.keep = keep
-        self.rows = rows
+        self._rows = rows
         cum = np.ascontiguousarray(noise.cumulative, dtype=np.float64)
         guide = _guide_table(noise.guide, rows)
         table = (ctypes.c_void_p * len(banks))(*(_address(m, inp.shape) for m in banks))
@@ -211,7 +214,7 @@ class WordPass:
         bitgen = rng.bit_generator
         fns = bitgen.ctypes  # next_double converts to the function's address
         # Everything whose address the kernel is given, kept alive with the object.
-        self._held = (inp, *banks, cum, guide, table, work, negs, bitgen, fns)
+        self._held = (inp, *banks, keep, cum, guide, table, work, negs, bitgen, fns)
         # The generator's lock also guards the scratch buffers and the objective.
         self._lock = bitgen.lock
         self._fn = load().word_pass
@@ -228,8 +231,8 @@ class WordPass:
         Returns the summed pre-update objective and the number of pairs.
         """
         ids = np.array(ids, dtype=np.int64)  # a copy: the kernel marks dropped tokens -1
-        if len(ids) and ids.max() >= self.rows:
-            raise ValueError(f"word id {int(ids.max())} is out of range for {self.rows} rows")
+        if len(ids) and ids.max() >= self._rows:
+            raise ValueError(f"word id {int(ids.max())} is out of range for {self._rows} rows")
         with self._lock:
             pairs = self._fn(
                 *self._head, ids.ctypes.data, len(ids), *self._tail, lr, *self._scratch
