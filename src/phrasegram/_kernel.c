@@ -1,4 +1,4 @@
-/* Per-sentence training kernel: the word-level pass of train_sentence.
+/* Per-sentence training kernel: the word-level pass of a training run.
  *
  * One call subsamples one mapped sentence, then visits its window pairs,
  * drawing each pair's negatives and applying the skip-gram negative-sampling

@@ -9,6 +9,7 @@ malformed inputs, out-of-vocabulary queries, a diverging training run).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import fields
@@ -67,6 +68,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="phrasegram", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")

@@ -11,11 +11,12 @@ from the C library, whose variants for different hosts may differ in the
 last bit).  On x86-64 the object holds two clones of the word pass, for
 AVX2 and for baseline x86-64, and the dynamic loader picks one for the
 host when it loads the object (an ifunc), so the object stays portable
-and both clones compute the same bits.  The key hashes the source, the compiler command, the flags, the
-interpreter's cache tag and the machine, so a change to any of them
-builds a new object and an unchanged one is reused.  The object is
-written through `corpus.output_file`, so a concurrent process never loads
-a half-written one.
+and both clones compute the same bits.  The key hashes the source, the
+compiler command, the flags, the interpreter's cache tag and the
+machine, so a change to any of them builds a new object and an
+unchanged one is reused.  The object is written through
+`corpus.output_file`, so a concurrent process never loads a
+half-written one.
 
 The kernel indexes matrices by id without bounds checks, so the wrappers
 here check what it will read and write: matrices must be writable,
@@ -168,7 +169,7 @@ def sample_noise(
 
 
 class WordPass:
-    """The word-level pass of train_sentence, prepared once for a run.
+    """The word-level pass of a training run, prepared once for the run.
 
     `inp` and `banks` are the input matrix and the output matrices,
     indexed as model.bank_for_offset does; `noise` is the word
@@ -178,8 +179,6 @@ class WordPass:
     is checked and converted here, once: the object holds every array
     whose address it passes to the kernel, so the matrices are updated in
     place for as long as it lives and must not be replaced meanwhile.
-    The noise distribution and the float64 keep table (or None) stay
-    readable as `noise` and `keep`.
     """
 
     def __init__(
@@ -202,8 +201,6 @@ class WordPass:
             if len(keep) != rows:
                 raise ValueError(f"keep table has {len(keep)} ids for {rows} rows")
             keep = np.ascontiguousarray(keep, dtype=np.float64)
-        self.noise = noise
-        self.keep = keep
         self._rows = rows
         cum = np.ascontiguousarray(noise.cumulative, dtype=np.float64)
         guide = _guide_table(noise.guide, rows)

@@ -201,8 +201,10 @@ class ModelParams:
         return self.input_words.shape[1]
 
     def validate(self, config: TrainConfig) -> None:
-        """Check bank counts against config's mode and window, and shapes; raises ValueError."""
+        """Check width, bank counts and shapes against config; raises ValueError."""
         w, d = self.input_words.shape
+        if d != config.dim:
+            raise ValueError(f"config.dim is {config.dim}, the matrices have {d} columns")
         mode = config.mode
         n_banks = 2 * config.window if mode.positional else 1
         if len(self.output_words) != n_banks:
@@ -271,20 +273,28 @@ def init_params(
 ) -> ModelParams:
     """Allocate and initialize parameters for the configured mode.
 
-    Input embeddings are uniform in (-0.5/dim, +0.5/dim); all output
-    matrices start at zero.
+    Input embeddings are uniform in (-0.5/dim, +0.5/dim), drawn from rng.
+    The word-level output matrices start at zero, as in word2vec.  The
+    phrase output matrices start at zero when alpha = 1.  When alpha > 1
+    each is drawn from rng after the input matrix, in bank order, from the
+    input's distribution: the power map's Jacobian is 0 at 0 for alpha > 1,
+    so from an all-zero bank no phrase gradient ever reaches the bank or
+    the input rows, and the phrase pass would learn nothing.  At alpha = 1
+    the Jacobian is 1 everywhere and zero is not a fixed point.
     """
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
     d = config.dim
-    inp = (rng.random((vocab_size, d)) - 0.5) / d
+
+    def uniform() -> np.ndarray:
+        return (rng.random((vocab_size, d)) - 0.5) / d
+
+    inp = uniform()
     n_banks = 2 * config.window if config.mode.positional else 1
     out = [np.zeros((vocab_size, d)) for _ in range(n_banks)]
-    phrase_out = (
-        [np.zeros((vocab_size, d)) for _ in range(n_banks)]
-        if config.mode.compositional
-        else []
-    )
+    phrase_out = []
+    if config.mode.compositional:
+        phrase_out = [uniform() if config.alpha > 1 else np.zeros_like(inp) for _ in range(n_banks)]
     params = ModelParams(inp, out, phrase_out)
     params.validate(config)
     return params
@@ -295,7 +305,7 @@ class CheckpointError(Exception):
 
 
 class CheckpointFormatError(CheckpointError):
-    """File does not carry the checkpoint magic."""
+    """File does not carry the checkpoint magic, or its payload is malformed."""
 
 
 class CheckpointVersionError(CheckpointError):
@@ -367,9 +377,14 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
     """Read a checkpoint written by checkpoint_save.
 
     Raises CheckpointFormatError, CheckpointVersionError,
-    CheckpointTruncatedError or CheckpointChecksumError, and ValueError,
-    naming the field, when the config or the vocabularies do not fit the
-    matrices; never returns a partially read model.
+    CheckpointTruncatedError or CheckpointChecksumError, each starting
+    with the path: CheckpointFormatError also for a payload whose header
+    or matrix manifest is malformed (bad UTF-8 or JSON, a missing key, a
+    value of the wrong type, a matrix name out of order, matrix bytes that
+    do not fill the payload exactly).  Raises ValueError, starting with
+    the path and naming the field, when the config or the vocabularies
+    break their rules or do not fit the matrices.  Never returns a
+    partially read model.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -392,48 +407,102 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
     if zlib.crc32(payload) != crc:
         raise CheckpointChecksumError(f"{path}: checksum mismatch")
 
-    (header_len,) = struct.unpack("<I", payload[:4])
-    header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
-    config = TrainConfig.from_dict(header["config"])
-    # One copy per matrix, straight out of the payload: aligned, writable
-    # and C-contiguous, as training a resumed model needs.
-    offset = 4 + header_len
-    by_name: dict[str, np.ndarray] = {}
-    for spec_ in header["matrices"]:
-        rows, dim = spec_["rows"], spec_["dim"]
-        mat = np.frombuffer(payload, dtype="<f8", count=rows * dim, offset=offset)
-        by_name[spec_["name"]] = mat.reshape(rows, dim).astype(np.float64)
-        offset += mat.nbytes
-    out_names = sorted(
-        (n for n in by_name if n.startswith("output:")), key=lambda n: int(n.split(":")[1])
-    )
-    phrase_names = sorted(
-        (n for n in by_name if n.startswith("phrase_output:")),
-        key=lambda n: int(n.split(":")[1]),
-    )
-    params = ModelParams(
-        input_words=by_name["input"],
-        output_words=[by_name[n] for n in out_names],
-        phrase_output_words=[by_name[n] for n in phrase_names],
-    )
-    params.validate(config)
-    vocab, phrase_vocab = _load_vocabularies(header, params.vocab_size, path)
+    header, params = _read_payload(payload, path)
+    try:
+        config = TrainConfig.from_dict(header["config"])
+        params.validate(config)
+        vocab, phrase_vocab = _load_vocabularies(header, params.vocab_size)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return CheckpointData(params, config, vocab, phrase_vocab, header["state"])
 
 
-def _load_vocabularies(
-    header: dict, rows: int, path: Path
-) -> tuple[Vocab, PhraseVocab | None]:
+_HEADER_TYPES = {
+    "config": dict,
+    "vocab": dict,
+    "phrase_vocab": (dict, type(None)),
+    "state": (dict, type(None)),
+    "matrices": list,
+}
+
+
+def _list_of(value: object, kind: type) -> bool:
+    # type(), not isinstance(): JSON true and false must not pass as integers.
+    return isinstance(value, list) and all(type(v) is kind for v in value)
+
+
+def _read_payload(payload: bytes, path: Path) -> tuple[dict, ModelParams]:
+    """The payload's JSON header and the matrices it describes.
+
+    Checks the structure only: keys, types, matrix names and sizes.  What
+    the values mean is checked by the caller.
+    """
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise CheckpointFormatError(f"{path}: {what}")
+
+    require(len(payload) >= 4, "payload holds no header length")
+    (header_len,) = struct.unpack("<I", payload[:4])
+    require(4 + header_len <= len(payload), f"header of {header_len} bytes runs past the payload")
+    try:
+        header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise CheckpointFormatError(f"{path}: header is not UTF-8 JSON: {exc}") from None
+    require(isinstance(header, dict), "header is not a JSON object")
+    for key, kinds in _HEADER_TYPES.items():
+        require(key in header, f"header has no {key!r}")
+        require(isinstance(header[key], kinds), f"header {key!r} is {type(header[key]).__name__}")
+    vocab, phrases = header["vocab"], header["phrase_vocab"]
+    require(_list_of(vocab.get("words"), str), "vocab.words is not a list of strings")
+    require(_list_of(vocab.get("counts"), int), "vocab.counts is not a list of integers")
+    if phrases is not None:
+        keys = phrases.get("keys")
+        require(
+            isinstance(keys, list)
+            and all(
+                isinstance(k, list) and len(k) == 2 and isinstance(k[0], list) and type(k[1]) is str
+                for k in keys
+            ),
+            "phrase_vocab.keys is not a list of [[word ids], label] pairs",
+        )
+        require(_list_of(phrases.get("counts"), int), "phrase_vocab.counts is not a list of integers")
+
+    names, matrices = [], []
+    offset = 4 + header_len
+    for spec in header["matrices"]:
+        require(
+            isinstance(spec, dict)
+            and type(spec.get("name")) is str
+            and all(type(spec.get(k)) is int and spec[k] >= 0 for k in ("rows", "dim")),
+            f"matrices entry {spec!r} is not a name with non-negative integer rows and dim",
+        )
+        name, rows, dim = spec["name"], spec["rows"], spec["dim"]
+        require(offset + 8 * rows * dim <= len(payload), f"matrix {name} runs past the payload")
+        # One copy per matrix, straight out of the payload: aligned, writable
+        # and C-contiguous, as training a resumed model needs.
+        mat = np.frombuffer(payload, dtype="<f8", count=rows * dim, offset=offset)
+        names.append(name)
+        matrices.append(mat.reshape(rows, dim).astype(np.float64))
+        offset += 8 * rows * dim
+    require(offset == len(payload), f"{len(payload) - offset} payload bytes follow the matrices")
+    n_out = sum(name.startswith("output:") for name in names)
+    expected = (
+        ["input"]
+        + [f"output:{i}" for i in range(n_out)]
+        + [f"phrase_output:{i}" for i in range(len(names) - 1 - n_out)]
+    )
+    require(names == expected, f"matrix names {names} are not input, output:0.., phrase_output:0..")
+    return header, ModelParams(matrices[0], matrices[1 : 1 + n_out], matrices[1 + n_out :])
+
+
+def _load_vocabularies(header: dict, rows: int) -> tuple[Vocab, PhraseVocab | None]:
     """The header's vocabularies, checked against the matrices' row count."""
     words, counts = header["vocab"]["words"], header["vocab"]["counts"]
     if len(words) != rows:
-        raise ValueError(
-            f"{path}: vocab.words has {len(words)} entries, the matrices have {rows} rows"
-        )
+        raise ValueError(f"vocab.words has {len(words)} entries, the matrices have {rows} rows")
     if len(counts) != rows:
-        raise ValueError(
-            f"{path}: vocab.counts has {len(counts)} entries, vocab.words has {rows}"
-        )
+        raise ValueError(f"vocab.counts has {len(counts)} entries, vocab.words has {rows}")
     vocab = Vocab(words, counts)
     if header["phrase_vocab"] is None:
         return vocab, None
@@ -442,8 +511,7 @@ def _load_vocabularies(
         for i in ids:
             if type(i) is not int or not 0 <= i < rows:
                 raise ValueError(
-                    f"{path}: phrase_vocab.keys component {i!r} is not a word id "
-                    f"in [0, {rows})"
+                    f"phrase_vocab.keys component {i!r} is not a word id in [0, {rows})"
                 )
     phrase_vocab = PhraseVocab(
         [(tuple(ids), label) for ids, label in keys], header["phrase_vocab"]["counts"]

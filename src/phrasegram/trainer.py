@@ -18,25 +18,26 @@ apply the writes, so the net parameter change of one step equals the
 learning rate times the exact simultaneous gradient of that step's
 objective term, even when an id appears more than once in the step.
 
-Training runs the word-level pass of each sentence as one call into the
-compiled kernel (`_kernel.c`, built and loaded by `phrasegram.kernel`),
-through a `kernel.WordPass` that `train` prepares once per run, when an
-epoch is to run, from the run's matrices, word noise table, keep table
-and word generator.  The kernel keeps the same read-before-write rule
+Training runs each sentence as two passes, which `train` prepares once
+per run, when an epoch is to run: the word pass (`kernel.WordPass`) and
+then, in compositional modes with beta > 0 and at least two retained
+phrases, the phrase pass (`PhrasePass`).  Both write the input matrix,
+so their order is part of the result.  The word pass is one call into
+the compiled kernel (`_kernel.c`, built and loaded by
+`phrasegram.kernel`).  The kernel keeps the same read-before-write rule
 per step: it reads every score and the center's gradient from the
 pre-update rows, then writes the output rows and then the center row, so
-it matches `word_step` up to the rounding of dot products, which it sums
-in four lanes in a fixed order (built at -O3 with -ffp-contract=off, so
-the order holds on every host and in either of its x86-64 clones).
-`word_step` stays as the reference the tests compare the kernel against,
-as do `iter_window_pairs` and `NoiseDistribution.sample`, which still
-drive the phrase-level pass.  The kernel also subsamples the sentence and draws every uniform of the word
-pass itself, from the word stream's generator, in the per-pair
-reference's order: one per in-vocab token when subsampling, then k per
-pair.  It looks each negative up through the noise table's guide table
-(`NoiseDistribution.guide`), which returns the id `sample`'s whole-table
-search returns.  So every seed keeps the same tokens and draws the same
-negatives.
+it matches `word_step`, its reference in the tests, up to the rounding
+of dot products, which it sums in four lanes in a fixed order (built at
+-O3 with -ffp-contract=off, so the order holds on every host and in
+either of its x86-64 clones).  It also subsamples the sentence and draws
+every uniform of the pass itself, from the word stream's generator, in
+the per-pair reference's order: one per in-vocab token when subsampling,
+then k per pair, each negative looked up through the noise table's guide
+table (`NoiseDistribution.guide`), which returns the id `sample`'s
+whole-table search returns.  So every seed keeps the same tokens and
+draws the same negatives.  The phrase pass runs `iter_window_pairs`,
+`NoiseDistribution.sample` and `phrase_step` in Python.
 
 Window distances are surface distances: positions in the token sequence
 for words and in the chunk sequence for phrases.  Out-of-vocab tokens and
@@ -92,7 +93,7 @@ __all__ = [
     "phrase_step",
     "iter_window_pairs",
     "map_sentence",
-    "train_sentence",
+    "PhrasePass",
     "train",
 ]
 
@@ -199,11 +200,7 @@ def word_step(
     coefs[0] += 1.0  # label - sigmoid(score)
     grad_v = coefs @ rows
     deltas = (lr * coefs)[:, None] * v
-    if len(set(idx.tolist())) == len(idx):
-        out[idx] += deltas
-    else:
-        # Repeated rows must accumulate, which fancy-index += would drop.
-        np.add.at(out, idx, deltas)
+    np.add.at(out, idx, deltas)  # a repeated row accumulates; fancy-index += drops all but one
     v += lr * grad_v
     return term
 
@@ -328,9 +325,8 @@ def _restore_rng(state: dict) -> np.random.Generator:
 
 @dataclass
 class TrainingState:
-    """Optimizer bookkeeping: learning rate, RNG streams and progress."""
+    """Optimizer bookkeeping: RNG streams and progress (train() derives lr from it)."""
 
-    lr: float
     word_rng: np.random.Generator
     phrase_rng: np.random.Generator
     tokens_processed: int = 0
@@ -340,7 +336,7 @@ class TrainingState:
     def fresh(cls, config: TrainConfig) -> "TrainingState":
         """Start state; child 0 of SeedSequence(seed) seeds init_params."""
         children = np.random.SeedSequence(config.seed).spawn(3)
-        return cls(config.lr_start, _rng_from(children[1]), _rng_from(children[2]))
+        return cls(_rng_from(children[1]), _rng_from(children[2]))
 
     def to_dict(self) -> dict:
         # `workers` stays a one-entry list: the v1 checkpoint layout.
@@ -356,7 +352,7 @@ class TrainingState:
         }
 
     @classmethod
-    def from_dict(cls, state: dict, lr: float) -> "TrainingState":
+    def from_dict(cls, state: dict) -> "TrainingState":
         workers = state["workers"]
         if len(workers) != 1:
             raise ValueError(
@@ -364,7 +360,6 @@ class TrainingState:
                 "only single-state (workers=1) checkpoints can be resumed"
             )
         return cls(
-            lr=lr,
             word_rng=_restore_rng(workers[0]["word_rng"]),
             phrase_rng=_restore_rng(workers[0]["phrase_rng"]),
             tokens_processed=state["tokens_processed"],
@@ -373,57 +368,53 @@ class TrainingState:
 
 
 @dataclass
-class _SentenceContext:
-    """Immutable per-run lookups shared by train_sentence calls."""
+class PhrasePass:
+    """The phrase-level pass, prepared once for a run.
 
-    word_pass: kernel.WordPass  # bound to the run's matrices and word stream
-    phrase_dist: NoiseDistribution | None
-    phrase_components: list[tuple[int, ...]]
-    comp: CompositionConfig
-
-
-def train_sentence(
-    params: ModelParams,
-    state: TrainingState,
-    mapped: MappedSentence,
-    config: TrainConfig,
-    ctx: _SentenceContext,
-) -> tuple[float, int, float, int]:
-    """Run the word-level and phrase-level passes over one sentence.
-
-    The word pass, subsampled first when configured, is one call of
-    ctx.word_pass, which updates the matrices and advances the word stream
-    it was prepared with.  Returns (E_w sum, word step count, E_p sum,
-    phrase step count).  The phrase pass runs only in compositional modes
-    with beta > 0 and a non-empty phrase vocabulary; its updates are scaled
-    by lr * beta.
+    `params` is the model it updates, `noise` the phrase NoiseDistribution
+    and `components` each phrase id's component word ids.  A call visits
+    the window pairs of a sentence's phrase ids (-1 for a chunk that is
+    not a retained phrase), draws each pair's k negatives from rng,
+    excluding the center phrase, and applies phrase_step at lr * beta in
+    the bank of the pair's offset.
     """
-    c = config.window
-    positional = config.mode.positional
-    lr = state.lr
 
-    ew, n_w = ctx.word_pass(mapped.word_ids, lr)
+    params: ModelParams
+    noise: NoiseDistribution
+    components: Sequence[tuple[int, ...]]
+    rng: np.random.Generator
+    k: int
+    window: int
+    positional: bool
+    alpha: float
+    beta: float
 
-    ep, n_p = 0.0, 0
-    if config.beta > 0 and config.mode.compositional and ctx.phrase_dist is not None:
-        phrase_lr = lr * config.beta
-        n = config.phrase_negatives
-        comps = ctx.phrase_components
-        for i, j, off in iter_window_pairs(mapped.phrase_ids, c):
-            pid = mapped.phrase_ids[i]
-            negs = ctx.phrase_dist.sample(state.phrase_rng, n, exclude=pid)
-            bank = bank_for_offset(off, c, positional)
+    def __call__(self, phrase_ids: Sequence[int], lr: float) -> tuple[float, int]:
+        """Returns the summed pre-update objective and the number of pairs."""
+        c = self.window
+        comps = self.components
+        comp = CompositionConfig(alpha=self.alpha)
+        phrase_lr = lr * self.beta
+        ep, n_p = 0.0, 0
+        for i, j, off in iter_window_pairs(phrase_ids, c):
+            pid = phrase_ids[i]
+            negs = self.noise.sample(self.rng, self.k, exclude=pid)
             ep += phrase_step(
-                params,
+                self.params,
                 comps[pid],
-                comps[mapped.phrase_ids[j]],
+                comps[phrase_ids[j]],
                 [comps[g] for g in negs],
                 phrase_lr,
-                ctx.comp,
-                bank,
+                comp,
+                bank_for_offset(off, c, self.positional),
             )
             n_p += 1
-    return ew, n_w, ep, n_p
+        return ep, n_p
+
+
+def _no_phrase_pass(phrase_ids: Sequence[int], lr: float) -> tuple[float, int]:
+    """The phrase pass of a run that has none."""
+    return 0.0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +486,11 @@ def train(
 ) -> TrainResult:
     """Train a model over a chunked corpus file.
 
-    With a fixed seed the run is bit-reproducible.  Passing a checkpoint
-    as `start` resumes training at the saved epoch boundary and continues
-    identically to an uninterrupted run (the checkpoint must come from the
-    same config).  `stop_after_epoch` ends the run early at that epoch
-    boundary, e.g. to write a mid-run checkpoint.
+    With a fixed seed the run is bit-reproducible on one host.  Passing a
+    checkpoint as `start` resumes training at the saved epoch boundary and
+    continues identically to an uninterrupted run (the checkpoint must come
+    from the same config).  `stop_after_epoch` ends the run early at that
+    epoch boundary, e.g. to write a mid-run checkpoint.
 
     The mapped corpus is held in memory across epochs.  A parameter that
     is not finite after an epoch raises TrainingDivergedError.
@@ -521,7 +512,7 @@ def train(
         params = start.params
         if start.state is None:
             raise ValueError("checkpoint carries no training state to resume from")
-        state = TrainingState.from_dict(start.state, config.lr_start)
+        state = TrainingState.from_dict(start.state)
     else:
         vocab = build_vocab(sentences(), config.min_count)
         if len(vocab) < 2:
@@ -543,12 +534,6 @@ def train(
         params = init_params(len(vocab), config, _init_rng(config))
         state = TrainingState.fresh(config)
 
-    word_dist = build_noise_distribution(vocab.counts, config.noise_exponent)
-    phrase_dist = None
-    phrase_components: list[tuple[int, ...]] = []
-    if phrase_vocab is not None and len(phrase_vocab) >= 2:
-        phrase_dist = build_noise_distribution(phrase_vocab.counts, config.noise_exponent)
-        phrase_components = [phrase_vocab.component_ids(i) for i in range(len(phrase_vocab))]
     mapped = [map_sentence(s, vocab, phrase_vocab) for s in sentences()]
     token_counts = [sum(1 for w in m.word_ids if w >= 0) for m in mapped]
 
@@ -560,32 +545,31 @@ def train(
         stop_after_epoch, config.epochs
     )
     epochs = range(state.epoch, last_epoch)
-    if epochs:  # a run without epochs never loads the kernel
-        ctx = _SentenceContext(
-            word_pass=kernel.WordPass(
-                params.input_words,
-                params.output_words,
-                word_dist,
-                _subsample_keep_prob(vocab, config.subsample) if config.subsample > 0 else None,
-                state.word_rng,
-                config.word_negatives,
-                config.window,
-                config.mode.positional,
-            ),
-            phrase_dist=phrase_dist,
-            phrase_components=phrase_components,
-            comp=CompositionConfig(alpha=config.alpha),
+    if epochs:  # a run without epochs builds neither pass and never loads the kernel
+        word_pass = kernel.WordPass(
+            params.input_words, params.output_words,
+            build_noise_distribution(vocab.counts, config.noise_exponent),
+            _subsample_keep_prob(vocab, config.subsample) if config.subsample > 0 else None,
+            state.word_rng, config.word_negatives, config.window, config.mode.positional,
         )
+        phrase_pass = _no_phrase_pass
+        has_phrases = phrase_vocab is not None and len(phrase_vocab) >= 2
+        if config.mode.compositional and config.beta > 0 and has_phrases:
+            phrase_pass = PhrasePass(
+                params, build_noise_distribution(phrase_vocab.counts, config.noise_exponent),
+                [phrase_vocab.component_ids(i) for i in range(len(phrase_vocab))],
+                state.phrase_rng, config.phrase_negatives, config.window, config.mode.positional,
+                config.alpha, config.beta,
+            )
 
     for epoch in epochs:
         epoch_started = time.perf_counter()
         ew = ep = 0.0
         n_w = n_p = 0
         for m, n_tokens in zip(mapped, token_counts):
-            state.lr = max(
-                config.lr_start * (1.0 - state.tokens_processed / (budget + 1)), floor
-            )
-            sew, snw, sep, snp = train_sentence(params, state, m, config, ctx)
+            lr = max(config.lr_start * (1.0 - state.tokens_processed / (budget + 1)), floor)
+            sew, snw = word_pass(m.word_ids, lr)
+            sep, snp = phrase_pass(m.phrase_ids, lr)
             ew += sew
             ep += sep
             n_w += snw

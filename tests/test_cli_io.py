@@ -9,6 +9,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -46,6 +48,7 @@ from phrasegram.manifest import (
     write_manifest,
 )
 from phrasegram.model import (
+    CheckpointFormatError,
     Mode,
     TrainConfig,
     checkpoint_load,
@@ -934,21 +937,40 @@ class TestCliExitCodes:
         assert not (tmp_path / "e2.txt").exists()
 
 
-def _edit_checkpoint_header(path, edit):
-    """Apply edit(header) to a checkpoint's JSON header; recompute the CRC."""
+def _rewrite_checkpoint_header(path, rewrite):
+    """Replace a checkpoint's header bytes by rewrite(header bytes); recompute the CRC."""
     data = path.read_bytes()
     payload = data[24:]
     (header_len,) = struct.unpack("<I", payload[:4])
-    header = json.loads(payload[4 : 4 + header_len])
-    edit(header)
-    header_bytes = json.dumps(header).encode("utf-8")
+    header_bytes = rewrite(payload[4 : 4 + header_len])
     payload = struct.pack("<I", len(header_bytes)) + header_bytes + payload[4 + header_len :]
     crc_and_length = struct.pack("<IQ", zlib.crc32(payload), len(payload))
     path.write_bytes(data[:12] + crc_and_length + payload)
 
 
+def _json_edit(edit):
+    """A header rewrite that applies edit(header) to the parsed JSON."""
+
+    def rewrite(header_bytes):
+        header = json.loads(header_bytes)
+        edit(header)
+        return json.dumps(header).encode("utf-8")
+
+    return rewrite
+
+
+def _edit_checkpoint_header(path, edit):
+    """Apply edit(header) to a checkpoint's JSON header; recompute the CRC."""
+    _rewrite_checkpoint_header(path, _json_edit(edit))
+
+
+def _rename_first(h, prefix, name):
+    next(m for m in h["matrices"] if m["name"].startswith(prefix))["name"] = name
+
+
 class TestCheckpointConfigKeys:
-    """Checkpoint config keys: unknown keys, and v1 files from multi-worker builds."""
+    """Checkpoint headers: unknown config keys, v1 files from multi-worker
+    builds, and CRC-valid headers whose structure or values are bad."""
 
     def _half_run(self, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -985,7 +1007,7 @@ class TestCheckpointConfigKeys:
             checkpoint_load(ckpt)
         code = main(["export", "--model", str(ckpt), "--out", str(tmp_path / "e")])
         assert code == 2
-        assert f"error: {field} must be" in capsys.readouterr().err
+        assert f"error: {ckpt}: {field} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, edit",
@@ -1036,6 +1058,111 @@ class TestCheckpointConfigKeys:
         data = checkpoint_load(ckpt)
         with pytest.raises(ValueError, match="2 workers entries"):
             train(corpus, cfg, start=data)
+
+
+    @pytest.mark.parametrize(
+        "rewrite, error",
+        [
+            pytest.param(lambda b: b"[1, 2]", CheckpointFormatError, id="header-a-list"),
+            pytest.param(lambda b: b"\xff" + b[1:], CheckpointFormatError, id="not-utf-8"),
+            pytest.param(lambda b: b[:-1], CheckpointFormatError, id="not-json"),
+            pytest.param(_json_edit(lambda h: h.pop("vocab")), CheckpointFormatError, id="no-vocab"),
+            pytest.param(_json_edit(lambda h: h.pop("state")), CheckpointFormatError, id="no-state"),
+            pytest.param(_json_edit(lambda h: h.update(state=[])), CheckpointFormatError, id="state-a-list"),
+            pytest.param(
+                _json_edit(lambda h: h["vocab"].update(words=3)), CheckpointFormatError, id="words-an-integer"
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["vocab"]["counts"].__setitem__(0, "9")),
+                CheckpointFormatError, id="count-a-string",
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["phrase_vocab"]["keys"].__setitem__(0, [0, 1])),
+                CheckpointFormatError, id="phrase-key-not-a-pair",
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["matrices"][0].update(rows="5")), CheckpointFormatError, id="rows-a-string"
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["matrices"][0].update(rows=-1)), CheckpointFormatError, id="rows-negative"
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["matrices"][-1].update(rows=h["matrices"][-1]["rows"] + 1)),
+                CheckpointFormatError, id="rows-past-the-payload",
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["matrices"][-1].update(rows=h["matrices"][-1]["rows"] - 1)),
+                CheckpointFormatError, id="rows-short-of-the-payload",
+            ),
+            pytest.param(_json_edit(lambda h: h["matrices"].pop(0)), CheckpointFormatError, id="no-input-matrix"),
+            pytest.param(
+                _json_edit(lambda h: _rename_first(h, "input", "embeddings")),
+                CheckpointFormatError, id="input-renamed",
+            ),
+            pytest.param(
+                _json_edit(lambda h: _rename_first(h, "output:", "output:1")),
+                CheckpointFormatError, id="bank-misnumbered",
+            ),
+            pytest.param(
+                _json_edit(lambda h: _rename_first(h, "output:", "output:x")),
+                CheckpointFormatError, id="bank-not-numbered",
+            ),
+            # Names in storage order, but more output banks than the config's mode has.
+            pytest.param(
+                _json_edit(lambda h: _rename_first(h, "phrase_output:", "output:1")),
+                ValueError, id="bank-count-not-the-configs",
+            ),
+            pytest.param(_json_edit(lambda h: h["config"].update(dim="x")), ValueError, id="config-value"),
+            pytest.param(
+                _json_edit(lambda h: h["config"].update(dim=7)), ValueError, id="dim-not-the-matrices"
+            ),
+        ],
+    )
+    def test_malformed_header_exits_2_naming_the_file(self, tmp_path, capsys, rewrite, error):
+        _, _, ckpt = self._half_run(tmp_path)
+        _rewrite_checkpoint_header(ckpt, rewrite)
+        with pytest.raises(error) as raised:
+            checkpoint_load(ckpt)
+        assert isinstance(raised.value, CheckpointFormatError) == (error is CheckpointFormatError)
+        assert str(raised.value).startswith(f"{ckpt}: ")
+        code = main(["export", "--model", str(ckpt), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: ")
+
+
+class TestParserBuiltOnce:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        tiny_corpus(corpus)
+        ckpt = tmp_path / "m.ckpt"
+        calls = [
+            ["train", str(corpus)],  # no --out: a usage error
+            ["train", str(corpus), "--out", str(ckpt), "--dim", "4", "--min-count", "1"],
+            ["export", "--model", str(ckpt), "--out", str(tmp_path / "e.txt")],
+        ]
+        phrasegram.cli._build_parser.cache_clear()
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert phrasegram.cli._build_parser.cache_info().misses == 1
+        src = Path(phrasegram.cli.__file__).resolve().parents[1]
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "phrasegram.cli", *argv],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True, text=True, timeout=120,
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        untimed = [
+            (code, re.sub(r"tokens/s=[0-9.]+", "tokens/s=", out), err) for code, out, err in in_process
+        ]
+        assert [code for code, _, _ in untimed] == [1, 0, 0]
+        assert untimed == [
+            (code, re.sub(r"tokens/s=[0-9.]+", "tokens/s=", out), err) for code, out, err in fresh
+        ]
 
 
 def _cli_train(corpus, out, *extra):

@@ -349,16 +349,28 @@ class TestBuildCache:
         assert proc.stdout.split() == ["0", "1"]
 
     def test_ingest_prepares_no_word_pass(self, tmp_path, monkeypatch):
-        # train(epochs=0) is the ingest alone, which must not pay for the kernel
+        # train(epochs=0) is the ingest alone, which must not pay for either
+        # pass or for their noise tables
         corpus = tmp_path / "c.txt"
-        corpus.write_text("a b c\nb c a\n")
-        built = []
-        prepare = kernel.WordPass
-        monkeypatch.setattr(kernel, "WordPass", lambda *args: built.append(args) or prepare(*args))
-        trainer.train(corpus, TrainConfig(dim=4, min_count=1, epochs=0))
-        assert built == []
-        trainer.train(corpus, TrainConfig(dim=4, min_count=1))
-        assert len(built) == 1
+        corpus.write_text("[NP a b] c\n[NP b c] a\n")
+        calls = dict.fromkeys(["WordPass", "PhrasePass", "build_noise_distribution"], 0)
+
+        def counted(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return call
+
+        for owner, name in (
+            (kernel, "WordPass"), (trainer, "PhrasePass"), (trainer, "build_noise_distribution")
+        ):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        config = dict(dim=4, min_count=1, phrase_min_count=1, mode="compositional")
+        trainer.train(corpus, TrainConfig(**config, epochs=0))
+        assert calls == {"WordPass": 0, "PhrasePass": 0, "build_noise_distribution": 0}
+        trainer.train(corpus, TrainConfig(**config))
+        assert calls == {"WordPass": 1, "PhrasePass": 1, "build_noise_distribution": 2}
 
 
 # Trains one fixed run per config with the kernel built from argv[2] into

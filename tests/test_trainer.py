@@ -1,8 +1,8 @@
 """Training-step gradients against finite differences, window-pair
 enumeration against brute force, the compiled word pass against the
-per-pair numpy loop it replaced, and end-to-end run properties:
-objective ascent, determinism, resume fidelity, and the beta = 0
-reduction to the baseline mode.
+per-pair numpy loop it replaced, the phrase pass's calls of phrase_step,
+and end-to-end run properties: objective ascent, determinism, resume
+fidelity, and the beta = 0 reduction to the baseline mode.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from phrasegram.corpus import Vocab, parse_chunked_line
 from phrasegram.model import (
     CheckpointData,
     Mode,
+    ModelParams,
     TrainConfig,
     bank_for_offset,
     checkpoint_load,
@@ -25,14 +26,12 @@ from phrasegram.model import (
 from phrasegram import kernel, trainer
 from phrasegram.trainer import (
     MappedSentence,
-    TrainingState,
     iter_window_pairs,
     map_sentence,
     phrase_objective,
     phrase_step,
     softmax_probability,
     train,
-    train_sentence,
     word_objective,
     word_step,
 )
@@ -333,100 +332,80 @@ class TestMapSentence:
         assert mapped.phrase_ids == [-1, -1]
 
 
-def reference_train_sentence(params, state, mapped, config, ctx):
-    """The per-pair loop train_sentence ran before the kernel: the oracle.
+class ReferenceWordPass:
+    """The per-pair loop the kernel's word pass replaced: the oracle.
 
-    iter_window_pairs -> NoiseDistribution.sample -> word_step, after one
-    scalar subsampling draw per in-vocab token, with the noise and keep
-    tables ctx.word_pass was prepared with; the phrase pass as in
-    train_sentence.
+    Takes kernel.WordPass's arguments and is called the same way.  A call
+    makes one scalar subsampling draw per in-vocab token when there is a
+    keep table, then runs iter_window_pairs -> NoiseDistribution.sample ->
+    word_step.
     """
-    c = config.window
-    positional = config.mode.positional
-    lr = state.lr
-    word_ids = mapped.word_ids
-    keep, noise = ctx.word_pass.keep, ctx.word_pass.noise
-    if keep is not None:
-        word_ids = [
-            wid if wid >= 0 and state.word_rng.random() < keep[wid] else -1
-            for wid in word_ids
-        ]
-    ew, n_w = 0.0, 0
-    for t, u, off in iter_window_pairs(word_ids, c):
-        negs = noise.sample(state.word_rng, config.word_negatives, exclude=word_ids[t])
-        bank = bank_for_offset(off, c, positional)
-        ew += word_step(params, word_ids[t], word_ids[u], negs, lr, bank)
-        n_w += 1
-    ep, n_p = 0.0, 0
-    if config.beta > 0 and config.mode.compositional and ctx.phrase_dist is not None:
-        comps = ctx.phrase_components
-        for i, j, off in iter_window_pairs(mapped.phrase_ids, c):
-            pid = mapped.phrase_ids[i]
-            negs = ctx.phrase_dist.sample(state.phrase_rng, config.phrase_negatives, exclude=pid)
-            bank = bank_for_offset(off, c, positional)
-            ep += phrase_step(
-                params, comps[pid], comps[mapped.phrase_ids[j]], [comps[g] for g in negs],
-                lr * config.beta, ctx.comp, bank,
-            )
-            n_p += 1
-    return ew, n_w, ep, n_p
+
+    def __init__(self, inp, banks, noise, keep, rng, k, window, positional):
+        self.params = ModelParams(inp, banks)
+        self.noise, self.keep, self.rng = noise, keep, rng
+        self.k, self.window, self.positional = k, window, positional
+
+    def __call__(self, ids, lr):
+        if self.keep is not None:
+            ids = [w if w >= 0 and self.rng.random() < self.keep[w] else -1 for w in ids]
+        ew, n_w = 0.0, 0
+        for t, u, off in iter_window_pairs(ids, self.window):
+            negs = self.noise.sample(self.rng, self.k, exclude=ids[t])
+            bank = bank_for_offset(off, self.window, self.positional)
+            ew += word_step(self.params, ids[t], ids[u], negs, lr, bank)
+            n_w += 1
+        return ew, n_w
 
 
 PHRASES = [(0, 1), (2,), (1, 1, 0), (2, 0)]  # components over word ids 0..2
-
-
-def _context(params, state, config, counts):
-    """The per-run context train() builds, over a vocabulary with these counts."""
-    vocab = Vocab([f"w{i}" for i in range(len(counts))], counts)
-    keep = (
-        trainer._subsample_keep_prob(vocab, config.subsample) if config.subsample else None
-    )
-    return trainer._SentenceContext(
-        word_pass=kernel.WordPass(
-            params.input_words, params.output_words,
-            trainer.build_noise_distribution(vocab.counts), keep, state.word_rng,
-            config.word_negatives, config.window, config.mode.positional,
-        ),
-        phrase_dist=trainer.build_noise_distribution(np.array([5, 4, 3, 2])),
-        phrase_components=PHRASES,
-        comp=CompositionConfig(alpha=config.alpha),
-    )
 
 
 def run_against_reference(
     mode, vocab_size, sentences, alpha=1.0, subsample=0.0, seed=51, dim=4, counts=None,
     window=2, k=3, beta=1.0,
 ):
-    """train_sentence and the reference loop on copies of one model, sentence by sentence.
+    """kernel.WordPass and ReferenceWordPass on copies of one model, sentence by sentence.
 
-    After each sentence every matrix must agree to rtol 1e-12, atol 1e-15,
-    the returns must agree, and both RNG streams must be in the same state.
-    `counts` are the word counts behind the noise table, by default a
-    gentle slope from 3 * vocab_size down.
+    Each word pass is followed by its own PhrasePass on its own copy, as in
+    train().  After each sentence every matrix must agree to rtol 1e-12,
+    atol 1e-15, the returns must agree, and both RNG streams must be in the
+    same state.  `counts` are the word counts behind the noise table, by
+    default a gentle slope from 3 * vocab_size down.
     """
     rng = np.random.default_rng(seed)
     params = rand_params(rng, vocab_size=vocab_size, dim=dim, mode=mode, window=window)
-    config = TrainConfig(
-        dim=params.dim, window=window, min_count=1, mode=mode, alpha=alpha, beta=beta,
-        word_negatives=k, phrase_negatives=2, subsample=subsample,
-    )
     if counts is None:
         counts = list(range(3 * vocab_size, 2 * vocab_size, -1))
+    vocab = Vocab([f"w{i}" for i in range(len(counts))], counts)
+    keep = trainer._subsample_keep_prob(vocab, subsample) if subsample else None
+    word_noise = trainer.build_noise_distribution(vocab.counts)
+    phrase_noise = trainer.build_noise_distribution(np.array([5, 4, 3, 2]))
+
+    def prepare(word_pass, p):
+        word_rng, phrase_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 2)
+        phrase_pass = trainer._no_phrase_pass
+        if mode.compositional and beta > 0:
+            phrase_pass = trainer.PhrasePass(
+                p, phrase_noise, PHRASES, phrase_rng, 2, window, mode.positional, alpha, beta
+            )
+        words = word_pass(
+            p.input_words, p.output_words, word_noise, keep, word_rng, k, window, mode.positional
+        )
+        return words, phrase_pass, (word_rng, phrase_rng)
+
     ref_params = params.copy()
-    state, ref_state = (
-        TrainingState(0.05, np.random.default_rng(seed + 1), np.random.default_rng(seed + 2))
-        for _ in range(2)
-    )
-    ctx = _context(params, state, config, counts)
+    words, phrases, rngs = prepare(kernel.WordPass, params)
+    ref_words, ref_phrases, ref_rngs = prepare(ReferenceWordPass, ref_params)
     for mapped in sentences:
-        got = train_sentence(params, state, mapped, config, ctx)
-        want = reference_train_sentence(ref_params, ref_state, mapped, config, ctx)
+        got = (*words(mapped.word_ids, 0.05), *phrases(mapped.phrase_ids, 0.05))
+        want = (*ref_words(mapped.word_ids, 0.05), *ref_phrases(mapped.phrase_ids, 0.05))
         assert got[1::2] == want[1::2]
         assert got[0::2] == pytest.approx(want[0::2], rel=1e-12, abs=1e-15)
         for (name, m), (_, r) in zip(params.matrices(), ref_params.matrices()):
             np.testing.assert_allclose(m, r, rtol=1e-12, atol=1e-15, err_msg=name)
-        assert state.word_rng.bit_generator.state == ref_state.word_rng.bit_generator.state
-        assert state.phrase_rng.bit_generator.state == ref_state.phrase_rng.bit_generator.state
+        for a, b in zip(rngs, ref_rngs):
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def random_sentences(rng, vocab_size, count=12):
@@ -440,7 +419,7 @@ def random_sentences(rng, vocab_size, count=12):
     ]
 
 
-class TestTrainSentencePairSelection:
+class TestWordPassPairSelection:
     """Pair order, banks and negatives of the kernel's word pass, against the reference loop."""
 
     def test_word_pass_visits_window_pairs_in_order(self):
@@ -459,7 +438,7 @@ class TestTrainSentencePairSelection:
         run_against_reference(Mode.BASELINE, 2, [MappedSentence([0, 1, 0, 1, 0], [])] * 40)
 
 
-class TestTrainSentenceMatchesReference:
+class TestWordPassMatchesReference:
     @pytest.mark.parametrize("mode", [Mode.BASELINE, Mode.POSITIONAL, Mode.COMPOSITIONAL_POSITIONAL])
     @pytest.mark.parametrize("vocab_size", [3, 9])
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
@@ -493,18 +472,6 @@ class TestTrainSentenceMatchesReference:
         for seed in range(5):
             sentences = random_sentences(np.random.default_rng(seed), 8)
             run_against_reference(Mode.COMPOSITIONAL, 8, sentences, seed=100 + seed)
-
-    def test_unwritable_matrix_rejected(self):
-        rng = np.random.default_rng(53)
-        params = rand_params(rng, mode=Mode.BASELINE)
-        config = TrainConfig(dim=params.dim, window=2, min_count=1, word_negatives=2)
-        state = TrainingState(0.05, np.random.default_rng(1), np.random.default_rng(2))
-        params.output_words[0].flags.writeable = False
-        with pytest.raises(ValueError, match="writable C-contiguous float64"):
-            _context(params, state, config, np.arange(1, 9))
-        params.output_words[0] = np.asfortranarray(params.output_words[0])
-        with pytest.raises(ValueError, match="writable C-contiguous float64"):
-            _context(params, state, config, np.arange(1, 9))
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.data())
@@ -541,6 +508,32 @@ class TestTrainSentenceMatchesReference:
             beta=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]), label="beta"),
         )
 
+
+class TestPhrasePass:
+    def test_hands_phrase_step_its_pairs_banks_negatives_and_rate(self):
+        # Window 1 over two retained phrases: (2 -> 0, offset +1), then
+        # (0 -> 2, offset -1), each applied by hand as the pass must apply it.
+        params = rand_params(np.random.default_rng(73), mode=Mode.COMPOSITIONAL_POSITIONAL, window=1)
+        expected = params.copy()
+        noise = trainer.build_noise_distribution(np.array([5, 4, 3, 2]))
+        rng = np.random.default_rng(79)
+        clone = np.random.default_rng()
+        clone.bit_generator.state = rng.bit_generator.state
+        lr, beta, k, comp = 0.05, 2.0, 5, CompositionConfig(alpha=1.5)
+        want = 0.0
+        for center, context, offset in ((2, 0, 1), (0, 2, -1)):
+            negs = noise.sample(clone, k, exclude=center)
+            want += phrase_step(
+                expected, PHRASES[center], PHRASES[context], [PHRASES[g] for g in negs],
+                lr * beta, comp, bank_for_offset(offset, 1, True),
+            )
+        phrase_pass = trainer.PhrasePass(params, noise, PHRASES, rng, k, 1, True, 1.5, beta)
+        assert phrase_pass([2, 0], lr) == (want, 2)
+        for (name, m), (_, r) in zip(params.matrices(), expected.matrices()):
+            np.testing.assert_array_equal(m, r, err_msg=name)
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+
 class TestTrainEndToEnd:
     def _write_corpus(self, path, n_sentences=80, seed=61):
         rng = np.random.default_rng(seed)
@@ -572,6 +565,20 @@ class TestTrainEndToEnd:
         assert stats[-1].mean_ep > stats[0].mean_ep
         assert stats[0].phrase_steps > 0
 
+    def test_phrase_pass_learns_at_alpha_above_one(self, tmp_path):
+        # The power map's Jacobian is 0 at 0 when alpha > 1, so zero phrase
+        # banks would be a fixed point: no phrase gradient would ever move
+        # the banks or the input rows, and E_p would stay at (1 + k) ln 1/2.
+        corpus = tmp_path / "c.txt"
+        self._write_corpus(corpus)
+        cfg = self._config(epochs=3, mode=Mode.COMPOSITIONAL, alpha=1.5)
+        joint = train(corpus, cfg)
+        words_only = train(corpus, self._config(epochs=3, mode=Mode.COMPOSITIONAL, alpha=1.5, beta=0.0))
+        assert not np.array_equal(joint.params.input_words, words_only.params.input_words)
+        last = joint.report.epochs[-1]
+        assert last.phrase_steps > 0
+        assert last.mean_ep != pytest.approx((1 + cfg.phrase_negatives) * np.log(0.5), abs=1e-6)
+
     def test_single_worker_is_deterministic(self, tmp_path):
         corpus = tmp_path / "c.txt"
         self._write_corpus(corpus)
@@ -587,7 +594,7 @@ class TestTrainEndToEnd:
         self._write_corpus(corpus)
         cfg = self._config(mode=mode, alpha=1.5, subsample=0.01)
         got = train(corpus, cfg)
-        monkeypatch.setattr(trainer, "train_sentence", reference_train_sentence)
+        monkeypatch.setattr(kernel, "WordPass", ReferenceWordPass)
         want = train(corpus, cfg)
         for (name, m), (_, r) in zip(got.params.matrices(), want.params.matrices()):
             np.testing.assert_allclose(m, r, rtol=1e-12, atol=1e-15, err_msg=name)
@@ -735,7 +742,7 @@ class TestRngStateRoundTrip:
         cfg = TrainConfig(dim=4, window=2, min_count=1, seed=9)
         state = trainer.TrainingState.fresh(cfg)
         state.epoch, state.tokens_processed = 1, 42
-        restored = trainer.TrainingState.from_dict(state.to_dict(), lr=0.01)
+        restored = trainer.TrainingState.from_dict(state.to_dict())
         np.testing.assert_array_equal(
             state.word_rng.random(20), restored.word_rng.random(20)
         )
@@ -761,7 +768,7 @@ class TestRngStateRoundTrip:
         snapshot = trainer.TrainingState.fresh(cfg).to_dict()
         snapshot["workers"] = snapshot["workers"] * 2
         with pytest.raises(ValueError, match="workers"):
-            trainer.TrainingState.from_dict(snapshot, 0.01)
+            trainer.TrainingState.from_dict(snapshot)
 
 
 class TestSubsampleKeepProb:
