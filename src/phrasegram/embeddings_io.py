@@ -11,6 +11,8 @@ formats.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from contextlib import closing
 from pathlib import Path
 from typing import Sequence
@@ -83,13 +85,25 @@ def write_embeddings_binary(
             fh.write(word.encode("utf-8") + b" " + row.tobytes() + b"\n")
 
 
-def _parse_header(fields: Sequence[str | bytes], where: str) -> tuple[int, int]:
+def _parse_header(fields: Sequence[str | bytes], where: str, body: float) -> tuple[int, int]:
+    """Count and dim of a header followed by `body` bytes.
+
+    Every value takes at least one byte in either format, so a header
+    declaring more values than `body` bytes is rejected before its matrix
+    is allocated.  A file short by less reaches the row that is missing,
+    whose error says more.
+    """
     try:
         count, dim = (int(x) for x in fields)
     except ValueError:
         count = dim = -1
     if count < 0 or dim < 0:
         raise EmbeddingsFormatError(f"{where}: header must be '<count> <dim>'")
+    if count * dim > body:
+        raise EmbeddingsFormatError(
+            f"{where}: header declares {count} rows of {dim} values, "
+            f"more than the {body} bytes after it can hold"
+        )
     return count, dim
 
 
@@ -97,7 +111,11 @@ def read_embeddings_text(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Words and float32 matrix of a text file; errors name `path:line`."""
     with closing(numbered_lines(path)) as lines:
         where, header = next(lines, (f"{path}:1", ""))
-        count, dim = _parse_header(header.split(), where)
+        st = os.stat(path)  # a pipe's size is not known before it is read
+        body = math.inf
+        if stat.S_ISREG(st.st_mode):
+            body = max(st.st_size - len(header.encode("utf-8")) - 1, 0)
+        count, dim = _parse_header(header.split(), where, body)
         words = []
         matrix = np.empty((count, dim), dtype=np.float32)
         for i, (where, line) in zip(range(count), lines):
@@ -121,7 +139,7 @@ def read_embeddings_binary(path: str | Path) -> tuple[list[str], np.ndarray]:
     nl = data.find(b"\n")
     if nl < 0:
         raise EmbeddingsFormatError(f"{path}: missing header line")
-    count, dim = _parse_header(data[:nl].split(), str(path))
+    count, dim = _parse_header(data[:nl].split(), str(path), len(data) - nl - 1)
     row_bytes = 4 * dim
     words = []
     matrix = np.empty((count, dim), dtype=np.float32)

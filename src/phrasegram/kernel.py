@@ -76,7 +76,12 @@ def compiler() -> list[str]:
 
 
 def build(source: Path, cache_dir: Path, cc: Sequence[str]) -> Path:
-    """Path of the shared object for `source`, compiling it if not cached."""
+    """Path of the shared object for `source`, compiling it if not cached.
+
+    A build removes the objects of `source` that earlier keys left in
+    `cache_dir`.  On Linux a process that has one of them loaded keeps
+    running on it, since unlinking a file does not unmap it.
+    """
     key = hashlib.sha256(
         repr(
             (source.read_bytes(), list(cc), FLAGS + LIBS,
@@ -98,6 +103,9 @@ def build(source: Path, cache_dir: Path, cc: Sequence[str]) -> Path:
             os.chmod(fh.name, 0o755)  # every user loads it, whatever the umask
     except OSError as exc:
         raise KernelBuildError(f"cannot build the training kernel: {exc}") from exc
+    for stale in cache_dir.glob(f"{source.stem}-*.so"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
     return target
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import stat
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -399,7 +401,11 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
             raise CheckpointVersionError(
                 f"{path}: format version {version}, expected {_FORMAT_VERSION}"
             )
-        payload = fh.read(length)
+        # read() sizes its buffer from its argument, so a regular file's
+        # size caps it; a pipe's size is not known before it is read.
+        st = os.fstat(fh.fileno())
+        available = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else length
+        payload = fh.read(min(length, available))
     if len(payload) < length:
         raise CheckpointTruncatedError(
             f"{path}: payload is {len(payload)} bytes, expected {length}"

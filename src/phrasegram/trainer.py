@@ -12,11 +12,15 @@ beta scales the phrase-level objective relative to the word-level one; it
 enters the updates as a multiplier on the phrase-level learning rate,
 which is exactly the gradient of (word objective + beta * phrase objective).
 
-All step functions compute every read (scores, Jacobian diagonals,
-gradient accumulations) from pre-update parameter values and only then
-apply the writes, so the net parameter change of one step equals the
-learning rate times the exact simultaneous gradient of that step's
-objective term, even when an id appears more than once in the step.
+`phrase_step` is `word_step` on composed vectors: both score through one
+core, `_negative_sampling`, which returns the objective term, each row's
+coefficient and the gradient for the scored vector.  Both steps compute
+every read (scores, Jacobian diagonals, gradient accumulations) from
+pre-update parameter values and only then write, through one `np.add.at`
+per matrix, which applies repeated ids in index order.  So the net
+parameter change of one step equals the learning rate times the exact
+simultaneous gradient of that step's objective term, even when an id
+appears more than once in the step.
 
 Training runs each sentence as two passes, which `train` prepares once
 per run, when an epoch is to run: the word pass (`kernel.WordPass`) and
@@ -56,11 +60,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from phrasegram import kernel
-from phrasegram.composition import (
-    CompositionConfig,
-    compose_rows,
-    sigma_jacobian_diag,
-)
+from phrasegram.composition import compose_rows, sigma_jacobian_diag
 from phrasegram.corpus import (
     ChunkedSentence,
     PhraseVocab,
@@ -149,16 +149,15 @@ def phrase_objective(
     current_words: Sequence[int],
     context_words: Sequence[int],
     negative_phrases: Sequence[Sequence[int]],
-    comp: CompositionConfig,
+    alpha: float,
     bank: int = 0,
 ) -> float:
     """Negative-sampling objective term for one (phrase, context phrase) pair.
 
     The current phrase vector is composed from input embeddings, the
     context and negative phrase vectors from the component-word output
-    space of the given bank.
+    space of the given bank, each with the power map's exponent alpha.
     """
-    alpha = comp.alpha
     v_p = compose_rows(params.input_words, current_words, alpha)
     pout = params.phrase_output_words[bank]
     term = _log_sigmoid(float(np.dot(compose_rows(pout, context_words, alpha), v_p)))
@@ -170,6 +169,24 @@ def phrase_objective(
 # ---------------------------------------------------------------------------
 # Gradient steps
 # ---------------------------------------------------------------------------
+
+
+def _negative_sampling(
+    rows: np.ndarray, v: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Score v against rows, of which row 0 is the positive and the rest negatives.
+
+    Returns the negative-sampling objective term, each row's coefficient
+    label - sigmoid(score) (the gradient of the term with respect to that
+    row's score) and the gradient of the term with respect to v.
+    """
+    scores = rows @ v
+    term = float(
+        -np.logaddexp(0.0, -scores[0]) - np.logaddexp(0.0, scores[1:]).sum()
+    )
+    coefs = -_sigmoid(scores)
+    coefs[0] += 1.0  # label - sigmoid(score), label = 1 only for row 0
+    return term, coefs, coefs @ rows
 
 
 def word_step(
@@ -191,14 +208,7 @@ def word_step(
     idx = np.empty(1 + len(negatives), dtype=np.int64)
     idx[0] = context
     idx[1:] = negatives
-    rows = out[idx]  # (K+1, d) copy of pre-update rows
-    scores = rows @ v
-    term = float(
-        -np.logaddexp(0.0, -scores[0]) - np.logaddexp(0.0, scores[1:]).sum()
-    )
-    coefs = -_sigmoid(scores)
-    coefs[0] += 1.0  # label - sigmoid(score)
-    grad_v = coefs @ rows
+    term, coefs, grad_v = _negative_sampling(out[idx], v)
     deltas = (lr * coefs)[:, None] * v
     np.add.at(out, idx, deltas)  # a repeated row accumulates; fancy-index += drops all but one
     v += lr * grad_v
@@ -211,49 +221,35 @@ def phrase_step(
     context_words: Sequence[int],
     negative_phrases: Sequence[Sequence[int]],
     lr: float,
-    comp: CompositionConfig,
+    alpha: float,
     bank: int = 0,
 ) -> float:
     """One gradient-ascent update for a (phrase, context phrase) pair.
 
-    Every component word of the context and negative phrases is updated
-    in the phrase output space; every component word of the current
-    phrase is updated in the input space.  Both updates pass through the
-    diagonal Jacobian of the composition nonlinearity.  Returns the
-    objective term evaluated before the update.
+    word_step on composed vectors: the context and negative phrases,
+    composed in the phrase output space of the bank, are scored against
+    the current phrase, composed in the input space.  Each phrase's
+    coefficient reaches its component words through the composition's
+    1/n weight and the diagonal Jacobian of its power map.  Every delta
+    is computed from pre-update rows; then one np.add.at per matrix
+    writes them, so a word repeated within the step accumulates.
+    Returns the objective term evaluated before the update.
     """
-    alpha = comp.alpha
     inp = params.input_words
     pout = params.phrase_output_words[bank]
-
-    v_p = compose_rows(inp, current_words, alpha)
     phrases: list[Sequence[int]] = [context_words, *negative_phrases]
+    v_p = compose_rows(inp, current_words, alpha)
     composed = np.stack([compose_rows(pout, ws, alpha) for ws in phrases])
-    scores = composed @ v_p
-    term = float(
-        -np.logaddexp(0.0, -scores[0]) - np.logaddexp(0.0, scores[1:]).sum()
-    )
-    coefs = -_sigmoid(scores)
-    coefs[0] += 1.0  # y - sigmoid(score), y = 1 only for the context phrase
+    term, coefs, grad_vp = _negative_sampling(composed, v_p)
 
-    # All deltas are computed from pre-update values before any write.
-    out_deltas: list[tuple[int, np.ndarray]] = []
-    for t, ws in enumerate(phrases):
-        scale = lr * coefs[t] / len(ws)
-        for w in ws:
-            out_deltas.append((w, scale * (sigma_jacobian_diag(pout[w], alpha) * v_p)))
-
-    grad_vp = coefs @ composed
-    in_scale = lr / len(current_words)
-    in_deltas = [
-        (w, in_scale * (sigma_jacobian_diag(inp[w], alpha) * grad_vp))
-        for w in current_words
-    ]
-
-    for w, delta in out_deltas:
-        pout[w] += delta
-    for w, delta in in_deltas:
-        inp[w] += delta
+    ids = np.concatenate(phrases)
+    sizes = np.array([len(ws) for ws in phrases])
+    scale = np.repeat(lr * coefs / sizes, sizes)
+    out_deltas = scale[:, None] * (sigma_jacobian_diag(pout[ids], alpha) * v_p)
+    cur = np.asarray(current_words)
+    in_deltas = lr / len(cur) * (sigma_jacobian_diag(inp[cur], alpha) * grad_vp)
+    np.add.at(pout, ids, out_deltas)
+    np.add.at(inp, cur, in_deltas)
     return term
 
 
@@ -393,7 +389,6 @@ class PhrasePass:
         """Returns the summed pre-update objective and the number of pairs."""
         c = self.window
         comps = self.components
-        comp = CompositionConfig(alpha=self.alpha)
         phrase_lr = lr * self.beta
         ep, n_p = 0.0, 0
         for i, j, off in iter_window_pairs(phrase_ids, c):
@@ -405,7 +400,7 @@ class PhrasePass:
                 comps[phrase_ids[j]],
                 [comps[g] for g in negs],
                 phrase_lr,
-                comp,
+                self.alpha,
                 bank_for_offset(off, c, self.positional),
             )
             n_p += 1

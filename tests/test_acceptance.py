@@ -124,7 +124,6 @@ def _word_instance(rng, params):
 
 def _phrase_instance(rng, params, alpha):
     bank = int(rng.integers(len(params.phrase_output_words)))
-    comp = CompositionConfig(alpha=alpha)
 
     def pick():
         return [int(x) for x in rng.integers(0, VOCAB, size=rng.integers(1, 5))]
@@ -137,10 +136,10 @@ def _phrase_instance(rng, params, alpha):
         touched += [("pout", pout, w) for w in ws]
 
     def step():
-        return phrase_step(params, current, context, negatives, LR, comp, bank)
+        return phrase_step(params, current, context, negatives, LR, alpha, bank)
 
     def objective():
-        return phrase_objective(params, current, context, negatives, comp, bank)
+        return phrase_objective(params, current, context, negatives, alpha, bank)
 
     return step, objective, touched
 

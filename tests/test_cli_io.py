@@ -11,6 +11,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -137,6 +138,15 @@ class TestTextFormat:
             ("1 2\na 1 x\n", 2, "could not convert string to float: 'x'"),
             ("1 2\na 1 \n", 2, "expected 2 values, got 1"),
             ("1 2\na 1 2  \n", 2, "expected 2 values, got 3"),
+            ("200000 100000\nw 1\n", 1, "header declares 200000 rows of 100000 values, "
+             "more than the 4 bytes after it can hold"),
+            ("3000000000 3\nw 1\n", 1, "header declares 3000000000 rows of 3 values, "
+             "more than the 4 bytes after it can hold"),
+            ("99999999999 99999999999\nw 1\n", 1, "header declares 99999999999 rows of "
+             "99999999999 values, more than the 4 bytes after it can hold"),
+            # One byte per value is the header's bound: at it, the row is what fails.
+            ("1 3\nabc", 2, "expected 3 values, got 0"),
+            ("1 4\nabc", 1, "header declares 1 rows of 4 values, more than the 3 bytes after it can hold"),
         ],
     )
     def test_errors_name_path_and_line(self, tmp_path, text, line, reason):
@@ -144,6 +154,23 @@ class TestTextFormat:
         path.write_text(text)
         with pytest.raises(EmbeddingsFormatError, match="^" + re.escape(f"{path}:{line}: {reason}")):
             read_embeddings_text(path)
+
+    def test_reads_a_pipe(self, tmp_path):
+        # A pipe has no size to check the header against.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("2 2\na 1 2\nb 3 4\n",), daemon=True)
+        writer.start()
+        words, matrix = read_embeddings_text(fifo)
+        writer.join(timeout=10)
+        assert words == ["a", "b"] and matrix.tolist() == [[1, 2], [3, 4]]
+
+    def test_smallest_file_for_its_header_loads(self, tmp_path):
+        # Empty words, one-character values, no line break after the last row.
+        path = tmp_path / "e.txt"
+        path.write_text("2 2\n 1 2\n 3 4")
+        words, matrix = read_embeddings_text(path)
+        assert words == ["", ""] and matrix.tolist() == [[1, 2], [3, 4]]
 
 
 class TestBinaryFormat:
@@ -192,6 +219,12 @@ class TestBinaryFormat:
             (b"1 1\na \0\0\0\0", "row 0: truncated vector"),
             (b"1 1\na \0\0\0\0x", "row 0: missing newline terminator"),
             (b"1 1\n\xff \0\0\0\0\n", "row 0: invalid UTF-8 at byte offset 4"),
+            (b"200000 100000\nw \0\0\0\0\n", "header declares 200000 rows of 100000 values, "
+             "more than the 7 bytes after it can hold"),
+            (b"3000000000 3\nw \0\0\0\0\n", "header declares 3000000000 rows of 3 values, "
+             "more than the 7 bytes after it can hold"),
+            (b"99999999999 99999999999\nw \0\0\0\0\n", "header declares 99999999999 rows of "
+             "99999999999 values, more than the 7 bytes after it can hold"),
         ],
     )
     def test_errors_name_path(self, tmp_path, data, reason):
@@ -199,6 +232,13 @@ class TestBinaryFormat:
         path.write_bytes(data)
         with pytest.raises(EmbeddingsFormatError, match="^" + re.escape(f"{path}: {reason}")):
             read_embeddings_binary(path)
+
+    def test_smallest_file_for_its_header_loads(self, tmp_path):
+        # Empty words: a separator, 4 * dim bytes and a newline per row.
+        path = tmp_path / "e.bin"
+        path.write_bytes(b"2 1\n" + b" \0\0\0\0\n" * 2)
+        words, matrix = read_embeddings_binary(path)
+        assert words == ["", ""] and matrix.tolist() == [[0.0], [0.0]]
 
     def test_unicode_words_survive(self, tmp_path):
         words = ["café", "中文", "emoji✨"]
@@ -814,6 +854,15 @@ class TestCliExitCodes:
         bogus.write_bytes(b"garbage")
         code = main(["export", "--model", str(bogus), "--out", str(tmp_path / "e")])
         assert code == 2
+
+    @pytest.mark.parametrize("length", [2**40, 2**63, 2**64 - 1])
+    def test_payload_longer_than_the_file_is_data_error(self, tmp_path, capsys, length):
+        # Before any read sized by it: such lengths raised MemoryError or OverflowError.
+        ckpt = tmp_path / "long.ckpt"
+        ckpt.write_bytes(b"PGCKPT01" + struct.pack("<IIQ", 1, 0, length) + b"abc")
+        code = main(["export", "--model", str(ckpt), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: payload is 3 bytes, expected {length}\n"
 
     def test_diverging_run_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -283,7 +283,7 @@ class TestBuildCache:
         source.write_bytes(kernel.SOURCE.read_bytes() + b"/* edited */\n")
         second = kernel.build(source, cache, _fake_compiler())
         assert second != first
-        assert first.exists() and second.exists()
+        assert list(cache.iterdir()) == [second]  # the superseded object is removed
         assert kernel.build(source, cache, _fake_compiler()[:2] + ["pass"]) != first
 
     @pytest.mark.parametrize("kind", ["fails", "missing", "fails-mid-write"])

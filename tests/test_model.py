@@ -3,6 +3,9 @@ validation, and the binary checkpoint format (round-trip plus every
 corruption class).
 """
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -258,6 +261,29 @@ class TestCheckpoint:
         path.write_bytes(data[: len(data) - 100])
         with pytest.raises(CheckpointTruncatedError, match="payload"):
             checkpoint_load(path)
+
+    @pytest.mark.parametrize("cut", [0, 100])
+    def test_loads_from_a_pipe(self, tmp_path, cut):
+        # A pipe has no size to check the declared length against.
+        params, cfg, vocab, pv, state = _fixture()
+        path = tmp_path / "m.ckpt"
+        checkpoint_save(path, params, cfg, vocab, pv, state)
+        data = path.read_bytes()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data[: len(data) - cut],), daemon=True)
+        writer.start()
+        try:
+            if cut:
+                with pytest.raises(CheckpointTruncatedError, match="payload"):
+                    checkpoint_load(fifo)
+            else:
+                loaded = checkpoint_load(fifo)
+                for (name, m), (_, r) in zip(loaded.params.matrices(), params.matrices()):
+                    np.testing.assert_array_equal(m, r, err_msg=name)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_header_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradient_utils import bound_away_from_zero, check_step_against_fd
-from phrasegram.composition import CompositionConfig
 from phrasegram.corpus import Vocab, parse_chunked_line
 from phrasegram.model import (
     CheckpointData,
@@ -63,7 +62,6 @@ class TestObjectives:
     def test_phrase_objective_composes_both_sides(self):
         rng = np.random.default_rng(5)
         params = rand_params(rng)
-        comp = CompositionConfig(alpha=1.0)
         v_p = (params.input_words[0] + params.input_words[1]) / 2.0
         ctx = (
             params.phrase_output_words[0][2] + params.phrase_output_words[0][3]
@@ -74,7 +72,7 @@ class TestObjectives:
             return float(np.log(1.0 / (1.0 + np.exp(-x))))
 
         expected = ls(ctx @ v_p) + ls(-(neg @ v_p))
-        got = phrase_objective(params, [0, 1], [2, 3], [[4]], comp)
+        got = phrase_objective(params, [0, 1], [2, 3], [[4]], 1.0)
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_softmax_sums_to_one_and_matches_naive(self):
@@ -177,7 +175,6 @@ class TestPhraseStepGradient:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_matches_finite_differences(self, alpha):
         rng = np.random.default_rng(23)
-        comp = CompositionConfig(alpha=alpha)
         lr = 1e-3
         for _ in range(15):
             params = rand_params(rng, vocab_size=10, dim=int(rng.integers(2, 5)))
@@ -194,9 +191,9 @@ class TestPhraseStepGradient:
             for ws in [context, *negs]:
                 touched += [("pout", pout, w) for w in ws]
             err = check_step_against_fd(
-                step=lambda: phrase_step(params, current, context, negs, lr, comp),
+                step=lambda: phrase_step(params, current, context, negs, lr, alpha),
                 objective=lambda: phrase_objective(
-                    params, current, context, negs, comp
+                    params, current, context, negs, alpha
                 ),
                 touched=touched,
                 lr=lr,
@@ -208,7 +205,7 @@ class TestPhraseStepGradient:
         rng = np.random.default_rng(29)
         params = rand_params(rng)
         bound_away_from_zero(params)
-        comp = CompositionConfig(alpha=1.5)
+        alpha = 1.5
         lr = 1e-3
         current, context = [0, 1], [5, 2]
         negs = [[5, 3], [4, 5]]
@@ -217,8 +214,8 @@ class TestPhraseStepGradient:
         for ws in [context, *negs]:
             touched += [("pout", pout, w) for w in ws]
         err = check_step_against_fd(
-            step=lambda: phrase_step(params, current, context, negs, lr, comp),
-            objective=lambda: phrase_objective(params, current, context, negs, comp),
+            step=lambda: phrase_step(params, current, context, negs, lr, alpha),
+            objective=lambda: phrase_objective(params, current, context, negs, alpha),
             touched=touched,
             lr=lr,
         )
@@ -227,7 +224,7 @@ class TestPhraseStepGradient:
     def test_repeated_word_inside_current_phrase(self):
         rng = np.random.default_rng(31)
         params = rand_params(rng)
-        comp = CompositionConfig(alpha=1.0)
+        alpha = 1.0
         lr = 1e-3
         current = [3, 3, 7]
         context, negs = [1], [[2]]
@@ -235,8 +232,8 @@ class TestPhraseStepGradient:
         touched = [("input", params.input_words, w) for w in current]
         touched += [("pout", pout, w) for w in [1, 2]]
         err = check_step_against_fd(
-            step=lambda: phrase_step(params, current, context, negs, lr, comp),
-            objective=lambda: phrase_objective(params, current, context, negs, comp),
+            step=lambda: phrase_step(params, current, context, negs, lr, alpha),
+            objective=lambda: phrase_objective(params, current, context, negs, alpha),
             touched=touched,
             lr=lr,
         )
@@ -250,7 +247,7 @@ class TestPhraseStepGradient:
         params_b = params_a.copy()
         lr = 0.05
         phrase_step(
-            params_a, [2], [5], [[1], [7]], lr, CompositionConfig(alpha=1.0)
+            params_a, [2], [5], [[1], [7]], lr, 1.0
         )
         # run the word-level update against the cloned phrase output matrix
         params_b.output_words, saved = params_b.phrase_output_words, params_b.output_words
@@ -265,21 +262,19 @@ class TestPhraseStepGradient:
     def test_returns_pre_update_objective(self):
         rng = np.random.default_rng(41)
         params = rand_params(rng)
-        comp = CompositionConfig(alpha=1.5)
-        before = phrase_objective(params, [0, 1], [2], [[3]], comp)
-        returned = phrase_step(params, [0, 1], [2], [[3]], 0.05, comp)
+        before = phrase_objective(params, [0, 1], [2], [[3]], 1.5)
+        returned = phrase_step(params, [0, 1], [2], [[3]], 0.05, 1.5)
         assert returned == pytest.approx(before, rel=1e-12)
 
     def test_repeated_steps_ascend(self):
         rng = np.random.default_rng(43)
         params = rand_params(rng)
-        comp = CompositionConfig(alpha=1.0)
         args = ([0, 1], [2, 3], [[4], [5, 6]])
         for _ in range(80):
-            phrase_step(params, *args, 0.1, comp)
-        first = phrase_step(params, *args, 0.0, comp)  # lr 0: evaluate only
+            phrase_step(params, *args, 0.1, 1.0)
+        first = phrase_step(params, *args, 0.0, 1.0)  # lr 0: evaluate only
         fresh = rand_params(np.random.default_rng(43))
-        assert first > phrase_objective(fresh, *args, comp)
+        assert first > phrase_objective(fresh, *args, 1.0)
 
 
 class TestWindowPairs:
@@ -519,15 +514,15 @@ class TestPhrasePass:
         rng = np.random.default_rng(79)
         clone = np.random.default_rng()
         clone.bit_generator.state = rng.bit_generator.state
-        lr, beta, k, comp = 0.05, 2.0, 5, CompositionConfig(alpha=1.5)
+        lr, beta, k, alpha = 0.05, 2.0, 5, 1.5
         want = 0.0
         for center, context, offset in ((2, 0, 1), (0, 2, -1)):
             negs = noise.sample(clone, k, exclude=center)
             want += phrase_step(
                 expected, PHRASES[center], PHRASES[context], [PHRASES[g] for g in negs],
-                lr * beta, comp, bank_for_offset(offset, 1, True),
+                lr * beta, alpha, bank_for_offset(offset, 1, True),
             )
-        phrase_pass = trainer.PhrasePass(params, noise, PHRASES, rng, k, 1, True, 1.5, beta)
+        phrase_pass = trainer.PhrasePass(params, noise, PHRASES, rng, k, 1, True, alpha, beta)
         assert phrase_pass([2, 0], lr) == (want, 2)
         for (name, m), (_, r) in zip(params.matrices(), expected.matrices()):
             np.testing.assert_array_equal(m, r, err_msg=name)
