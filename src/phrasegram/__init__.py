@@ -7,7 +7,6 @@ from phrasegram.composition import (
     sigma_jacobian_diag,
 )
 from phrasegram.corpus import (
-    Chunk,
     ChunkedSentence,
     ParseError,
     PhraseVocab,
@@ -43,7 +42,6 @@ from phrasegram.trainer import train
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chunk",
     "ChunkedSentence",
     "CompositionConfig",
     "Mode",

@@ -2,9 +2,11 @@
 
 Corpus files are UTF-8 text, one sentence per line.  Contiguous phrase
 spans are marked inline with brackets: ``[NP the cat] sat`` is a two-token
-NP chunk followed by a bare token.  Bare tokens become singleton chunks
-with the label ``O``.  Nesting is not allowed; a structural ``[`` opens a
-chunk only at the start of a token and ``]`` closes one only at the end.
+NP chunk followed by a bare token, parsed flat as the tokens ``the cat
+sat`` and one (label, length) span per chunk, ``("NP", 2), ("O", 1)``: a
+bare token is a singleton chunk with the label ``O``.  Nesting is not
+allowed; a structural ``[`` opens a chunk only at the start of a token
+and ``]`` closes one only at the end.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ import re
 from collections import Counter
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Chunk",
     "ChunkedSentence",
     "ParseError",
     "Vocab",
@@ -29,6 +31,7 @@ __all__ = [
     "parse_chunked_line",
     "build_vocab",
     "build_phrase_vocab",
+    "chunk_spans",
     "iter_corpus",
     "numbered_lines",
     "output_file",
@@ -53,28 +56,16 @@ class ParseError(ValueError):
         super().__init__(f"{message} at byte offset {self.byte_offset}")
 
 
-@dataclass
-class Chunk:
-    """A labeled contiguous span of tokens."""
-
-    label: str
-    tokens: list[str]
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise ValueError("chunk label must be non-empty")
-        if not self.tokens:
-            raise ValueError("chunk must contain at least one token")
+_OUTSIDE_SPAN = (OUTSIDE_LABEL, 1)
 
 
 @dataclass
 class ChunkedSentence:
-    """A sentence as an ordered list of chunks; token order is surface order."""
+    """Surface tokens, and one (label, length) span per chunk covering them
+    in order; a bare token is an ("O", 1) span."""
 
-    chunks: list[Chunk] = field(default_factory=list)
-
-    def tokens(self) -> list[str]:
-        return [t for c in self.chunks for t in c.tokens]
+    tokens: list[str] = field(default_factory=list)
+    chunks: list[tuple[str, int]] = field(default_factory=list)
 
     def to_line(self) -> str:
         """Serialize back to bracket format.
@@ -82,24 +73,27 @@ class ChunkedSentence:
         Singleton O chunks are written bare; everything else bracketed.
         """
         parts = []
-        for c in self.chunks:
-            if c.label == OUTSIDE_LABEL and len(c.tokens) == 1:
-                parts.append(c.tokens[0])
+        tokens = iter(self.tokens)
+        for label, n in self.chunks:
+            words = list(islice(tokens, n))
+            if label == OUTSIDE_LABEL and n == 1:
+                parts.append(words[0])
             else:
-                parts.append("[" + c.label + " " + " ".join(c.tokens) + "]")
+                parts.append("[" + label + " " + " ".join(words) + "]")
         return " ".join(parts)
 
 
 def parse_chunked_line(line: str) -> ChunkedSentence:
     """Parse one corpus line into a ChunkedSentence.
 
-    Unbracketed tokens become singleton chunks labeled O.  An empty line
-    yields a sentence with zero chunks.  Unbalanced brackets and empty
+    Unbracketed tokens become ("O", 1) spans.  An empty line yields a
+    sentence with no tokens and no spans.  Unbalanced brackets and empty
     bracket groups raise ParseError naming the byte offset.
     """
-    chunks: list[Chunk] = []
+    tokens: list[str] = []
+    chunks: list[tuple[str, int]] = []
     open_label: str | None = None
-    open_tokens: list[str] = []
+    open_start = 0
     open_offset = 0
 
     for m in _TOKEN_RE.finditer(line):
@@ -118,37 +112,25 @@ def parse_chunked_line(line: str) -> ChunkedSentence:
                 # "[NP]" carries a label but no tokens.
                 raise ParseError("empty bracket group", line, pos)
             open_label = body
-            open_tokens = []
+            open_start = len(tokens)
             open_offset = pos
         elif tok == "]" or tok.endswith("]"):
             if open_label is None:
                 raise ParseError("unbalanced closing bracket", line, pos)
             if tok != "]":
-                open_tokens.append(tok[:-1])
-            if not open_tokens:
+                tokens.append(tok[:-1])
+            if len(tokens) == open_start:
                 raise ParseError("empty bracket group", line, open_offset)
-            chunks.append(Chunk(open_label, open_tokens))
+            chunks.append((open_label, len(tokens) - open_start))
             open_label = None
-            open_tokens = []
-        elif open_label is not None:
-            open_tokens.append(tok)
         else:
-            chunks.append(Chunk(OUTSIDE_LABEL, [tok]))
+            tokens.append(tok)
+            if open_label is None:
+                chunks.append(_OUTSIDE_SPAN)
 
     if open_label is not None:
         raise ParseError("unclosed bracket group", line, open_offset)
-    return ChunkedSentence(chunks)
-
-
-def _plain_sentence(line: str) -> ChunkedSentence:
-    """Plain-text mode: every whitespace token is a singleton O chunk."""
-    return ChunkedSentence([Chunk(OUTSIDE_LABEL, [t]) for t in line.split()])
-
-
-def _lowercase(sentence: ChunkedSentence) -> ChunkedSentence:
-    for c in sentence.chunks:
-        c.tokens = [t.lower() for t in c.tokens]
-    return sentence
+    return ChunkedSentence(tokens, chunks)
 
 
 def numbered_lines(path: str | Path) -> Iterator[tuple[str, str]]:
@@ -226,21 +208,24 @@ def iter_corpus(
 ) -> Iterator[ChunkedSentence]:
     """Stream a corpus file as ChunkedSentences, one per line.
 
-    Chunk labels are never lowercased; tokens are iff lowercase is set.
+    In plain mode brackets are ordinary characters: the tokens are
+    `line.split()` and each is an ("O", 1) span.  Chunk labels are never
+    lowercased; tokens are, each with `str.lower`, iff lowercase is set.
     Parse failures, and bytes that are not UTF-8, are raised as ParseError
     with file and line context.
     """
     with closing(numbered_lines(path)) as lines:
         for where, line in lines:
             if plain:
-                sent = _plain_sentence(line)
+                tokens = line.split()
+                sent = ChunkedSentence(tokens, [_OUTSIDE_SPAN] * len(tokens))
             else:
                 try:
                     sent = parse_chunked_line(line)
                 except ParseError as exc:
                     raise ParseError(f"{where}: {exc.reason}", line, exc.char_offset) from exc
             if lowercase:
-                sent = _lowercase(sent)
+                sent.tokens = [t.lower() for t in sent.tokens]
             yield sent
 
 
@@ -276,7 +261,9 @@ def build_vocab(sentences: Iterable[ChunkedSentence], min_count: int) -> Vocab:
     """Count words over a sentence stream and retain those with count >= min_count."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts = Counter(tok for sent in sentences for tok in sent.tokens())
+    counts: Counter = Counter()
+    for sent in sentences:
+        counts.update(sent.tokens)
     words = _ranked(counts, min_count)
     return Vocab(words, [counts[w] for w in words])
 
@@ -322,15 +309,16 @@ class PhraseVocab:
         return self.keys[phrase_id][1]
 
 
-def chunk_phrase_key(chunk: Chunk, vocab: Vocab) -> PhraseKey | None:
-    """Map a chunk to its phrase key, or None if any word is out of vocab."""
-    ids = []
-    for tok in chunk.tokens:
-        wid = vocab.id_of(tok)
-        if wid is None:
-            return None
-        ids.append(wid)
-    return (tuple(ids), chunk.label)
+def chunk_spans(
+    sentence: ChunkedSentence, vocab: Vocab
+) -> Iterator[tuple[int, PhraseKey | None]]:
+    """Yield each chunk's length and phrase key (its word ids and label, or
+    None if any of its words is out of vocab), in order."""
+    word2id = vocab.word2id
+    tokens = iter(sentence.tokens)
+    for label, n in sentence.chunks:
+        ids = tuple([word2id.get(t, -1) for t in islice(tokens, n)])
+        yield n, None if -1 in ids else (ids, label)
 
 
 def build_phrase_vocab(
@@ -350,11 +338,8 @@ def build_phrase_vocab(
         raise ValueError("phrase_min_count must be >= 1")
     counts: Counter = Counter()
     for sent in sentences:
-        for chunk in sent.chunks:
-            if len(chunk.tokens) == 1 and not include_singletons:
-                continue
-            key = chunk_phrase_key(chunk, vocab)
-            if key is not None:
+        for n, key in chunk_spans(sent, vocab):
+            if key is not None and (n > 1 or include_singletons):
                 counts[key] += 1
     keys = _ranked(counts, phrase_min_count)
     return PhraseVocab(keys, [counts[k] for k in keys])

@@ -116,8 +116,10 @@ def read_embeddings_text(path: str | Path) -> tuple[list[str], np.ndarray]:
         if stat.S_ISREG(st.st_mode):
             body = max(st.st_size - len(header.encode("utf-8")) - 1, 0)
         count, dim = _parse_header(header.split(), where, body)
-        words = []
-        matrix = np.empty((count, dim), dtype=np.float32)
+        # A file's size bounds its header, so its matrix is allocated once;
+        # a pipe's rows are kept as they arrive and stacked at the end.
+        matrix = np.empty((count, dim), dtype=np.float32) if math.isfinite(body) else None
+        words, rows = [], []
         for i, (where, line) in zip(range(count), lines):
             # word2vec's C tool ends each row with a space after the last value
             fields = line.removesuffix(" ").split(" ")
@@ -126,11 +128,17 @@ def read_embeddings_text(path: str | Path) -> tuple[list[str], np.ndarray]:
             words.append(fields[0])
             # Parsed to float64 first, then rounded to float32, as float() would.
             try:
-                matrix[i] = np.array(fields[1:], dtype=np.float64)
+                row = np.array(fields[1:], dtype=np.float64)
             except ValueError as exc:
                 raise EmbeddingsFormatError(f"{where}: {exc}") from None
+            if matrix is None:
+                rows.append(row.astype(np.float32))
+            else:
+                matrix[i] = row
     if len(words) < count:
         raise EmbeddingsFormatError(f"{path}:{len(words) + 2}: expected {count} rows, got {len(words)}")
+    if matrix is None:
+        matrix = np.array(rows, dtype=np.float32).reshape(count, dim)
     return words, matrix
 
 

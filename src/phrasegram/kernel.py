@@ -50,6 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from phrasegram.corpus import output_file
+from phrasegram.model import bank_count
 from phrasegram.sampling import NoiseDistribution
 
 __all__ = [
@@ -201,7 +202,7 @@ class WordPass:
         positional: bool,
     ) -> None:
         rows, dim = inp.shape
-        if len(banks) != (2 * window if positional else 1):
+        if len(banks) != bank_count(window, positional):
             raise ValueError(f"{len(banks)} output banks for window {window}")
         if len(noise.cumulative) != rows:
             raise ValueError(f"noise table has {len(noise.cumulative)} ids for {rows} rows")

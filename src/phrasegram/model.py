@@ -37,6 +37,7 @@ __all__ = [
     "TrainConfig",
     "ModelParams",
     "init_params",
+    "bank_count",
     "bank_for_offset",
     "checkpoint_save",
     "checkpoint_load",
@@ -50,6 +51,7 @@ __all__ = [
 
 _MAGIC = b"PGCKPT01"
 _FORMAT_VERSION = 1
+_PIPE_BLOCK = 1 << 20  # bytes per read of a checkpoint piped in
 
 
 class Mode(str, Enum):
@@ -208,7 +210,7 @@ class ModelParams:
         if d != config.dim:
             raise ValueError(f"config.dim is {config.dim}, the matrices have {d} columns")
         mode = config.mode
-        n_banks = 2 * config.window if mode.positional else 1
+        n_banks = bank_count(config.window, mode.positional)
         if len(self.output_words) != n_banks:
             raise ValueError(
                 f"mode {mode.value} with window {config.window} needs "
@@ -256,6 +258,11 @@ class ModelParams:
         )
 
 
+def bank_count(window: int, positional: bool) -> int:
+    """Number of output banks: one per offset in a positional model, else one."""
+    return 2 * window if positional else 1
+
+
 def bank_for_offset(offset: int, window: int, positional: bool) -> int:
     """Map a relative position to an output-matrix index.
 
@@ -292,7 +299,7 @@ def init_params(
         return (rng.random((vocab_size, d)) - 0.5) / d
 
     inp = uniform()
-    n_banks = 2 * config.window if config.mode.positional else 1
+    n_banks = bank_count(config.window, config.mode.positional)
     out = [np.zeros((vocab_size, d)) for _ in range(n_banks)]
     phrase_out = []
     if config.mode.compositional:
@@ -401,11 +408,16 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
             raise CheckpointVersionError(
                 f"{path}: format version {version}, expected {_FORMAT_VERSION}"
             )
-        # read() sizes its buffer from its argument, so a regular file's
-        # size caps it; a pipe's size is not known before it is read.
+        # read() sizes its buffer from its argument: a regular file's size
+        # caps it, so it is one read; a pipe's size is not known, so it is
+        # read in blocks, holding only the bytes that have arrived.
         st = os.fstat(fh.fileno())
-        available = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else length
-        payload = fh.read(min(length, available))
+        block = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else _PIPE_BLOCK
+        blocks, left = [], length
+        while left and (part := fh.read(min(left, block))):
+            blocks.append(part)
+            left -= len(part)
+        payload = b"".join(blocks)  # one block is returned as is, uncopied
     if len(payload) < length:
         raise CheckpointTruncatedError(
             f"{path}: payload is {len(payload)} bytes, expected {length}"

@@ -67,7 +67,7 @@ from phrasegram.corpus import (
     Vocab,
     build_phrase_vocab,
     build_vocab,
-    chunk_phrase_key,
+    chunk_spans,
     iter_corpus,
 )
 from phrasegram.model import (
@@ -273,17 +273,14 @@ class MappedSentence:
 def map_sentence(
     sentence: ChunkedSentence, vocab: Vocab, phrase_vocab: PhraseVocab | None
 ) -> MappedSentence:
-    word_ids = [
-        vocab.word2id.get(tok, -1) for c in sentence.chunks for tok in c.tokens
-    ]
-    phrase_ids: list[int] = []
-    for chunk in sentence.chunks:
-        pid = -1
-        if phrase_vocab is not None:
-            key = chunk_phrase_key(chunk, vocab)
-            if key is not None:
-                pid = phrase_vocab.key2id.get(key, -1)
-        phrase_ids.append(pid)
+    """Ids of the sentence's tokens and of its chunk spans (by their
+    `chunk_spans` keys), holes as -1."""
+    word2id = vocab.word2id
+    word_ids = [word2id.get(tok, -1) for tok in sentence.tokens]
+    if phrase_vocab is None:
+        return MappedSentence(word_ids, [-1] * len(sentence.chunks))
+    key2id = phrase_vocab.key2id
+    phrase_ids = [-1 if key is None else key2id.get(key, -1) for _, key in chunk_spans(sentence, vocab)]
     return MappedSentence(word_ids, phrase_ids)
 
 
@@ -327,12 +324,6 @@ class TrainingState:
     phrase_rng: np.random.Generator
     tokens_processed: int = 0
     epoch: int = 0
-
-    @classmethod
-    def fresh(cls, config: TrainConfig) -> "TrainingState":
-        """Start state; child 0 of SeedSequence(seed) seeds init_params."""
-        children = np.random.SeedSequence(config.seed).spawn(3)
-        return cls(_rng_from(children[1]), _rng_from(children[2]))
 
     def to_dict(self) -> dict:
         # `workers` stays a one-entry list: the v1 checkpoint layout.
@@ -460,9 +451,10 @@ class TrainResult:
     state_dict: dict
 
 
-def _init_rng(config: TrainConfig) -> np.random.Generator:
-    root = np.random.SeedSequence(config.seed)
-    return _rng_from(root.spawn(1)[0])
+def _seed_streams(seed: int) -> list[np.random.Generator]:
+    """Generators for init_params and the word and phrase streams of a fresh
+    run: children 0, 1 and 2 of SeedSequence(seed)."""
+    return [_rng_from(child) for child in np.random.SeedSequence(seed).spawn(3)]
 
 
 def _subsample_keep_prob(vocab: Vocab, threshold: float) -> np.ndarray:
@@ -526,8 +518,9 @@ def train(
                     "needs; phrase-level pass will be skipped",
                     len(phrase_vocab),
                 )
-        params = init_params(len(vocab), config, _init_rng(config))
-        state = TrainingState.fresh(config)
+        init_rng, word_rng, phrase_rng = _seed_streams(config.seed)
+        params = init_params(len(vocab), config, init_rng)
+        state = TrainingState(word_rng, phrase_rng)
 
     mapped = [map_sentence(s, vocab, phrase_vocab) for s in sentences()]
     token_counts = [sum(1 for w in m.word_ids if w >= 0) for m in mapped]

@@ -59,6 +59,20 @@ from phrasegram.model import (
 from phrasegram.trainer import train
 
 
+@contextmanager
+def _piped(tmp_path, data: bytes):
+    """A FIFO that a thread fills with `data`; the thread is joined on exit."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        yield fifo
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 def random_embedding(rng, n=5, d=3):
     words = [f"w{i}" for i in range(n)]
     matrix = rng.normal(size=(n, d)).astype(np.float32)
@@ -157,12 +171,8 @@ class TestTextFormat:
 
     def test_reads_a_pipe(self, tmp_path):
         # A pipe has no size to check the header against.
-        fifo = tmp_path / "fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_text, args=("2 2\na 1 2\nb 3 4\n",), daemon=True)
-        writer.start()
-        words, matrix = read_embeddings_text(fifo)
-        writer.join(timeout=10)
+        with _piped(tmp_path, b"2 2\na 1 2\nb 3 4\n") as fifo:
+            words, matrix = read_embeddings_text(fifo)
         assert words == ["a", "b"] and matrix.tolist() == [[1, 2], [3, 4]]
 
     def test_smallest_file_for_its_header_loads(self, tmp_path):
@@ -863,6 +873,23 @@ class TestCliExitCodes:
         code = main(["export", "--model", str(ckpt), "--out", str(tmp_path / "e")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {ckpt}: payload is 3 bytes, expected {length}\n"
+
+    @pytest.mark.parametrize("length", [2**63, 2**64 - 1])
+    def test_piped_payload_longer_than_the_pipe_is_data_error(self, tmp_path, capsys, length):
+        # A pipe has no size to check the length against; a read sized by
+        # it raised OverflowError.
+        data = b"PGCKPT01" + struct.pack("<IIQ", 1, 0, length) + b"abc"
+        with _piped(tmp_path, data) as fifo:
+            code = main(["export", "--model", str(fifo), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {fifo}: payload is 3 bytes, expected {length}\n"
+
+    def test_piped_embeddings_row_is_checked_before_allocating(self, tmp_path, capsys):
+        # Allocating the header's 200000 x 100000 matrix raised MemoryError.
+        with _piped(tmp_path, b"200000 100000\nw 1\n") as fifo:
+            code = main(["neighbors", "w", "--embeddings", str(fifo)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {fifo}:2: expected 100000 values, got 1\n"
 
     def test_diverging_run_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -1,70 +1,79 @@
-"""Bracket-format parsing, serialization round-trips, and vocabulary
-construction checked against brute-force recounts.
+"""Bracket-format parsing, serialization round-trips, corpus ingest, and
+vocabulary construction checked against brute-force recounts.
 """
 
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phrasegram.corpus import (
-    Chunk,
     ChunkedSentence,
     ParseError,
     Vocab,
     build_phrase_vocab,
     build_vocab,
-    chunk_phrase_key,
+    chunk_spans,
     iter_corpus,
     parse_chunked_line,
 )
+from phrasegram.trainer import map_sentence
 
 tokens_st = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
 labels_st = st.sampled_from(["NP", "VP", "PP", "ADJP", "O"])
-chunk_st = st.builds(
-    Chunk, labels_st, st.lists(tokens_st, min_size=1, max_size=4)
-)
-sentence_st = st.builds(ChunkedSentence, st.lists(chunk_st, min_size=0, max_size=6))
+
+
+def sentence_from(chunks):
+    """A ChunkedSentence from (label, tokens) pairs: flat tokens plus spans."""
+    return ChunkedSentence(
+        [t for _, words in chunks for t in words], [(label, len(words)) for label, words in chunks]
+    )
+
+
+def sentences_of(tokens, labels=labels_st):
+    chunk = st.tuples(labels, st.lists(tokens, min_size=1, max_size=4))
+    return st.lists(chunk, min_size=0, max_size=6).map(sentence_from)
+
+
+sentence_st = sentences_of(tokens_st)
 
 
 class TestParsing:
     def test_mixed_line(self):
         sent = parse_chunked_line("[NP the cat] sat [PP on the mat]")
-        assert [c.label for c in sent.chunks] == ["NP", "O", "PP"]
-        assert sent.chunks[0].tokens == ["the", "cat"]
-        assert sent.chunks[1].tokens == ["sat"]
-        assert sent.chunks[2].tokens == ["on", "the", "mat"]
-        assert sent.tokens() == ["the", "cat", "sat", "on", "the", "mat"]
+        assert sent.tokens == ["the", "cat", "sat", "on", "the", "mat"]
+        assert sent.chunks == [("NP", 2), ("O", 1), ("PP", 3)]
 
     def test_bare_tokens_become_singleton_o_chunks(self):
         sent = parse_chunked_line("a b c")
-        assert all(c.label == "O" and len(c.tokens) == 1 for c in sent.chunks)
+        assert sent.tokens == ["a", "b", "c"]
+        assert sent.chunks == [("O", 1)] * 3
 
     def test_empty_line_yields_empty_sentence(self):
-        assert parse_chunked_line("").chunks == []
-        assert parse_chunked_line("   ").chunks == []
+        assert parse_chunked_line("") == ChunkedSentence([], [])
+        assert parse_chunked_line("   ") == ChunkedSentence([], [])
 
     def test_close_bracket_attached_to_token(self):
         sent = parse_chunked_line("[NP dogs] [VP bark]")
-        assert sent.chunks == [Chunk("NP", ["dogs"]), Chunk("VP", ["bark"])]
+        assert sent == ChunkedSentence(["dogs", "bark"], [("NP", 1), ("VP", 1)])
 
     def test_close_bracket_standalone(self):
         sent = parse_chunked_line("[NP dogs ] bark")
-        assert sent.chunks == [Chunk("NP", ["dogs"]), Chunk("O", ["bark"])]
+        assert sent == ChunkedSentence(["dogs", "bark"], [("NP", 1), ("O", 1)])
 
     @given(sentence_st)
     def test_serialize_parse_round_trip(self, sentence):
         assert parse_chunked_line(sentence.to_line()) == sentence
 
     def test_singleton_o_serializes_bare(self):
-        sent = ChunkedSentence([Chunk("O", ["hello"])])
+        sent = ChunkedSentence(["hello"], [("O", 1)])
         assert sent.to_line() == "hello"
 
     def test_multiword_o_serializes_bracketed(self):
-        sent = ChunkedSentence([Chunk("O", ["a", "b"])])
-        assert sent.to_line() == "[O a b]"
+        sent = ChunkedSentence(["a", "b", "c"], [("O", 2), ("O", 1)])
+        assert sent.to_line() == "[O a b] c"
 
 
 class TestParseErrors:
@@ -109,21 +118,20 @@ class TestCorpusIO:
         path = tmp_path / "c.txt"
         path.write_text("[NP The CAT] SAT\n")
         (sent,) = list(iter_corpus(path))
-        assert sent.chunks[0] == Chunk("NP", ["the", "cat"])
-        assert sent.chunks[1] == Chunk("O", ["sat"])
+        assert sent == ChunkedSentence(["the", "cat", "sat"], [("NP", 2), ("O", 1)])
 
     def test_lowercase_can_be_disabled(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("The CAT\n")
         (sent,) = list(iter_corpus(path, lowercase=False))
-        assert sent.tokens() == ["The", "CAT"]
+        assert sent.tokens == ["The", "CAT"]
 
     def test_plain_mode_ignores_brackets(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("[NP the cat]\n")
         (sent,) = list(iter_corpus(path, plain=True))
-        assert sent.tokens() == ["[np", "the", "cat]"]
-        assert all(c.label == "O" for c in sent.chunks)
+        assert sent.tokens == ["[np", "the", "cat]"]
+        assert sent.chunks == [("O", 1)] * 3
 
     def test_parse_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -145,6 +153,99 @@ class TestCorpusIO:
         path.write_text("a b\n\nc\n")
         sents = list(iter_corpus(path))
         assert [len(s.chunks) for s in sents] == [2, 0, 1]
+
+
+# Tokens that case folding treats specially: a final sigma, a dotted capital I
+# that lowercases to two code points, and a sharp s that has no capital here.
+case_tokens_st = st.text(alphabet="aZΣσςİiß", min_size=1, max_size=5)
+plain_tokens_st = st.text(alphabet="aZΣİß[]", min_size=1, max_size=5)
+
+
+def _write_lines(path, sentences):
+    path.write_bytes(b"".join(s.to_line().encode("utf-8") + b"\r\n" for s in sentences))
+
+
+def _folded(sentence, lowercase):
+    if not lowercase:
+        return sentence
+    return ChunkedSentence([t.lower() for t in sentence.tokens], sentence.chunks)
+
+
+def _brute_spans(sentence, vocab):
+    """(length, key) per chunk, recounted from the spans with plain indexing."""
+    out, start = [], 0
+    for label, n in sentence.chunks:
+        words = sentence.tokens[start : start + n]
+        start += n
+        known = all(w in vocab.word2id for w in words)
+        out.append((n, (tuple(vocab.word2id[w] for w in words), label) if known else None))
+    return out
+
+
+def _ranked(counts, min_count):
+    """(key, count) kept at min_count, by descending count, then first seen."""
+    kept = [(k, c) for k, c in counts.items() if c >= min_count]
+    return sorted(kept, key=lambda kc: -kc[1])
+
+
+class TestIngestRoundTrip:
+    """Generated sentences written with to_line() and \\r\\n line ends come
+    back from iter_corpus as generated, case-folded per token when asked."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(sentences_of(case_tokens_st), max_size=8), st.booleans())
+    def test_bracketed_lines(self, tmp_path_factory, sentences, lowercase):
+        path = tmp_path_factory.mktemp("ingest") / "c.txt"
+        _write_lines(path, sentences)
+        read = list(iter_corpus(path, lowercase=lowercase))
+        assert read == [_folded(s, lowercase) for s in sentences]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(plain_tokens_st, max_size=6), max_size=8), st.booleans())
+    def test_plain_lines(self, tmp_path_factory, lines, lowercase):
+        # Bare tokens serialize bare, so these lines have no bracket groups,
+        # but the tokens may hold brackets as ordinary characters.
+        sentences = [ChunkedSentence(tokens, [("O", 1)] * len(tokens)) for tokens in lines]
+        path = tmp_path_factory.mktemp("ingest") / "c.txt"
+        _write_lines(path, sentences)
+        read = list(iter_corpus(path, lowercase=lowercase, plain=True))
+        assert read == [_folded(s, lowercase) for s in sentences]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(sentences_of(case_tokens_st), max_size=8),
+        st.booleans(),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    )
+    def test_vocabularies_and_mapping_match_recount(
+        self, tmp_path_factory, sentences, lowercase, min_count, phrase_min_count
+    ):
+        path = tmp_path_factory.mktemp("ingest") / "c.txt"
+        _write_lines(path, sentences)
+        folded = [_folded(s, lowercase) for s in sentences]
+
+        vocab = build_vocab(iter_corpus(path, lowercase=lowercase), min_count)
+        counts = Counter(t for s in folded for t in s.tokens)
+        assert list(zip(vocab.words, vocab.counts.tolist())) == _ranked(counts, min_count)
+
+        for singletons in (False, True):
+            pv = build_phrase_vocab(
+                iter_corpus(path, lowercase=lowercase), vocab, phrase_min_count, singletons
+            )
+            keys = Counter(
+                key
+                for s in folded
+                for n, key in _brute_spans(s, vocab)
+                if key is not None and (n > 1 or singletons)
+            )
+            assert list(zip(pv.keys, pv.counts.tolist())) == _ranked(keys, phrase_min_count)
+            for s in folded:
+                mapped = map_sentence(s, vocab, pv)
+                assert mapped.word_ids == [vocab.word2id.get(t, -1) for t in s.tokens]
+                assert mapped.phrase_ids == [
+                    -1 if key is None else pv.key2id.get(key, -1) for _, key in _brute_spans(s, vocab)
+                ]
 
 
 class TestVocab:
@@ -194,11 +295,12 @@ class TestPhraseVocab:
         return Vocab(["the", "cat", "dog", "sat"], [10, 8, 6, 4])
 
     def test_key_maps_words_to_ids(self):
-        key = chunk_phrase_key(Chunk("NP", ["the", "cat"]), self._vocab())
-        assert key == ((0, 1), "NP")
+        sent = parse_chunked_line("[NP the cat] sat")
+        assert list(chunk_spans(sent, self._vocab())) == [(2, ((0, 1), "NP")), (1, ((3,), "O"))]
 
     def test_key_none_when_any_word_oov(self):
-        assert chunk_phrase_key(Chunk("NP", ["the", "unicorn"]), self._vocab()) is None
+        sent = parse_chunked_line("[NP the unicorn] unicorn")
+        assert list(chunk_spans(sent, self._vocab())) == [(2, None), (1, None)]
 
     def test_counting_matches_recount(self):
         lines = [
@@ -253,12 +355,3 @@ class TestPhraseVocab:
         assert pv.component_ids(0) == (0, 1)
         assert pv.label(0) == "NP"
 
-
-class TestChunkValidation:
-    def test_empty_label_rejected(self):
-        with pytest.raises(ValueError, match="label"):
-            Chunk("", ["x"])
-
-    def test_empty_tokens_rejected(self):
-        with pytest.raises(ValueError, match="token"):
-            Chunk("NP", [])

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+import phrasegram.model
 from phrasegram.corpus import PhraseVocab, Vocab
 from phrasegram.model import (
     CheckpointChecksumError,
@@ -263,8 +264,10 @@ class TestCheckpoint:
             checkpoint_load(path)
 
     @pytest.mark.parametrize("cut", [0, 100])
-    def test_loads_from_a_pipe(self, tmp_path, cut):
-        # A pipe has no size to check the declared length against.
+    def test_loads_from_a_pipe(self, tmp_path, monkeypatch, cut):
+        # A pipe has no size to check the declared length against; it is
+        # read in blocks, here made small so that the payload takes many.
+        monkeypatch.setattr(phrasegram.model, "_PIPE_BLOCK", 64)
         params, cfg, vocab, pv, state = _fixture()
         path = tmp_path / "m.ckpt"
         checkpoint_save(path, params, cfg, vocab, pv, state)

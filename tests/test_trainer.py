@@ -664,8 +664,10 @@ class TestTrainEndToEnd:
         self._write_corpus(corpus)
         cfg = self._config(epochs=0)
         result = train(corpus, cfg)
-        fresh = init_params(len(result.vocab), cfg, trainer._init_rng(cfg))
+        init_rng, word_rng, phrase_rng = trainer._seed_streams(cfg.seed)
+        fresh = init_params(len(result.vocab), cfg, init_rng)
         np.testing.assert_array_equal(result.params.input_words, fresh.input_words)
+        assert result.state_dict == trainer.TrainingState(word_rng, phrase_rng).to_dict()
         assert result.report.epochs == []
 
     def test_tokens_processed_counts_in_vocab_tokens(self, tmp_path):
@@ -734,8 +736,7 @@ class TestTrainEndToEnd:
 
 class TestRngStateRoundTrip:
     def test_serialized_states_resume_identically(self):
-        cfg = TrainConfig(dim=4, window=2, min_count=1, seed=9)
-        state = trainer.TrainingState.fresh(cfg)
+        state = trainer.TrainingState(*trainer._seed_streams(9)[1:])
         state.epoch, state.tokens_processed = 1, 42
         restored = trainer.TrainingState.from_dict(state.to_dict())
         np.testing.assert_array_equal(
@@ -748,19 +749,19 @@ class TestRngStateRoundTrip:
         assert restored.tokens_processed == 42
 
     def test_worker_streams_are_distinct(self):
-        # The single state draws words and phrases from children 1 and 2 of
-        # SeedSequence(seed), the streams v1 checkpoints store as worker 0.
-        cfg = TrainConfig(dim=4, window=2, min_count=1, seed=9)
-        state = trainer.TrainingState.fresh(cfg)
+        # A fresh run draws init_params, words and phrases from children 0, 1
+        # and 2 of SeedSequence(seed); v1 checkpoints store the last two as
+        # worker 0.
+        streams = trainer._seed_streams(9)
         children = np.random.SeedSequence(9).spawn(3)
-        for rng, child in ((state.word_rng, children[1]), (state.phrase_rng, children[2])):
+        for rng, child in zip(streams, children):
             expected = np.random.Generator(np.random.PCG64(child)).random(10)
             np.testing.assert_array_equal(rng.random(10), expected)
-        assert not np.array_equal(state.word_rng.random(10), state.phrase_rng.random(10))
+        draws = [rng.random(10) for rng in streams]
+        assert len({d.tobytes() for d in draws}) == 3
 
     def test_worker_count_mismatch_rejected(self):
-        cfg = TrainConfig(dim=4, window=2, min_count=1)
-        snapshot = trainer.TrainingState.fresh(cfg).to_dict()
+        snapshot = trainer.TrainingState(*trainer._seed_streams(0)[1:]).to_dict()
         snapshot["workers"] = snapshot["workers"] * 2
         with pytest.raises(ValueError, match="workers"):
             trainer.TrainingState.from_dict(snapshot)
