@@ -44,7 +44,7 @@ from phrasegram.model import (
     checkpoint_load,
     checkpoint_save,
 )
-from phrasegram.trainer import TrainingDivergedError, train
+from phrasegram.trainer import TrainingDivergedError, check_corpus, train
 
 __all__ = ["main"]
 
@@ -187,6 +187,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _check_distinct(("corpus", args.corpus), ("--out", args.out), ("--manifest", manifest_path))
     # Outputs exist before any work: a bad path fails at once, a failed run publishes neither.
     with output_file(args.out, "wb") as ckpt, output_file(manifest_path) as manifest:
+        check_corpus(corpus)
         digest = file_sha256(corpus)
         started = time.perf_counter()
         result = train(corpus, config)

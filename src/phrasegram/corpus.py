@@ -1,6 +1,9 @@
 """Chunk-annotated corpus handling: parsing, vocabularies, frequency filtering.
 
-Corpus files are UTF-8 text, one sentence per line.  Contiguous phrase
+Corpus files are UTF-8 text, one sentence per line; a line ends at a
+newline, and CRLF line ends are accepted.  Both modes split tokens with
+`str.split()`, at Unicode whitespace.  The training corpus must be a
+regular file, since training reads it more than once.  Contiguous phrase
 spans are marked inline with brackets: ``[NP the cat] sat`` is a two-token
 NP chunk followed by a bare token, parsed flat as the tokens ``the cat
 sat`` and one (label, length) span per chunk, ``("NP", 2), ("O", 1)``: a
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import errno
 import os
-import re
 from collections import Counter
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
@@ -38,8 +40,6 @@ __all__ = [
 ]
 
 OUTSIDE_LABEL = "O"
-
-_TOKEN_RE = re.compile(r"\S+")
 
 
 class ParseError(ValueError):
@@ -86,41 +86,41 @@ class ChunkedSentence:
 def parse_chunked_line(line: str) -> ChunkedSentence:
     """Parse one corpus line into a ChunkedSentence.
 
-    Unbracketed tokens become ("O", 1) spans.  An empty line yields a
-    sentence with no tokens and no spans.  Unbalanced brackets and empty
-    bracket groups raise ParseError naming the byte offset.
+    The tokens are `line.split()`, as in plain mode; unbracketed ones
+    become ("O", 1) spans.  An empty line yields a sentence with no tokens
+    and no spans.  Unbalanced brackets and empty bracket groups raise
+    ParseError naming the byte offset.
     """
+    words = line.split()
     tokens: list[str] = []
     chunks: list[tuple[str, int]] = []
     open_label: str | None = None
     open_start = 0
-    open_offset = 0
+    open_at = 0
 
-    for m in _TOKEN_RE.finditer(line):
-        tok = m.group()
-        pos = m.start()
-        if tok.startswith("["):
+    for i, tok in enumerate(words):
+        if tok[0] == "[":
             if open_label is not None:
-                raise ParseError("nested bracket group", line, pos)
+                raise _token_error("nested bracket group", line, words, i)
             body = tok[1:]
             closes = body.endswith("]")
             if closes:
                 body = body[:-1]
             if not body:
-                raise ParseError("empty chunk label", line, pos)
+                raise _token_error("empty chunk label", line, words, i)
             if closes:
                 # "[NP]" carries a label but no tokens.
-                raise ParseError("empty bracket group", line, pos)
+                raise _token_error("empty bracket group", line, words, i)
             open_label = body
             open_start = len(tokens)
-            open_offset = pos
-        elif tok == "]" or tok.endswith("]"):
+            open_at = i
+        elif tok[-1] == "]":
             if open_label is None:
-                raise ParseError("unbalanced closing bracket", line, pos)
+                raise _token_error("unbalanced closing bracket", line, words, i)
             if tok != "]":
                 tokens.append(tok[:-1])
             if len(tokens) == open_start:
-                raise ParseError("empty bracket group", line, open_offset)
+                raise _token_error("empty bracket group", line, words, open_at)
             chunks.append((open_label, len(tokens) - open_start))
             open_label = None
         else:
@@ -129,22 +129,35 @@ def parse_chunked_line(line: str) -> ChunkedSentence:
                 chunks.append(_OUTSIDE_SPAN)
 
     if open_label is not None:
-        raise ParseError("unclosed bracket group", line, open_offset)
+        raise _token_error("unclosed bracket group", line, words, open_at)
     return ChunkedSentence(tokens, chunks)
 
 
-def numbered_lines(path: str | Path) -> Iterator[tuple[str, str]]:
-    """Stream a UTF-8 text file as ("path:lineno", line without its newline).
+def _token_error(reason: str, line: str, words: list[str], i: int) -> ParseError:
+    """ParseError at words[i], where words is `line.split()`: each token is
+    found after the end of the one before it, since only whitespace lies
+    between them."""
+    end = 0
+    for word in words[:i]:
+        end = line.index(word, end) + len(word)
+    return ParseError(reason, line, line.index(words[i], end))
 
+
+def numbered_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Stream a UTF-8 text file as ("path:lineno", line without its line end).
+
+    A line ends at a newline, and one carriage return before it is dropped,
+    so lines are numbered as `wc -l` counts them; a lone carriage return
+    stays in the line (where `str.split()` reads it as whitespace).
     Bytes that are not UTF-8 raise ParseError naming the line and the byte
     offset of the first bad byte in it.
     """
     # surrogateescape keeps a bad byte in place as a lone surrogate, so the
     # line can name its offset; valid UTF-8 never decodes to one.
-    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
-            line = line.rstrip("\n")
+            line = line.removesuffix("\n").removesuffix("\r")
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError as exc:
@@ -256,6 +269,11 @@ class Vocab:
     def id_of(self, word: str) -> int | None:
         return self.word2id.get(word)
 
+    def ids(self, tokens: Iterable[str]) -> list[int]:
+        """The id of each token, -1 for one out of vocab."""
+        word2id = self.word2id
+        return [word2id.get(t, -1) for t in tokens]
+
 
 def build_vocab(sentences: Iterable[ChunkedSentence], min_count: int) -> Vocab:
     """Count words over a sentence stream and retain those with count >= min_count."""
@@ -310,14 +328,15 @@ class PhraseVocab:
 
 
 def chunk_spans(
-    sentence: ChunkedSentence, vocab: Vocab
+    word_ids: Sequence[int], chunks: Iterable[tuple[str, int]]
 ) -> Iterator[tuple[int, PhraseKey | None]]:
     """Yield each chunk's length and phrase key (its word ids and label, or
-    None if any of its words is out of vocab), in order."""
-    word2id = vocab.word2id
-    tokens = iter(sentence.tokens)
-    for label, n in sentence.chunks:
-        ids = tuple([word2id.get(t, -1) for t in islice(tokens, n)])
+    None if any of its words is out of vocab), in order, from a sentence's
+    `Vocab.ids` and its (label, length) spans."""
+    start = 0
+    for label, n in chunks:
+        ids = tuple(word_ids[start : start + n])
+        start += n
         yield n, None if -1 in ids else (ids, label)
 
 
@@ -338,7 +357,7 @@ def build_phrase_vocab(
         raise ValueError("phrase_min_count must be >= 1")
     counts: Counter = Counter()
     for sent in sentences:
-        for n, key in chunk_spans(sent, vocab):
+        for n, key in chunk_spans(vocab.ids(sent.tokens), sent.chunks):
             if key is not None and (n > 1 or include_singletons):
                 counts[key] += 1
     keys = _ranked(counts, phrase_min_count)

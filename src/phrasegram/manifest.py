@@ -83,7 +83,8 @@ def build_manifest(
 def write_manifest(path: str | Path | TextIO, items: Mapping[str, str]) -> None:
     """Write ``key=value`` lines, sorted by key, through output_file."""
     for key, value in items.items():
-        text = key + str(value)  # read back by numbered_lines, which ends a line at \r or \n
+        # Read back by numbered_lines, which ends a line at \n and drops a \r before it.
+        text = key + str(value)
         if not key or "=" in key or "\n" in text or "\r" in text:
             raise ValueError(f"key/value not representable: {key!r}")
     body = "".join(f"{k}={v}\n" for k, v in sorted(items.items()))

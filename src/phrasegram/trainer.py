@@ -52,6 +52,8 @@ occupy a position.
 from __future__ import annotations
 
 import logging
+import os
+import stat
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,6 +96,7 @@ __all__ = [
     "iter_window_pairs",
     "map_sentence",
     "PhrasePass",
+    "check_corpus",
     "train",
 ]
 
@@ -275,12 +278,12 @@ def map_sentence(
 ) -> MappedSentence:
     """Ids of the sentence's tokens and of its chunk spans (by their
     `chunk_spans` keys), holes as -1."""
-    word2id = vocab.word2id
-    word_ids = [word2id.get(tok, -1) for tok in sentence.tokens]
+    word_ids = vocab.ids(sentence.tokens)
     if phrase_vocab is None:
         return MappedSentence(word_ids, [-1] * len(sentence.chunks))
     key2id = phrase_vocab.key2id
-    phrase_ids = [-1 if key is None else key2id.get(key, -1) for _, key in chunk_spans(sentence, vocab)]
+    spans = chunk_spans(word_ids, sentence.chunks)
+    phrase_ids = [-1 if key is None else key2id.get(key, -1) for _, key in spans]
     return MappedSentence(word_ids, phrase_ids)
 
 
@@ -464,6 +467,19 @@ def _subsample_keep_prob(vocab: Vocab, threshold: float) -> np.ndarray:
     return np.minimum(keep, 1.0)
 
 
+def check_corpus(path: str | Path) -> None:
+    """Reject a corpus that is not a regular file, before anything opens it.
+
+    Training reads the corpus more than once, so a pipe would be drained
+    by the first read and a FIFO with no writer would block the first
+    open.  A missing file raises os.stat's OSError.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(
+            f"{path}: the corpus must be a regular file, because training reads it more than once"
+        )
+
+
 def train(
     corpus_path: str | Path,
     config: TrainConfig,
@@ -485,6 +501,7 @@ def train(
     corpus_path = Path(corpus_path)
     if not corpus_path.exists():
         raise FileNotFoundError(f"corpus file not found: {corpus_path}")
+    check_corpus(corpus_path)
 
     def sentences():
         return iter_corpus(

@@ -582,7 +582,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("items", [{"a\rb": "1"}, {"a": "1\r2"}, {"corpus.path": "a\rx=1"}])
     def test_carriage_return_rejected(self, tmp_path, items):
-        # numbered_lines, which reads manifests back, ends a line at \r too
+        # numbered_lines, which reads manifests back, drops a \r before a line's \n
         with pytest.raises(ValueError, match="representable"):
             write_manifest(tmp_path / "m", items)
         assert list(tmp_path.iterdir()) == []
@@ -883,6 +883,27 @@ class TestCliExitCodes:
             code = main(["export", "--model", str(fifo), "--out", str(tmp_path / "e")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {fifo}: payload is 3 bytes, expected {length}\n"
+
+    @pytest.mark.parametrize("kind", ["fifo", "device"])
+    def test_corpus_that_is_not_a_regular_file_fails_at_once(self, tmp_path, capsys, kind):
+        # Training reads the corpus more than once: a pipe's first read
+        # drained it, and opening a FIFO with no writer blocked forever.
+        if kind == "fifo":
+            corpus = tmp_path / "fifo"
+            os.mkfifo(corpus)
+        else:
+            corpus = Path(os.devnull)
+        codes = []
+        argv = ["train", str(corpus), "--out", str(tmp_path / "m.ckpt"), "--min-count", "1"]
+        runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert codes == [2]
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: the corpus must be a regular file, "
+            "because training reads it more than once\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["fifo"] if kind == "fifo" else [])
 
     def test_piped_embeddings_row_is_checked_before_allocating(self, tmp_path, capsys):
         # Allocating the header's 200000 x 100000 matrix raised MemoryError.

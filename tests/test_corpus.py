@@ -2,6 +2,8 @@
 vocabulary construction checked against brute-force recounts.
 """
 
+import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -112,6 +114,119 @@ class TestParseErrors:
             parse_chunked_line("ab ]")
         assert info.value.byte_offset == 3
 
+    def test_offset_skips_earlier_copies_of_the_token(self):
+        # "]" also ends the token before it, and "[NP" holds the text "NP".
+        with pytest.raises(ParseError) as info:
+            parse_chunked_line("NP [NP a] ]")
+        assert (info.value.reason, info.value.byte_offset) == ("unbalanced closing bracket", 10)
+
+
+def reference_parse(line):
+    """A reference parser that finds tokens with a regex and tracks
+    character positions instead of walking `line.split()`: the oracle
+    of TestParserMatchesReference."""
+    tokens, chunks = [], []
+    open_label, open_start, open_offset = None, 0, 0
+    for m in re.finditer(r"\S+", line):
+        tok, pos = m.group(), m.start()
+        if tok.startswith("["):
+            if open_label is not None:
+                raise ParseError("nested bracket group", line, pos)
+            body = tok[1:]
+            closes = body.endswith("]")
+            if closes:
+                body = body[:-1]
+            if not body:
+                raise ParseError("empty chunk label", line, pos)
+            if closes:
+                raise ParseError("empty bracket group", line, pos)
+            open_label, open_start, open_offset = body, len(tokens), pos
+        elif tok == "]" or tok.endswith("]"):
+            if open_label is None:
+                raise ParseError("unbalanced closing bracket", line, pos)
+            if tok != "]":
+                tokens.append(tok[:-1])
+            if len(tokens) == open_start:
+                raise ParseError("empty bracket group", line, open_offset)
+            chunks.append((open_label, len(tokens) - open_start))
+            open_label = None
+        else:
+            tokens.append(tok)
+            if open_label is None:
+                chunks.append(("O", 1))
+    if open_label is not None:
+        raise ParseError("unclosed bracket group", line, open_offset)
+    return ChunkedSentence(tokens, chunks)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except ParseError as exc:
+        return exc.reason, exc.char_offset, exc.byte_offset
+
+
+# Every code point str.isspace() accepts: \t, \x1c, \x85, \xa0, \u2003, \u3000, ...
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+bare_word_st = st.text(alphabet="aßΣé中😀", min_size=1, max_size=3)
+
+
+def _bracketed(label, words, detached):
+    """A chunk's pieces, its closing bracket attached to the last word or not."""
+    return ["[" + label, *words, "]"] if detached else ["[" + label, *words[:-1], words[-1] + "]"]
+
+
+# A line is a run of groups: bare words, well-formed chunks, and stray
+# pieces that break the bracket structure (or only look as if they might).
+line_group_st = st.one_of(
+    bare_word_st.map(lambda w: [w]),
+    st.builds(_bracketed, bare_word_st, st.lists(bare_word_st, min_size=1, max_size=3), st.booleans()),
+    bare_word_st.map(lambda w: ["[" + w]),  # opens a group
+    bare_word_st.map(lambda w: [w + "]"]),  # closes a group
+    bare_word_st.map(lambda w: ["[" + w + "]"]),  # a label and no tokens
+    st.sampled_from(["[", "]", "[]", "[[", "]]", "a]b", "a[b"]).map(lambda w: [w]),
+)
+line_pieces_st = st.lists(line_group_st, max_size=6).map(lambda gs: [p for g in gs for p in g])
+separator_st = st.text(alphabet=WHITESPACE, min_size=1, max_size=3)
+
+
+@st.composite
+def chunked_lines(draw):
+    pieces = draw(line_pieces_st)
+    seps = draw(st.lists(separator_st, min_size=len(pieces) + 1, max_size=len(pieces) + 1))
+    edges = draw(st.tuples(st.booleans(), st.booleans()))
+    line = "".join(sep + piece for sep, piece in zip(seps, pieces))
+    line = line if edges[0] else line[len(seps[0]) :]
+    return line + seps[-1] if edges[1] else line
+
+
+class TestParserMatchesReference:
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(chunked_lines())
+    def test_same_sentence_or_same_error(self, line):
+        assert _outcome(parse_chunked_line, line) == _outcome(reference_parse, line)
+
+    def test_strategy_reaches_every_outcome(self):
+        # The differential test is only as good as the lines it draws.
+        outcomes = set()
+
+        @settings(max_examples=300, derandomize=True, deadline=None)
+        @given(chunked_lines())
+        def collect(line):
+            result = _outcome(reference_parse, line)
+            kind = "ok" if isinstance(result, ChunkedSentence) else result[0]
+            outcomes.add((kind, any(n > 1 for _, n in result.chunks) if kind == "ok" else None))
+
+        collect()
+        assert outcomes >= {
+            ("ok", True),
+            ("nested bracket group", None),
+            ("empty chunk label", None),
+            ("empty bracket group", None),
+            ("unbalanced closing bracket", None),
+            ("unclosed bracket group", None),
+        }
+
 
 class TestCorpusIO:
     def test_lowercases_tokens_not_labels(self, tmp_path):
@@ -153,6 +268,20 @@ class TestCorpusIO:
         path.write_text("a b\n\nc\n")
         sents = list(iter_corpus(path))
         assert [len(s.chunks) for s in sents] == [2, 0, 1]
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_lines_end_at_newline_only(self, tmp_path, plain):
+        # \r\n ends a line; a lone \r is whitespace inside one, as wc -l counts.
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"a b\rc d\r\ne\r\n")
+        sents = list(iter_corpus(path, plain=plain))
+        assert [s.tokens for s in sents] == [["a", "b", "c", "d"], ["e"]]
+
+    def test_lone_carriage_return_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"a b\rc d\n[NP x\n")
+        with pytest.raises(ParseError, match=r"c\.txt:2: unclosed bracket group at byte offset 0$"):
+            list(iter_corpus(path))
 
 
 # Tokens that case folding treats specially: a final sigma, a dotted capital I
@@ -296,11 +425,15 @@ class TestPhraseVocab:
 
     def test_key_maps_words_to_ids(self):
         sent = parse_chunked_line("[NP the cat] sat")
-        assert list(chunk_spans(sent, self._vocab())) == [(2, ((0, 1), "NP")), (1, ((3,), "O"))]
+        word_ids = self._vocab().ids(sent.tokens)
+        assert word_ids == [0, 1, 3]
+        assert list(chunk_spans(word_ids, sent.chunks)) == [(2, ((0, 1), "NP")), (1, ((3,), "O"))]
 
     def test_key_none_when_any_word_oov(self):
-        sent = parse_chunked_line("[NP the unicorn] unicorn")
-        assert list(chunk_spans(sent, self._vocab())) == [(2, None), (1, None)]
+        sent = parse_chunked_line("[NP the unicorn] unicorn cat")
+        word_ids = self._vocab().ids(sent.tokens)
+        assert word_ids == [0, -1, -1, 1]
+        assert list(chunk_spans(word_ids, sent.chunks)) == [(2, None), (1, None), (1, ((1,), "O"))]
 
     def test_counting_matches_recount(self):
         lines = [

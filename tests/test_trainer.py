@@ -5,6 +5,10 @@ and end-to-end run properties: objective ascent, determinism, resume
 fidelity, and the beta = 0 reduction to the baseline mode.
 """
 
+import os
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -680,6 +684,26 @@ class TestTrainEndToEnd:
     def test_missing_corpus_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not found"):
             train(tmp_path / "nope.txt", self._config())
+
+    @pytest.mark.parametrize("kind", ["fifo", "device"])
+    def test_corpus_that_is_not_a_regular_file_raises_at_once(self, tmp_path, kind):
+        if kind == "fifo":
+            corpus = tmp_path / "fifo"
+            os.mkfifo(corpus)  # no writer: opening it would block
+        else:
+            corpus = Path(os.devnull)
+        raised = []
+
+        def run():
+            try:
+                train(corpus, self._config())
+            except ValueError as exc:
+                raised.append(str(exc))
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert raised == [f"{corpus}: the corpus must be a regular file, because training reads it more than once"]
 
     def test_empty_vocab_raises(self, tmp_path):
         corpus = tmp_path / "c.txt"
