@@ -33,6 +33,7 @@ from phrasegram.embeddings_io import (
 )
 from phrasegram.manifest import (
     build_manifest,
+    check_corpus_path,
     file_sha256,
     read_manifest,
     write_manifest,
@@ -185,6 +186,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = TrainConfig(**given)
     manifest_path = args.manifest or f"{args.out}.manifest"
     _check_distinct(("corpus", args.corpus), ("--out", args.out), ("--manifest", manifest_path))
+    check_corpus_path(corpus)
     # Outputs exist before any work: a bad path fails at once, a failed run publishes neither.
     with output_file(args.out, "wb") as ckpt, output_file(manifest_path) as manifest:
         check_corpus(corpus)

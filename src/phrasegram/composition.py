@@ -12,6 +12,7 @@ numerical approximation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,12 +30,14 @@ __all__ = [
 class CompositionConfig:
     """How phrase vectors are built from component word vectors.
 
-    alpha: exponent of the elementwise power map; must be >= 1.
+    alpha: exponent of the elementwise power map; must be finite and >= 1.
     """
 
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
         if self.alpha < 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
 

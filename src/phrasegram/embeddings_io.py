@@ -21,7 +21,7 @@ import numpy as np
 
 from phrasegram.composition import CompositionConfig, compose_rows
 from phrasegram.corpus import Vocab, numbered_lines, output_file
-from phrasegram.evaluation import WordEmbeddings
+from phrasegram.evaluation import WordEmbeddings, _float32_score_error
 from phrasegram.model import ModelParams
 
 __all__ = [
@@ -200,38 +200,6 @@ def export_embeddings(
 
 
 _FLOAT32_LOWEST = float(np.finfo(np.float32).min)
-
-
-def _float32_score_error(dim: int) -> float:
-    """eps(d): a bound on |s32 - s64| for a unit-matrix row and the unit query.
-
-    s64 is the float64 dot product of row x and query y, of dimension d;
-    s32 is the float32 dot product of their roundings to float32.  Let
-    u = 2**-24, gamma_n = n*u / (1 - n*u), s the exact x . y and
-    S = sum |x_j y_j| <= |x| |y|.
-
-    - Rounding x_j or y_j to float32 scales it by (1 + delta), |delta| <= u;
-      a value in float32's subnormal range moves by at most 2**-150 instead.
-    - A float32 dot product of d terms, summed in any order, with or without
-      fused multiply-add, rounds each term at most d times: its product and
-      the additions on its way to the result, or one fused step for both.
-      With the two input roundings, |s32 - s| <= gamma_(d+2) S, plus at most
-      2**-150 for each input or product that underflows (numpy keeps IEEE
-      gradual underflow, which makes the additions exact there), under
-      d * 2**-146 in all.
-    - The float64 dot product has |s64 - s| <= gamma_d(2**-53) S, the same
-      argument with float64's u = 2**-53.
-    - Rows and query are normalized in float64, so S <= 1 + 2 (d + 3) 2**-53.
-      That holds unless all of a vector's entries are below about 1e-150 in
-      magnitude, where their squares underflow in the norm.
-
-    So |s32 - s64| <= gamma_(d+2) + 4 (d + 3) 2**-53 <= gamma_(d+3) = eps(d):
-    gamma_(d+3) - gamma_(d+2) >= u, and 4 (d + 3) 2**-53 < u while
-    (d + 3) u <= 1/2.  Past that every row's error is unbounded here.  At
-    d = 100, eps is 6.14e-6.
-    """
-    g = (dim + 3) * 2.0**-24
-    return g / (1.0 - g) if g <= 0.5 else math.inf
 
 
 def nearest_neighbors(

@@ -3,21 +3,26 @@
 Word similarity reports Spearman's rank correlation between human scores
 and cosine similarities of the input embeddings.  Analogy questions are
 answered with 3CosAdd over unit-normalized vectors, excluding the three
-question words; each section's questions are scored in blocks of one
-matrix product each.  The phrase task composes a (subject, reference
-verb) pair with the configured composition function and correlates its
-cosine against the landmark verb's vector with the human ratings.
+question words.  All questions, of every section, are scored in one pass
+of float32 matrix products; only a question whose float32 runner-up is
+within the float32 error bound of its best is scored again in float64,
+so the answers are a float64 scan's.  The phrase task composes a
+(subject, reference verb) pair with the configured composition function
+and correlates its cosine against the landmark verb's vector with the
+human ratings.
 
 `WordEmbeddings` is a read-only snapshot: its row-normalized matrix, and
-a float32 copy of it for the nearest-neighbor scan, are computed on first
-use and shared by every later query and analogy.
+a float32 copy of it for the neighbor and analogy scans, are computed on
+first use and shared by every later query and analogy.
 
-Items containing out-of-vocabulary words are dropped and counted; every
-evaluator reports coverage alongside its score.
+Items containing out-of-vocabulary words, and similarity items with no
+defined cosine, are dropped and counted; every evaluator reports coverage
+alongside its score.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,7 +87,8 @@ class WordEmbeddings:
     array passed in (a float64 copy if it had another dtype), and
     `unit_matrix()` caches its row-normalized form on first call, with a
     float32 copy of it (`unit_matrix_f32()`, 4 more bytes per entry) that
-    `nearest_neighbors` scans before it rescores in float64, and the ids of
+    `nearest_neighbors` and `analogy_eval` scan before they rescore near
+    ties in float64, and the ids of
     the rows that normalize to NaN (`non_finite_rows()`).  The source
     array must not change after construction: build a new WordEmbeddings
     for new values, or the cached unit rows go stale.
@@ -164,6 +170,12 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
+def _has_cosine(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether cosine(u, v) is defined: both norms are finite and nonzero."""
+    norms = np.linalg.norm(u), np.linalg.norm(v)
+    return all(0.0 < n < math.inf for n in norms)
+
+
 def _average_ranks(xs: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing the average of their rank range."""
     order = np.argsort(xs, kind="stable")
@@ -202,19 +214,20 @@ def word_similarity_eval(
 ) -> tuple[float, float]:
     """Spearman correlation of embedding cosines with human scores.
 
-    Pairs with any out-of-vocab word are dropped; returns (rho, coverage)
-    where coverage is the usable fraction of the dataset.
+    Pairs with an out-of-vocab word, or with no defined cosine, are
+    dropped; returns (rho, coverage) where coverage is the usable fraction
+    of the dataset.
     """
     model_scores, human_scores = [], []
     for pair in dataset:
         va = embeddings.get(pair.word_a)
         vb = embeddings.get(pair.word_b)
-        if va is None or vb is None:
+        if va is None or vb is None or not _has_cosine(va, vb):
             continue
         model_scores.append(cosine(va, vb))
         human_scores.append(pair.score)
     if not model_scores:
-        raise EvaluationError("no word pair is fully in vocabulary")
+        raise EvaluationError("no word pair is fully in vocabulary with a defined cosine")
     return spearman(model_scores, human_scores), len(model_scores) / len(dataset)
 
 
@@ -224,62 +237,123 @@ def analogy_eval(
     """3CosAdd analogy accuracy over unit-normalized embeddings.
 
     The predicted word maximizes cosine with (b - a + c), excluding the
-    three question words and rows that are not finite; a question over a
-    word whose row is not finite counts as wrong.  Questions with
+    three question words and rows that are not finite; equal cosines go
+    to the lower row id.  A question over a word whose row is not finite,
+    or with no row left to answer it, counts as wrong.  Questions with
     out-of-vocab words are dropped.
     Returns (overall accuracy, per-section accuracy, coverage).
     """
-    unit = embeddings.unit_matrix()
-    non_finite = embeddings.non_finite_rows()
-    per_section: dict[str, float] = {}
-    total_correct = total_usable = total_questions = 0
-    for name, questions in sections.items():
-        total_questions += len(questions)
-        usable = []
-        for q in questions:
-            ids = [embeddings.id_of(w) for w in (q.a, q.b, q.c, q.expected)]
-            if None not in ids:
-                usable.append(ids)
-        if not usable:
-            continue
-        correct = _count_cos_add_hits(unit, np.array(usable, dtype=np.int64), non_finite)
-        per_section[name] = correct / len(usable)
-        total_correct += correct
-        total_usable += len(usable)
-    if total_usable == 0:
+    words = [w for qs in sections.values() for q in qs for w in (q.a, q.b, q.c, q.expected)]
+    if embeddings.lowercased:
+        words = [w.lower() for w in words]
+    get = embeddings.word2id.get
+    ids = np.array([get(w, -1) for w in words], dtype=np.int64).reshape(-1, 4)
+    section = np.repeat(np.arange(len(sections)), [len(qs) for qs in sections.values()])
+    usable = (ids >= 0).all(axis=1)
+    ids, section = ids[usable], section[usable]
+    if not len(ids):
         raise EvaluationError("no analogy question is fully in vocabulary")
-    return (
-        total_correct / total_usable,
-        per_section,
-        total_usable / total_questions,
-    )
+    hit = _cos_add_answers(embeddings, ids[:, :3]) == ids[:, 3]
+    correct = np.bincount(section[hit], minlength=len(sections)).tolist()
+    asked = np.bincount(section, minlength=len(sections)).tolist()
+    per_section = {name: correct[i] / asked[i] for i, name in enumerate(sections) if asked[i]}
+    return sum(correct) / len(ids), per_section, len(ids) / len(usable)
 
 
-# Scores held at once by one analogy block: big enough for a matrix product
-# to amortize reading `unit`, small enough to stay a minor share of memory.
+def _float32_score_error(dim: int, norm: float = 1.0) -> float:
+    """eps(d, n): a bound on |s32 - s64| for a unit-matrix row and a target of norm up to n.
+
+    s64 is the float64 dot product of row x and target y, of dimension d;
+    s32 is the float32 dot product of their roundings to float32.  The
+    target is a unit query (n = 1) or a 3CosAdd target b - a + c over
+    three unit rows (n = 3).  Let u = 2**-24, gamma_n = n*u / (1 - n*u),
+    s the exact x . y and S = sum |x_j y_j| <= |x| |y|.
+
+    - Rounding x_j or y_j to float32 scales it by (1 + delta), |delta| <= u;
+      a value in float32's subnormal range moves by at most 2**-150 instead.
+    - A float32 dot product of d terms, summed in any order, with or without
+      fused multiply-add, rounds each term at most d times: its product and
+      the additions on its way to the result, or one fused step for both.
+      With the two input roundings, |s32 - s| <= gamma_(d+2) S, plus at most
+      2**-150 for each input or product that underflows (numpy keeps IEEE
+      gradual underflow, which makes the additions exact there), under
+      d * 2**-146 in all.
+    - The float64 dot product has |s64 - s| <= gamma_d(2**-53) S, the same
+      argument with float64's u = 2**-53.
+    - Rows and a unit query are normalized in float64, so each has norm at
+      most 1 + (d + 3) 2**-53.  A 3CosAdd target, (b - a) + c in float64,
+      rounds each entry twice, so its norm is at most
+      3 (1 + (d + 3) 2**-53) (1 + 2**-53)**2.  Either way
+      |y| <= n (1 + 3 (d + 3) 2**-53), and S <= n (1 + 5 (d + 3) 2**-53).
+      That holds unless all of a vector's entries are below about 1e-150
+      in magnitude, where their squares underflow in the norm.
+
+    So |s32 - s64| <= n (gamma_(d+2) + gamma_d(2**-53)) (1 + 5 (d + 3) 2**-53)
+    + d 2**-146 <= n gamma_(d+2) + n 9 (d + 3) 2**-53 + d 2**-146, since
+    gamma_(d+2) <= 1 and gamma_d(2**-53) <= 2 d 2**-53.  That is at most
+    n gamma_(d+3) = eps(d, n): gamma_(d+3) - gamma_(d+2) >= u, and
+    9 (d + 3) 2**-53 + d 2**-146 < u while (d + 3) u <= 1/2.  Past that
+    every row's error is unbounded here.  At d = 100, eps is 6.14e-6 for
+    n = 1 and 1.84e-5 for n = 3.
+    """
+    g = (dim + 3) * 2.0**-24
+    return norm * g / (1.0 - g) if g <= 0.5 else math.inf
+
+
+# Float32 scores held at once by one analogy block: big enough for a matrix
+# product to amortize reading the unit matrix, small enough to stay a minor
+# share of memory.
 _ANALOGY_BLOCK_BYTES = 4 << 20
 
 
-def _count_cos_add_hits(unit: np.ndarray, questions: np.ndarray, non_finite: np.ndarray) -> int:
-    """How many (a, b, c, expected) id rows 3CosAdd over `unit` answers right.
+def _cos_add_answers(embeddings: WordEmbeddings, questions: np.ndarray) -> np.ndarray:
+    """3CosAdd's answer to each (a, b, c) id row of `questions`, or -1 where it has none.
 
-    `non_finite` lists the rows of `unit` that are not finite.  Their
-    NaN scores would win argmax, so they score -inf, and a question over
-    one of them has no answer.
+    Every question is scored against the float32 unit matrix, in blocks of
+    `_ANALOGY_BLOCK_BYTES`.  A question is scored again in float64, row by
+    row, only over the rows within 2 eps(d, 3) of its best float32 score,
+    and only when its float32 runner-up is among them.  These rows include
+    every row of the float64 maximum: the float32 best r has
+    s64(r) >= best - eps, so the float64 maximum m has s64(m) >= best - eps
+    and s32(m) >= best - 2 eps.  The answer is a full float64 scan's.
+
+    Rows that are not finite score -inf, and so does every row for a
+    question over one of them: it has no answer.
     """
-    if len(non_finite):
-        questions = questions[~np.isin(questions, non_finite).any(axis=1)]
-    rows = max(1, _ANALOGY_BLOCK_BYTES // (unit.itemsize * unit.shape[0]))
-    correct = 0
+    unit = embeddings.unit_matrix()
+    unit32 = embeddings.unit_matrix_f32()
+    non_finite = embeddings.non_finite_rows()
+    # 2**-22, half a float32 ulp below 8, covers rounding a threshold to float32.
+    margin = 2.0 * _float32_score_error(unit.shape[1], 3.0) + 2.0**-22
+    rows = max(1, _ANALOGY_BLOCK_BYTES // (unit32.itemsize * unit.shape[0]))
+    answers = np.empty(len(questions), dtype=np.int64)
     for start in range(0, len(questions), rows):
         block = questions[start : start + rows]
-        a, b, c, expected = block.T
-        scores = (unit[b] - unit[a] + unit[c]) @ unit.T
-        scores[np.arange(len(block))[:, None], block[:, :3]] = -np.inf
+        a, b, c = block.T
+        # In place: a block's three fresh float64 copies cost more than its scan
+        # on a small vocabulary.
+        target = unit.take(b, axis=0)
+        target -= unit.take(a, axis=0)
+        target += unit.take(c, axis=0)
+        scores = target.astype(np.float32) @ unit32.T
+        at = np.arange(len(block))
+        scores[at[:, None], block] = -np.inf
         if len(non_finite):
             scores[:, non_finite] = -np.inf
-        correct += int(np.count_nonzero(scores.argmax(axis=1) == expected))
-    return correct
+            scores[np.isin(block, non_finite).any(axis=1)] = -np.inf
+        best = scores.argmax(axis=1)
+        top = scores[at, best]
+        scores[at, best] = -np.inf
+        close = (scores.max(axis=1) >= top - margin) & (top > -np.inf)
+        for i in np.flatnonzero(close):
+            rivals = np.flatnonzero(scores[i] >= top[i] - margin)
+            candidates = np.sort(np.append(rivals, best[i]))
+            # Row by row, unlike a matrix product, so equal rows score equal;
+            # argmax keeps the first, lowest, of equal maxima.
+            exact = np.einsum("ij,j->i", unit[candidates], target[i])
+            best[i] = candidates[exact.argmax()]
+        answers[start : start + rows] = np.where(top > -np.inf, best, -1)
+    return answers
 
 
 def phrase_similarity_eval(
@@ -291,7 +365,8 @@ def phrase_similarity_eval(
 
     Each item composes (subject, reference verb) with the configured
     composition over input embeddings and takes the cosine against the
-    landmark verb's vector.  Returns (rho, coverage).
+    landmark verb's vector.  Items with an out-of-vocab word, or with no
+    defined cosine, are dropped.  Returns (rho, coverage).
     """
     model_scores, human_scores = [], []
     for item in dataset:
@@ -300,10 +375,12 @@ def phrase_similarity_eval(
         if None in ids or vl is None:
             continue
         composed = compose_rows(embeddings.matrix, ids, comp.alpha)
+        if not _has_cosine(composed, vl):
+            continue
         model_scores.append(cosine(composed, vl))
         human_scores.append(item.rating)
     if not model_scores:
-        raise EvaluationError("no phrase item is fully in vocabulary")
+        raise EvaluationError("no phrase item is fully in vocabulary with a defined cosine")
     return spearman(model_scores, human_scores), len(model_scores) / len(dataset)
 
 

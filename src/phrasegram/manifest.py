@@ -23,6 +23,7 @@ __all__ = [
     "params_sha256",
     "file_sha256",
     "build_manifest",
+    "check_corpus_path",
     "write_manifest",
     "read_manifest",
     "comparable_items",
@@ -80,13 +81,28 @@ def build_manifest(
     return items
 
 
+def _check_item(key: str, value: str) -> None:
+    # Read back by numbered_lines, which ends a line at \n and drops a \r before it.
+    text = key + value
+    if not key or "=" in key or "\n" in text or "\r" in text:
+        raise ValueError(f"key/value not representable: {key!r}")
+
+
+def check_corpus_path(path: str | Path) -> None:
+    """Reject, naming it, a corpus path that build_manifest could not record.
+
+    Run before training, so that such a run fails before its first epoch.
+    """
+    try:
+        _check_item("corpus.path", str(path))
+    except ValueError as exc:
+        raise ValueError(f"{str(path)!r}: {exc}") from None
+
+
 def write_manifest(path: str | Path | TextIO, items: Mapping[str, str]) -> None:
     """Write ``key=value`` lines, sorted by key, through output_file."""
     for key, value in items.items():
-        # Read back by numbered_lines, which ends a line at \n and drops a \r before it.
-        text = key + str(value)
-        if not key or "=" in key or "\n" in text or "\r" in text:
-            raise ValueError(f"key/value not representable: {key!r}")
+        _check_item(key, str(value))
     body = "".join(f"{k}={v}\n" for k, v in sorted(items.items()))
     with output_file(path) as fh:
         fh.write(body)

@@ -823,8 +823,20 @@ class TestCliExitCodes:
         tiny_corpus(corpus)
         code = main(["train", str(corpus), "--out", str(tmp_path / "m.ckpt"), "--min-count", "1"])
         assert code == 2
-        assert "not representable: 'corpus.path'" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert err == f"error: {str(corpus)!r}: key/value not representable: 'corpus.path'\n"
+        assert out == ""  # refused before the first epoch
         assert [p.name for p in tmp_path.iterdir()] == [corpus.name]
+
+    @pytest.mark.parametrize("command", [["neighbors", "[a b]"], ["eval-phrase", "d.tsv"]], ids=lambda c: c[0])
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_data_error(self, tmp_path, monkeypatch, capsys, command, alpha):
+        monkeypatch.chdir(tmp_path)
+        cfg = TrainConfig(dim=2, window=1, min_count=1)
+        checkpoint_save("m.ckpt", init_params(2, cfg, np.random.default_rng(0)), cfg, Vocab(["a", "b"], [2, 1]))
+        (tmp_path / "d.tsv").write_text("a\tb\ta\t1\nb\ta\tb\t2\n")
+        assert main([*command, "--model", "m.ckpt", "--alpha", alpha]) == 2
+        assert capsys.readouterr().err == f"error: alpha must be a finite number, got {alpha}\n"
 
     @pytest.mark.parametrize(
         "argv, target, fails_in",

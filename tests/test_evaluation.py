@@ -3,9 +3,14 @@ reference, 3CosAdd analogy against brute force, composed-phrase scoring,
 and the dataset file loaders.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phrasegram import evaluation
 from phrasegram.composition import CompositionConfig
@@ -215,6 +220,13 @@ class TestWordSimilarityEval:
         with pytest.raises(EvaluationError, match="vocabulary"):
             word_similarity_eval(toy_embeddings(), [SimilarityPair("x", "y", 1.0)])
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_pairs_without_a_cosine_dropped_and_counted(self, bad):
+        emb = WordEmbeddings(["a", "b", "c", "z"], np.vstack([np.eye(3)[:, :2] + 0.5, [bad, bad]]))
+        good = [SimilarityPair("a", "b", 3.0), SimilarityPair("a", "c", 2.0), SimilarityPair("b", "c", 1.0)]
+        rho, coverage = word_similarity_eval(emb, good + [SimilarityPair("a", "z", 4.0)])
+        assert (rho, coverage) == (word_similarity_eval(emb, good)[0], 0.75)
+
 
 def orthogonal_analogy_embeddings(n_pairs=4):
     """Base words on orthogonal axes, derived words shifted by a shared
@@ -264,7 +276,7 @@ class TestAnalogyEval:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_question_reference(self, monkeypatch, seed, block_bytes):
         if block_bytes is not None:
-            # blocks of 1 and of 3 questions: every section spans several
+            # blocks of 1 and of 6 questions (4-byte scores of 12 rows) cross sections
             monkeypatch.setattr(evaluation, "_ANALOGY_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(seed)
         words = [f"w{i}" for i in range(12)]
@@ -385,6 +397,128 @@ class TestAnalogyEval:
             analogy_eval(emb, {"s": [AnalogyQuestion("x", "y", "z", "q")]})
 
 
+def float64_scan(embeddings, a, b, c):
+    """3CosAdd over every row, each score an exactly rounded float64 sum.
+
+    Returns (answer, gap to the runner-up); the answer is the lowest row id
+    of the maximum, or -1 where a question word's row is not finite or no
+    row is left.
+    """
+    unit = embeddings.unit_matrix()
+    if not np.isfinite(unit[[a, b, c]]).all():
+        return -1, math.nan
+    target = unit[b] - unit[a] + unit[c]
+    scored = [
+        (-math.fsum(row * target), i)
+        for i, row in enumerate(unit)
+        if i not in (a, b, c) and np.isfinite(row).all()
+    ]
+    if not scored:
+        return -1, math.nan
+    scored.sort()
+    gap = scored[1][0] - scored[0][0] if len(scored) > 1 else math.inf
+    return scored[0][1], gap
+
+
+@st.composite
+def analogy_cases(draw):
+    """Small vocabularies with exact and near ties, zero and non-finite rows.
+
+    Returns (embeddings, sections, block_rows): block_rows questions per
+    scoring block, or None for the default block size.
+    """
+    n = draw(st.integers(1, 4) | st.integers(5, 12))
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.normal(size=(n, dim))
+    kinds = ["plain"] * 3 + ["duplicate", "near-tie", "zero", "nan", "inf"]
+    for i in range(n):
+        kind, j = draw(st.sampled_from(kinds)), draw(st.integers(0, n - 1))
+        if kind == "duplicate":
+            matrix[i] = matrix[j]
+        elif kind == "near-tie":
+            # scores ~scale apart: inside the float32 margin, far outside float64 rounding
+            scale = draw(st.sampled_from([1e-9, 1e-8, 1e-7]))
+            matrix[i] = matrix[j] + scale * rng.normal(size=dim)
+        elif kind == "zero":
+            matrix[i] = 0.0
+        elif kind in ("nan", "inf"):
+            matrix[i, rng.integers(dim)] = np.nan if kind == "nan" else -np.inf
+    words = [f"w{i}" for i in range(n)]
+    emb = WordEmbeddings(words, matrix)
+    zero_rows = np.flatnonzero(~matrix.any(axis=1))
+    questions = []
+    for _ in range(draw(st.integers(1, 10))):
+        a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if len(zero_rows) and draw(st.booleans()):
+            b, c = a, int(zero_rows[0])  # b - a + c = 0
+        answer, _ = float64_scan(emb, a, b, c)
+        expected = answer if answer >= 0 and draw(st.booleans()) else draw(st.integers(0, n - 1))
+        questions.append(AnalogyQuestion(words[a], words[b], words[c], words[expected]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(questions)), max_size=2)))
+    bounds = [0, *cuts, len(questions)]
+    sections = {f"s{k}": questions[lo:hi] for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))}
+    return emb, sections, draw(st.sampled_from([None, 1, 2, 3]))
+
+
+class TestAnalogyMatchesFloat64Scan:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(analogy_cases())
+    def test_same_accuracies(self, case):
+        emb, sections, block_rows = case
+        want_sections, correct, asked = {}, 0, 0
+        for name, questions in sections.items():
+            hits = 0
+            for q in questions:
+                a, b, c, d = (emb.word2id[w] for w in (q.a, q.b, q.c, q.expected))
+                hits += float64_scan(emb, a, b, c)[0] == d
+            if questions:
+                want_sections[name] = hits / len(questions)
+            correct, asked = correct + hits, asked + len(questions)
+        block_bytes = evaluation._ANALOGY_BLOCK_BYTES if block_rows is None else block_rows * 4 * len(emb)
+        with mock.patch.object(evaluation, "_ANALOGY_BLOCK_BYTES", block_bytes):
+            assert analogy_eval(emb, sections) == (correct / asked, want_sections, 1.0)
+
+    def test_strategy_reaches_every_case(self):
+        # The differential test is only as good as the cases it draws.
+        seen = set()
+
+        @settings(max_examples=400, derandomize=True, deadline=None)
+        @given(analogy_cases())
+        def collect(case):
+            emb, sections, block_rows = case
+            if len(emb) <= 4:
+                seen.add("vocabulary of at most 4")
+            ends = np.cumsum([len(qs) for qs in sections.values()])
+            if block_rows is not None and (ends[:-1] % block_rows)[ends[:-1] < ends[-1]].any():
+                seen.add("block across sections")
+            unit, non_finite = emb.unit_matrix(), emb.non_finite_rows()
+            for q in (q for qs in sections.values() for q in qs):
+                a, b, c = (emb.word2id[w] for w in (q.a, q.b, q.c))
+                answer, gap = float64_scan(emb, a, b, c)
+                if np.isin([a, b, c], non_finite).any():
+                    seen.add("non-finite question word")
+                elif answer < 0:
+                    seen.add("no row left")
+                elif not (unit[b] - unit[a] + unit[c]).any():
+                    seen.add("zero target")
+                elif gap == 0.0:
+                    seen.add("exact tie")
+                elif gap < 1e-6:
+                    seen.add("near tie")
+
+        collect()
+        assert seen == {
+            "vocabulary of at most 4",
+            "block across sections",
+            "non-finite question word",
+            "no row left",
+            "zero target",
+            "exact tie",
+            "near tie",
+        }
+
+
 class TestPhraseSimilarityEval:
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(13)
@@ -419,6 +553,18 @@ class TestPhraseSimilarityEval:
             emb, CompositionConfig(), dataset
         )
         assert coverage == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_items_without_a_cosine_dropped_and_counted(self, bad):
+        rng = np.random.default_rng(23)
+        emb = WordEmbeddings(["a", "b", "c", "d", "z"], np.vstack([rng.normal(size=(4, 3)), [bad, bad, bad]]))
+        good = [
+            PhraseCompositionItem("a", "b", "c", 5.0),
+            PhraseCompositionItem("b", "c", "d", 3.0),
+            PhraseCompositionItem("c", "d", "a", 1.0),
+        ]
+        rho, coverage = phrase_similarity_eval(emb, CompositionConfig(), good + [PhraseCompositionItem("a", "b", "z", 4.0)])
+        assert (rho, coverage) == (phrase_similarity_eval(emb, CompositionConfig(), good)[0], 0.75)
 
     def test_alpha_changes_the_score(self):
         rng = np.random.default_rng(19)
