@@ -2,9 +2,9 @@
 
 A manifest captures everything needed to audit a run: configuration,
 corpus path and content hash, vocabulary sizes, a hash of the final
-parameters, per-epoch objective values, and timing.  Timing keys vary
-between otherwise identical runs, so determinism comparisons go through
-comparable_items() which drops them.
+parameters, per-epoch objective values and step counts, and timing.
+Timing keys vary between otherwise identical runs, so determinism
+comparisons go through comparable_items() which drops them.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ def build_manifest(
     for i, stats in enumerate(result.report.epochs):
         items[f"report.{i}.e_w"] = repr(stats.mean_ew)
         items[f"report.{i}.e_p"] = repr(stats.mean_ep)
+        items[f"report.{i}.word_steps"] = str(stats.word_steps)
+        items[f"report.{i}.phrase_steps"] = str(stats.phrase_steps)
         items[f"report.{i}.tokens_per_s"] = "%.1f" % stats.tokens_per_s
     items["wallclock.seconds"] = "%.3f" % wallclock_seconds
     return items

@@ -49,22 +49,26 @@ class NoiseDistribution:
         self,
         rng: np.random.Generator,
         k: int,
-        exclude: int | None = None,
+        exclude: int | np.ndarray | None = None,
     ) -> np.ndarray:
         """Draw k ids i.i.d., each conditioned on being != exclude.
 
         Uses exactly k uniforms.  A draw that lands on the excluded id is
-        moved to the conditional distribution without drawing again.
+        moved to the conditional distribution without drawing again.  An
+        array of m excluded ids returns m rows of k draws, row i excluding
+        exclude[i]; its m * k uniforms are those of m scalar calls, in
+        their order, so it returns their ids and leaves rng in their state.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        u = rng.random(k)
+        u = rng.random(k) if np.ndim(exclude) == 0 else rng.random((len(exclude), k))
         ids = np.searchsorted(self.cumulative, u, side="right")
         if exclude is not None:
-            hit = ids == exclude
-            if hit.any():  # cheaper than flatnonzero on the collision-free path
-                for i in np.flatnonzero(hit):
-                    ids[i] = self._redirect(float(u[i]), exclude)
+            excluded = np.asarray(exclude)
+            hit = ids == excluded[..., None]
+            if hit.any():  # cheaper than nonzero on the collision-free path
+                for at in zip(*np.nonzero(hit)):
+                    ids[at] = self._redirect(float(u[at]), int(excluded[at[:-1]]))
         return ids
 
     def _redirect(self, u: float, exclude: int) -> int:

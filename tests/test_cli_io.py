@@ -616,6 +616,9 @@ class TestManifest:
         assert items["vocab.words"] == str(len(result.vocab))
         assert items["params.sha256"] == params_sha256(result.params.matrices())
         assert "report.0.e_w" in items and "report.1.e_w" in items
+        for i, stats in enumerate(result.report.epochs):
+            assert items[f"report.{i}.word_steps"] == str(stats.word_steps)
+            assert items[f"report.{i}.phrase_steps"] == str(stats.phrase_steps)
         assert items["wallclock.seconds"] == "1.500"
 
     def test_comparable_items_mask_timing_only(self):
@@ -623,6 +626,8 @@ class TestManifest:
             "config.dim": "4",
             "wallclock.seconds": "9.1",
             "report.0.e_w": "-1.5",
+            "report.0.word_steps": "120",
+            "report.0.phrase_steps": "7",
             "report.0.tokens_per_s": "1234.5",
         }
         kept = comparable_items(items)
@@ -630,6 +635,8 @@ class TestManifest:
         assert "report.0.tokens_per_s" not in kept
         assert kept["config.dim"] == "4"
         assert kept["report.0.e_w"] == "-1.5"
+        assert kept["report.0.word_steps"] == "120"
+        assert kept["report.0.phrase_steps"] == "7"
 
     def test_params_hash_changes_with_values(self, tmp_path):
         corpus = tmp_path / "c.txt"

@@ -1,8 +1,9 @@
-"""Training-step gradients against finite differences, window-pair
-enumeration against brute force, the compiled word pass against the
-per-pair numpy loop it replaced, the phrase pass's calls of phrase_step,
-and end-to-end run properties: objective ascent, determinism, resume
-fidelity, and the beta = 0 reduction to the baseline mode.
+"""Training-step gradients against finite differences, phrase_step against
+its per-phrase reference bit for bit, window-pair enumeration against
+brute force, the compiled word pass against the per-pair numpy loop it
+replaced, the phrase pass's calls of phrase_step, and end-to-end run
+properties: objective ascent, determinism, resume fidelity, and the
+beta = 0 reduction to the baseline mode.
 """
 
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradient_utils import bound_away_from_zero, check_step_against_fd
+from phrasegram.composition import compose_rows, sigma_jacobian_diag
 from phrasegram.corpus import Vocab, parse_chunked_line
 from phrasegram.model import (
     CheckpointData,
@@ -29,6 +31,8 @@ from phrasegram.model import (
 from phrasegram import kernel, trainer
 from phrasegram.trainer import (
     MappedSentence,
+    _add_rows,
+    _negative_sampling,
     iter_window_pairs,
     map_sentence,
     phrase_objective,
@@ -279,6 +283,104 @@ class TestPhraseStepGradient:
         first = phrase_step(params, *args, 0.0, 1.0)  # lr 0: evaluate only
         fresh = rand_params(np.random.default_rng(43))
         assert first > phrase_objective(fresh, *args, 1.0)
+
+
+def reference_phrase_step(params, current_words, context_words, negative_phrases, lr, alpha, bank=0):
+    """phrase_step as one compose_rows call per phrase: the oracle.
+
+    Composes each phrase on its own, left to right, computes every delta
+    from the pre-update rows and writes each matrix with np.add.at over
+    rows.  phrase_step must return and write the same bits.
+    """
+    inp = params.input_words
+    pout = params.phrase_output_words[bank]
+    phrases = [context_words, *negative_phrases]
+    v_p = compose_rows(inp, current_words, alpha)
+    composed = np.stack([compose_rows(pout, ws, alpha) for ws in phrases])
+    term, coefs, grad_vp = _negative_sampling(composed, v_p)
+
+    ids = np.concatenate(phrases)
+    sizes = np.array([len(ws) for ws in phrases])
+    scale = np.repeat(lr * coefs / sizes, sizes)
+    out_deltas = scale[:, None] * (sigma_jacobian_diag(pout[ids], alpha) * v_p)
+    cur = np.asarray(current_words)
+    in_deltas = lr / len(cur) * (sigma_jacobian_diag(inp[cur], alpha) * grad_vp)
+    np.add.at(pout, ids, out_deltas)
+    np.add.at(inp, cur, in_deltas)
+    return term
+
+
+def bits(x):
+    """The float64 bit patterns of x: tells -0.0 from 0.0, unlike ==."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestPhraseStepMatchesReference:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_bits_as_per_phrase_composition(self, data):
+        vocab_size = data.draw(st.integers(1, 6), label="vocab_size")  # few ids, many repeats
+        phrase = st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=4)
+        current = data.draw(phrase, label="current")
+        context = data.draw(phrase, label="context")
+        negatives = data.draw(st.lists(phrase, min_size=1, max_size=5), label="negatives")
+        dim = data.draw(st.one_of(st.integers(1, 9), st.sampled_from([100, 101])), label="dim")
+        alpha = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="alpha")
+        lr = data.draw(st.sampled_from([0.0, 0.025, 0.5]), label="lr")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = rand_params(rng, vocab_size=vocab_size, dim=dim)
+        # -0.0 is the one value the composition's -0.0 start leaves as it is
+        # and a 0.0 start does not; a -0.0 column reaches every delta.
+        density = data.draw(st.sampled_from([0.0, 0.3]), label="density")
+        column = data.draw(st.one_of(st.none(), st.integers(0, dim - 1)), label="column")
+        for _, m in params.matrices():
+            m[rng.random(m.shape) < density] = -0.0
+            if column is not None:
+                m[:, column] = -0.0
+        want = params.copy()
+        got = phrase_step(params, current, context, negatives, lr, alpha)
+        expected = reference_phrase_step(want, current, context, negatives, lr, alpha)
+        assert bits(got) == bits(expected)
+        for (name, m), (_, r) in zip(params.matrices(), want.matrices()):
+            np.testing.assert_array_equal(bits(m), bits(r), err_msg=name)
+
+
+    @pytest.mark.parametrize("empty", ["current", "context", "negative"])
+    def test_empty_phrase_raises(self, empty):
+        params = rand_params(np.random.default_rng(89))
+        before = params.copy()
+        phrases = {"current": [0, 1], "context": [2], "negative": [3]}
+        phrases[empty] = []
+        with pytest.raises(ValueError, match="empty phrase"):
+            phrase_step(params, phrases["current"], phrases["context"], [phrases["negative"]], 0.1, 1.0)
+        for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
+            np.testing.assert_array_equal(m, r, err_msg=name)
+
+
+class TestAddRows:
+    def test_repeated_rows_accumulate_in_index_order(self):
+        rng = np.random.default_rng(83)
+        matrix = rng.normal(size=(5, 7))
+        rows = np.array([3, 1, 3, 3, 0, 1])
+        deltas = rng.normal(size=(len(rows), 7)) * 10.0 ** rng.integers(-8, 8, size=(len(rows), 1))
+        expected = matrix.copy()
+        for r, delta in zip(rows, deltas):
+            expected[r] += delta
+        _add_rows(matrix, rows, deltas)
+        np.testing.assert_array_equal(bits(matrix), bits(expected))
+
+    @pytest.mark.parametrize("view", ["columns", "fortran", "transposed"])
+    def test_raises_on_a_matrix_without_a_flat_view(self, view):
+        base = np.arange(24.0).reshape(4, 6)
+        matrix = {
+            "columns": base[:, ::2],
+            "fortran": np.asfortranarray(base),
+            "transposed": base.T,
+        }[view]
+        before = matrix.copy()
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            _add_rows(matrix, np.array([0, 1]), np.ones((2, matrix.shape[1])))
+        np.testing.assert_array_equal(matrix, before)
 
 
 class TestWindowPairs:
