@@ -17,13 +17,13 @@ from phrasegram.corpus import (
 )
 from phrasegram.embeddings_io import (
     export_embeddings,
-    nearest_neighbors,
     read_embeddings,
 )
 from phrasegram.evaluation import (
     WordEmbeddings,
     analogy_eval,
     cosine,
+    nearest_neighbors,
     phrase_similarity_eval,
     spearman,
     word_similarity_eval,

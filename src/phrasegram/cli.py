@@ -23,12 +23,12 @@ from phrasegram.evaluation import (
     load_analogy_dataset,
     load_phrase_dataset,
     load_similarity_dataset,
+    nearest_neighbors,
     phrase_similarity_eval,
     word_similarity_eval,
 )
 from phrasegram.embeddings_io import (
     export_embeddings,
-    nearest_neighbors,
     read_embeddings,
 )
 from phrasegram.manifest import (

@@ -1,4 +1,4 @@
-"""word2vec-compatible embedding interchange and nearest-neighbor queries.
+"""word2vec-compatible embedding interchange.
 
 Text format: a header line ``<count> <dim>`` followed by one line per
 word, ``word v1 ... vd`` with floats printed via %.9g (lossless for
@@ -19,9 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from phrasegram.composition import CompositionConfig, compose_rows
 from phrasegram.corpus import Vocab, numbered_lines, output_file
-from phrasegram.evaluation import WordEmbeddings, _float32_score_error
+from phrasegram.evaluation import nearest_neighbors  # re-exported; defined beside analogy_eval
 from phrasegram.model import ModelParams
 
 __all__ = [
@@ -197,65 +196,3 @@ def export_embeddings(
         write_embeddings_binary(path, vocab.words, matrix)
     else:
         raise ValueError(f"unknown format: {format!r}")
-
-
-_FLOAT32_LOWEST = float(np.finfo(np.float32).min)
-
-
-def nearest_neighbors(
-    embeddings: WordEmbeddings,
-    query: str,
-    k: int = 10,
-    comp: CompositionConfig | None = None,
-) -> list[tuple[str, float]]:
-    """Top-k cosine neighbors of a word or a bracketed phrase.
-
-    A query of the form ``[w1 w2 ...]`` is composed from its word
-    vectors (comp defaults to alpha=1, the mean).  The query's own words,
-    and rows that are not finite, are excluded from the result.  Neighbors
-    come by descending float64 cosine, equal cosines by lower row id.
-
-    Every row is scored against the float32 copy of the unit matrix; only
-    rows within 2 eps(d) of the k-th float32 score are scored again in
-    float64.  These include every row of the float64 top k: at least k
-    rows have s32 >= kth, so s64 >= kth - eps for k rows, so the k-th
-    float64 score t64 is >= kth - eps, and a row with s64 >= t64 has
-    s32 >= t64 - eps >= kth - 2 eps.  The result is a full float64 scan's.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    query = query.strip()
-    if query.startswith("[") and query.endswith("]"):
-        words = query[1:-1].split()
-        if not words:
-            raise ValueError("empty phrase query")
-    else:
-        words = [query]
-    ids = [embeddings.id_of(w) for w in words]
-    missing = [w for w, i in zip(words, ids) if i is None]
-    if missing:
-        raise KeyError("out of vocabulary: " + ", ".join(missing))
-    if len(ids) == 1:
-        target = embeddings.matrix[ids[0]]
-    else:
-        alpha = comp.alpha if comp is not None else 1.0
-        target = compose_rows(embeddings.matrix, ids, alpha)
-    norm = math.sqrt(target @ target)  # np.linalg.norm's arithmetic, without its checks
-    if not (norm > 0.0 and math.isfinite(norm)):
-        raise ValueError(f"query vector of {query} is {'zero' if norm == 0.0 else 'not finite'}")
-    unit = embeddings.unit_matrix()
-    target = target / norm
-    scores = embeddings.unit_matrix_f32() @ target.astype(np.float32)
-    scores[ids] = np.nan
-    np.fmax(scores, -np.inf, out=scores)  # the query's own rows and NaN rows score -inf
-    last = max(len(scores) - k, 0)
-    kth = np.partition(scores, last)[last]
-    # 2**-22, half a float32 ulp below 8, covers rounding the threshold to
-    # float32.  kth is -inf when fewer than k rows are left; the floor then
-    # keeps the excluded rows out.
-    margin = 2.0 * _float32_score_error(unit.shape[1]) + 2.0**-22
-    candidates = np.flatnonzero(scores >= max(float(kth) - margin, _FLOAT32_LOWEST))
-    # Row by row, unlike a matrix product, so equal rows score equal.
-    exact = np.einsum("ij,j->i", unit[candidates], target)
-    top = sorted(zip((-exact).tolist(), candidates.tolist()))[:k]
-    return [(embeddings.words[i], -score) for score, i in top]

@@ -1,19 +1,16 @@
-"""Embedding quality evaluation: word similarity, analogy, phrase composition.
+"""Embedding quality evaluation and serving: similarity, analogy, neighbors.
 
 Word similarity reports Spearman's rank correlation between human scores
-and cosine similarities of the input embeddings.  Analogy questions are
-answered with 3CosAdd over unit-normalized vectors, excluding the three
-question words.  All questions, of every section, are scored in one pass
-of float32 matrix products; only a question whose float32 runner-up is
-within the float32 error bound of its best is scored again in float64,
-so the answers are a float64 scan's.  The phrase task composes a
-(subject, reference verb) pair with the configured composition function
-and correlates its cosine against the landmark verb's vector with the
-human ratings.
+and cosine similarities of the input embeddings.  The phrase task
+composes a (subject, reference verb) pair with the configured composition
+function and correlates its cosine against the landmark verb's vector
+with the human ratings.  Analogy questions are answered with 3CosAdd
+over unit-normalized vectors, excluding the three question words.
 
-`WordEmbeddings` is a read-only snapshot: its row-normalized matrix, and
-a float32 copy of it for the neighbor and analogy scans, are computed on
-first use and shared by every later query and analogy.
+`analogy_eval` and `nearest_neighbors` scan the float32 copy of the unit
+matrix and rescore near ties in float64 through one function,
+`_exact_top`, so every answer is a float64 scan's; `_float32_score_error`
+bounds the float32 error that the rescore covers.
 
 Items containing out-of-vocabulary words, and similarity items with no
 defined cosine, are dropped and counted; every evaluator reports coverage
@@ -86,12 +83,11 @@ class WordEmbeddings:
     The embeddings are a snapshot.  `matrix` is a read-only view of the
     array passed in (a float64 copy if it had another dtype), and
     `unit_matrix()` caches its row-normalized form on first call, with a
-    float32 copy of it (`unit_matrix_f32()`, 4 more bytes per entry) that
-    `nearest_neighbors` and `analogy_eval` scan before they rescore near
-    ties in float64, and the ids of
-    the rows that normalize to NaN (`non_finite_rows()`).  The source
-    array must not change after construction: build a new WordEmbeddings
-    for new values, or the cached unit rows go stale.
+    float32 copy of it (`unit_matrix_f32()`, 4 more bytes per entry) and
+    the ids of the rows that normalize to NaN (`non_finite_rows()`).
+    `nearest_neighbors` and `_cos_add_answers` (for `analogy_eval`) read
+    all three.  The source array must not change after construction:
+    build a new WordEmbeddings for new values, or the cached rows go stale.
     """
 
     def __init__(
@@ -170,10 +166,14 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def _has_cosine(u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether cosine(u, v) is defined: both norms are finite and nonzero."""
-    norms = np.linalg.norm(u), np.linalg.norm(v)
-    return all(0.0 < n < math.inf for n in norms)
+def _defined_cosine(u: np.ndarray | None, v: np.ndarray | None) -> float | None:
+    """`cosine` of two float64 vectors, or None if one is missing or a norm is 0 or not finite."""
+    if u is None or v is None:
+        return None
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if not (0.0 < nu < math.inf and 0.0 < nv < math.inf):
+        return None
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def _average_ranks(xs: np.ndarray) -> np.ndarray:
@@ -220,12 +220,10 @@ def word_similarity_eval(
     """
     model_scores, human_scores = [], []
     for pair in dataset:
-        va = embeddings.get(pair.word_a)
-        vb = embeddings.get(pair.word_b)
-        if va is None or vb is None or not _has_cosine(va, vb):
-            continue
-        model_scores.append(cosine(va, vb))
-        human_scores.append(pair.score)
+        score = _defined_cosine(embeddings.get(pair.word_a), embeddings.get(pair.word_b))
+        if score is not None:
+            model_scores.append(score)
+            human_scores.append(pair.score)
     if not model_scores:
         raise EvaluationError("no word pair is fully in vocabulary with a defined cosine")
     return spearman(model_scores, human_scores), len(model_scores) / len(dataset)
@@ -300,6 +298,82 @@ def _float32_score_error(dim: int, norm: float = 1.0) -> float:
     return norm * g / (1.0 - g) if g <= 0.5 else math.inf
 
 
+_FLOAT32_LOWEST = float(np.finfo(np.float32).min)
+
+
+def _rescore_margin(dim: int, norm: float) -> float:
+    """`_exact_top`'s margin: 2 eps(d, n), plus 2**-22 to round a threshold below 8 to float32."""
+    return 2.0 * _float32_score_error(dim, norm) + 2.0**-22
+
+
+def _exact_top(
+    unit: np.ndarray, target: np.ndarray, scores: np.ndarray, k: int, margin: float
+) -> list[tuple[int, float]]:
+    """The k rows of highest float64 score unit[i] @ target, as (row id, score), best first.
+
+    `scores` holds every row's float32 score s32, within eps of its float64
+    score s64, and -inf for the rows to leave out.  Only rows whose s32 is
+    within `margin` (2 eps, plus the threshold's rounding to float32) of
+    the k-th best s32, kth, are scored in float64, row by row so that
+    equal rows score equal.  They include the float64 top k: k rows have
+    s32 >= kth, so s64 >= kth - eps, so the k-th best s64, t64, is
+    >= kth - eps, and a row with s64 >= t64 has s32 >= kth - 2 eps.  So
+    the result, equal scores by lower row id, is a full float64 scan's;
+    k = 1 is 3CosAdd's answer.  With fewer than k rows left, kth is -inf,
+    and the floor at float32's lowest value keeps the left-out rows out.
+    """
+    last = max(len(scores) - k, 0)
+    kth = np.partition(scores, last)[last]
+    candidates = np.flatnonzero(scores >= max(float(kth) - margin, _FLOAT32_LOWEST))
+    exact = np.einsum("ij,j->i", unit[candidates], target)
+    top = sorted(zip((-exact).tolist(), candidates.tolist()))[:k]
+    return [(i, -score) for score, i in top]
+
+
+def nearest_neighbors(
+    embeddings: WordEmbeddings,
+    query: str,
+    k: int = 10,
+    comp: CompositionConfig | None = None,
+) -> list[tuple[str, float]]:
+    """Top-k cosine neighbors of a word or a bracketed phrase.
+
+    A query of the form ``[w1 w2 ...]`` is composed from its word
+    vectors (comp defaults to alpha=1, the mean).  The query's own words,
+    and rows that are not finite, are excluded from the result.  Neighbors
+    come by descending float64 cosine, equal cosines by lower row id, as
+    `_exact_top` finds them in `unit_matrix_f32()`.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    query = query.strip()
+    if query.startswith("[") and query.endswith("]"):
+        words = query[1:-1].split()
+        if not words:
+            raise ValueError("empty phrase query")
+    else:
+        words = [query]
+    ids = [embeddings.id_of(w) for w in words]
+    missing = [w for w, i in zip(words, ids) if i is None]
+    if missing:
+        raise KeyError("out of vocabulary: " + ", ".join(missing))
+    if len(ids) == 1:
+        target = embeddings.matrix[ids[0]]
+    else:
+        alpha = comp.alpha if comp is not None else 1.0
+        target = compose_rows(embeddings.matrix, ids, alpha)
+    norm = math.sqrt(target @ target)  # np.linalg.norm's arithmetic, without its checks
+    if not (norm > 0.0 and math.isfinite(norm)):
+        raise ValueError(f"query vector of {query} is {'zero' if norm == 0.0 else 'not finite'}")
+    unit = embeddings.unit_matrix()
+    target = target / norm
+    scores = embeddings.unit_matrix_f32() @ target.astype(np.float32)
+    scores[ids] = -np.inf
+    scores[embeddings.non_finite_rows()] = -np.inf
+    top = _exact_top(unit, target, scores, k, _rescore_margin(unit.shape[1], 1.0))
+    return [(embeddings.words[i], score) for i, score in top]
+
+
 # Float32 scores held at once by one analogy block: big enough for a matrix
 # product to amortize reading the unit matrix, small enough to stay a minor
 # share of memory.
@@ -309,22 +383,15 @@ _ANALOGY_BLOCK_BYTES = 4 << 20
 def _cos_add_answers(embeddings: WordEmbeddings, questions: np.ndarray) -> np.ndarray:
     """3CosAdd's answer to each (a, b, c) id row of `questions`, or -1 where it has none.
 
-    Every question is scored against the float32 unit matrix, in blocks of
-    `_ANALOGY_BLOCK_BYTES`.  A question is scored again in float64, row by
-    row, only over the rows within 2 eps(d, 3) of its best float32 score,
-    and only when its float32 runner-up is among them.  These rows include
-    every row of the float64 maximum: the float32 best r has
-    s64(r) >= best - eps, so the float64 maximum m has s64(m) >= best - eps
-    and s32(m) >= best - 2 eps.  The answer is a full float64 scan's.
-
-    Rows that are not finite score -inf, and so does every row for a
-    question over one of them: it has no answer.
+    Questions are scored against the float32 unit matrix in blocks of
+    `_ANALOGY_BLOCK_BYTES`; `_exact_top` rescores only those whose float32
+    runner-up is within 2 eps(d, 3) of their best.  Rows that are not finite
+    score -inf, and so does every row for a question over one of them.
     """
     unit = embeddings.unit_matrix()
     unit32 = embeddings.unit_matrix_f32()
     non_finite = embeddings.non_finite_rows()
-    # 2**-22, half a float32 ulp below 8, covers rounding a threshold to float32.
-    margin = 2.0 * _float32_score_error(unit.shape[1], 3.0) + 2.0**-22
+    margin = _rescore_margin(unit.shape[1], 3.0)
     rows = max(1, _ANALOGY_BLOCK_BYTES // (unit32.itemsize * unit.shape[0]))
     answers = np.empty(len(questions), dtype=np.int64)
     for start in range(0, len(questions), rows):
@@ -346,12 +413,8 @@ def _cos_add_answers(embeddings: WordEmbeddings, questions: np.ndarray) -> np.nd
         scores[at, best] = -np.inf
         close = (scores.max(axis=1) >= top - margin) & (top > -np.inf)
         for i in np.flatnonzero(close):
-            rivals = np.flatnonzero(scores[i] >= top[i] - margin)
-            candidates = np.sort(np.append(rivals, best[i]))
-            # Row by row, unlike a matrix product, so equal rows score equal;
-            # argmax keeps the first, lowest, of equal maxima.
-            exact = np.einsum("ij,j->i", unit[candidates], target[i])
-            best[i] = candidates[exact.argmax()]
+            scores[i, best[i]] = top[i]
+            best[i] = _exact_top(unit, target[i], scores[i], 1, margin)[0][0]
         answers[start : start + rows] = np.where(top > -np.inf, best, -1)
     return answers
 
@@ -371,14 +434,13 @@ def phrase_similarity_eval(
     model_scores, human_scores = [], []
     for item in dataset:
         ids = [embeddings.id_of(item.subject), embeddings.id_of(item.reference_verb)]
-        vl = embeddings.get(item.landmark)
-        if None in ids or vl is None:
+        if None in ids:
             continue
         composed = compose_rows(embeddings.matrix, ids, comp.alpha)
-        if not _has_cosine(composed, vl):
-            continue
-        model_scores.append(cosine(composed, vl))
-        human_scores.append(item.rating)
+        score = _defined_cosine(composed, embeddings.get(item.landmark))
+        if score is not None:
+            model_scores.append(score)
+            human_scores.append(item.rating)
     if not model_scores:
         raise EvaluationError("no phrase item is fully in vocabulary with a defined cosine")
     return spearman(model_scores, human_scores), len(model_scores) / len(dataset)

@@ -42,6 +42,7 @@ __all__ = [
     "checkpoint_save",
     "checkpoint_load",
     "CheckpointData",
+    "TrainingState",
     "CheckpointError",
     "CheckpointFormatError",
     "CheckpointVersionError",
@@ -309,6 +310,78 @@ def init_params(
     return params
 
 
+def _restore_rng(state: object, name: str) -> np.random.Generator:
+    """A PCG64 generator at `state`, which must restore to itself exactly."""
+    bg = np.random.PCG64()
+    try:
+        bg.state = state
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} is not a PCG64 state: {exc}") from None
+    if bg.state != state:  # a value the setter coerced, or a key it ignored
+        raise ValueError(f"{name} is not a PCG64 state: it restores as {bg.state}")
+    return np.random.Generator(bg)
+
+
+@dataclass
+class TrainingState:
+    """Optimizer bookkeeping: RNG streams and progress (train() derives lr from it)."""
+
+    word_rng: np.random.Generator
+    phrase_rng: np.random.Generator
+    tokens_processed: int = 0
+    epoch: int = 0
+
+    def to_dict(self) -> dict:
+        # `workers` stays a one-entry list: the v1 checkpoint layout.
+        return {
+            "epoch": self.epoch,
+            "tokens_processed": self.tokens_processed,
+            "workers": [
+                {
+                    "word_rng": self.word_rng.bit_generator.state,
+                    "phrase_rng": self.phrase_rng.bit_generator.state,
+                }
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, state: dict, epochs: int, total_tokens: int) -> "TrainingState":
+        """The state `to_dict` wrote in a run of `epochs` epochs of `total_tokens` tokens.
+
+        Raises ValueError naming the field that breaks a rule: the keys are
+        exactly epoch, tokens_processed and workers; 0 <= epoch <= epochs;
+        tokens_processed is epoch * total_tokens, as train() counts them;
+        workers is one entry of two PCG64 states, word_rng and phrase_rng.
+        """
+        if not isinstance(state, dict) or set(state) != {"epoch", "tokens_processed", "workers"}:
+            raise ValueError("state is not an object of epoch, tokens_processed and workers")
+        epoch, tokens, workers = state["epoch"], state["tokens_processed"], state["workers"]
+        # type(), not isinstance(): JSON true and false must not pass as integers.
+        if type(epoch) is not int or not 0 <= epoch <= epochs:
+            raise ValueError(f"state.epoch {epoch!r} is not an integer in [0, {epochs}]")
+        if type(tokens) is not int or tokens != epoch * total_tokens:
+            raise ValueError(
+                f"state.tokens_processed {tokens!r} is not "
+                f"epoch * total tokens = {epoch * total_tokens}"
+            )
+        if not isinstance(workers, list):
+            raise ValueError(f"state.workers is {type(workers).__name__}, not a list")
+        if len(workers) != 1:
+            raise ValueError(
+                f"checkpoint state holds {len(workers)} workers entries; "
+                "only single-state (workers=1) checkpoints can be resumed"
+            )
+        rngs = workers[0]
+        if not isinstance(rngs, dict) or set(rngs) != {"word_rng", "phrase_rng"}:
+            raise ValueError("state.workers[0] is not an object of word_rng and phrase_rng")
+        return cls(
+            word_rng=_restore_rng(rngs["word_rng"], "state.workers[0].word_rng"),
+            phrase_rng=_restore_rng(rngs["phrase_rng"], "state.workers[0].phrase_rng"),
+            tokens_processed=tokens,
+            epoch=epoch,
+        )
+
+
 class CheckpointError(Exception):
     """Base class for checkpoint read failures."""
 
@@ -392,8 +465,9 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
     value of the wrong type, a matrix name out of order, matrix bytes that
     do not fill the payload exactly).  Raises ValueError, starting with
     the path and naming the field, when the config or the vocabularies
-    break their rules or do not fit the matrices.  Never returns a
-    partially read model.
+    break their rules or do not fit the matrices, or when the resume state
+    breaks a rule of `TrainingState.from_dict`.  Never returns a partially
+    read model.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -430,6 +504,8 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
         config = TrainConfig.from_dict(header["config"])
         params.validate(config)
         vocab, phrase_vocab = _load_vocabularies(header, params.vocab_size)
+        if header["state"] is not None:
+            TrainingState.from_dict(header["state"], config.epochs, vocab.total_tokens)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return CheckpointData(params, config, vocab, phrase_vocab, header["state"])

@@ -86,6 +86,7 @@ from phrasegram.model import (
     CheckpointData,
     ModelParams,
     TrainConfig,
+    TrainingState,
     bank_for_offset,
     init_params,
 )
@@ -362,50 +363,6 @@ def _rng_from(seedseq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seedseq))
 
 
-def _restore_rng(state: dict) -> np.random.Generator:
-    bg = np.random.PCG64()
-    bg.state = state
-    return np.random.Generator(bg)
-
-
-@dataclass
-class TrainingState:
-    """Optimizer bookkeeping: RNG streams and progress (train() derives lr from it)."""
-
-    word_rng: np.random.Generator
-    phrase_rng: np.random.Generator
-    tokens_processed: int = 0
-    epoch: int = 0
-
-    def to_dict(self) -> dict:
-        # `workers` stays a one-entry list: the v1 checkpoint layout.
-        return {
-            "epoch": self.epoch,
-            "tokens_processed": self.tokens_processed,
-            "workers": [
-                {
-                    "word_rng": self.word_rng.bit_generator.state,
-                    "phrase_rng": self.phrase_rng.bit_generator.state,
-                }
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, state: dict) -> "TrainingState":
-        workers = state["workers"]
-        if len(workers) != 1:
-            raise ValueError(
-                f"checkpoint state holds {len(workers)} workers entries; "
-                "only single-state (workers=1) checkpoints can be resumed"
-            )
-        return cls(
-            word_rng=_restore_rng(workers[0]["word_rng"]),
-            phrase_rng=_restore_rng(workers[0]["phrase_rng"]),
-            tokens_processed=state["tokens_processed"],
-            epoch=state["epoch"],
-        )
-
-
 @dataclass
 class PhrasePass:
     """The phrase-level pass, prepared once for a run.
@@ -569,7 +526,7 @@ def train(
         params = start.params
         if start.state is None:
             raise ValueError("checkpoint carries no training state to resume from")
-        state = TrainingState.from_dict(start.state)
+        state = TrainingState.from_dict(start.state, config.epochs, vocab.total_tokens)
     else:
         vocab = build_vocab(sentences(), config.min_count)
         if len(vocab) < 2:

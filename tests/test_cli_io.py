@@ -24,15 +24,15 @@ from hypothesis import strategies as st
 
 import phrasegram.cli
 import phrasegram.corpus
+import phrasegram.embeddings_io
+import phrasegram.evaluation
 from phrasegram.cli import main
 from phrasegram.composition import CompositionConfig, compose_rows
 from phrasegram.corpus import Vocab, output_file
-from phrasegram.evaluation import WordEmbeddings, cosine
+from phrasegram.evaluation import WordEmbeddings, _float32_score_error, cosine, nearest_neighbors
 from phrasegram.embeddings_io import (
     EmbeddingsFormatError,
-    _float32_score_error,
     export_embeddings,
-    nearest_neighbors,
     read_embeddings_binary,
     read_embeddings_text,
     select_matrix,
@@ -310,11 +310,13 @@ class TestExportSelection:
 
 def brute_force_neighbors(emb, query_ids, target, k):
     """Float64 reference: every row scored, ordered by (-score, row id), the
-    query's own rows and rows that are not finite left out."""
+    query's own rows and rows that are not finite left out.  Rows are scored
+    one by one, so equal rows score equal, which a matrix product does not
+    promise."""
     norms = np.linalg.norm(emb.matrix, axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):  # a row holding an infinity normalizes to NaN
         unit = emb.matrix / np.where(norms == 0.0, 1.0, norms)
-    scores = unit @ (target / np.linalg.norm(target))
+    scores = np.einsum("ij,j->i", unit, target / np.linalg.norm(target))
     eligible = np.isfinite(scores)
     eligible[list(query_ids)] = False
     order = np.lexsort((np.arange(len(scores)), -scores))
@@ -327,6 +329,9 @@ def assert_same_neighbors(got, expected):
 
 
 class TestNearestNeighbors:
+    def test_served_from_evaluation(self):
+        assert phrasegram.embeddings_io.nearest_neighbors is phrasegram.evaluation.nearest_neighbors
+
     def test_duplicate_vector_ranks_first_with_cosine_one(self):
         matrix = np.array([[1.0, 2.0], [3.0, -1.0], [2.0, 4.0]])
         emb = WordEmbeddings(["a", "b", "twin"], matrix)
@@ -391,22 +396,27 @@ class TestNearestNeighbors:
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_serving_sized_matrix_matches_brute_force(self, alpha):
-        # 5000 x 100 like the served benchmark checkpoint: init_params' input range
+        # 5000 x 100 like the served benchmark checkpoint: init_params' input range,
+        # with 40 rows that are exact copies of 10 others, 5 equal rows to a value
         rng = np.random.default_rng(29)
         n, d = 5000, 100
-        emb = WordEmbeddings([f"w{i}" for i in range(n)], rng.uniform(-0.5 / d, 0.5 / d, (n, d)))
+        matrix = rng.uniform(-0.5 / d, 0.5 / d, (n, d))
+        copied = rng.choice(n, size=50, replace=False)
+        matrix[copied[10:]] = matrix[np.tile(copied[:10], 4)]
+        emb = WordEmbeddings([f"w{i}" for i in range(n)], matrix)
         comp = CompositionConfig(alpha=alpha)
         for size in [1, 2, 3] * 12:
-            ids = [int(i) for i in rng.integers(0, n, size)]
+            ids = [int(i) for i in rng.choice(copied if size == 1 else n, size)]
             query = " ".join(f"w{i}" for i in ids)
             if size == 1:
                 target = emb.matrix[ids[0]]
             else:
                 query, target = f"[{query}]", compose_rows(emb.matrix, ids, alpha)
-            assert_same_neighbors(
-                nearest_neighbors(emb, query, k=10, comp=comp),
-                brute_force_neighbors(emb, ids, target, 10),
-            )
+            for k in (1, 10):
+                assert_same_neighbors(
+                    nearest_neighbors(emb, query, k=k, comp=comp),
+                    brute_force_neighbors(emb, ids, target, k),
+                )
 
     @pytest.mark.parametrize("k", [3, 5, 8, 20])
     def test_zero_rows_tie_by_row_id(self, k):
@@ -475,19 +485,22 @@ class TestNearestNeighbors:
         with pytest.raises(ValueError, match=re.escape("query vector of b is zero")):
             nearest_neighbors(WordEmbeddings(["a", "b", "c", "d"], matrix), "b")
 
-    @pytest.mark.parametrize("k", [2, 10])
+    @pytest.mark.parametrize("k", [1, 2, 10])
     def test_non_finite_rows_never_returned(self, k):
         rng = np.random.default_rng(43)
         matrix = rng.normal(size=(8, 5))
         matrix[2, 1], matrix[5, 0], matrix[6, 4] = np.nan, np.inf, -np.inf
         # the query's nearest rows, but not finite
         matrix[[2, 5, 6]] += 100.0 * matrix[0]
+        # its nearest finite rows: three equal ones, answered by lower id
+        matrix[[1, 4, 7]] = matrix[0] + 0.1 * rng.normal(size=5)
         emb = WordEmbeddings([f"w{i}" for i in range(8)], matrix)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the infinite rows normalize without a warning
             got = nearest_neighbors(emb, "w0", k=k)
         assert_same_neighbors(got, brute_force_neighbors(emb, [0], matrix[0], k))
         assert len(got) == min(k, 4)
+        assert [w for w, _ in got][:3] == ["w1", "w4", "w7"][:k]
 
 
 class TestFloat32ScoreBound:
@@ -1168,12 +1181,47 @@ class TestCheckpointConfigKeys:
 
     def test_two_state_entries_rejected_on_resume(self, tmp_path):
         corpus, cfg, ckpt = self._half_run(tmp_path)
+        data = checkpoint_load(ckpt)
         _edit_checkpoint_header(
             ckpt, lambda h: h["state"].update(workers=h["state"]["workers"] * 2)
         )
-        data = checkpoint_load(ckpt)
+        # rejected when the file is loaded, and when a state built in memory is resumed
+        with pytest.raises(ValueError, match=re.escape(f"{ckpt}: checkpoint state holds 2 workers entries")):
+            checkpoint_load(ckpt)
+        data.state["workers"] *= 2
         with pytest.raises(ValueError, match="2 workers entries"):
             train(corpus, cfg, start=data)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            pytest.param("state is not an object", lambda s: s.clear(), id="empty"),
+            pytest.param("state is not an object", lambda s: s.update(lr=0.1), id="extra-key"),
+            pytest.param("state.epoch", lambda s: s.update(epoch="1"), id="epoch-a-string"),
+            pytest.param("state.epoch", lambda s: s.update(epoch=3, tokens_processed=0), id="epoch-past-the-run"),
+            pytest.param("state.tokens_processed", lambda s: s.update(tokens_processed=-10**9), id="tokens-negative"),
+            pytest.param("state.tokens_processed", lambda s: s.update(tokens_processed=s["tokens_processed"] + 1),
+                         id="tokens-not-whole-epochs"),
+            pytest.param("state.workers", lambda s: s.update(workers={}), id="workers-an-object"),
+            pytest.param("state.workers[0]", lambda s: s["workers"][0].pop("phrase_rng"), id="rng-missing"),
+            pytest.param(
+                "state.workers[0].word_rng is not a PCG64 state",
+                lambda s: s["workers"][0]["word_rng"].update(bit_generator="MT19937"), id="rng-not-pcg64",
+            ),
+            pytest.param(
+                "state.workers[0].phrase_rng is not a PCG64 state",
+                lambda s: s["workers"][0]["phrase_rng"]["state"].update(state=1.5), id="rng-coerced",
+            ),
+        ],
+    )
+    def test_malformed_state_is_data_error(self, tmp_path, capsys, field, edit):
+        corpus, cfg, ckpt = self._half_run(tmp_path)
+        _edit_checkpoint_header(ckpt, lambda h: edit(h["state"]))
+        with pytest.raises(ValueError, match=re.escape(f"{ckpt}: {field}")):
+            checkpoint_load(ckpt)
+        code = main(["export", "--model", str(ckpt), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert f"error: {ckpt}: {field}" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(

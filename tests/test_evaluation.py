@@ -461,6 +461,28 @@ def analogy_cases(draw):
     return emb, sections, draw(st.sampled_from([None, 1, 2, 3]))
 
 
+class TestExactTop:
+    """`_exact_top` with every float32 score as far from its float64 score as
+    the bound allows: the rows of the float64 top k low, all others high."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_answers_a_float64_scan_at_the_error_bound(self, k):
+        n, d = 60, 100
+        eps = evaluation._float32_score_error(d)
+        cos = 0.5 - 0.3 * eps * np.random.default_rng(k).permutation(n)
+        unit = np.zeros((n, d))
+        unit[:, 0], unit[:, 1] = cos, np.sqrt(1.0 - cos * cos)
+        target = np.zeros(d)
+        target[0] = 1.0
+        exact = np.einsum("ij,j->i", unit, target)
+        order = np.lexsort((np.arange(n), -exact))
+        error = np.full(n, 0.95 * eps)  # float32 rounding adds at most 2**-25
+        error[order[:k]] *= -1.0
+        scores = (exact + error).astype(np.float32)
+        got = evaluation._exact_top(unit, target, scores, k, evaluation._rescore_margin(d, 1.0))
+        assert got == [(int(i), float(exact[i])) for i in order[:k]]
+
+
 class TestAnalogyMatchesFloat64Scan:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(analogy_cases())
@@ -505,7 +527,7 @@ class TestAnalogyMatchesFloat64Scan:
                 elif gap == 0.0:
                     seen.add("exact tie")
                 elif gap < 1e-6:
-                    seen.add("near tie")
+                    seen.add("near tie beside a non-finite row" if len(non_finite) else "near tie")
 
         collect()
         assert seen == {
@@ -516,6 +538,7 @@ class TestAnalogyMatchesFloat64Scan:
             "zero target",
             "exact tie",
             "near tie",
+            "near tie beside a non-finite row",
         }
 
 

@@ -18,6 +18,7 @@ from phrasegram.model import (
     CheckpointVersionError,
     Mode,
     TrainConfig,
+    TrainingState,
     bank_for_offset,
     checkpoint_load,
     checkpoint_save,
@@ -191,7 +192,8 @@ def _fixture(mode=Mode.COMPOSITIONAL):
         m[:] = rng.normal(size=m.shape)
     vocab = Vocab([f"w{i}" for i in range(6)], [9, 8, 7, 3, 2, 2])
     pv = PhraseVocab([((0, 1), "NP"), ((2, 3), "VP")], [4, 2])
-    state = {"epoch": 1, "tokens_processed": 31, "workers": []}
+    # one epoch of the vocabulary's 31 tokens, as checkpoint_load requires
+    state = TrainingState(np.random.default_rng(1), np.random.default_rng(2), 31, 1).to_dict()
     return params, cfg, vocab, pv, state
 
 

@@ -864,7 +864,7 @@ class TestRngStateRoundTrip:
     def test_serialized_states_resume_identically(self):
         state = trainer.TrainingState(*trainer._seed_streams(9)[1:])
         state.epoch, state.tokens_processed = 1, 42
-        restored = trainer.TrainingState.from_dict(state.to_dict())
+        restored = trainer.TrainingState.from_dict(state.to_dict(), epochs=1, total_tokens=42)
         np.testing.assert_array_equal(
             state.word_rng.random(20), restored.word_rng.random(20)
         )
@@ -890,7 +890,7 @@ class TestRngStateRoundTrip:
         snapshot = trainer.TrainingState(*trainer._seed_streams(0)[1:]).to_dict()
         snapshot["workers"] = snapshot["workers"] * 2
         with pytest.raises(ValueError, match="workers"):
-            trainer.TrainingState.from_dict(snapshot)
+            trainer.TrainingState.from_dict(snapshot, epochs=1, total_tokens=42)
 
 
 class TestSubsampleKeepProb:
