@@ -9,65 +9,159 @@
  * that of trainer.word_step, the tests' reference:
  *
  *   - every score and gradient of a step is read from the pre-update
- *     parameters before the step writes anything, so an id that repeats
- *     within a step accumulates its deltas exactly as np.add.at does;
+ *     parameters, column by column before the step writes that column, so an
+ *     id that repeats within a step accumulates its deltas exactly as
+ *     np.add.at does;
  *   - elementwise products and sums run in the numpy expressions' order;
- *     dot products sum in four lanes in a fixed order (see dot), which
+ *     dot products sum in four lanes in a fixed order (see score_block), which
  *     rounds differently from BLAS but not differently from host to host.
  *
- * Matrices are C-contiguous float64, row i belonging to word id i.  The
- * caller supplies the scratch buffers, so nothing here allocates.  Build with
- * -ffp-contract=off: a fused multiply-add would round differently from the
- * numpy reference.
+ * Matrices are C-contiguous float64, row i belonging to word id i.  The input
+ * matrix must not share memory with an output bank: a step holds v while it
+ * writes the rows.  The caller supplies the scratch buffers, so nothing here
+ * allocates.  Build with -ffp-contract=off: a fused multiply-add would round
+ * differently from the numpy reference.  The four-double vectors need GCC or
+ * Clang.
  *
  * On x86-64 word_pass is cloned for AVX2 and for baseline x86-64, and the
- * dynamic loader picks the clone for the host when it loads the object.  The
- * clones compute the same bits: without -ffast-math the compiler may not
- * reassociate a sum, and with -ffp-contract=off it may not fuse a multiply and
- * an add, so a wider vector only does more of the same IEEE operations, each
- * rounded as before, in the same order.  The elementwise loops have no order
- * to change, and dot's four lanes fix the order of its sum.  Both clones call
- * the same C library exp and log1p.
+ * dynamic loader picks the clone for the host when it loads the object.  Every
+ * helper is inlined into word_pass, so each clone holds a pair's whole step:
+ * the draws, the scoring, the objective and the update sweep.  Only the
+ * generator's next_double and the C library's exp, log1p and nextafter are
+ * calls.  The clones compute the same bits: without -ffast-math the compiler
+ * may not reassociate a sum, and with -ffp-contract=off it may not fuse a
+ * multiply and an add, so a wider vector only does more of the same IEEE
+ * operations, each rounded as before, in the same order.
  */
 #include <math.h>
 #include <stdint.h>
 
-static double sigmoid(double x)
+/* Inlined even into a clone, which would otherwise call the baseline build. */
+#define INLINE static inline __attribute__((always_inline))
+
+/* Four doubles in one AVX2 register, or two SSE2 ones, read and written at
+ * any double's address, as the compiler's own __m256d_u is.  Values of this
+ * type never cross a function boundary: the two clones would pass them
+ * differently, which GCC warns about (-Wpsabi). */
+typedef double lanes __attribute__((vector_size(4 * sizeof(double)), aligned(8), may_alias));
+#define AT(p) (*(lanes *)(p))
+
+/* Rows per scoring sweep over v, and blocks of four columns per update
+ * block: enough independent sums to hide an addition's latency. */
+#define SCORE_ROWS 3
+#define UPDATE_BLOCKS 4
+
+/* sigmoid(s), with the clip of trainer._sigmoid, given e = exp(-|s|): the
+ * same exp call where the clipped argument is s itself. */
+INLINE double sigmoid(double s, double e)
 {
-    /* The same clip as trainer._sigmoid. */
-    if (x > 60.0)
-        x = 60.0;
-    else if (x < -60.0)
-        x = -60.0;
+    if (s >= 0.0 && s <= 60.0)
+        return 1.0 / (1.0 + e);
+    double x = s > 60.0 ? 60.0 : s < -60.0 ? -60.0 : s;
     return 1.0 / (1.0 + exp(-x));
 }
 
-/* log(1 + exp(x)), i.e. np.logaddexp(0, x). */
-static double log1pexp(double x)
+/* log(1 + exp(x)), i.e. np.logaddexp(0, x), given e = exp(-|x|). */
+INLINE double log1pexp(double x, double e)
 {
-    return x > 0.0 ? x + log1p(exp(-x)) : log1p(exp(x));
+    return x > 0.0 ? x + log1p(e) : log1p(e);
 }
 
-/* Four partial sums, lane j % 4 for the first dim - dim % 4 terms, then the
- * tail into s0, combined as (s0 + s1) + (s2 + s3): a fixed order, which the
- * compiler keeps without -ffast-math whatever vector width it uses. */
-static double dot(const double *a, const double *b, int64_t dim)
+/* The scores of the rows ids[0..rows) of bank against v, rows a constant of
+ * at most SCORE_ROWS, so that the accumulators stay in registers.  Each row's
+ * dot product sums in four partial sums, lane j % 4 for the first dim - dim % 4
+ * terms, then the tail into s0, combined as (s0 + s1) + (s2 + s3): a fixed
+ * order, which the compiler keeps without -ffast-math whatever vector width it
+ * uses.  Sweeping v once for several rows changes no row's order, so a score
+ * has the same bits in any block. */
+INLINE void score_block(const double *bank, const int64_t *ids, int rows, const double *v,
+                        int64_t dim, double *score)
 {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    int64_t j = 0;
-    for (; j + 4 <= dim; j += 4) {
-        s0 += a[j] * b[j];
-        s1 += a[j + 1] * b[j + 1];
-        s2 += a[j + 2] * b[j + 2];
-        s3 += a[j + 3] * b[j + 3];
+    const double *row[SCORE_ROWS];
+    lanes acc[SCORE_ROWS];
+    for (int r = 0; r < rows; r++) {
+        row[r] = bank + ids[r] * dim;
+        acc[r] = (lanes){0.0, 0.0, 0.0, 0.0};
     }
-    for (; j < dim; j++)
-        s0 += a[j] * b[j];
-    return (s0 + s1) + (s2 + s3);
+    int64_t j = 0;
+    for (; j + 4 <= dim; j += 4)
+        for (int r = 0; r < rows; r++)
+            acc[r] += AT(row[r] + j) * AT(v + j);
+    for (int r = 0; r < rows; r++) {
+        double s0 = acc[r][0];
+        for (int64_t t = j; t < dim; t++)
+            s0 += row[r][t] * v[t];
+        score[r] = (s0 + acc[r][1]) + (acc[r][2] + acc[r][3]);
+    }
+}
+
+/* The scores of the rows ids[0..rows) of bank against v: blocks of
+ * SCORE_ROWS = 3 rows, then one of the two or one left. */
+INLINE void score_rows(const double *bank, const int64_t *ids, int64_t rows, const double *v,
+                       int64_t dim, double *score)
+{
+    int64_t i = 0;
+    for (; rows - i >= SCORE_ROWS; i += SCORE_ROWS)
+        score_block(bank, ids + i, SCORE_ROWS, v, dim, score + i);
+    if (rows - i == 2)
+        score_block(bank, ids + i, 2, v, dim, score + i);
+    else if (rows - i == 1)
+        score_block(bank, ids + i, 1, v, dim, score + i);
+}
+
+/* update's writes to the columns [j, j + 4 * blocks), blocks a constant of at
+ * most UPDATE_BLOCKS: the grad sums of different blocks are independent, so
+ * their additions overlap. */
+INLINE void update_block(double *bank, const int64_t *ids, int64_t rows, const double *coef,
+                         double *v, double lr, int64_t dim, int64_t j, int blocks)
+{
+    lanes g[UPDATE_BLOCKS], x[UPDATE_BLOCKS];
+    for (int b = 0; b < blocks; b++) {
+        g[b] = (lanes){0.0, 0.0, 0.0, 0.0};
+        x[b] = AT(v + j + 4 * b);
+    }
+    for (int64_t i = 0; i < rows; i++) {
+        const double *row = bank + ids[i] * dim + j;
+        double c = coef[i];
+        for (int b = 0; b < blocks; b++)
+            g[b] += c * AT(row + 4 * b);
+    }
+    for (int64_t i = 0; i < rows; i++) {
+        double *row = bank + ids[i] * dim + j;
+        double c = lr * coef[i];
+        for (int b = 0; b < blocks; b++)
+            AT(row + 4 * b) += c * x[b];
+    }
+    for (int b = 0; b < blocks; b++)
+        AT(v + j + 4 * b) = x[b] + lr * g[b];
+}
+
+/* The step's writes to the rows ids[0..rows) of bank and to v, in one sweep
+ * over the columns.  Each column sums grad = sum_i coef[i] * row_i from 0.0 in
+ * row order over the pre-update rows, then adds (lr * coef[i]) * v to each row
+ * in row order, so a repeated id accumulates as np.add.at does, and last adds
+ * lr * grad to v: a column's operations and their order are those of one pass
+ * per vector, so the sweep changes no bit. */
+INLINE void update(double *bank, const int64_t *ids, int64_t rows, const double *coef,
+                   double *v, double lr, int64_t dim)
+{
+    int64_t j = 0;
+    for (; j + 4 * UPDATE_BLOCKS <= dim; j += 4 * UPDATE_BLOCKS)
+        update_block(bank, ids, rows, coef, v, lr, dim, j, UPDATE_BLOCKS);
+    for (; j + 4 <= dim; j += 4)
+        update_block(bank, ids, rows, coef, v, lr, dim, j, 1);
+    for (; j < dim; j++) {
+        double grad = 0.0;
+        for (int64_t i = 0; i < rows; i++)
+            grad += coef[i] * bank[ids[i] * dim + j];
+        for (int64_t i = 0; i < rows; i++)
+            bank[ids[i] * dim + j] += lr * coef[i] * v[j];
+        v[j] += lr * grad;
+    }
 }
 
 /* Output bank of a relative offset, as model.bank_for_offset. */
-static int64_t bank_of(int64_t offset, int64_t window, int64_t positional)
+INLINE int64_t bank_of(int64_t offset, int64_t window, int64_t positional)
 {
     if (!positional)
         return 0;
@@ -86,7 +180,7 @@ static int64_t bank_of(int64_t offset, int64_t window, int64_t positional)
  *     len < 2**50, but may round up to c + 1.
  * So the search spans cells j - 1 and j, and j = len only when u * len
  * rounds up to len. */
-static int64_t lookup(const double *cum, const int64_t *guide, int64_t len, double u)
+INLINE int64_t lookup(const double *cum, const int64_t *guide, int64_t len, double u)
 {
     int64_t j = (int64_t)(u * (double)len);
     int64_t lo = guide[j > 0 ? j - 1 : 0];
@@ -104,7 +198,7 @@ static int64_t lookup(const double *cum, const int64_t *guide, int64_t len, doub
 /* One draw of NoiseDistribution.sample: the id whose interval holds u, or,
  * when that is `exclude`, NoiseDistribution._redirect of u with the same
  * float clamps.  Returns -1 when `exclude` holds all the mass. */
-static int64_t draw(const double *cum, const int64_t *guide, int64_t len, double u,
+INLINE int64_t draw(const double *cum, const int64_t *guide, int64_t len, double u,
                     int64_t exclude)
 {
     int64_t id = lookup(cum, guide, len, u);
@@ -130,8 +224,8 @@ static int64_t draw(const double *cum, const int64_t *guide, int64_t len, double
 
 /* Draws k ids excluding `exclude` from the uniforms u[0..k) into out.
  * Returns 0, or -1 when `exclude` holds all the mass. */
-int64_t sample_noise(const double *cum, const int64_t *guide, int64_t len, const double *u,
-                     int64_t k, int64_t exclude, int64_t *out)
+INLINE int64_t draw_all(const double *cum, const int64_t *guide, int64_t len, const double *u,
+                        int64_t k, int64_t exclude, int64_t *out)
 {
     for (int64_t i = 0; i < k; i++) {
         out[i] = draw(cum, guide, len, u[i], exclude);
@@ -141,19 +235,25 @@ int64_t sample_noise(const double *cum, const int64_t *guide, int64_t len, const
     return 0;
 }
 
+int64_t sample_noise(const double *cum, const int64_t *guide, int64_t len, const double *u,
+                     int64_t k, int64_t exclude, int64_t *out)
+{
+    return draw_all(cum, guide, len, u, k, exclude, out);
+}
+
 typedef double (*next_double_fn)(void *state); /* from BitGenerator.ctypes */
 
 /* Skip-gram negative-sampling pass over the word ids of one sentence.
  *
  * inp: input embeddings; out: the output banks (one, or 2 * window when
- * positional); ids: word ids, -1 for a hole, overwritten with -1 where a
- * token is dropped; keep: per-id keep probability of `vocab` ids, or NULL
- * for no subsampling; cum: the noise table of `vocab` ids; guide: its
- * vocab + 1 cell edges (see lookup); next_double and state: the generator the
- * uniforms come from; work: k + 1 + dim doubles; negs: k + 1 ids.  A token is
- * dropped iff its uniform is >= keep[id].  Stores the sum of the pre-update
- * objective terms in *objective.  Returns the number of pairs, or -1 - center
- * when a center holds all the noise mass.
+ * positional), none sharing memory with inp; ids: word ids, -1 for a hole,
+ * overwritten with -1 where a token is dropped; keep: per-id keep probability
+ * of `vocab` ids, or NULL for no subsampling; cum: the noise table of `vocab`
+ * ids; guide: its vocab + 1 cell edges (see lookup); next_double and state:
+ * the generator the uniforms come from; coef: k + 1 doubles; negs: k + 1 ids.
+ * A token is dropped iff its uniform is >= keep[id].  Stores the sum of the
+ * pre-update objective terms in *objective.  Returns the number of pairs, or
+ * -1 - center when a center holds all the noise mass.
  */
 #if defined(__x86_64__) && defined(__GNUC__)
 __attribute__((target_clones("avx2", "default")))
@@ -162,10 +262,8 @@ int64_t word_pass(double *inp, double *const *out, int64_t dim,
                   int64_t *ids, int64_t n, int64_t window, int64_t positional,
                   const double *keep, const double *cum, const int64_t *guide,
                   int64_t vocab, next_double_fn next_double, void *state, int64_t k,
-                  double lr, double *work, int64_t *negs, double *objective)
+                  double lr, double *coef, int64_t *negs, double *objective)
 {
-    double *coef = work;         /* k + 1 */
-    double *grad = work + k + 1; /* dim */
     double total = 0.0;
     int64_t pairs = 0;
     if (keep)
@@ -188,36 +286,23 @@ int64_t word_pass(double *inp, double *const *out, int64_t dim,
             /* The uniforms wait in coef[1..k] until the scores overwrite them. */
             for (int64_t i = 1; i <= k; i++)
                 coef[i] = next_double(state);
-            if (sample_noise(cum, guide, vocab, coef + 1, k, center, negs + 1) < 0)
+            if (draw_all(cum, guide, vocab, coef + 1, k, center, negs + 1) < 0)
                 return -1 - center;
             pairs++;
 
+            score_rows(bank, negs, k + 1, v, dim, coef);
             double term = 0.0, neg_sum = 0.0;
             for (int64_t i = 0; i <= k; i++) {
-                double score = dot(bank + negs[i] * dim, v, dim);
+                double s = coef[i];
+                double e = exp(-fabs(s));
                 if (i == 0)
-                    term = -log1pexp(-score);
+                    term = -log1pexp(-s, e);
                 else
-                    neg_sum += log1pexp(score);
-                coef[i] = (i == 0 ? 1.0 : 0.0) - sigmoid(score);
+                    neg_sum += log1pexp(s, e);
+                coef[i] = (i == 0 ? 1.0 : 0.0) - sigmoid(s, e);
             }
             total += term - neg_sum;
-
-            for (int64_t j = 0; j < dim; j++)
-                grad[j] = 0.0;
-            for (int64_t i = 0; i <= k; i++) {
-                const double *row = bank + negs[i] * dim;
-                for (int64_t j = 0; j < dim; j++)
-                    grad[j] += coef[i] * row[j];
-            }
-            for (int64_t i = 0; i <= k; i++) {
-                double *row = bank + negs[i] * dim;
-                double scale = lr * coef[i];
-                for (int64_t j = 0; j < dim; j++)
-                    row[j] += scale * v[j];
-            }
-            for (int64_t j = 0; j < dim; j++)
-                v[j] += lr * grad[j];
+            update(bank, negs, k + 1, coef, v, lr, dim);
         }
     }
     *objective = total;

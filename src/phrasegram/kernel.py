@@ -11,24 +11,31 @@ from the C library, whose variants for different hosts may differ in the
 last bit).  On x86-64 the object holds two clones of the word pass, for
 AVX2 and for baseline x86-64, and the dynamic loader picks one for the
 host when it loads the object (an ifunc), so the object stays portable
-and both clones compute the same bits.  The key hashes the source, the
-compiler command, the flags, the interpreter's cache tag and the
-machine, so a change to any of them builds a new object and an
+and both clones compute the same bits.  Every helper is inlined into the
+word pass, so a clone runs a pair's whole step in its own instruction
+set and calls only the generator and the C library.  It scores a few
+rows per sweep over the center's vector and writes the step in one sweep
+over the columns; neither changes the order of any sum, so the bits are
+those of one dot product and one pass per vector.  The key hashes the
+source, the compiler command, the flags, the interpreter's cache tag and
+the machine, so a change to any of them builds a new object and an
 unchanged one is reused.  The object is written through
-`corpus.output_file`, so a concurrent process never loads a
-half-written one.
+`corpus.output_file`, so a concurrent process never loads a half-written
+one.
 
 The kernel indexes matrices by id without bounds checks, so the wrappers
 here check what it will read and write: matrices must be writable,
 C-contiguous float64 of one shape (never copied, which would drop the
-updates), and every id it reads must index them.  Noise draws look ids
-up through a NoiseDistribution's `cumulative` table and its `guide`
-table, which the kernel indexes by cell: the guide must have one entry
-more than the table has ids, and the uniforms given to `sample_noise`
-must lie in [0, 1).  A `WordPass` is the word pass prepared for one run:
-its construction does every check and conversion that is fixed for the
-run, so a call only copies and range-checks the sentence's ids.  The
-word pass draws its uniforms itself, through numpy's documented
+updates), the input matrix must share no memory with an output bank (a
+step holds its center's vector while it writes the rows), and every id
+it reads must index them.  Noise draws look ids up through a
+NoiseDistribution's `cumulative` table and its `guide` table, which the
+kernel indexes by cell: the guide must have one entry more than the
+table has ids, and the uniforms given to `sample_noise` must lie in
+[0, 1).  A `WordPass` is the word pass prepared for one run: its
+construction does every check and conversion that is fixed for the run,
+so a call only copies and range-checks the sentence's ids.  The word
+pass draws its uniforms itself, through numpy's documented
 `BitGenerator.ctypes` interface, holding the generator's lock as
 `Generator.random` does.
 """
@@ -214,7 +221,13 @@ class WordPass:
         cum = np.ascontiguousarray(noise.cumulative, dtype=np.float64)
         guide = _guide_table(noise.guide, rows)
         table = (ctypes.c_void_p * len(banks))(*(_address(m, inp.shape) for m in banks))
-        work = np.empty(k + 1 + dim)
+        address = _address(inp, inp.shape)
+        for i, bank in enumerate(banks):
+            # Cheap on contiguous matrices.  A step holds v while it writes the
+            # rows, so v must not be one of them.
+            if np.shares_memory(inp, bank):
+                raise ValueError(f"the input matrix shares memory with output bank {i}")
+        work = np.empty(k + 1)
         negs = np.empty(k + 1, dtype=np.int64)
         self._objective = ctypes.c_double()
         bitgen = rng.bit_generator
@@ -224,7 +237,7 @@ class WordPass:
         # The generator's lock also guards the scratch buffers and the objective.
         self._lock = bitgen.lock
         self._fn = load().word_pass
-        self._head = (_address(inp, inp.shape), table, dim)
+        self._head = (address, table, dim)
         self._tail = (
             window, positional, None if keep is None else keep.ctypes.data, cum.ctypes.data,
             guide.ctypes.data, rows, fns.next_double, fns.state_address, k,

@@ -14,6 +14,8 @@ from contextlib import closing
 from pathlib import Path
 from typing import Mapping, TextIO
 
+import numpy as np
+
 from phrasegram.corpus import numbered_lines, output_file
 from phrasegram.trainer import TrainResult
 
@@ -53,7 +55,7 @@ def params_sha256(matrices) -> str:
     for name, matrix in matrices:
         digest.update(name.encode("utf-8"))
         digest.update(str(matrix.shape).encode("utf-8"))
-        digest.update(matrix.astype("<f8", copy=False).tobytes())
+        digest.update(np.ascontiguousarray(matrix, "<f8"))  # no copy of a C-ordered <f8 matrix
     return digest.hexdigest()
 
 

@@ -442,17 +442,20 @@ def checkpoint_save(
         ],
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    blobs = [struct.pack("<I", len(header_bytes)), header_bytes]
-    for _, m in params.matrices():
-        blobs.append(np.ascontiguousarray(m, dtype="<f8").tobytes())
-    payload = b"".join(blobs)
-    crc = zlib.crc32(payload)
+    # The payload in pieces, each matrix written from its own buffer.
+    pieces = [struct.pack("<I", len(header_bytes)), header_bytes]
+    pieces += [np.ascontiguousarray(m, dtype="<f8") for _, m in params.matrices()]
+    crc = length = 0
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+        length += memoryview(piece).nbytes
     with output_file(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _FORMAT_VERSION))
         fh.write(struct.pack("<I", crc))
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
+        fh.write(struct.pack("<Q", length))
+        for piece in pieces:
+            fh.write(piece)
 
 
 def checkpoint_load(path: str | Path) -> CheckpointData:

@@ -502,7 +502,8 @@ def train(
     With a fixed seed the run is bit-reproducible on one host.  Passing a
     checkpoint as `start` resumes training at the saved epoch boundary and
     continues identically to an uninterrupted run (the checkpoint must come
-    from the same config).  `stop_after_epoch` ends the run early at that
+    from the same config and the same corpus, whose in-vocabulary token
+    count is checked).  `stop_after_epoch` ends the run early at that
     epoch boundary, e.g. to write a mid-run checkpoint.
 
     The mapped corpus is held in memory across epochs.  A parameter that
@@ -551,6 +552,12 @@ def train(
 
     mapped = [map_sentence(s, vocab, phrase_vocab) for s in sentences()]
     token_counts = [sum(1 for w in m.word_ids if w >= 0) for m in mapped]
+    if start is not None and sum(token_counts) != vocab.total_tokens:
+        # The lr schedule and the resume state count the checkpoint's tokens.
+        raise ValueError(
+            f"{corpus_path}: the corpus holds {sum(token_counts)} in-vocabulary tokens, "
+            f"but the checkpoint was trained on {vocab.total_tokens}; resume on its corpus"
+        )
 
     budget = max(config.epochs * vocab.total_tokens, 1)
     floor = config.lr_floor

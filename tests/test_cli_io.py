@@ -5,6 +5,7 @@ surface with its exit-code contract.
 
 import ast
 import errno
+import hashlib
 import json
 import os
 import re
@@ -659,9 +660,25 @@ class TestManifest:
         result.params.input_words[0, 0] += 1e-12
         assert params_sha256(result.params.matrices()) != h1
 
-    def test_file_sha256_matches_hashlib(self, tmp_path):
-        import hashlib
+    @pytest.mark.parametrize("layout", ["c-order", "fortran-order", "big-endian", "strided"])
+    def test_params_hash_is_the_hash_of_each_matrix_as_c_ordered_bytes(self, layout):
+        # hashed from each matrix's buffer, with the digest of its .tobytes()
+        rng = np.random.default_rng(17)
+        change = {
+            "c-order": lambda m: m,
+            "fortran-order": np.asfortranarray,
+            "big-endian": lambda m: m.astype(">f8"),
+            "strided": lambda m: m[:, ::2],
+        }[layout]
+        matrices = [(name, change(rng.normal(size=(5, 6)))) for name in ("input", "output:0")]
+        old = hashlib.sha256()
+        for name, m in matrices:
+            old.update(name.encode("utf-8"))
+            old.update(str(m.shape).encode("utf-8"))
+            old.update(m.astype("<f8", copy=False).tobytes())
+        assert params_sha256(matrices) == old.hexdigest()
 
+    def test_file_sha256_matches_hashlib(self, tmp_path):
         path = tmp_path / "f"
         path.write_bytes(b"hello world")
         assert file_sha256(path) == hashlib.sha256(b"hello world").hexdigest()

@@ -170,6 +170,17 @@ class TestWordPass:
         with pytest.raises(ValueError, match=f"^{banks} output banks for window {window}$"):
             _prepare(inp, out, dist, window=window, positional=positional)
 
+    @pytest.mark.parametrize("overlap", ["same-rows", "one-row"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_input_sharing_memory_with_a_bank_rejected(self, which, overlap):
+        # A step holds v while it writes the rows, so v must never be one of them.
+        buf = np.random.default_rng(3).normal(size=(6, 4))
+        inp, banks = buf[:3], [buf[3:], buf[3:].copy()]
+        banks[which] = inp[:] if overlap == "same-rows" else buf[2:5]
+        dist = build_noise_distribution(np.array([3, 2, 1]))
+        with pytest.raises(ValueError, match=f"^the input matrix shares memory with output bank {which}$"):
+            _prepare(inp, banks, dist, positional=True)
+
     def test_noise_table_of_wrong_length_rejected(self):
         dist = build_noise_distribution(np.array([3, 2, 1, 1]))
         with pytest.raises(ValueError, match="noise table has 4 ids for 3 rows"):

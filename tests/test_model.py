@@ -4,7 +4,9 @@ corruption class).
 """
 
 import os
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -213,6 +215,26 @@ class TestCheckpoint:
             params.matrices(), loaded.params.matrices()
         ):
             assert name_a == name_b
+            np.testing.assert_array_equal(a, b)
+
+    def test_file_is_the_joined_payload_layout(self, tmp_path):
+        # The matrices are written from their own buffers; the file must hold
+        # the bytes of the one joined payload: magic, version, CRC32 and
+        # length of the payload, the payload.  Fortran-ordered and big-endian
+        # matrices are written as C-ordered little-endian rows.
+        params, cfg, vocab, pv, state = _fixture(Mode.COMPOSITIONAL_POSITIONAL)
+        params.input_words = np.asfortranarray(params.input_words)
+        params.output_words[1] = params.output_words[1].astype(">f8")
+        path = tmp_path / "m.ckpt"
+        checkpoint_save(path, params, cfg, vocab, pv, state)
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<I", data[24:28])
+        payload = data[24 : 28 + header_len] + b"".join(
+            m.astype("<f8").tobytes() for _, m in params.matrices()
+        )
+        want = b"PGCKPT01" + struct.pack("<IIQ", 1, zlib.crc32(payload), len(payload)) + payload
+        assert data == want
+        for (_, a), (_, b) in zip(params.matrices(), checkpoint_load(path).params.matrices()):
             np.testing.assert_array_equal(a, b)
 
     def test_loaded_matrices_are_separate_writable_arrays(self, tmp_path):

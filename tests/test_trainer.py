@@ -555,6 +555,14 @@ class TestWordPassMatchesReference:
         sentences = random_sentences(np.random.default_rng(67), 9)
         run_against_reference(mode, 9, sentences, dim=dim)
 
+    @pytest.mark.parametrize("dim", [1, 3, 101])
+    @pytest.mark.parametrize("k", [7, 8, 20])
+    def test_many_negatives_over_three_words(self, k, dim):
+        # k + 1 rows leave each remainder of the kernel's scoring blocks, and
+        # over 3 words the context and the negatives repeat within a step
+        sentences = random_sentences(np.random.default_rng(89), 3)
+        run_against_reference(Mode.POSITIONAL, 3, sentences, dim=dim, k=k)
+
     def test_zipf_vocabulary(self):
         # ~300 cells in the noise table's guide, heavy ids spanning many
         rng = np.random.default_rng(71)
@@ -605,7 +613,7 @@ class TestWordPassMatchesReference:
                 label="counts",
             ),
             window=data.draw(st.integers(1, 5), label="window"),
-            k=data.draw(st.integers(1, 6), label="k"),
+            k=data.draw(st.integers(1, 12), label="k"),
             beta=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]), label="beta"),
         )
 
@@ -824,6 +832,26 @@ class TestTrainEndToEnd:
         )
         with pytest.raises(ValueError, match="config"):
             train(corpus, other, start=data)
+
+    def test_resume_on_another_corpus_raises_before_training(self, tmp_path):
+        # Same 8 words, 10x the tokens: the checkpoint's vocabulary maps every
+        # token, but its lr budget and resume state count the 300.
+        words = [f"w{i}" for i in range(8)]
+        rng = np.random.default_rng(83)
+        for name, lines in (("short", 30), ("long", 300)):
+            text = [" ".join(words[:2] + list(rng.choice(words, size=8))) for _ in range(lines)]
+            (tmp_path / f"{name}.txt").write_text("\n".join(text) + "\n")
+        cfg = self._config(epochs=2, mode=Mode.BASELINE)
+        half = train(tmp_path / "short.txt", cfg, stop_after_epoch=1)
+        assert half.vocab.total_tokens == 300 and len(half.vocab) == 8
+        ckpt = tmp_path / "half.ckpt"
+        checkpoint_save(ckpt, half.params, cfg, half.vocab, None, half.state_dict)
+        data = checkpoint_load(ckpt)
+        saved = data.params.copy()
+        with pytest.raises(ValueError, match=r"holds 3000 in-vocabulary tokens, .* trained on 300;"):
+            train(tmp_path / "long.txt", cfg, start=data)
+        for (name, m), (_, r) in zip(data.params.matrices(), saved.matrices()):
+            np.testing.assert_array_equal(m, r, err_msg=name)
 
     def test_resume_without_state_raises(self, tmp_path):
         corpus = tmp_path / "c.txt"
