@@ -1,37 +1,43 @@
-/* Per-sentence training kernel: the word-level pass of a training run.
+/* Training kernel: the word-level pass of a sentence and the phrase-level step
+ * of a pair.
  *
- * One call subsamples one mapped sentence, then visits its window pairs,
+ * word_pass subsamples one mapped sentence, then visits its window pairs,
  * drawing each pair's negatives and applying the skip-gram negative-sampling
  * step.  It alone consumes the word stream: one uniform per in-vocab token
  * when subsampling, in sentence order, then k per pair in visiting order.
  * Each negative is looked up through the noise table's guide table, which
- * gives the id np.searchsorted gives for every uniform.  The arithmetic is
- * that of trainer.word_step, the tests' reference:
+ * gives the id np.searchsorted gives for every uniform.  phrase_step is the
+ * same step on composed vectors: it composes the context, negative and current
+ * phrases from their component words' rows, scores them and writes every
+ * component row.  The arithmetic is that of reference.word_step and
+ * reference.phrase_step, the numpy steps the tests compare against:
  *
  *   - every score and gradient of a step is read from the pre-update
- *     parameters, column by column before the step writes that column, so an
- *     id that repeats within a step accumulates its deltas exactly as
- *     np.add.at does;
+ *     parameters, and the writes to one matrix go in index order, so an id
+ *     that repeats within a step accumulates its deltas exactly as np.add.at
+ *     does;
  *   - elementwise products and sums run in the numpy expressions' order;
  *     dot products sum in four lanes in a fixed order (see score_block), which
  *     rounds differently from BLAS but not differently from host to host.
  *
  * Matrices are C-contiguous float64, row i belonging to word id i.  The input
- * matrix must not share memory with an output bank: a step holds v while it
- * writes the rows.  The caller supplies the scratch buffers, so nothing here
+ * matrix must not share memory with an output bank: a word step holds v while
+ * it writes the rows.  The caller supplies the scratch buffers, so nothing here
  * allocates.  Build with -ffp-contract=off: a fused multiply-add would round
  * differently from the numpy reference.  The four-double vectors need GCC or
  * Clang.
  *
- * On x86-64 word_pass is cloned for AVX2 and for baseline x86-64, and the
- * dynamic loader picks the clone for the host when it loads the object.  Every
- * helper is inlined into word_pass, so each clone holds a pair's whole step:
- * the draws, the scoring, the objective and the update sweep.  Only the
- * generator's next_double and the C library's exp, log1p and nextafter are
- * calls.  The clones compute the same bits: without -ffast-math the compiler
- * may not reassociate a sum, and with -ffp-contract=off it may not fuse a
- * multiply and an add, so a wider vector only does more of the same IEEE
- * operations, each rounded as before, in the same order.
+ * On x86-64 word_pass and phrase_step are cloned for AVX2 and for baseline
+ * x86-64, and the dynamic loader picks the clone for the host when it loads
+ * the object.  Every helper is inlined, so each clone holds a whole step: the
+ * draws, the composition, the scoring, the objective and the writes.  Only
+ * the generator's next_double and the C library's exp, log1p, nextafter and,
+ * in a phrase step at alpha != 1, pow are calls.  The clones compute the same
+ * bits: without -ffast-math the compiler may not reassociate a sum, and with
+ * -ffp-contract=off it may not fuse a multiply and an add, so a wider vector
+ * only does more of the same IEEE operations, each rounded as before, in the
+ * same order.  The C library's functions are another matter: glibc picks their
+ * implementation per host, and those may differ in the last bit.
  */
 #include <math.h>
 #include <stdint.h>
@@ -65,6 +71,25 @@ INLINE double sigmoid(double s, double e)
 INLINE double log1pexp(double x, double e)
 {
     return x > 0.0 ? x + log1p(e) : log1p(e);
+}
+
+/* Turns the scores coef[0..rows) of one step, row 0 the positive and the rest
+ * negatives, into the coefficients label - sigmoid(score) in place, and
+ * returns the step's objective term, log sigmoid(s_0) + sum log sigmoid(-s_i),
+ * summed in row order.  One exp(-|s|) per score feeds both. */
+INLINE double negative_sampling(double *coef, int64_t rows)
+{
+    double term = 0.0, neg_sum = 0.0;
+    for (int64_t i = 0; i < rows; i++) {
+        double s = coef[i];
+        double e = exp(-fabs(s));
+        if (i == 0)
+            term = -log1pexp(-s, e);
+        else
+            neg_sum += log1pexp(s, e);
+        coef[i] = (i == 0 ? 1.0 : 0.0) - sigmoid(s, e);
+    }
+    return term - neg_sum;
 }
 
 /* The scores of the rows ids[0..rows) of bank against v, rows a constant of
@@ -157,6 +182,63 @@ INLINE void update(double *bank, const int64_t *ids, int64_t rows, const double 
         for (int64_t i = 0; i < rows; i++)
             bank[ids[i] * dim + j] += lr * coef[i] * v[j];
         v[j] += lr * grad;
+    }
+}
+
+/* y[j] += a * x[j] for j < dim: one product and one sum per element, as
+ * numpy's y + a * x, in any vector width. */
+INLINE void add_scaled(double *y, double a, const double *x, int64_t dim)
+{
+    int64_t j = 0;
+    for (; j + 4 <= dim; j += 4)
+        AT(y + j) += a * AT(x + j);
+    for (; j < dim; j++)
+        y[j] += a * x[j];
+}
+
+/* grad[j] = sum_i coef[i] * rows[i * dim + j] over i < n, summed from 0.0 in
+ * row order, for j < dim: the gradient for a scored vector, in registers. */
+INLINE void combine_rows(double *grad, const double *rows, const double *coef, int64_t n,
+                         int64_t dim)
+{
+    int64_t j = 0;
+    for (; j + 4 <= dim; j += 4) {
+        lanes g = {0.0, 0.0, 0.0, 0.0};
+        for (int64_t i = 0; i < n; i++)
+            g += coef[i] * AT(rows + i * dim + j);
+        AT(grad + j) = g;
+    }
+    for (; j < dim; j++) {
+        double g = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            g += coef[i] * rows[i * dim + j];
+        grad[j] = g;
+    }
+}
+
+/* y[j] += a * (jac[j] * x[j]) for j < dim: a delta through a Jacobian
+ * diagonal, in the reference's order. */
+INLINE void add_scaled_jac(double *y, double a, const double *jac, const double *x,
+                           int64_t dim)
+{
+    int64_t j = 0;
+    for (; j + 4 <= dim; j += 4)
+        AT(y + j) += a * (AT(jac + j) * AT(x + j));
+    for (; j < dim; j++)
+        y[j] += a * (jac[j] * x[j]);
+}
+
+/* y[j] += w * sigma(x[j]) and jac[j] = sigma'(x[j]) for j < dim, at alpha != 1:
+ * sign(x) * |x|**alpha and alpha * |x|**(alpha - 1), as composition.sigma and
+ * sigma_jacobian_diag, with np.sign's +0.0 at either zero. */
+INLINE void add_powered(double *y, double *jac, double w, const double *x, double alpha,
+                        int64_t dim)
+{
+    for (int64_t j = 0; j < dim; j++) {
+        double a = fabs(x[j]);
+        double sign = x[j] > 0.0 ? 1.0 : x[j] < 0.0 ? -1.0 : x[j] == 0.0 ? 0.0 : x[j];
+        jac[j] = alpha * pow(a, alpha - 1.0);
+        y[j] += w * (sign * pow(a, alpha));
     }
 }
 
@@ -291,20 +373,92 @@ int64_t word_pass(double *inp, double *const *out, int64_t dim,
             pairs++;
 
             score_rows(bank, negs, k + 1, v, dim, coef);
-            double term = 0.0, neg_sum = 0.0;
-            for (int64_t i = 0; i <= k; i++) {
-                double s = coef[i];
-                double e = exp(-fabs(s));
-                if (i == 0)
-                    term = -log1pexp(-s, e);
-                else
-                    neg_sum += log1pexp(s, e);
-                coef[i] = (i == 0 ? 1.0 : 0.0) - sigmoid(s, e);
-            }
-            total += term - neg_sum;
+            total += negative_sampling(coef, k + 1);
             update(bank, negs, k + 1, coef, v, lr, dim);
         }
     }
     *objective = total;
     return pairs;
+}
+
+/* One gradient-ascent step of the phrase objective for a (phrase, context
+ * phrase) pair: reference.phrase_step.
+ *
+ * inp: the input matrix; pout: the pair's phrase output bank; index: the
+ * number of ids of each of `phrases` phrases, each at least 1, then their ids,
+ * the context phrase's, then those of k = phrases - 2 negative phrases, then
+ * the current phrase's, then k + 1 free slots; work: (k + 3) * dim + k + 1
+ * doubles, and one row of dim more per id when alpha != 1.  Every id must
+ * index both matrices: nothing here checks.  Returns the pre-update objective
+ * term.
+ *
+ * Each phrase is composed into work as one ordered sum from -0.0 of
+ * (1 / n) * sigma(row) over its rows, in component order: -0.0 is the one start
+ * that changes no first term, so a phrase has the bits of compose_rows.  The
+ * context and negative phrases come from pout, the current one from inp.  At
+ * alpha = 1 sigma is the identity and its Jacobian 1, so neither is computed;
+ * otherwise every row's Jacobian diagonal goes to work as it is composed.  The
+ * deltas read only the composed phrases, the coefficients and those
+ * Jacobians, all taken before the first write, so each row can be written as
+ * soon as its delta is known: pout's rows, then inp's, each in index order.
+ */
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target_clones("avx2", "default")))
+#endif
+double phrase_step(double *inp, double *pout, int64_t dim, int64_t *index, int64_t phrases,
+                   double lr, double alpha, double *work)
+{
+    int64_t k = phrases - 2, total = 0;
+    const int64_t *sizes = index, *ids = index + phrases;
+    for (int64_t p = 0; p < phrases; p++)
+        total += sizes[p];
+    int64_t *rows = index + phrases + total;
+    int powered = alpha != 1.0;
+    double *composed = work, *grad = work + phrases * dim, *coef = grad + dim;
+    double *jac = coef + k + 1;
+
+    const int64_t *id = ids;
+    double *jrow = jac;
+    for (int64_t p = 0; p < phrases; p++) {
+        const double *bank = p <= k ? pout : inp;
+        double *acc = composed + p * dim;
+        double w = 1.0 / (double)sizes[p];
+        for (int64_t j = 0; j < dim; j++)
+            acc[j] = -0.0;
+        for (int64_t m = 0; m < sizes[p]; m++, id++) {
+            if (!powered) {
+                add_scaled(acc, w, bank + *id * dim, dim);
+            } else {
+                add_powered(acc, jrow, w, bank + *id * dim, alpha, dim);
+                jrow += dim;
+            }
+        }
+    }
+
+    /* The context and negative phrases against the current one, v. */
+    double *v = composed + (k + 1) * dim;
+    for (int64_t i = 0; i <= k; i++)
+        rows[i] = i;
+    score_rows(composed, rows, k + 1, v, dim, coef);
+    double objective = negative_sampling(coef, k + 1);
+    combine_rows(grad, composed, coef, k + 1, dim);
+
+    /* A pout row of phrase p moves by (lr * coef[p] / n) * J * v, an inp row
+     * by (lr / n) * J * grad. */
+    id = ids;
+    jrow = jac;
+    for (int64_t p = 0; p < phrases; p++) {
+        double *bank = p <= k ? pout : inp;
+        double scale = p <= k ? lr * coef[p] / (double)sizes[p] : lr / (double)sizes[p];
+        const double *x = p <= k ? v : grad;
+        for (int64_t m = 0; m < sizes[p]; m++, id++) {
+            if (!powered) {
+                add_scaled(bank + *id * dim, scale, x, dim);
+            } else {
+                add_scaled_jac(bank + *id * dim, scale, jrow, x, dim);
+                jrow += dim;
+            }
+        }
+    }
+    return objective;
 }

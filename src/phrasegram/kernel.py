@@ -6,38 +6,41 @@ first with the C compiler Python was built with (`sysconfig` CC) if that
 file does not exist.  `FLAGS` build at -O3 with -ffp-contract=off and no
 host-specific instruction set: the optimizer may vectorize, but never
 fuses a multiply-add or reorders a sum, so the kernel's own arithmetic
-does not depend on the host's instruction set (its exp and log1p come
-from the C library, whose variants for different hosts may differ in the
-last bit).  On x86-64 the object holds two clones of the word pass, for
-AVX2 and for baseline x86-64, and the dynamic loader picks one for the
-host when it loads the object (an ifunc), so the object stays portable
-and both clones compute the same bits.  Every helper is inlined into the
-word pass, so a clone runs a pair's whole step in its own instruction
-set and calls only the generator and the C library.  It scores a few
-rows per sweep over the center's vector and writes the step in one sweep
-over the columns; neither changes the order of any sum, so the bits are
-those of one dot product and one pass per vector.  The key hashes the
-source, the compiler command, the flags, the interpreter's cache tag and
-the machine, so a change to any of them builds a new object and an
-unchanged one is reused.  The object is written through
-`corpus.output_file`, so a concurrent process never loads a half-written
-one.
+does not depend on the host's instruction set (its exp, log1p and, in a
+phrase step at alpha != 1, pow come from the C library, whose variants
+for different hosts may differ in the last bit).  On x86-64 the object
+holds two clones of the word pass and of the phrase step, for AVX2 and
+for baseline x86-64, and the dynamic loader picks one for the host when
+it loads the object (an ifunc), so the object stays portable and both
+clones compute the same bits.  Every helper is inlined, so a clone runs
+a whole step in its own instruction set and calls only the generator
+and the C library.  It scores a few rows per sweep over the scored
+vector and writes the word step in one sweep over the columns; neither
+changes the order of any sum, so the bits are those of one dot product
+and one pass per vector.  The key hashes the source, the compiler
+command, the flags, the interpreter's cache tag and the machine, so a
+change to any of them builds a new object and an unchanged one is
+reused.  The object is written through `corpus.output_file`, so a
+concurrent process never loads a half-written one.
 
 The kernel indexes matrices by id without bounds checks, so the wrappers
-here check what it will read and write: matrices must be writable,
-C-contiguous float64 of one shape (never copied, which would drop the
-updates), the input matrix must share no memory with an output bank (a
-step holds its center's vector while it writes the rows), and every id
-it reads must index them.  Noise draws look ids up through a
-NoiseDistribution's `cumulative` table and its `guide` table, which the
-kernel indexes by cell: the guide must have one entry more than the
-table has ids, and the uniforms given to `sample_noise` must lie in
-[0, 1).  A `WordPass` is the word pass prepared for one run: its
-construction does every check and conversion that is fixed for the run,
-so a call only copies and range-checks the sentence's ids.  The word
-pass draws its uniforms itself, through numpy's documented
-`BitGenerator.ctypes` interface, holding the generator's lock as
-`Generator.random` does.
+here and their callers check what it will read and write: matrices must
+be writable, C-contiguous float64 of one shape (never copied, which
+would drop the updates; `_address` checks one), the input matrix must
+share no memory with a word output bank (a word step holds its center's
+vector while it writes the rows), and every id it reads must index them.
+Noise draws look ids up through a NoiseDistribution's `cumulative` table
+and its `guide` table, which the kernel indexes by cell: the guide must
+have one entry more than the table has ids, and the uniforms given to
+`sample_noise` must lie in [0, 1).  A `WordPass` is the word pass
+prepared for one run: its construction does every check and conversion
+that is fixed for the run, so a call only copies and range-checks the
+sentence's ids.  The word pass draws its uniforms itself, through
+numpy's documented `BitGenerator.ctypes` interface, holding the
+generator's lock as `Generator.random` does.  `phrase_step` is one
+phrase step, called by `trainer.phrase_step` after that function has
+checked the phrases, the ids, the bank and the matrices; it allocates
+the step's scratch per call.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ __all__ = [
     "WordPass",
     "build",
     "load",
+    "phrase_step",
     "sample_noise",
 ]
 
@@ -120,9 +124,10 @@ def build(source: Path, cache_dir: Path, cc: Sequence[str]) -> Path:
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
-_SIGNATURES = {
-    "sample_noise": [_P, _P, _I, _P, _I, _I, _P],
-    "word_pass": [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P],
+_SIGNATURES = {  # name: (restype, argtypes)
+    "sample_noise": (_I, [_P, _P, _I, _P, _I, _I, _P]),
+    "word_pass": (_I, [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P]),
+    "phrase_step": (_D, [_P, _P, _I, _P, _I, _D, _D, _P]),
 }
 
 
@@ -130,10 +135,10 @@ _SIGNATURES = {
 def load() -> ctypes.CDLL:
     """The kernel library, built on first use and then reused."""
     lib = ctypes.CDLL(str(build(SOURCE, CACHE_DIR, compiler())))
-    for name, argtypes in _SIGNATURES.items():
+    for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
-        fn.restype = _I
+        fn.restype = restype
     return lib
 
 
@@ -182,6 +187,28 @@ def sample_noise(
     ):
         raise _noise_mass_error(exclude)
     return out
+
+
+def phrase_step(
+    inp: int, pout: int, dim: int, ids: Sequence[int], sizes: Sequence[int], lr: float,
+    alpha: float,
+) -> float:
+    """The kernel's phrase step, for trainer.phrase_step once it has checked.
+
+    `inp` and `pout` are the `_address`es of the input matrix and the
+    pair's phrase output bank, both with `dim` columns.  `ids` holds the
+    component ids of the context phrase, the negative phrases and then
+    the current phrase, and `sizes` each phrase's length.  The kernel
+    checks nothing: every size must be positive and every id must index
+    both matrices.  Returns the pre-update objective term.
+
+    The ids and the scratch go to the kernel as ctypes arrays, which cost
+    less per call than numpy arrays and their `ctypes.data`.
+    """
+    k = len(sizes) - 2
+    index = (ctypes.c_int64 * (len(sizes) + len(ids) + k + 1))(*sizes, *ids)
+    work = (ctypes.c_double * ((k + 3 + (0 if alpha == 1.0 else len(ids))) * dim + k + 1))()
+    return load().phrase_step(inp, pout, dim, index, len(sizes), lr, alpha, work)
 
 
 class WordPass:

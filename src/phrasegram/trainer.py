@@ -12,45 +12,32 @@ beta scales the phrase-level objective relative to the word-level one; it
 enters the updates as a multiplier on the phrase-level learning rate,
 which is exactly the gradient of (word objective + beta * phrase objective).
 
-`phrase_step` is `word_step` on composed vectors: both score through one
-core, `_negative_sampling`, which returns the objective term, each row's
-coefficient and the gradient for the scored vector.  Both steps compute
-every read (scores, Jacobian diagonals, gradient accumulations) from
-pre-update parameter values and only then write, through `_add_rows`: one
-`np.add.at` on the matrix's flat view, which applies repeated ids in
-index order.  So the net parameter change of one step equals the
-learning rate times the exact simultaneous gradient of that step's
-objective term, even when an id appears more than once in the step.
-`phrase_step` gathers each matrix once (the phrase output rows of the
-context and negative phrases, the input rows of the current phrase),
-composes all its phrases in one ordered segment sum from -0.0 (also
-`_add_rows`, which adds each phrase's weighted rows left to right, as
-`compose_rows` does), computes every delta from the gathered rows and
-then writes each matrix once.  That is the update order a compiled
-phrase pass must keep.
-
 Training runs each sentence as two passes, which `train` prepares once
 per run, when an epoch is to run: the word pass (`kernel.WordPass`) and
 then, in compositional modes with beta > 0 and at least two retained
 phrases, the phrase pass (`PhrasePass`).  Both write the input matrix,
-so their order is part of the result.  The word pass is one call into
-the compiled kernel (`_kernel.c`, built and loaded by
-`phrasegram.kernel`).  The kernel keeps the same read-before-write rule
-per step: it reads every score and the center's gradient from the
-pre-update rows, then writes the output rows and then the center row, so
-it matches `word_step`, its reference in the tests, up to the rounding
-of dot products, which it sums in four lanes in a fixed order (built at
--O3 with -ffp-contract=off, so the order holds on every host and in
-either of its x86-64 clones).  It also subsamples the sentence and draws
-every uniform of the pass itself, from the word stream's generator, in
-the per-pair reference's order: one per in-vocab token when subsampling,
-then k per pair, each negative looked up through the noise table's guide
-table (`NoiseDistribution.guide`), which returns the id `sample`'s
-whole-table search returns.  So every seed keeps the same tokens and
-draws the same negatives.  The phrase pass runs in Python: it lists a
-sentence's window pairs (`iter_window_pairs`), draws all their negatives
-in one `NoiseDistribution.sample` call, and applies `phrase_step` once
-per pair.
+so their order is part of the result.  Both steps run in the compiled
+kernel (`_kernel.c`, built and loaded by `phrasegram.kernel`), and both
+keep the update order of their numpy references in
+`phrasegram.reference`, which the tests compare them against: every
+score, gradient and Jacobian diagonal of a step is read from the
+pre-update rows, and the writes to a matrix go in index order, so an id
+repeated within a step accumulates as np.add.at does.  They match those
+references up to the rounding of dot products, which the kernel sums in
+four lanes in a fixed order (built at -O3 with -ffp-contract=off, so the
+order holds on every host and in either of its x86-64 clones), and of
+the C library's exp, log1p and pow.
+
+The word pass is one kernel call per sentence.  It also subsamples the
+sentence and draws every uniform of the pass itself, from the word
+stream's generator, in the per-pair reference's order: one per in-vocab
+token when subsampling, then k per pair, each negative looked up through
+the noise table's guide table (`NoiseDistribution.guide`), which returns
+the id `sample`'s whole-table search returns.  So every seed keeps the
+same tokens and draws the same negatives.  The phrase pass loops in
+Python: it lists a sentence's window pairs (`iter_window_pairs`), draws
+all their negatives in one `NoiseDistribution.sample` call, and applies
+`phrase_step`, one kernel call after its checks, once per pair.
 
 Window distances are surface distances: positions in the token sequence
 for words and in the chunk sequence for phrases.  Out-of-vocab tokens and
@@ -72,7 +59,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from phrasegram import kernel
-from phrasegram.composition import compose_rows, sigma, sigma_jacobian_diag
+from phrasegram.composition import compose_rows
 from phrasegram.corpus import (
     ChunkedSentence,
     PhraseVocab,
@@ -102,7 +89,6 @@ __all__ = [
     "softmax_probability",
     "word_objective",
     "phrase_objective",
-    "word_step",
     "phrase_step",
     "iter_window_pairs",
     "map_sentence",
@@ -112,10 +98,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
 def _log_sigmoid(x: float) -> float:
@@ -185,49 +167,6 @@ def phrase_objective(
 # ---------------------------------------------------------------------------
 
 
-def _negative_sampling(
-    rows: np.ndarray, v: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Score v against rows, of which row 0 is the positive and the rest negatives.
-
-    Returns the negative-sampling objective term, each row's coefficient
-    label - sigmoid(score) (the gradient of the term with respect to that
-    row's score) and the gradient of the term with respect to v.
-    """
-    scores = rows @ v
-    term = float(
-        -np.logaddexp(0.0, -scores[0]) - np.logaddexp(0.0, scores[1:]).sum()
-    )
-    coefs = -_sigmoid(scores)
-    coefs[0] += 1.0  # label - sigmoid(score), label = 1 only for row 0
-    return term, coefs, coefs @ rows
-
-
-def word_step(
-    params: ModelParams,
-    center: int,
-    context: int,
-    negatives: Sequence[int],
-    lr: float,
-    bank: int = 0,
-) -> float:
-    """One gradient-ascent update for a (center, context) pair.
-
-    Updates the center's input embedding and the context and negative
-    rows of the selected output bank.  Returns the objective term
-    evaluated before the update.
-    """
-    v = params.input_words[center]
-    out = params.output_words[bank]
-    idx = np.empty(1 + len(negatives), dtype=np.int64)
-    idx[0] = context
-    idx[1:] = negatives
-    term, coefs, grad_v = _negative_sampling(out[idx], v)
-    _add_rows(out, idx, (lr * coefs)[:, None] * v)
-    v += lr * grad_v
-    return term
-
-
 def phrase_step(
     params: ModelParams,
     current_words: Sequence[int],
@@ -239,71 +178,37 @@ def phrase_step(
 ) -> float:
     """One gradient-ascent update for a (phrase, context phrase) pair.
 
-    word_step on composed vectors: the context and negative phrases,
-    composed in the phrase output space of the bank, are scored against
-    the current phrase, composed in the input space.  Each phrase's
-    coefficient reaches its component words through the composition's
-    1/n weight and the diagonal Jacobian of its power map.
+    The context and negative phrases, composed in the phrase output space
+    of the bank, are scored against the current phrase, composed in the
+    input space, and each component word moves by its phrase's
+    coefficient times the composition's 1/n weight and the diagonal
+    Jacobian of its power map.  The step runs in the compiled kernel with
+    the update order of `reference.phrase_step`, the numpy step the tests
+    compare it against: every delta comes from the pre-update rows, and a
+    word repeated within the step accumulates.  Returns the objective
+    term evaluated before the update.
 
-    One gather per matrix reads every component row.  One segment sum
-    composes all the phrases: it starts from -0.0, the one value whose
-    addition changes no float, and adds each row times its phrase's 1/n
-    in component order, so every phrase vector has the bits of
-    `compose_rows`' left-to-right sum.  At alpha = 1 the power map is the
-    identity and its Jacobian 1, so both are skipped.  Every delta comes
-    from the gathered, pre-update rows; then one ordered write per matrix
-    applies them, so a word repeated within the step accumulates.
-    Returns the objective term evaluated before the update.
+    Raises ValueError, before any write, for an empty phrase, a component
+    id that does not index the input matrix, a bank index out of range,
+    or a matrix the kernel cannot update in place.
     """
-    inp = params.input_words
-    pout = params.phrase_output_words[bank]
-    phrases = [context_words, *negative_phrases, current_words]  # segment -1 is the current phrase
-    lengths = [len(ws) for ws in phrases]
-    if 0 in lengths:
+    phrases = [context_words, *negative_phrases, current_words]
+    sizes = [len(ws) for ws in phrases]
+    if 0 in sizes:
         raise ValueError("cannot compose an empty phrase")
-    sizes = np.array(lengths)
-    segment = np.repeat(np.arange(len(phrases)), sizes)
-    ids = np.fromiter(chain.from_iterable(phrases), np.intp, len(segment))
-    n_out = len(ids) - len(current_words)
-    out_ids, cur = ids[:n_out], ids[n_out:]
-    rows = np.concatenate((pout[out_ids], inp[cur]))
-    if alpha != 1.0:
-        jac = sigma_jacobian_diag(rows, alpha)
-        rows = sigma(rows, alpha)
-    composed = np.full((len(phrases), inp.shape[1]), -0.0)
-    _add_rows(composed, segment, (1.0 / sizes)[segment][:, None] * rows)
-    v_p = composed[-1]
-    term, coefs, grad_vp = _negative_sampling(composed[:-1], v_p)
-
-    scale = np.repeat(lr * coefs / sizes[:-1], sizes[:-1])
-    in_lr = lr / len(cur)
-    if alpha == 1.0:
-        out_deltas = scale[:, None] * v_p
-        in_deltas = np.multiply.outer(np.full(len(cur), in_lr), grad_vp)  # one row per id
-    else:
-        out_deltas = scale[:, None] * (jac[:n_out] * v_p)
-        in_deltas = in_lr * (jac[n_out:] * grad_vp)
-    _add_rows(pout, out_ids, out_deltas)
-    _add_rows(inp, cur, in_deltas)
-    return term
-
-
-def _add_rows(matrix: np.ndarray, rows: np.ndarray, deltas: np.ndarray) -> None:
-    """matrix[rows[i]] += deltas[i] for each i in order, through one np.add.at.
-
-    A repeated row accumulates every delta, in index order: fancy-index
-    += keeps only the last.  The add runs on the matrix's flat view,
-    about 3× cheaper than np.add.at over rows at 18 rows of 100, the
-    index included.  `deltas` holds one full row per entry of `rows`:
-    numpy 2.4's np.add.at drops repeated indices when it broadcasts the
-    values over a 2-D index.  Raises ValueError for a matrix that is not
-    C-contiguous, which has no flat view: a reshape would write to a copy.
-    """
-    if not matrix.flags.c_contiguous:
-        raise ValueError("cannot add rows in place: the matrix is not C-contiguous")
-    d = matrix.shape[1]
-    flat = (rows[:, None] * d + np.arange(d)).ravel()
-    np.add.at(matrix.reshape(-1), flat, deltas.reshape(-1))
+    ids = [*chain.from_iterable(phrases)]
+    inp = params.input_words
+    rows, dim = inp.shape
+    lo, hi = min(ids), max(ids)
+    if lo < 0 or hi >= rows:
+        raise ValueError(f"component id {lo if lo < 0 else hi} is out of range for {rows} rows")
+    banks = params.phrase_output_words
+    if not 0 <= bank < len(banks):
+        raise ValueError(f"bank {bank} is out of range for {len(banks)} phrase output banks")
+    return kernel.phrase_step(
+        kernel._address(inp, inp.shape), kernel._address(banks[bank], inp.shape), dim,
+        ids, sizes, lr, alpha,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import scipy.stats
 from mpmath import exp as mp_exp, mp, mpf
 
 from gradient_utils import bound_away_from_zero, check_step_against_fd
+from phrasegram import reference, trainer
 from phrasegram.composition import (
     CompositionConfig,
     compose_rows,
@@ -49,14 +50,13 @@ from phrasegram.model import (
     checkpoint_save,
     init_params,
 )
+from phrasegram.reference import word_step
 from phrasegram.sampling import build_noise_distribution
 from phrasegram.trainer import (
     phrase_objective,
-    phrase_step,
     softmax_probability,
     train,
     word_objective,
-    word_step,
 )
 
 
@@ -122,7 +122,8 @@ def _word_instance(rng, params):
     return step, objective, touched
 
 
-def _phrase_instance(rng, params, alpha):
+def _phrase_instances(rng, params, alpha):
+    """One phrase instance, stepped by the compiled step and by its numpy reference."""
     bank = int(rng.integers(len(params.phrase_output_words)))
 
     def pick():
@@ -135,13 +136,16 @@ def _phrase_instance(rng, params, alpha):
     for ws in (context, *negatives):
         touched += [("pout", pout, w) for w in ws]
 
-    def step():
-        return phrase_step(params, current, context, negatives, LR, alpha, bank)
+    def step_with(phrase_step):
+        return lambda: phrase_step(params, current, context, negatives, LR, alpha, bank)
 
     def objective():
         return phrase_objective(params, current, context, negatives, alpha, bank)
 
-    return step, objective, touched
+    return [
+        (step_with(phrase_step), objective, touched)
+        for phrase_step in (trainer.phrase_step, reference.phrase_step)
+    ]
 
 
 def test_gradient_suite(verdict):
@@ -155,14 +159,14 @@ def test_gradient_suite(verdict):
                 for i in range(N_INSTANCES):
                     params = _fresh_params(rng, mode, alpha)
                     if mode.compositional and i % 2 == 1:
-                        instance = _phrase_instance(rng, params, alpha)
+                        instances = _phrase_instances(rng, params, alpha)
                     else:
-                        instance = _word_instance(rng, params)
-                    step, objective, touched = instance
-                    err = check_step_against_fd(
-                        step, objective, touched, LR, eps=FD_EPS
-                    )
-                    worst = max(worst, err)
+                        instances = [_word_instance(rng, params)]
+                    for step, objective, touched in instances:
+                        err = check_step_against_fd(
+                            step, objective, touched, LR, eps=FD_EPS
+                        )
+                        worst = max(worst, err)
                     n += 1
                 assert n >= 100
         assert worst < GRAD_TOL, f"worst relative error {worst}"

@@ -4,8 +4,10 @@ The noise draw must give the ids NoiseDistribution.sample gives for the
 same uniforms, on every table edge and every cell edge of the guide
 table.  The word pass must check its inputs, leave the caller's ids
 alone and draw one subsampling uniform per in-vocab token; its pairs
-and updates are checked against the per-pair reference in test_trainer.
-The build is cached per key, reused across processes, and a failing
+and updates are checked against the per-pair reference in test_trainer,
+as are the phrase step's checks and arithmetic.  Builds for other
+instruction sets must train the word and phrase passes bitwise as the
+shipped object does.  The build is cached per key, reused across processes, and a failing
 compiler is reported by command and message; the source compiles without
 warnings.
 """
@@ -384,10 +386,12 @@ class TestBuildCache:
         assert calls == {"WordPass": 1, "PhrasePass": 1, "build_noise_distribution": 2}
 
 
-# Trains one fixed run per config with the kernel built from argv[2] into
-# argv[3] at kernel.FLAGS plus the flags in argv[4:], or with the shipped
-# build when only the corpus is given; prints each run's parameter hash and
-# word stream state.  Exit code 3 means the build failed.
+# Trains one fixed run per config, the word-only ones over the corpus in
+# argv[1] and the compositional ones over the chunked corpus in argv[2], with
+# the kernel built from argv[3] into argv[4] at kernel.FLAGS plus the flags in
+# argv[5:], or with the shipped build when only the corpora are given; prints
+# each run's parameter hash and stream states.  Exit code 3 means the build
+# failed.
 CROSS_BUILD_RUN = """
 import json, sys
 from pathlib import Path
@@ -395,17 +399,20 @@ from phrasegram import kernel, trainer
 from phrasegram.manifest import params_sha256
 from phrasegram.model import Mode, TrainConfig
 
-if len(sys.argv) > 2:
-    kernel.SOURCE, kernel.CACHE_DIR = Path(sys.argv[2]), Path(sys.argv[3])
-    kernel.FLAGS = kernel.FLAGS + tuple(sys.argv[4:])
+if len(sys.argv) > 3:
+    kernel.SOURCE, kernel.CACHE_DIR = Path(sys.argv[3]), Path(sys.argv[4])
+    kernel.FLAGS = kernel.FLAGS + tuple(sys.argv[5:])
+phrases = dict(mode=Mode.COMPOSITIONAL_POSITIONAL, min_count=1, phrase_min_count=1)
 configs = [
-    TrainConfig(dim=101, window=3, subsample=1e-3, mode=Mode.POSITIONAL, min_count=1, seed=12),
-    TrainConfig(dim=100, window=5, word_negatives=5, min_count=1, seed=13),
+    (1, TrainConfig(dim=101, window=3, subsample=1e-3, mode=Mode.POSITIONAL, min_count=1, seed=12)),
+    (1, TrainConfig(dim=100, window=5, word_negatives=5, min_count=1, seed=13)),
+    (2, TrainConfig(dim=101, window=3, alpha=1.0, seed=14, **phrases)),
+    (2, TrainConfig(dim=100, window=2, alpha=1.5, phrase_negatives=6, seed=15, **phrases)),
 ]
 runs = []
-for config in configs:
+for corpus, config in configs:
     try:
-        result = trainer.train(sys.argv[1], config)
+        result = trainer.train(sys.argv[corpus], config)
     except kernel.KernelBuildError as exc:
         print(exc, file=sys.stderr)
         sys.exit(3)
@@ -414,9 +421,9 @@ print(json.dumps(runs))
 """
 
 
-def _cross_build_run(corpus, *build):
+def _cross_build_run(corpora, *build):
     return subprocess.run(
-        [sys.executable, "-c", CROSS_BUILD_RUN, str(corpus), *map(str, build)],
+        [sys.executable, "-c", CROSS_BUILD_RUN, *map(str, corpora), *map(str, build)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=300,
     )
@@ -424,14 +431,28 @@ def _cross_build_run(corpus, *build):
 
 @pytest.fixture(scope="module")
 def cross_build_corpus(tmp_path_factory):
-    """~3000 Zipf-distributed tokens, with the shipped build's runs over them."""
+    """~3000 Zipf-distributed tokens and ~1300 chunked ones, with the shipped
+    build's runs over them."""
     rng = np.random.default_rng(12)
     words = rng.zipf(1.3, size=3000) % 400
-    corpus = tmp_path_factory.mktemp("cross-build") / "c.txt"
+    directory = tmp_path_factory.mktemp("cross-build")
+    corpus = directory / "c.txt"
     corpus.write_text("".join(" ".join(f"w{w}" for w in line) + "\n" for line in words.reshape(150, 20)))
-    shipped = _cross_build_run(corpus)
+    # 2-4-word chunks of a 30-phrase inventory over 60 words, words repeating
+    # within and across phrases, between loose words.
+    inventory = [rng.integers(0, 60, size=rng.integers(2, 5)) for _ in range(30)]
+    lines = []
+    for _ in range(80):
+        parts = []
+        for g in rng.integers(0, 30, size=5):
+            parts.append("[NP " + " ".join(f"p{w}" for w in inventory[g]) + "]")
+            parts.append(f"p{rng.integers(0, 60)}")
+        lines.append(" ".join(parts) + "\n")
+    chunked = directory / "chunked.txt"
+    chunked.write_text("".join(lines))
+    shipped = _cross_build_run((corpus, chunked))
     assert shipped.returncode == 0, shipped.stderr
-    return corpus, shipped.stdout
+    return (corpus, chunked), shipped.stdout
 
 
 class TestCrossBuild:
@@ -440,14 +461,16 @@ class TestCrossBuild:
     -ffp-contract=off and dot's fixed order forbid every rounding change a
     vector width could bring, so the default clone alone, and whole builds
     for AVX2 and AVX-512, must train exactly as the shipped object does,
-    whichever clone the loader picked for this host.
+    whichever clone the loader picked for this host: word-only runs, and
+    compositional+positional runs at alpha 1 and 1.5, whose phrase steps
+    compose, score and write through the same helpers.
     """
 
     @pytest.mark.parametrize("extra", [(), ("-mavx2",), ("-mavx512f",)], ids=["default", "avx2", "avx512f"])
     def test_train_bitwise_equal_to_shipped_build(self, tmp_path, cross_build_corpus, extra):
         if platform.machine().lower() not in ("x86_64", "amd64"):
             pytest.skip(f"the kernel has clones only on x86-64, not {platform.machine()}")
-        corpus, shipped = cross_build_corpus
+        corpora, shipped = cross_build_corpus
         original = kernel.SOURCE.read_text()
         stripped = "".join(
             line for line in original.splitlines(keepends=True) if "target_clones" not in line
@@ -455,7 +478,7 @@ class TestCrossBuild:
         assert stripped != original
         source = tmp_path / "_kernel.c"
         source.write_text(stripped)
-        proc = _cross_build_run(corpus, source, tmp_path / "cache", *extra)
+        proc = _cross_build_run(corpora, source, tmp_path / "cache", *extra)
         if proc.returncode == 3 and any(flag in proc.stderr for flag in extra):
             pytest.skip(f"the compiler rejects {' '.join(extra)}: {proc.stderr.strip()}")
         if proc.returncode == -signal.SIGILL:

@@ -1,9 +1,11 @@
-"""Training-step gradients against finite differences, phrase_step against
-its per-phrase reference bit for bit, window-pair enumeration against
-brute force, the compiled word pass against the per-pair numpy loop it
-replaced, the phrase pass's calls of phrase_step, and end-to-end run
-properties: objective ascent, determinism, resume fidelity, and the
-beta = 0 reduction to the baseline mode.
+"""Training-step gradients against finite differences, the compiled
+phrase_step against the numpy one in `phrasegram.reference` and that one
+against its per-phrase reference bit for bit, window-pair enumeration
+against brute force, the compiled word and phrase passes against the
+per-pair numpy loops they replaced, the phrase pass's calls of
+phrase_step, and end-to-end run properties: objective ascent,
+determinism, resume fidelity, and the beta = 0 reduction to the baseline
+mode.
 """
 
 import os
@@ -28,11 +30,10 @@ from phrasegram.model import (
     checkpoint_save,
     init_params,
 )
-from phrasegram import kernel, trainer
+from phrasegram import kernel, reference, trainer
+from phrasegram.reference import _add_rows, _negative_sampling, word_step
 from phrasegram.trainer import (
     MappedSentence,
-    _add_rows,
-    _negative_sampling,
     iter_window_pairs,
     map_sentence,
     phrase_objective,
@@ -40,7 +41,6 @@ from phrasegram.trainer import (
     softmax_probability,
     train,
     word_objective,
-    word_step,
 )
 
 
@@ -254,7 +254,7 @@ class TestPhraseStepGradient:
         params_a = rand_params(rng)
         params_b = params_a.copy()
         lr = 0.05
-        phrase_step(
+        reference.phrase_step(
             params_a, [2], [5], [[1], [7]], lr, 1.0
         )
         # run the word-level update against the cloned phrase output matrix
@@ -286,11 +286,11 @@ class TestPhraseStepGradient:
 
 
 def reference_phrase_step(params, current_words, context_words, negative_phrases, lr, alpha, bank=0):
-    """phrase_step as one compose_rows call per phrase: the oracle.
+    """reference.phrase_step as one compose_rows call per phrase: its oracle.
 
     Composes each phrase on its own, left to right, computes every delta
     from the pre-update rows and writes each matrix with np.add.at over
-    rows.  phrase_step must return and write the same bits.
+    rows.  reference.phrase_step must return and write the same bits.
     """
     inp = params.input_words
     pout = params.phrase_output_words[bank]
@@ -315,35 +315,45 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
+def draw_phrase_step(data, max_negatives, mode=Mode.COMPOSITIONAL, window=2):
+    """A model and one phrase step's arguments, drawn for a differential test.
+
+    Few ids, so that words repeat within and across phrases; dims on and
+    off the kernel's four lanes; and matrices with -0.0 entries and
+    columns: -0.0 is the one value the composition's -0.0 start leaves as
+    it is and a 0.0 start does not, and a -0.0 column reaches every delta.
+    """
+    vocab_size = data.draw(st.integers(1, 6), label="vocab_size")
+    phrase = st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=4)
+    current = data.draw(phrase, label="current")
+    context = data.draw(phrase, label="context")
+    negatives = data.draw(st.lists(phrase, min_size=1, max_size=max_negatives), label="negatives")
+    dim = data.draw(st.one_of(st.integers(1, 9), st.sampled_from([100, 101])), label="dim")
+    alpha = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="alpha")
+    lr = data.draw(st.sampled_from([0.0, 0.025, 0.5]), label="lr")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = rand_params(rng, vocab_size=vocab_size, dim=dim, mode=mode, window=window)
+    density = data.draw(st.sampled_from([0.0, 0.3]), label="density")
+    column = data.draw(st.one_of(st.none(), st.integers(0, dim - 1)), label="column")
+    for _, m in params.matrices():
+        m[rng.random(m.shape) < density] = -0.0
+        if column is not None:
+            m[:, column] = -0.0
+    bank = data.draw(st.integers(0, len(params.phrase_output_words) - 1), label="bank")
+    return params, (current, context, negatives, lr, alpha, bank)
+
+
 class TestPhraseStepMatchesReference:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.data())
     def test_same_bits_as_per_phrase_composition(self, data):
-        vocab_size = data.draw(st.integers(1, 6), label="vocab_size")  # few ids, many repeats
-        phrase = st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=4)
-        current = data.draw(phrase, label="current")
-        context = data.draw(phrase, label="context")
-        negatives = data.draw(st.lists(phrase, min_size=1, max_size=5), label="negatives")
-        dim = data.draw(st.one_of(st.integers(1, 9), st.sampled_from([100, 101])), label="dim")
-        alpha = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="alpha")
-        lr = data.draw(st.sampled_from([0.0, 0.025, 0.5]), label="lr")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        params = rand_params(rng, vocab_size=vocab_size, dim=dim)
-        # -0.0 is the one value the composition's -0.0 start leaves as it is
-        # and a 0.0 start does not; a -0.0 column reaches every delta.
-        density = data.draw(st.sampled_from([0.0, 0.3]), label="density")
-        column = data.draw(st.one_of(st.none(), st.integers(0, dim - 1)), label="column")
-        for _, m in params.matrices():
-            m[rng.random(m.shape) < density] = -0.0
-            if column is not None:
-                m[:, column] = -0.0
+        params, args = draw_phrase_step(data, max_negatives=5)
         want = params.copy()
-        got = phrase_step(params, current, context, negatives, lr, alpha)
-        expected = reference_phrase_step(want, current, context, negatives, lr, alpha)
+        got = reference.phrase_step(params, *args)
+        expected = reference_phrase_step(want, *args)
         assert bits(got) == bits(expected)
         for (name, m), (_, r) in zip(params.matrices(), want.matrices()):
             np.testing.assert_array_equal(bits(m), bits(r), err_msg=name)
-
 
     @pytest.mark.parametrize("empty", ["current", "context", "negative"])
     def test_empty_phrase_raises(self, empty):
@@ -355,6 +365,75 @@ class TestPhraseStepMatchesReference:
             phrase_step(params, phrases["current"], phrases["context"], [phrases["negative"]], 0.1, 1.0)
         for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
             np.testing.assert_array_equal(m, r, err_msg=name)
+
+
+def spoil_matrix(params, which, how):
+    """Replaces the input matrix or phrase output bank 1 by one the kernel cannot update."""
+    banks = params.phrase_output_words
+    m = params.input_words if which == "input" else banks[1]
+    spoiled = {
+        "read-only": lambda: m.copy(),
+        "non-contiguous": lambda: np.repeat(m, 2, axis=1)[:, ::2],
+        "float32": lambda: m.astype(np.float32),
+        "more-columns": lambda: np.zeros((m.shape[0], m.shape[1] + 1)),
+        "fewer-rows": lambda: m[:-1].copy(),
+    }[how]()
+    if how == "read-only":
+        spoiled.flags.writeable = False
+    if which == "input":
+        params.input_words = spoiled
+    else:
+        banks[1] = spoiled
+
+
+class TestCompiledPhraseStep:
+    """trainer.phrase_step, the kernel's step, against reference.phrase_step."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        # k from 1 to 12 leaves every remainder of the kernel's three-row
+        # scoring blocks; positional banks check that the bank is the one named.
+        params, args = draw_phrase_step(data, max_negatives=12, mode=Mode.COMPOSITIONAL_POSITIONAL)
+        want = params.copy()
+        got = phrase_step(params, *args)
+        expected = reference.phrase_step(want, *args)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        for (name, m), (_, r) in zip(params.matrices(), want.matrices()):
+            np.testing.assert_allclose(m, r, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize(
+        "where, bad", [("current", -1), ("current", 8), ("context", 8), ("negative", -3), ("negative", 99)]
+    )
+    def test_component_id_out_of_range_raises_before_any_write(self, where, bad):
+        params = rand_params(np.random.default_rng(97), mode=Mode.COMPOSITIONAL_POSITIONAL)
+        before = params.copy()
+        phrases = {"current": [0, 1], "context": [2, 3], "negative": [4]}
+        phrases[where] = [*phrases[where], bad]
+        with pytest.raises(ValueError, match=f"component id {bad} is out of range for 8 rows"):
+            phrase_step(params, phrases["current"], phrases["context"], [[5], phrases["negative"]], 0.1, 1.5)
+        for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
+            np.testing.assert_array_equal(bits(m), bits(r), err_msg=name)
+
+    @pytest.mark.parametrize("bank", [-1, 4, 5])
+    def test_bank_out_of_range_raises_before_any_write(self, bank):
+        params = rand_params(np.random.default_rng(101), mode=Mode.COMPOSITIONAL_POSITIONAL)
+        before = params.copy()
+        with pytest.raises(ValueError, match=f"bank {bank} is out of range for 4 phrase output banks"):
+            phrase_step(params, [0, 1], [2], [[3]], 0.1, 1.0, bank)
+        for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
+            np.testing.assert_array_equal(bits(m), bits(r), err_msg=name)
+
+    @pytest.mark.parametrize("how", ["read-only", "non-contiguous", "float32", "more-columns", "fewer-rows"])
+    @pytest.mark.parametrize("which", ["input", "bank"])
+    def test_matrix_the_kernel_cannot_update_in_place_raises(self, which, how):
+        params = rand_params(np.random.default_rng(103), mode=Mode.COMPOSITIONAL_POSITIONAL)
+        spoil_matrix(params, which, how)
+        before = params.copy()
+        with pytest.raises(ValueError, match="the training kernel updates writable C-contiguous float64"):
+            phrase_step(params, [0, 1], [2], [[3]], 0.1, 1.0, 1)
+        for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
+            np.testing.assert_array_equal(bits(m), bits(r), err_msg=name)
 
 
 class TestAddRows:
@@ -459,6 +538,33 @@ class ReferenceWordPass:
         return ew, n_w
 
 
+class ReferencePhrasePass:
+    """The per-pair loop the phrase pass stands for: the oracle.
+
+    Takes trainer.PhrasePass's arguments and is called the same way.  A
+    call runs iter_window_pairs -> NoiseDistribution.sample ->
+    reference.phrase_step, one draw per pair, at lr * beta in the bank of
+    the pair's offset.
+    """
+
+    def __init__(self, params, noise, components, rng, k, window, positional, alpha, beta):
+        self.params, self.noise, self.components, self.rng = params, noise, components, rng
+        self.k, self.window, self.positional = k, window, positional
+        self.alpha, self.beta = alpha, beta
+
+    def __call__(self, phrase_ids, lr):
+        comps = self.components
+        ep, n_p = 0.0, 0
+        for t, u, off in iter_window_pairs(phrase_ids, self.window):
+            negs = self.noise.sample(self.rng, self.k, exclude=phrase_ids[t])
+            ep += reference.phrase_step(
+                self.params, comps[phrase_ids[t]], comps[phrase_ids[u]], [comps[g] for g in negs],
+                lr * self.beta, self.alpha, bank_for_offset(off, self.window, self.positional),
+            )
+            n_p += 1
+        return ep, n_p
+
+
 PHRASES = [(0, 1), (2,), (1, 1, 0), (2, 0)]  # components over word ids 0..2
 
 
@@ -466,10 +572,11 @@ def run_against_reference(
     mode, vocab_size, sentences, alpha=1.0, subsample=0.0, seed=51, dim=4, counts=None,
     window=2, k=3, beta=1.0,
 ):
-    """kernel.WordPass and ReferenceWordPass on copies of one model, sentence by sentence.
+    """kernel.WordPass then trainer.PhrasePass, as in train(), against
+    ReferenceWordPass then ReferencePhrasePass, on copies of one model,
+    sentence by sentence.
 
-    Each word pass is followed by its own PhrasePass on its own copy, as in
-    train().  After each sentence every matrix must agree to rtol 1e-12,
+    After each sentence every matrix must agree to rtol 1e-12,
     atol 1e-15, the returns must agree, and both RNG streams must be in the
     same state.  `counts` are the word counts behind the noise table, by
     default a gentle slope from 3 * vocab_size down.
@@ -483,11 +590,11 @@ def run_against_reference(
     word_noise = trainer.build_noise_distribution(vocab.counts)
     phrase_noise = trainer.build_noise_distribution(np.array([5, 4, 3, 2]))
 
-    def prepare(word_pass, p):
+    def prepare(word_pass, phrase_pass_class, p):
         word_rng, phrase_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 2)
         phrase_pass = trainer._no_phrase_pass
         if mode.compositional and beta > 0:
-            phrase_pass = trainer.PhrasePass(
+            phrase_pass = phrase_pass_class(
                 p, phrase_noise, PHRASES, phrase_rng, 2, window, mode.positional, alpha, beta
             )
         words = word_pass(
@@ -496,8 +603,8 @@ def run_against_reference(
         return words, phrase_pass, (word_rng, phrase_rng)
 
     ref_params = params.copy()
-    words, phrases, rngs = prepare(kernel.WordPass, params)
-    ref_words, ref_phrases, ref_rngs = prepare(ReferenceWordPass, ref_params)
+    words, phrases, rngs = prepare(kernel.WordPass, trainer.PhrasePass, params)
+    ref_words, ref_phrases, ref_rngs = prepare(ReferenceWordPass, ReferencePhrasePass, ref_params)
     for mapped in sentences:
         got = (*words(mapped.word_ids, 0.05), *phrases(mapped.phrase_ids, 0.05))
         want = (*ref_words(mapped.word_ids, 0.05), *ref_phrases(mapped.phrase_ids, 0.05))
@@ -704,6 +811,7 @@ class TestTrainEndToEnd:
         cfg = self._config(mode=mode, alpha=1.5, subsample=0.01)
         got = train(corpus, cfg)
         monkeypatch.setattr(kernel, "WordPass", ReferenceWordPass)
+        monkeypatch.setattr(trainer, "PhrasePass", ReferencePhrasePass)
         want = train(corpus, cfg)
         for (name, m), (_, r) in zip(got.params.matrices(), want.params.matrices()):
             np.testing.assert_allclose(m, r, rtol=1e-12, atol=1e-15, err_msg=name)
