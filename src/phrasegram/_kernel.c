@@ -57,7 +57,7 @@ typedef double lanes __attribute__((vector_size(4 * sizeof(double)), aligned(8),
 #define SCORE_ROWS 3
 #define UPDATE_BLOCKS 4
 
-/* sigmoid(s), with the clip of trainer._sigmoid, given e = exp(-|s|): the
+/* sigmoid(s), with the clip of reference._sigmoid, given e = exp(-|s|): the
  * same exp call where the clipped argument is s itself. */
 INLINE double sigmoid(double s, double e)
 {

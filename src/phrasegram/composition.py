@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "CompositionConfig",
+    "check_alpha",
     "sigma",
     "sigma_jacobian_diag",
     "compose_rows",
@@ -36,10 +37,15 @@ class CompositionConfig:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
-        if self.alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        check_alpha(self.alpha)
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless alpha, the power map's exponent, is finite and >= 1."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
+    if alpha < 1.0:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
 
 
 def sigma(v: np.ndarray, alpha: float) -> np.ndarray:

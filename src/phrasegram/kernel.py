@@ -24,11 +24,11 @@ reused.  The object is written through `corpus.output_file`, so a
 concurrent process never loads a half-written one.
 
 The kernel indexes matrices by id without bounds checks, so the wrappers
-here and their callers check what it will read and write: matrices must
-be writable, C-contiguous float64 of one shape (never copied, which
-would drop the updates; `_address` checks one), the input matrix must
-share no memory with a word output bank (a word step holds its center's
-vector while it writes the rows), and every id it reads must index them.
+here check what it will read and write: matrices must be writable,
+C-contiguous float64 of one shape (never copied, which would drop the
+updates; `_address` checks one), the input matrix must share no memory
+with a word output bank (a word step holds its center's vector while it
+writes the rows), and every id it reads must index them.
 Noise draws look ids up through a NoiseDistribution's `cumulative` table
 and its `guide` table, which the kernel indexes by cell: the guide must
 have one entry more than the table has ids, and the uniforms given to
@@ -38,9 +38,8 @@ that is fixed for the run, so a call only copies and range-checks the
 sentence's ids.  The word pass draws its uniforms itself, through
 numpy's documented `BitGenerator.ctypes` interface, holding the
 generator's lock as `Generator.random` does.  `phrase_step` is one
-phrase step, called by `trainer.phrase_step` after that function has
-checked the phrases, the ids, the bank and the matrices; it allocates
-the step's scratch per call.
+phrase step: it checks the phrases, the ids, the bank and the matrices
+of each call itself, and allocates the step's scratch per call.
 """
 
 from __future__ import annotations
@@ -54,13 +53,14 @@ import shlex
 import subprocess
 import sys
 import sysconfig
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from phrasegram.corpus import output_file
-from phrasegram.model import bank_count
+from phrasegram.model import ModelParams, bank_count
 from phrasegram.sampling import NoiseDistribution
 
 __all__ = [
@@ -190,25 +190,50 @@ def sample_noise(
 
 
 def phrase_step(
-    inp: int, pout: int, dim: int, ids: Sequence[int], sizes: Sequence[int], lr: float,
+    params: ModelParams,
+    current_words: Sequence[int],
+    context_words: Sequence[int],
+    negative_phrases: Sequence[Sequence[int]],
+    lr: float,
     alpha: float,
+    bank: int = 0,
 ) -> float:
-    """The kernel's phrase step, for trainer.phrase_step once it has checked.
+    """One gradient-ascent update for a (phrase, context phrase) pair, in the kernel.
 
-    `inp` and `pout` are the `_address`es of the input matrix and the
-    pair's phrase output bank, both with `dim` columns.  `ids` holds the
-    component ids of the context phrase, the negative phrases and then
-    the current phrase, and `sizes` each phrase's length.  The kernel
-    checks nothing: every size must be positive and every id must index
-    both matrices.  Returns the pre-update objective term.
+    The context and negative phrases, composed in the phrase output space
+    of the bank, are scored against the current phrase, composed in the
+    input space, and each component word moves by its phrase's
+    coefficient times the composition's 1/n weight and the diagonal
+    Jacobian of its power map.  The step keeps the update order of
+    `reference.phrase_step`, the numpy step the tests compare it against:
+    every delta comes from the pre-update rows, and a word repeated
+    within the step accumulates.  Returns the objective term evaluated
+    before the update.
 
-    The ids and the scratch go to the kernel as ctypes arrays, which cost
-    less per call than numpy arrays and their `ctypes.data`.
+    Raises ValueError, before any write, for an empty phrase, a component
+    id that does not index the input matrix, a bank index out of range,
+    or a matrix the kernel cannot update in place.  The ids and the
+    scratch go to the kernel as ctypes arrays, which cost less per call
+    than numpy arrays and their `ctypes.data`.
     """
+    phrases = [context_words, *negative_phrases, current_words]
+    sizes = [len(ws) for ws in phrases]
+    if 0 in sizes:
+        raise ValueError("cannot compose an empty phrase")
+    ids = [*chain.from_iterable(phrases)]
+    inp = params.input_words
+    rows, dim = inp.shape
+    lo, hi = min(ids), max(ids)
+    if lo < 0 or hi >= rows:
+        raise ValueError(f"component id {lo if lo < 0 else hi} is out of range for {rows} rows")
+    banks = params.phrase_output_words
+    if not 0 <= bank < len(banks):
+        raise ValueError(f"bank {bank} is out of range for {len(banks)} phrase output banks")
+    address, pout = _address(inp, inp.shape), _address(banks[bank], inp.shape)
     k = len(sizes) - 2
     index = (ctypes.c_int64 * (len(sizes) + len(ids) + k + 1))(*sizes, *ids)
     work = (ctypes.c_double * ((k + 3 + (0 if alpha == 1.0 else len(ids))) * dim + k + 1))()
-    return load().phrase_step(inp, pout, dim, index, len(sizes), lr, alpha, work)
+    return load().phrase_step(address, pout, dim, index, len(sizes), lr, alpha, work)
 
 
 class WordPass:

@@ -30,6 +30,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from phrasegram.composition import check_alpha
 from phrasegram.corpus import PhraseVocab, Vocab, output_file
 
 __all__ = [
@@ -115,8 +116,7 @@ class TrainConfig:
             raise ValueError("phrase_negatives must be >= 1")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
+        check_alpha(self.alpha)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.lr_start <= 0:
@@ -230,9 +230,6 @@ class ModelParams:
             for o in self.output_words:
                 if m is o:
                     raise ValueError("phrase output must be distinct storage")
-
-    def all_finite(self) -> bool:
-        return self.first_non_finite() is None
 
     def first_non_finite(self) -> tuple[str, int] | None:
         """(matrix name, row) of the first row holding a NaN or infinity, if any.

@@ -1,9 +1,10 @@
-"""The numpy training steps: the oracles the compiled kernel is tested against.
+"""The numpy oracles: the objectives and the training steps the tests check.
 
-Training never calls this module.  `kernel.WordPass` runs the word step
-and `trainer.phrase_step` the phrase step in `_kernel.c`; the tests
+Training never imports this module.  `kernel.WordPass` runs the word
+step and `kernel.phrase_step` the phrase step in `_kernel.c`; the tests
 compare both with the steps here, which spell the same arithmetic out
-in numpy, one pair at a time.
+in numpy, one pair at a time, and check these steps' gradients against
+finite differences of the objectives here.
 
 `phrase_step` is `word_step` on composed vectors: both score through one
 core, `_negative_sampling`, which returns the objective term, each row's
@@ -14,29 +15,88 @@ pre-update parameter values and only then write, through `_add_rows`: one
 index order.  So the net parameter change of one step equals the
 learning rate times the exact simultaneous gradient of that step's
 objective term, even when an id appears more than once in the step.
-`phrase_step` gathers each matrix once (the phrase output rows of the
-context and negative phrases, the input rows of the current phrase),
-composes all its phrases in one ordered segment sum from -0.0 (also
-`_add_rows`, which adds each phrase's weighted rows left to right, as
-`compose_rows` does), computes every delta from the gathered rows and
-then writes each matrix once.  The kernel keeps that update order.
+`phrase_step` composes each phrase on its own with `compose_rows`, left
+to right; the kernel composes each one as an ordered sum from -0.0,
+which has the same bits, and keeps the same update order.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from phrasegram.composition import sigma, sigma_jacobian_diag
+from phrasegram.composition import compose_rows, sigma_jacobian_diag
 from phrasegram.model import ModelParams
 
-__all__ = ["word_step", "phrase_step"]
+__all__ = [
+    "softmax_probability",
+    "word_objective",
+    "phrase_objective",
+    "word_step",
+    "phrase_step",
+]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
+def _log_sigmoid(x: float) -> float:
+    return -float(np.logaddexp(0.0, -x))
+
+
+def softmax_probability(
+    params: ModelParams, center_word: int, context_word: int, bank: int = 0
+) -> float:
+    """Exact softmax probability of context_word given center_word.
+
+    Enumerates the whole vocabulary; intended for small-vocabulary
+    verification, not training.
+    """
+    v = params.input_words[center_word]
+    scores = params.output_words[bank] @ v
+    scores = scores - scores.max()  # shift-invariant, avoids overflow
+    expd = np.exp(scores)
+    return float(expd[context_word] / expd.sum())
+
+
+def word_objective(
+    params: ModelParams,
+    center: int,
+    context: int,
+    negatives: Sequence[int],
+    bank: int = 0,
+) -> float:
+    """Negative-sampling objective term for one (center, context) pair."""
+    v = params.input_words[center]
+    out = params.output_words[bank]
+    term = _log_sigmoid(float(np.dot(out[context], v)))
+    for n in negatives:
+        term += _log_sigmoid(-float(np.dot(out[n], v)))
+    return term
+
+
+def phrase_objective(
+    params: ModelParams,
+    current_words: Sequence[int],
+    context_words: Sequence[int],
+    negative_phrases: Sequence[Sequence[int]],
+    alpha: float,
+    bank: int = 0,
+) -> float:
+    """Negative-sampling objective term for one (phrase, context phrase) pair.
+
+    The current phrase vector is composed from input embeddings, the
+    context and negative phrase vectors from the component-word output
+    space of the given bank, each with the power map's exponent alpha.
+    """
+    v_p = compose_rows(params.input_words, current_words, alpha)
+    pout = params.phrase_output_words[bank]
+    term = _log_sigmoid(float(np.dot(compose_rows(pout, context_words, alpha), v_p)))
+    for neg in negative_phrases:
+        term += _log_sigmoid(-float(np.dot(compose_rows(pout, neg, alpha), v_p)))
+    return term
 
 
 def _negative_sampling(
@@ -97,47 +157,25 @@ def phrase_step(
     composed in the phrase output space of the bank, are scored against
     the current phrase, composed in the input space.  Each phrase's
     coefficient reaches its component words through the composition's
-    1/n weight and the diagonal Jacobian of its power map.
-
-    One gather per matrix reads every component row.  One segment sum
-    composes all the phrases: it starts from -0.0, the one value whose
-    addition changes no float, and adds each row times its phrase's 1/n
-    in component order, so every phrase vector has the bits of
-    `compose_rows`' left-to-right sum.  At alpha = 1 the power map is the
-    identity and its Jacobian 1, so both are skipped.  Every delta comes
-    from the gathered, pre-update rows; then one ordered write per matrix
+    1/n weight and the diagonal Jacobian of its power map.  Every delta
+    comes from the pre-update rows; then one ordered write per matrix
     applies them, so a word repeated within the step accumulates.
     Returns the objective term evaluated before the update.
     """
     inp = params.input_words
     pout = params.phrase_output_words[bank]
-    phrases = [context_words, *negative_phrases, current_words]  # segment -1 is the current phrase
-    lengths = [len(ws) for ws in phrases]
-    if 0 in lengths:
-        raise ValueError("cannot compose an empty phrase")
-    sizes = np.array(lengths)
-    segment = np.repeat(np.arange(len(phrases)), sizes)
-    ids = np.fromiter(chain.from_iterable(phrases), np.intp, len(segment))
-    n_out = len(ids) - len(current_words)
-    out_ids, cur = ids[:n_out], ids[n_out:]
-    rows = np.concatenate((pout[out_ids], inp[cur]))
-    if alpha != 1.0:
-        jac = sigma_jacobian_diag(rows, alpha)
-        rows = sigma(rows, alpha)
-    composed = np.full((len(phrases), inp.shape[1]), -0.0)
-    _add_rows(composed, segment, (1.0 / sizes)[segment][:, None] * rows)
-    v_p = composed[-1]
-    term, coefs, grad_vp = _negative_sampling(composed[:-1], v_p)
+    phrases = [context_words, *negative_phrases]
+    v_p = compose_rows(inp, current_words, alpha)
+    composed = np.stack([compose_rows(pout, ws, alpha) for ws in phrases])
+    term, coefs, grad_vp = _negative_sampling(composed, v_p)
 
-    scale = np.repeat(lr * coefs / sizes[:-1], sizes[:-1])
-    in_lr = lr / len(cur)
-    if alpha == 1.0:
-        out_deltas = scale[:, None] * v_p
-        in_deltas = np.multiply.outer(np.full(len(cur), in_lr), grad_vp)  # one row per id
-    else:
-        out_deltas = scale[:, None] * (jac[:n_out] * v_p)
-        in_deltas = in_lr * (jac[n_out:] * grad_vp)
-    _add_rows(pout, out_ids, out_deltas)
+    ids = np.concatenate(phrases)
+    sizes = np.array([len(ws) for ws in phrases])
+    scale = np.repeat(lr * coefs / sizes, sizes)
+    out_deltas = scale[:, None] * (sigma_jacobian_diag(pout[ids], alpha) * v_p)
+    cur = np.asarray(current_words)
+    in_deltas = lr / len(cur) * (sigma_jacobian_diag(inp[cur], alpha) * grad_vp)
+    _add_rows(pout, ids, out_deltas)
     _add_rows(inp, cur, in_deltas)
     return term
 

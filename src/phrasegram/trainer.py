@@ -1,4 +1,4 @@
-"""Stochastic gradient ascent over the joint word/phrase skip-gram objective.
+"""Training runs: ingest, the word and phrase passes, and the report.
 
 The word-level pass applies the standard skip-gram negative-sampling
 update for every (center, context) pair within the window.  The
@@ -17,16 +17,9 @@ per run, when an epoch is to run: the word pass (`kernel.WordPass`) and
 then, in compositional modes with beta > 0 and at least two retained
 phrases, the phrase pass (`PhrasePass`).  Both write the input matrix,
 so their order is part of the result.  Both steps run in the compiled
-kernel (`_kernel.c`, built and loaded by `phrasegram.kernel`), and both
-keep the update order of their numpy references in
-`phrasegram.reference`, which the tests compare them against: every
-score, gradient and Jacobian diagonal of a step is read from the
-pre-update rows, and the writes to a matrix go in index order, so an id
-repeated within a step accumulates as np.add.at does.  They match those
-references up to the rounding of dot products, which the kernel sums in
-four lanes in a fixed order (built at -O3 with -ffp-contract=off, so the
-order holds on every host and in either of its x86-64 clones), and of
-the C library's exp, log1p and pow.
+kernel (`_kernel.c`, built, checked and called by `phrasegram.kernel`).
+The objectives and the numpy steps that the tests hold the kernel to
+live in `phrasegram.reference`, which training never imports.
 
 The word pass is one kernel call per sentence.  It also subsamples the
 sentence and draws every uniform of the pass itself, from the word
@@ -37,7 +30,8 @@ the id `sample`'s whole-table search returns.  So every seed keeps the
 same tokens and draws the same negatives.  The phrase pass loops in
 Python: it lists a sentence's window pairs (`iter_window_pairs`), draws
 all their negatives in one `NoiseDistribution.sample` call, and applies
-`phrase_step`, one kernel call after its checks, once per pair.
+`kernel.phrase_step`, which checks its inputs and makes one kernel call,
+once per pair.
 
 Window distances are surface distances: positions in the token sequence
 for words and in the chunk sequence for phrases.  Out-of-vocab tokens and
@@ -52,14 +46,12 @@ import os
 import stat
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from phrasegram import kernel
-from phrasegram.composition import compose_rows
 from phrasegram.corpus import (
     ChunkedSentence,
     PhraseVocab,
@@ -69,6 +61,7 @@ from phrasegram.corpus import (
     chunk_spans,
     iter_corpus,
 )
+from phrasegram.kernel import phrase_step  # PhrasePass looks it up here, where perfbench traces it
 from phrasegram.model import (
     CheckpointData,
     ModelParams,
@@ -86,10 +79,6 @@ __all__ = [
     "EpochStats",
     "TrainReport",
     "TrainResult",
-    "softmax_probability",
-    "word_objective",
-    "phrase_objective",
-    "phrase_step",
     "iter_window_pairs",
     "map_sentence",
     "PhrasePass",
@@ -98,117 +87,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def _log_sigmoid(x: float) -> float:
-    return -float(np.logaddexp(0.0, -x))
-
-
-# ---------------------------------------------------------------------------
-# Objective evaluation (also the finite-difference reference in tests)
-# ---------------------------------------------------------------------------
-
-
-def softmax_probability(
-    params: ModelParams, center_word: int, context_word: int, bank: int = 0
-) -> float:
-    """Exact softmax probability of context_word given center_word.
-
-    Enumerates the whole vocabulary; intended for small-vocabulary
-    verification, not training.
-    """
-    v = params.input_words[center_word]
-    scores = params.output_words[bank] @ v
-    scores = scores - scores.max()  # shift-invariant, avoids overflow
-    expd = np.exp(scores)
-    return float(expd[context_word] / expd.sum())
-
-
-def word_objective(
-    params: ModelParams,
-    center: int,
-    context: int,
-    negatives: Sequence[int],
-    bank: int = 0,
-) -> float:
-    """Negative-sampling objective term for one (center, context) pair."""
-    v = params.input_words[center]
-    out = params.output_words[bank]
-    term = _log_sigmoid(float(np.dot(out[context], v)))
-    for n in negatives:
-        term += _log_sigmoid(-float(np.dot(out[n], v)))
-    return term
-
-
-def phrase_objective(
-    params: ModelParams,
-    current_words: Sequence[int],
-    context_words: Sequence[int],
-    negative_phrases: Sequence[Sequence[int]],
-    alpha: float,
-    bank: int = 0,
-) -> float:
-    """Negative-sampling objective term for one (phrase, context phrase) pair.
-
-    The current phrase vector is composed from input embeddings, the
-    context and negative phrase vectors from the component-word output
-    space of the given bank, each with the power map's exponent alpha.
-    """
-    v_p = compose_rows(params.input_words, current_words, alpha)
-    pout = params.phrase_output_words[bank]
-    term = _log_sigmoid(float(np.dot(compose_rows(pout, context_words, alpha), v_p)))
-    for neg in negative_phrases:
-        term += _log_sigmoid(-float(np.dot(compose_rows(pout, neg, alpha), v_p)))
-    return term
-
-
-# ---------------------------------------------------------------------------
-# Gradient steps
-# ---------------------------------------------------------------------------
-
-
-def phrase_step(
-    params: ModelParams,
-    current_words: Sequence[int],
-    context_words: Sequence[int],
-    negative_phrases: Sequence[Sequence[int]],
-    lr: float,
-    alpha: float,
-    bank: int = 0,
-) -> float:
-    """One gradient-ascent update for a (phrase, context phrase) pair.
-
-    The context and negative phrases, composed in the phrase output space
-    of the bank, are scored against the current phrase, composed in the
-    input space, and each component word moves by its phrase's
-    coefficient times the composition's 1/n weight and the diagonal
-    Jacobian of its power map.  The step runs in the compiled kernel with
-    the update order of `reference.phrase_step`, the numpy step the tests
-    compare it against: every delta comes from the pre-update rows, and a
-    word repeated within the step accumulates.  Returns the objective
-    term evaluated before the update.
-
-    Raises ValueError, before any write, for an empty phrase, a component
-    id that does not index the input matrix, a bank index out of range,
-    or a matrix the kernel cannot update in place.
-    """
-    phrases = [context_words, *negative_phrases, current_words]
-    sizes = [len(ws) for ws in phrases]
-    if 0 in sizes:
-        raise ValueError("cannot compose an empty phrase")
-    ids = [*chain.from_iterable(phrases)]
-    inp = params.input_words
-    rows, dim = inp.shape
-    lo, hi = min(ids), max(ids)
-    if lo < 0 or hi >= rows:
-        raise ValueError(f"component id {lo if lo < 0 else hi} is out of range for {rows} rows")
-    banks = params.phrase_output_words
-    if not 0 <= bank < len(banks):
-        raise ValueError(f"bank {bank} is out of range for {len(banks)} phrase output banks")
-    return kernel.phrase_step(
-        kernel._address(inp, inp.shape), kernel._address(banks[bank], inp.shape), dim,
-        ids, sizes, lr, alpha,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Training-step gradients against finite differences, the compiled
-phrase_step against the numpy one in `phrasegram.reference` and that one
-against its per-phrase reference bit for bit, window-pair enumeration
-against brute force, the compiled word and phrase passes against the
-per-pair numpy loops they replaced, the phrase pass's calls of
-phrase_step, and end-to-end run properties: objective ascent,
-determinism, resume fidelity, and the beta = 0 reduction to the baseline
-mode.
+phrase_step against the numpy one in `phrasegram.reference`, window-pair
+enumeration against brute force, the compiled word and phrase passes
+against the per-pair numpy loops they replaced, the phrase pass's calls
+of phrase_step, and end-to-end run properties: objective ascent,
+determinism, resume fidelity, the beta = 0 reduction to the baseline
+mode, and that training never imports the oracles.
 """
 
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradient_utils import bound_away_from_zero, check_step_against_fd
-from phrasegram.composition import compose_rows, sigma_jacobian_diag
 from phrasegram.corpus import Vocab, parse_chunked_line
 from phrasegram.model import (
     CheckpointData,
@@ -31,17 +31,16 @@ from phrasegram.model import (
     init_params,
 )
 from phrasegram import kernel, reference, trainer
-from phrasegram.reference import _add_rows, _negative_sampling, word_step
-from phrasegram.trainer import (
-    MappedSentence,
-    iter_window_pairs,
-    map_sentence,
+from phrasegram.kernel import phrase_step
+from phrasegram.manifest import read_manifest
+from phrasegram.reference import (
+    _add_rows,
     phrase_objective,
-    phrase_step,
     softmax_probability,
-    train,
     word_objective,
+    word_step,
 )
+from phrasegram.trainer import MappedSentence, iter_window_pairs, map_sentence, train
 
 
 def rand_params(rng, vocab_size=8, dim=4, mode=Mode.COMPOSITIONAL, window=2):
@@ -285,54 +284,32 @@ class TestPhraseStepGradient:
         assert first > phrase_objective(fresh, *args, 1.0)
 
 
-def reference_phrase_step(params, current_words, context_words, negative_phrases, lr, alpha, bank=0):
-    """reference.phrase_step as one compose_rows call per phrase: its oracle.
-
-    Composes each phrase on its own, left to right, computes every delta
-    from the pre-update rows and writes each matrix with np.add.at over
-    rows.  reference.phrase_step must return and write the same bits.
-    """
-    inp = params.input_words
-    pout = params.phrase_output_words[bank]
-    phrases = [context_words, *negative_phrases]
-    v_p = compose_rows(inp, current_words, alpha)
-    composed = np.stack([compose_rows(pout, ws, alpha) for ws in phrases])
-    term, coefs, grad_vp = _negative_sampling(composed, v_p)
-
-    ids = np.concatenate(phrases)
-    sizes = np.array([len(ws) for ws in phrases])
-    scale = np.repeat(lr * coefs / sizes, sizes)
-    out_deltas = scale[:, None] * (sigma_jacobian_diag(pout[ids], alpha) * v_p)
-    cur = np.asarray(current_words)
-    in_deltas = lr / len(cur) * (sigma_jacobian_diag(inp[cur], alpha) * grad_vp)
-    np.add.at(pout, ids, out_deltas)
-    np.add.at(inp, cur, in_deltas)
-    return term
-
-
 def bits(x):
     """The float64 bit patterns of x: tells -0.0 from 0.0, unlike ==."""
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
-def draw_phrase_step(data, max_negatives, mode=Mode.COMPOSITIONAL, window=2):
+def draw_phrase_step(data):
     """A model and one phrase step's arguments, drawn for a differential test.
 
-    Few ids, so that words repeat within and across phrases; dims on and
-    off the kernel's four lanes; and matrices with -0.0 entries and
-    columns: -0.0 is the one value the composition's -0.0 start leaves as
-    it is and a 0.0 start does not, and a -0.0 column reaches every delta.
+    Few ids, so that words repeat within and across phrases; 1 to 12
+    negative phrases, which leave every remainder of the kernel's
+    three-row scoring blocks; dims on and off the kernel's four lanes;
+    positional banks, to check that the bank is the one named; and
+    matrices with -0.0 entries and columns: -0.0 is the one value the
+    composition's -0.0 start leaves as it is and a 0.0 start does not,
+    and a -0.0 column reaches every delta.
     """
     vocab_size = data.draw(st.integers(1, 6), label="vocab_size")
     phrase = st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=4)
     current = data.draw(phrase, label="current")
     context = data.draw(phrase, label="context")
-    negatives = data.draw(st.lists(phrase, min_size=1, max_size=max_negatives), label="negatives")
+    negatives = data.draw(st.lists(phrase, min_size=1, max_size=12), label="negatives")
     dim = data.draw(st.one_of(st.integers(1, 9), st.sampled_from([100, 101])), label="dim")
     alpha = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="alpha")
     lr = data.draw(st.sampled_from([0.0, 0.025, 0.5]), label="lr")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    params = rand_params(rng, vocab_size=vocab_size, dim=dim, mode=mode, window=window)
+    params = rand_params(rng, vocab_size=vocab_size, dim=dim, mode=Mode.COMPOSITIONAL_POSITIONAL)
     density = data.draw(st.sampled_from([0.0, 0.3]), label="density")
     column = data.draw(st.one_of(st.none(), st.integers(0, dim - 1)), label="column")
     for _, m in params.matrices():
@@ -341,30 +318,6 @@ def draw_phrase_step(data, max_negatives, mode=Mode.COMPOSITIONAL, window=2):
             m[:, column] = -0.0
     bank = data.draw(st.integers(0, len(params.phrase_output_words) - 1), label="bank")
     return params, (current, context, negatives, lr, alpha, bank)
-
-
-class TestPhraseStepMatchesReference:
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.data())
-    def test_same_bits_as_per_phrase_composition(self, data):
-        params, args = draw_phrase_step(data, max_negatives=5)
-        want = params.copy()
-        got = reference.phrase_step(params, *args)
-        expected = reference_phrase_step(want, *args)
-        assert bits(got) == bits(expected)
-        for (name, m), (_, r) in zip(params.matrices(), want.matrices()):
-            np.testing.assert_array_equal(bits(m), bits(r), err_msg=name)
-
-    @pytest.mark.parametrize("empty", ["current", "context", "negative"])
-    def test_empty_phrase_raises(self, empty):
-        params = rand_params(np.random.default_rng(89))
-        before = params.copy()
-        phrases = {"current": [0, 1], "context": [2], "negative": [3]}
-        phrases[empty] = []
-        with pytest.raises(ValueError, match="empty phrase"):
-            phrase_step(params, phrases["current"], phrases["context"], [phrases["negative"]], 0.1, 1.0)
-        for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
-            np.testing.assert_array_equal(m, r, err_msg=name)
 
 
 def spoil_matrix(params, which, how):
@@ -387,20 +340,29 @@ def spoil_matrix(params, which, how):
 
 
 class TestCompiledPhraseStep:
-    """trainer.phrase_step, the kernel's step, against reference.phrase_step."""
+    """kernel.phrase_step, the checked kernel entry, against reference.phrase_step."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(st.data())
     def test_matches_reference(self, data):
-        # k from 1 to 12 leaves every remainder of the kernel's three-row
-        # scoring blocks; positional banks check that the bank is the one named.
-        params, args = draw_phrase_step(data, max_negatives=12, mode=Mode.COMPOSITIONAL_POSITIONAL)
+        params, args = draw_phrase_step(data)
         want = params.copy()
         got = phrase_step(params, *args)
         expected = reference.phrase_step(want, *args)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
         for (name, m), (_, r) in zip(params.matrices(), want.matrices()):
             np.testing.assert_allclose(m, r, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("empty", ["current", "context", "negative"])
+    def test_empty_phrase_raises(self, empty):
+        params = rand_params(np.random.default_rng(89))
+        before = params.copy()
+        phrases = {"current": [0, 1], "context": [2], "negative": [3]}
+        phrases[empty] = []
+        with pytest.raises(ValueError, match="empty phrase"):
+            phrase_step(params, phrases["current"], phrases["context"], [phrases["negative"]], 0.1, 1.0)
+        for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
+            np.testing.assert_array_equal(m, r, err_msg=name)
 
     @pytest.mark.parametrize(
         "where, bad", [("current", -1), ("current", 8), ("context", 8), ("negative", -3), ("negative", 99)]
@@ -983,7 +945,7 @@ class TestTrainEndToEnd:
         corpus = tmp_path / "c.txt"
         self._write_corpus(corpus)
         result = train(corpus, self._config(mode=Mode.COMPOSITIONAL))
-        assert result.params.all_finite()
+        assert result.params.first_non_finite() is None
         assert len(result.state_dict["workers"]) == 1
 
     def test_subsampling_drops_frequent_tokens(self, tmp_path):
@@ -1044,3 +1006,22 @@ class TestSubsampleKeepProb:
         vocab = Vocab(["a", "b", "c"], [1000, 100, 10])
         keep = trainer._subsample_keep_prob(vocab, 1e-3)
         assert keep[0] < keep[1] < keep[2] <= 1.0
+
+
+def test_training_never_imports_the_oracles(tmp_path):
+    """A compositional CLI run trains both passes without loading reference.py."""
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("[NP a b] [NP b c] a\n[NP b c] [NP a b] c\n")
+    script = (
+        "import sys; from phrasegram.cli import main; "
+        "assert main(sys.argv[1:]) == 0; print('phrasegram.reference' in sys.modules)"
+    )
+    argv = ["train", str(corpus), "--out", str(tmp_path / "m.ckpt"), "--mode", "compositional",
+            "--min-count", "1", "--phrase-min-count", "1", "--dim", "4", "--window", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(kernel.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(read_manifest(tmp_path / "m.ckpt.manifest")["report.0.phrase_steps"]) > 0
+    assert proc.stdout.split()[-1] == "False"
