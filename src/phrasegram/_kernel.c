@@ -7,8 +7,10 @@
  * when subsampling, in sentence order, then k per pair in visiting order.
  * Each negative is looked up through the noise table's guide table, which
  * gives the id np.searchsorted gives for every uniform.  phrase_step is the
- * same step on composed vectors: it composes the context, negative and current
- * phrases from their component words' rows, scores them and writes every
+ * same step on composed vectors: it looks the context, negative and current
+ * phrases up by id in the run's phrase inventory, held in compressed sparse
+ * row form (one offset per phrase into one array of component word ids),
+ * composes each from its component words' rows, scores them and writes every
  * component row.  The arithmetic is that of reference.word_step and
  * reference.phrase_step, the numpy steps the tests compare against:
  *
@@ -381,16 +383,34 @@ int64_t word_pass(double *inp, double *const *out, int64_t dim,
     return pairs;
 }
 
-/* One gradient-ascent step of the phrase objective for a (phrase, context
- * phrase) pair: reference.phrase_step.
+/* The phrase inventory and the scratch of a run's phrase steps, prepared and
+ * checked once by kernel.PhraseTables.
  *
- * inp: the input matrix; pout: the pair's phrase output bank; index: the
- * number of ids of each of `phrases` phrases, each at least 1, then their ids,
- * the context phrase's, then those of k = phrases - 2 negative phrases, then
- * the current phrase's, then k + 1 free slots; work: (k + 3) * dim + k + 1
- * doubles, and one row of dim more per id when alpha != 1.  Every id must
- * index both matrices: nothing here checks.  Returns the pre-update objective
- * term.
+ * inp: the input matrix; offsets and words: the phrase inventory in
+ * compressed sparse row form, phrase q's component word ids being
+ * words[offsets[q]] .. words[offsets[q + 1] - 1], at least one per phrase;
+ * k: the negative phrases of a step; phrase: a step's k + 2 phrase ids, the
+ * context phrase's, then those of the k negative phrases, then the current
+ * phrase's; order: the ids 0 .. k; work: (k + 3) * dim + k + 1 doubles, and
+ * one row of dim more per component word of a step's phrases when
+ * alpha != 1. */
+struct phrase_tables {
+    double *inp;
+    int64_t dim;
+    const int64_t *offsets;
+    const int64_t *words;
+    int64_t k;
+    const int64_t *phrase;
+    const int64_t *order;
+    double alpha;
+    double *work;
+};
+
+/* One gradient-ascent step of the phrase objective for a (phrase, context
+ * phrase) pair, the pair and its negatives in t->phrase, scored against the
+ * phrase output bank pout: reference.phrase_step.  Every phrase id must index
+ * t->offsets and every word id both matrices: nothing here checks.  Returns
+ * the pre-update objective term.
  *
  * Each phrase is composed into work as one ordered sum from -0.0 of
  * (1 / n) * sigma(row) over its rows, in component order: -0.0 is the one start
@@ -405,27 +425,24 @@ int64_t word_pass(double *inp, double *const *out, int64_t dim,
 #if defined(__x86_64__) && defined(__GNUC__)
 __attribute__((target_clones("avx2", "default")))
 #endif
-double phrase_step(double *inp, double *pout, int64_t dim, int64_t *index, int64_t phrases,
-                   double lr, double alpha, double *work)
+double phrase_step(const struct phrase_tables *t, double *pout, double lr)
 {
-    int64_t k = phrases - 2, total = 0;
-    const int64_t *sizes = index, *ids = index + phrases;
-    for (int64_t p = 0; p < phrases; p++)
-        total += sizes[p];
-    int64_t *rows = index + phrases + total;
+    double *inp = t->inp, alpha = t->alpha;
+    int64_t dim = t->dim, k = t->k, phrases = k + 2;
+    const int64_t *offsets = t->offsets, *words = t->words, *phrase = t->phrase;
     int powered = alpha != 1.0;
-    double *composed = work, *grad = work + phrases * dim, *coef = grad + dim;
+    double *composed = t->work, *grad = composed + phrases * dim, *coef = grad + dim;
     double *jac = coef + k + 1;
 
-    const int64_t *id = ids;
     double *jrow = jac;
     for (int64_t p = 0; p < phrases; p++) {
         const double *bank = p <= k ? pout : inp;
+        const int64_t *id = words + offsets[phrase[p]], *end = words + offsets[phrase[p] + 1];
         double *acc = composed + p * dim;
-        double w = 1.0 / (double)sizes[p];
+        double w = 1.0 / (double)(end - id);
         for (int64_t j = 0; j < dim; j++)
             acc[j] = -0.0;
-        for (int64_t m = 0; m < sizes[p]; m++, id++) {
+        for (; id < end; id++) {
             if (!powered) {
                 add_scaled(acc, w, bank + *id * dim, dim);
             } else {
@@ -437,21 +454,20 @@ double phrase_step(double *inp, double *pout, int64_t dim, int64_t *index, int64
 
     /* The context and negative phrases against the current one, v. */
     double *v = composed + (k + 1) * dim;
-    for (int64_t i = 0; i <= k; i++)
-        rows[i] = i;
-    score_rows(composed, rows, k + 1, v, dim, coef);
+    score_rows(composed, t->order, k + 1, v, dim, coef);
     double objective = negative_sampling(coef, k + 1);
     combine_rows(grad, composed, coef, k + 1, dim);
 
     /* A pout row of phrase p moves by (lr * coef[p] / n) * J * v, an inp row
      * by (lr / n) * J * grad. */
-    id = ids;
     jrow = jac;
     for (int64_t p = 0; p < phrases; p++) {
         double *bank = p <= k ? pout : inp;
-        double scale = p <= k ? lr * coef[p] / (double)sizes[p] : lr / (double)sizes[p];
+        const int64_t *id = words + offsets[phrase[p]], *end = words + offsets[phrase[p] + 1];
+        double n = (double)(end - id);
+        double scale = p <= k ? lr * coef[p] / n : lr / n;
         const double *x = p <= k ? v : grad;
-        for (int64_t m = 0; m < sizes[p]; m++, id++) {
+        for (; id < end; id++) {
             if (!powered) {
                 add_scaled(bank + *id * dim, scale, x, dim);
             } else {

@@ -37,9 +37,13 @@ prepared for one run: its construction does every check and conversion
 that is fixed for the run, so a call only copies and range-checks the
 sentence's ids.  The word pass draws its uniforms itself, through
 numpy's documented `BitGenerator.ctypes` interface, holding the
-generator's lock as `Generator.random` does.  `phrase_step` is one
-phrase step: it checks the phrases, the ids, the bank and the matrices
-of each call itself, and allocates the step's scratch per call.
+generator's lock as `Generator.random` does.  `PhraseTables` is the
+phrase step prepared for one run in the same way: it checks the matrices
+once, and packs and range-checks the phrase inventory once into
+compressed sparse rows, from which the kernel composes each phrase by
+id.  `phrase_step` is one step through those tables: it checks only what
+varies per call (the phrase ids, the number of negatives and the bank),
+then makes one kernel call, holding the tables' lock over their scratch.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ import shlex
 import subprocess
 import sys
 import sysconfig
+import threading
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -65,6 +70,7 @@ from phrasegram.sampling import NoiseDistribution
 
 __all__ = [
     "KernelBuildError",
+    "PhraseTables",
     "WordPass",
     "build",
     "load",
@@ -127,7 +133,7 @@ _D = ctypes.c_double
 _SIGNATURES = {  # name: (restype, argtypes)
     "sample_noise": (_I, [_P, _P, _I, _P, _I, _I, _P]),
     "word_pass": (_I, [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P]),
-    "phrase_step": (_D, [_P, _P, _I, _P, _I, _D, _D, _P]),
+    "phrase_step": (_D, [_P, _P, _D]),
 }
 
 
@@ -142,7 +148,7 @@ def load() -> ctypes.CDLL:
     return lib
 
 
-def _address(m: np.ndarray, shape: tuple[int, int]) -> int:
+def _address(m: np.ndarray, shape: tuple[int, int], name: str) -> int:
     if not (
         m.dtype == np.float64
         and m.flags.c_contiguous
@@ -150,7 +156,7 @@ def _address(m: np.ndarray, shape: tuple[int, int]) -> int:
         and m.shape == shape
     ):
         raise ValueError(
-            f"the training kernel updates writable C-contiguous float64 {shape} "
+            f"{name}: the training kernel updates writable C-contiguous float64 {shape} "
             f"matrices in place; got {m.dtype} {m.shape} "
             f"(contiguous={m.flags.c_contiguous}, writable={m.flags.writeable})"
         )
@@ -189,51 +195,117 @@ def sample_noise(
     return out
 
 
+class _Tables(ctypes.Structure):
+    """`struct phrase_tables` of `_kernel.c`."""
+
+    _fields_ = [
+        ("inp", _P), ("dim", _I), ("offsets", _P), ("words", _P), ("k", _I),
+        ("phrase", _P), ("order", _P), ("alpha", _D), ("work", _P),
+    ]
+
+
+class PhraseTables:
+    """The phrase step of a training run, prepared once for the run.
+
+    `params` is the model the steps update, `components` each phrase id's
+    component word ids, `alpha` the power map's exponent and `k` the
+    number of negative phrases of every step.  Everything fixed for the
+    run is checked and converted here, once: the input matrix and every
+    phrase output bank (`_address`), and the components, which must each
+    be non-empty and index the input rows.  They are packed as compressed
+    sparse rows, int64 `offsets` into one int64 array of word ids, from
+    which the kernel composes every phrase.  The step's scratch is sized
+    here for the longest phrase.  The object holds every array whose
+    address it passes to the kernel, so the matrices are updated in place
+    for as long as it lives and must not be replaced meanwhile.
+    `phrase_step` holds `lock` while it uses the scratch.
+    """
+
+    def __init__(
+        self, params: ModelParams, components: Sequence[Sequence[int]], alpha: float, k: int
+    ) -> None:
+        inp = params.input_words
+        rows, dim = inp.shape
+        address = _address(inp, inp.shape, "input matrix")
+        banks = tuple(params.phrase_output_words)
+        self._pouts = tuple(
+            _address(m, inp.shape, f"phrase output bank {i}") for i, m in enumerate(banks)
+        )
+        sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
+        empty = np.flatnonzero(sizes == 0)
+        if len(empty):
+            raise ValueError(f"phrase {empty[0]} is empty: cannot compose an empty phrase")
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        words = np.fromiter(chain.from_iterable(components), dtype=np.int64, count=offsets[-1])
+        bad = np.flatnonzero((words < 0) | (words >= rows))
+        if len(bad):
+            phrase = np.searchsorted(offsets, bad[0], side="right") - 1
+            raise ValueError(
+                f"phrase {phrase} has component id {words[bad[0]]}, out of range for {rows} rows"
+            )
+        # The composed phrases, the gradient, the coefficients and, at alpha != 1,
+        # one Jacobian row per component word of a step's k + 2 phrases.
+        longest = int(sizes.max(initial=0))
+        work = np.empty((k + 3 + (0 if alpha == 1.0 else (k + 2) * longest)) * dim + k + 1)
+        order = np.arange(k + 1, dtype=np.int64)
+        ids = np.empty(k + 2, dtype=np.int64)
+        tables = _Tables(
+            address, dim, offsets.ctypes.data, words.ctypes.data, k, ids.ctypes.data,
+            order.ctypes.data, alpha, work.ctypes.data,
+        )
+        self.k = k
+        self.phrases = len(sizes)
+        self.lock = threading.Lock()
+        # A step's phrase ids, written through a ctypes view of ids.
+        self._ids = (ctypes.c_int64 * (k + 2)).from_buffer(ids)
+        # Everything whose address the kernel is given, kept alive with the object.
+        self._held = (inp, *banks, offsets, words, work, order, ids, tables)
+        self._fn = load().phrase_step
+        self._tables = ctypes.addressof(tables)
+
+
 def phrase_step(
-    params: ModelParams,
-    current_words: Sequence[int],
-    context_words: Sequence[int],
-    negative_phrases: Sequence[Sequence[int]],
+    tables: PhraseTables,
+    current: int,
+    context: int,
+    negatives: Sequence[int],
     lr: float,
-    alpha: float,
     bank: int = 0,
 ) -> float:
     """One gradient-ascent update for a (phrase, context phrase) pair, in the kernel.
 
-    The context and negative phrases, composed in the phrase output space
-    of the bank, are scored against the current phrase, composed in the
-    input space, and each component word moves by its phrase's
-    coefficient times the composition's 1/n weight and the diagonal
-    Jacobian of its power map.  The step keeps the update order of
-    `reference.phrase_step`, the numpy step the tests compare it against:
-    every delta comes from the pre-update rows, and a word repeated
-    within the step accumulates.  Returns the objective term evaluated
-    before the update.
+    `current`, `context` and the k `negatives` are phrase ids of the
+    tables.  The context and negative phrases, composed in the phrase
+    output space of the bank, are scored against the current phrase,
+    composed in the input space, and each component word moves by its
+    phrase's coefficient times the composition's 1/n weight and the
+    diagonal Jacobian of its power map.  The step keeps the update order
+    of `reference.phrase_step`, the numpy step the tests compare it
+    against: every delta comes from the pre-update rows, and a word
+    repeated within the step accumulates.  Returns the objective term
+    evaluated before the update.
 
-    Raises ValueError, before any write, for an empty phrase, a component
-    id that does not index the input matrix, a bank index out of range,
-    or a matrix the kernel cannot update in place.  The ids and the
-    scratch go to the kernel as ctypes arrays, which cost less per call
-    than numpy arrays and their `ctypes.data`.
+    Checks only what varies per call, the tables having checked the rest:
+    raises ValueError, before any write, for a phrase id out of range, a
+    number of negatives other than the tables' k, or a bank index out of
+    range.
     """
-    phrases = [context_words, *negative_phrases, current_words]
-    sizes = [len(ws) for ws in phrases]
-    if 0 in sizes:
-        raise ValueError("cannot compose an empty phrase")
-    ids = [*chain.from_iterable(phrases)]
-    inp = params.input_words
-    rows, dim = inp.shape
-    lo, hi = min(ids), max(ids)
-    if lo < 0 or hi >= rows:
-        raise ValueError(f"component id {lo if lo < 0 else hi} is out of range for {rows} rows")
-    banks = params.phrase_output_words
-    if not 0 <= bank < len(banks):
-        raise ValueError(f"bank {bank} is out of range for {len(banks)} phrase output banks")
-    address, pout = _address(inp, inp.shape), _address(banks[bank], inp.shape)
-    k = len(sizes) - 2
-    index = (ctypes.c_int64 * (len(sizes) + len(ids) + k + 1))(*sizes, *ids)
-    work = (ctypes.c_double * ((k + 3 + (0 if alpha == 1.0 else len(ids))) * dim + k + 1))()
-    return load().phrase_step(address, pout, dim, index, len(sizes), lr, alpha, work)
+    k, n, pouts = tables.k, tables.phrases, tables._pouts
+    if len(negatives) != k:
+        raise ValueError(f"{len(negatives)} negative phrases for tables of k = {k}")
+    if not 0 <= bank < len(pouts):
+        raise ValueError(f"bank {bank} is out of range for {len(pouts)} phrase output banks")
+    if not (0 <= current < n and 0 <= context < n and 0 <= min(negatives, default=0)
+            and max(negatives, default=0) < n):
+        bad = next(q for q in (current, context, *negatives) if not 0 <= q < n)
+        raise ValueError(f"phrase id {bad} is out of range for {n} phrases")
+    with tables.lock:
+        ids = tables._ids
+        ids[0] = context
+        ids[1 : k + 1] = negatives
+        ids[k + 1] = current
+        return tables._fn(tables._tables, pouts[bank], lr)
 
 
 class WordPass:
@@ -272,8 +344,10 @@ class WordPass:
         self._rows = rows
         cum = np.ascontiguousarray(noise.cumulative, dtype=np.float64)
         guide = _guide_table(noise.guide, rows)
-        table = (ctypes.c_void_p * len(banks))(*(_address(m, inp.shape) for m in banks))
-        address = _address(inp, inp.shape)
+        table = (ctypes.c_void_p * len(banks))(
+            *(_address(m, inp.shape, f"output bank {i}") for i, m in enumerate(banks))
+        )
+        address = _address(inp, inp.shape, "input matrix")
         for i, bank in enumerate(banks):
             # Cheap on contiguous matrices.  A step holds v while it writes the
             # rows, so v must not be one of them.

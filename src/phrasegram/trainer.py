@@ -27,11 +27,13 @@ stream's generator, in the per-pair reference's order: one per in-vocab
 token when subsampling, then k per pair, each negative looked up through
 the noise table's guide table (`NoiseDistribution.guide`), which returns
 the id `sample`'s whole-table search returns.  So every seed keeps the
-same tokens and draws the same negatives.  The phrase pass loops in
-Python: it lists a sentence's window pairs (`iter_window_pairs`), draws
-all their negatives in one `NoiseDistribution.sample` call, and applies
-`kernel.phrase_step`, which checks its inputs and makes one kernel call,
-once per pair.
+same tokens and draws the same negatives.  The phrase pass packs and
+checks the phrase inventory and the matrices once per run, into
+`kernel.PhraseTables`, and then loops in Python: it lists a sentence's
+window pairs (`iter_window_pairs`), draws all their negatives in one
+`NoiseDistribution.sample` call, and applies `kernel.phrase_step` once
+per pair, which checks only the pair's phrase ids and bank and makes one
+kernel call.
 
 Window distances are surface distances: positions in the token sequence
 for words and in the chunk sequence for phrases.  Out-of-vocab tokens and
@@ -146,51 +148,53 @@ def _rng_from(seedseq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seedseq))
 
 
-@dataclass
 class PhrasePass:
     """The phrase-level pass, prepared once for a run.
 
     `params` is the model it updates, `noise` the phrase NoiseDistribution
-    and `components` each phrase id's component word ids.  A call lists
-    the window pairs of a sentence's phrase ids (-1 for a chunk that is
-    not a retained phrase), then draws every pair's k negatives from rng
-    in one `NoiseDistribution.sample` call, each row excluding its pair's
-    center phrase: the uniforms and their order are those of one call per
-    pair.  It then applies phrase_step to each pair in turn, at lr * beta
-    in the bank of the pair's offset.
+    and `components` each phrase id's component word ids, which the pass
+    packs and checks once into `kernel.PhraseTables`; it looks each
+    offset's bank up in a table built once too.  A call lists the window
+    pairs of a sentence's phrase ids (-1 for a chunk that is not a
+    retained phrase), then draws every pair's k negatives from rng in one
+    `NoiseDistribution.sample` call, each row excluding its pair's center
+    phrase: the uniforms and their order are those of one call per pair.
+    It then applies phrase_step to each pair in turn, at lr * beta in the
+    bank of the pair's offset.
     """
 
-    params: ModelParams
-    noise: NoiseDistribution
-    components: Sequence[tuple[int, ...]]
-    rng: np.random.Generator
-    k: int
-    window: int
-    positional: bool
-    alpha: float
-    beta: float
+    def __init__(
+        self,
+        params: ModelParams,
+        noise: NoiseDistribution,
+        components: Sequence[Sequence[int]],
+        rng: np.random.Generator,
+        k: int,
+        window: int,
+        positional: bool,
+        alpha: float,
+        beta: float,
+    ) -> None:
+        self.tables = kernel.PhraseTables(params, components, alpha, k)
+        self.noise, self.rng, self.k, self.window, self.beta = noise, rng, k, window, beta
+        # Each offset's phrase output bank, looked up per pair.
+        self.banks = {
+            off: bank_for_offset(off, window, positional)
+            for off in range(-window, window + 1) if off
+        }
 
     def __call__(self, phrase_ids: Sequence[int], lr: float) -> tuple[float, int]:
         """Returns the summed pre-update objective and the number of pairs."""
-        c = self.window
-        pairs = list(iter_window_pairs(phrase_ids, c))
+        pairs = list(iter_window_pairs(phrase_ids, self.window))
         if not pairs:
             return 0.0, 0
         centers = np.array([phrase_ids[i] for i, _, _ in pairs])
         negatives = self.noise.sample(self.rng, self.k, exclude=centers).tolist()
-        comps = self.components
+        tables, banks = self.tables, self.banks
         phrase_lr = lr * self.beta
         ep = 0.0
         for (i, j, off), negs in zip(pairs, negatives):
-            ep += phrase_step(
-                self.params,
-                comps[phrase_ids[i]],
-                comps[phrase_ids[j]],
-                [comps[g] for g in negs],
-                phrase_lr,
-                self.alpha,
-                bank_for_offset(off, c, self.positional),
-            )
+            ep += phrase_step(tables, phrase_ids[i], phrase_ids[j], negs, phrase_lr, banks[off])
         return ep, len(pairs)
 
 

@@ -5,7 +5,9 @@ Analytic gradients are recovered from an update step as
 finite differences of the scalar objective.  Rows that appear several
 times in a step (duplicate negative ids) are deduplicated first: both
 the net analytic delta and the finite difference see the combined
-effect of the shared row.
+effect of the shared row.  `compiled_phrase_step` gives the compiled
+phrase step the word-list signature of the numpy one, so that both run
+through the same checks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from phrasegram import kernel
+
 EPS = 1e-5
+
+
+def compiled_phrase_step(params, current, context, negatives, lr, alpha, bank=0) -> float:
+    """kernel.phrase_step with reference.phrase_step's word-list signature:
+    one step through tables that hold just these phrases."""
+    tables = kernel.PhraseTables(params, [current, context, *negatives], alpha, len(negatives))
+    return kernel.phrase_step(tables, 0, 1, list(range(2, 2 + len(negatives))), lr, bank)
 
 
 def bound_away_from_zero(params, floor: float = 0.05) -> None:

@@ -16,8 +16,8 @@ import pytest
 import scipy.stats
 from mpmath import exp as mp_exp, mp, mpf
 
-from gradient_utils import bound_away_from_zero, check_step_against_fd
-from phrasegram import kernel, reference
+from gradient_utils import bound_away_from_zero, check_step_against_fd, compiled_phrase_step
+from phrasegram import reference
 from phrasegram.composition import (
     CompositionConfig,
     compose_rows,
@@ -140,7 +140,7 @@ def _phrase_instances(rng, params, alpha):
 
     return [
         (step_with(phrase_step), objective, touched)
-        for phrase_step in (kernel.phrase_step, reference.phrase_step)
+        for phrase_step in (compiled_phrase_step, reference.phrase_step)
     ]
 
 

@@ -7,9 +7,11 @@ alone and draw one subsampling uniform per in-vocab token; its pairs
 and updates are checked against the per-pair reference in test_trainer,
 as are the phrase step's checks and arithmetic.  Builds for other
 instruction sets must train the word and phrase passes bitwise as the
-shipped object does.  The build is cached per key, reused across processes, and a failing
-compiler is reported by command and message; the source compiles without
-warnings.
+shipped object does, and a build with AddressSanitizer and
+UndefinedBehaviorSanitizer must run the differential tests and those
+runs without a report.  The build is cached per key, reused across
+processes, and a failing compiler is reported by command and message;
+the source compiles without warnings.
 """
 
 import json
@@ -32,6 +34,7 @@ from phrasegram.sampling import build_noise_distribution
 from test_sampling import SCRIPTED_COLLISIONS, ScriptedRng
 
 SRC = Path(kernel.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 
 
 class TestSampleNoise:
@@ -421,10 +424,10 @@ print(json.dumps(runs))
 """
 
 
-def _cross_build_run(corpora, *build):
+def _cross_build_run(corpora, *build, env=None):
     return subprocess.run(
         [sys.executable, "-c", CROSS_BUILD_RUN, *map(str, corpora), *map(str, build)],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env=env or {**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=300,
     )
 
@@ -484,4 +487,82 @@ class TestCrossBuild:
         if proc.returncode == -signal.SIGILL:
             pytest.skip(f"this host cannot run a build with {' '.join(extra)}")
         assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == json.loads(shipped)
+
+
+SANITIZE = (
+    "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+    "-fno-omit-frame-pointer",
+)
+SANITIZED_EXAMPLES = 40
+
+# Runs both hypothesis differential tests of test_trainer, argv[3] examples
+# each, with the kernel built from argv[1] into argv[2] at kernel.FLAGS plus
+# the flags in argv[4:].
+DIFFERENTIAL_RUN = """
+import sys
+from pathlib import Path
+from hypothesis import given, settings, strategies as st
+from phrasegram import kernel
+import test_trainer
+
+kernel.SOURCE, kernel.CACHE_DIR = Path(sys.argv[1]), Path(sys.argv[2])
+kernel.FLAGS = kernel.FLAGS + tuple(sys.argv[4:])
+examples = settings(derandomize=True, max_examples=int(sys.argv[3]), deadline=None, database=None)
+for check in (test_trainer.check_drawn_phrase_steps, test_trainer.check_drawn_passes):
+    examples(given(st.data())(check))()
+"""
+
+
+def _libasan():
+    """The compiler's AddressSanitizer runtime, or None where it has none."""
+    try:
+        proc = subprocess.run(
+            [*kernel.compiler(), "-print-file-name=libasan.so"], capture_output=True, text=True
+        )
+    except OSError:
+        return None
+    path = Path(proc.stdout.strip())
+    return path if proc.returncode == 0 and path.is_absolute() and path.exists() else None
+
+
+class TestSanitizedBuild:
+    """The kernel built with AddressSanitizer and UndefinedBehaviorSanitizer
+    runs the differential tests and the cross-build corpora cleanly.
+
+    The kernel indexes by id without bounds checks, trusting the tables
+    and ids that the Python side checked; an out-of-bounds read or write,
+    say an off-by-one in a phrase's component range, aborts the sanitized
+    run with a report.  The runtime is preloaded into the interpreter,
+    which is not built with it, and Python's allocator is set to malloc so
+    that the sanitizer sees every buffer.  The sanitizers change no
+    floating-point operation, so the corpora train to the shipped bits.
+    """
+
+    def test_differential_tests_and_cross_build_corpora_run_clean(
+        self, tmp_path, monkeypatch, cross_build_corpus
+    ):
+        libasan = _libasan()
+        if libasan is None:
+            pytest.skip(f"{shlex.join(kernel.compiler())} has no libasan.so")
+        cache = tmp_path / "cache"
+        # Built here, so that the preloaded runs only load the object.
+        monkeypatch.setattr(kernel, "FLAGS", kernel.FLAGS + SANITIZE)
+        kernel.build(kernel.SOURCE, cache, kernel.compiler())
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]),
+            "LD_PRELOAD": str(libasan),
+            "ASAN_OPTIONS": "detect_leaks=0",
+            "PYTHONMALLOC": "malloc",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", DIFFERENTIAL_RUN, str(kernel.SOURCE), str(cache),
+             str(SANITIZED_EXAMPLES), *SANITIZE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-5000:]
+        corpora, shipped = cross_build_corpus
+        proc = _cross_build_run(corpora, kernel.SOURCE, cache, *SANITIZE, env=env)
+        assert proc.returncode == 0, proc.stderr[-5000:]
         assert json.loads(proc.stdout) == json.loads(shipped)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradient_utils import bound_away_from_zero, check_step_against_fd
+from gradient_utils import bound_away_from_zero, check_step_against_fd, compiled_phrase_step
 from phrasegram.corpus import Vocab, parse_chunked_line
 from phrasegram.model import (
     CheckpointData,
@@ -31,7 +31,6 @@ from phrasegram.model import (
     init_params,
 )
 from phrasegram import kernel, reference, trainer
-from phrasegram.kernel import phrase_step
 from phrasegram.manifest import read_manifest
 from phrasegram.reference import (
     _add_rows,
@@ -198,7 +197,7 @@ class TestPhraseStepGradient:
             for ws in [context, *negs]:
                 touched += [("pout", pout, w) for w in ws]
             err = check_step_against_fd(
-                step=lambda: phrase_step(params, current, context, negs, lr, alpha),
+                step=lambda: compiled_phrase_step(params, current, context, negs, lr, alpha),
                 objective=lambda: phrase_objective(
                     params, current, context, negs, alpha
                 ),
@@ -221,7 +220,7 @@ class TestPhraseStepGradient:
         for ws in [context, *negs]:
             touched += [("pout", pout, w) for w in ws]
         err = check_step_against_fd(
-            step=lambda: phrase_step(params, current, context, negs, lr, alpha),
+            step=lambda: compiled_phrase_step(params, current, context, negs, lr, alpha),
             objective=lambda: phrase_objective(params, current, context, negs, alpha),
             touched=touched,
             lr=lr,
@@ -239,7 +238,7 @@ class TestPhraseStepGradient:
         touched = [("input", params.input_words, w) for w in current]
         touched += [("pout", pout, w) for w in [1, 2]]
         err = check_step_against_fd(
-            step=lambda: phrase_step(params, current, context, negs, lr, alpha),
+            step=lambda: compiled_phrase_step(params, current, context, negs, lr, alpha),
             objective=lambda: phrase_objective(params, current, context, negs, alpha),
             touched=touched,
             lr=lr,
@@ -270,7 +269,7 @@ class TestPhraseStepGradient:
         rng = np.random.default_rng(41)
         params = rand_params(rng)
         before = phrase_objective(params, [0, 1], [2], [[3]], 1.5)
-        returned = phrase_step(params, [0, 1], [2], [[3]], 0.05, 1.5)
+        returned = compiled_phrase_step(params, [0, 1], [2], [[3]], 0.05, 1.5)
         assert returned == pytest.approx(before, rel=1e-12)
 
     def test_repeated_steps_ascend(self):
@@ -278,8 +277,8 @@ class TestPhraseStepGradient:
         params = rand_params(rng)
         args = ([0, 1], [2, 3], [[4], [5, 6]])
         for _ in range(80):
-            phrase_step(params, *args, 0.1, 1.0)
-        first = phrase_step(params, *args, 0.0, 1.0)  # lr 0: evaluate only
+            compiled_phrase_step(params, *args, 0.1, 1.0)
+        first = compiled_phrase_step(params, *args, 0.0, 1.0)  # lr 0: evaluate only
         fresh = rand_params(np.random.default_rng(43))
         assert first > phrase_objective(fresh, *args, 1.0)
 
@@ -289,25 +288,26 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
-def draw_phrase_step(data):
-    """A model and one phrase step's arguments, drawn for a differential test.
+def check_drawn_phrase_steps(data):
+    """Draws whole phrase tables and steps through them, each step against
+    reference.phrase_step on the expanded word lists, from equal matrices.
 
-    Few ids, so that words repeat within and across phrases; 1 to 12
-    negative phrases, which leave every remainder of the kernel's
-    three-row scoring blocks; dims on and off the kernel's four lanes;
-    positional banks, to check that the bank is the one named; and
-    matrices with -0.0 entries and columns: -0.0 is the one value the
-    composition's -0.0 start leaves as it is and a 0.0 start does not,
-    and a -0.0 column reaches every delta.
+    Few word ids, so that phrases share words and a word repeats within a
+    phrase; a context phrase that may equal the current one and negatives
+    that may equal the context; 0 to 12 negative phrases, which leave every
+    remainder of the kernel's three-row scoring blocks; dims on and off
+    the kernel's four lanes; positional banks, to check that the bank is
+    the one named; and matrices with -0.0 entries and columns: -0.0 is the
+    one value the composition's -0.0 start leaves as it is and a 0.0 start
+    does not, and a -0.0 column reaches every delta.  Up to three steps
+    run through one set of tables, which reuse their scratch.
     """
     vocab_size = data.draw(st.integers(1, 6), label="vocab_size")
     phrase = st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=4)
-    current = data.draw(phrase, label="current")
-    context = data.draw(phrase, label="context")
-    negatives = data.draw(st.lists(phrase, min_size=1, max_size=12), label="negatives")
+    inventory = data.draw(st.lists(phrase, min_size=1, max_size=8), label="inventory")
+    k = data.draw(st.integers(0, 12), label="k")
     dim = data.draw(st.one_of(st.integers(1, 9), st.sampled_from([100, 101])), label="dim")
     alpha = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="alpha")
-    lr = data.draw(st.sampled_from([0.0, 0.025, 0.5]), label="lr")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     params = rand_params(rng, vocab_size=vocab_size, dim=dim, mode=Mode.COMPOSITIONAL_POSITIONAL)
     density = data.draw(st.sampled_from([0.0, 0.3]), label="density")
@@ -316,8 +316,26 @@ def draw_phrase_step(data):
         m[rng.random(m.shape) < density] = -0.0
         if column is not None:
             m[:, column] = -0.0
-    bank = data.draw(st.integers(0, len(params.phrase_output_words) - 1), label="bank")
-    return params, (current, context, negatives, lr, alpha, bank)
+    tables = kernel.PhraseTables(params, inventory, alpha, k)
+    ids = st.integers(0, len(inventory) - 1)
+    for step in range(data.draw(st.integers(1, 3), label="steps")):
+        current = data.draw(ids, label=f"current {step}")
+        context = data.draw(st.one_of(st.just(current), ids), label=f"context {step}")
+        negatives = data.draw(
+            st.lists(st.one_of(st.just(context), ids), min_size=k, max_size=k),
+            label=f"negatives {step}",
+        )
+        lr = data.draw(st.sampled_from([0.0, 0.025, 0.5]), label=f"lr {step}")
+        bank = data.draw(st.integers(0, len(params.phrase_output_words) - 1), label=f"bank {step}")
+        want = params.copy()
+        got = kernel.phrase_step(tables, current, context, negatives, lr, bank)
+        expected = reference.phrase_step(
+            want, inventory[current], inventory[context], [inventory[g] for g in negatives],
+            lr, alpha, bank,
+        )
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        for (name, m), (_, r) in zip(params.matrices(), want.matrices()):
+            np.testing.assert_allclose(m, r, rtol=1e-12, atol=1e-15, err_msg=name)
 
 
 def spoil_matrix(params, which, how):
@@ -339,63 +357,111 @@ def spoil_matrix(params, which, how):
         banks[1] = spoiled
 
 
+def assert_bitwise_unchanged(params, before):
+    for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
+        np.testing.assert_array_equal(bits(m), bits(r), err_msg=name)
+
+
+class TestPhraseTables:
+    """kernel.PhraseTables rejects, at construction, what is fixed for the run."""
+
+    @pytest.mark.parametrize("empty", [0, 2, 3])
+    def test_empty_phrase_rejected(self, empty):
+        params = rand_params(np.random.default_rng(89))
+        before = params.copy()
+        phrases = [list(ws) for ws in PHRASES]
+        phrases[empty] = []
+        with pytest.raises(ValueError, match=f"^phrase {empty} is empty: cannot compose an empty phrase$"):
+            kernel.PhraseTables(params, phrases, 1.0, 2)
+        assert_bitwise_unchanged(params, before)
+
+    @pytest.mark.parametrize("phrase, bad", [(0, -1), (0, 8), (1, 8), (3, -3), (3, 99)])
+    def test_component_id_out_of_range_rejected(self, phrase, bad):
+        params = rand_params(np.random.default_rng(97), mode=Mode.COMPOSITIONAL_POSITIONAL)
+        before = params.copy()
+        phrases = [list(ws) for ws in PHRASES]
+        phrases[phrase].append(bad)
+        with pytest.raises(
+            ValueError, match=f"^phrase {phrase} has component id {bad}, out of range for 8 rows$"
+        ):
+            kernel.PhraseTables(params, phrases, 1.5, 2)
+        assert_bitwise_unchanged(params, before)
+
+    @pytest.mark.parametrize("how", ["read-only", "non-contiguous", "float32", "more-columns", "fewer-rows"])
+    @pytest.mark.parametrize("which", ["input", "bank"])
+    def test_matrix_the_kernel_cannot_update_in_place_rejected(self, which, how):
+        params = rand_params(np.random.default_rng(103), mode=Mode.COMPOSITIONAL_POSITIONAL)
+        spoil_matrix(params, which, how)
+        before = params.copy()
+        name = "phrase output bank 1" if which == "bank" else "input matrix"
+        if which == "input" and how in ("more-columns", "fewer-rows"):
+            name = "phrase output bank 0"  # the first matrix not of the input's shape
+        with pytest.raises(
+            ValueError, match=f"^{name}: the training kernel updates writable C-contiguous float64"
+        ):
+            kernel.PhraseTables(params, PHRASES, 1.0, 2)
+        assert_bitwise_unchanged(params, before)
+
+
 class TestCompiledPhraseStep:
-    """kernel.phrase_step, the checked kernel entry, against reference.phrase_step."""
+    """kernel.phrase_step through prepared tables: against reference.phrase_step,
+    and its per-call checks, which raise before any write."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(st.data())
     def test_matches_reference(self, data):
-        params, args = draw_phrase_step(data)
-        want = params.copy()
-        got = phrase_step(params, *args)
-        expected = reference.phrase_step(want, *args)
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
-        for (name, m), (_, r) in zip(params.matrices(), want.matrices()):
-            np.testing.assert_allclose(m, r, rtol=1e-12, atol=1e-15, err_msg=name)
+        check_drawn_phrase_steps(data)
 
-    @pytest.mark.parametrize("empty", ["current", "context", "negative"])
-    def test_empty_phrase_raises(self, empty):
-        params = rand_params(np.random.default_rng(89))
-        before = params.copy()
-        phrases = {"current": [0, 1], "context": [2], "negative": [3]}
-        phrases[empty] = []
-        with pytest.raises(ValueError, match="empty phrase"):
-            phrase_step(params, phrases["current"], phrases["context"], [phrases["negative"]], 0.1, 1.0)
-        for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
-            np.testing.assert_array_equal(m, r, err_msg=name)
+    def _tables(self, seed, alpha=1.5):
+        params = rand_params(np.random.default_rng(seed), mode=Mode.COMPOSITIONAL_POSITIONAL)
+        return params, kernel.PhraseTables(params, PHRASES, alpha, 2)
 
     @pytest.mark.parametrize(
-        "where, bad", [("current", -1), ("current", 8), ("context", 8), ("negative", -3), ("negative", 99)]
+        "where, bad", [("current", -1), ("current", 4), ("context", 4), ("negative", -3), ("negative", 99)]
     )
-    def test_component_id_out_of_range_raises_before_any_write(self, where, bad):
-        params = rand_params(np.random.default_rng(97), mode=Mode.COMPOSITIONAL_POSITIONAL)
+    def test_phrase_id_out_of_range_raises_before_any_write(self, where, bad):
+        params, tables = self._tables(97)
         before = params.copy()
-        phrases = {"current": [0, 1], "context": [2, 3], "negative": [4]}
-        phrases[where] = [*phrases[where], bad]
-        with pytest.raises(ValueError, match=f"component id {bad} is out of range for 8 rows"):
-            phrase_step(params, phrases["current"], phrases["context"], [[5], phrases["negative"]], 0.1, 1.5)
-        for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
-            np.testing.assert_array_equal(bits(m), bits(r), err_msg=name)
+        ids = {"current": 0, "context": 1, "negative": 2}
+        ids[where] = bad
+        with pytest.raises(ValueError, match=f"^phrase id {bad} is out of range for 4 phrases$"):
+            kernel.phrase_step(tables, ids["current"], ids["context"], [3, ids["negative"]], 0.1, 1)
+        assert_bitwise_unchanged(params, before)
+
+    @pytest.mark.parametrize("negatives", [[], [3], [3, 2, 1]])
+    def test_wrong_negative_count_raises_before_any_write(self, negatives):
+        params, tables = self._tables(99)
+        before = params.copy()
+        with pytest.raises(ValueError, match=f"^{len(negatives)} negative phrases for tables of k = 2$"):
+            kernel.phrase_step(tables, 0, 1, negatives, 0.1, 1)
+        assert_bitwise_unchanged(params, before)
 
     @pytest.mark.parametrize("bank", [-1, 4, 5])
     def test_bank_out_of_range_raises_before_any_write(self, bank):
-        params = rand_params(np.random.default_rng(101), mode=Mode.COMPOSITIONAL_POSITIONAL)
+        params, tables = self._tables(101, alpha=1.0)
         before = params.copy()
-        with pytest.raises(ValueError, match=f"bank {bank} is out of range for 4 phrase output banks"):
-            phrase_step(params, [0, 1], [2], [[3]], 0.1, 1.0, bank)
-        for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
-            np.testing.assert_array_equal(bits(m), bits(r), err_msg=name)
+        with pytest.raises(ValueError, match=f"^bank {bank} is out of range for 4 phrase output banks$"):
+            kernel.phrase_step(tables, 0, 2, [3, 1], 0.1, bank)
+        assert_bitwise_unchanged(params, before)
 
-    @pytest.mark.parametrize("how", ["read-only", "non-contiguous", "float32", "more-columns", "fewer-rows"])
-    @pytest.mark.parametrize("which", ["input", "bank"])
-    def test_matrix_the_kernel_cannot_update_in_place_raises(self, which, how):
-        params = rand_params(np.random.default_rng(103), mode=Mode.COMPOSITIONAL_POSITIONAL)
-        spoil_matrix(params, which, how)
-        before = params.copy()
-        with pytest.raises(ValueError, match="the training kernel updates writable C-contiguous float64"):
-            phrase_step(params, [0, 1], [2], [[3]], 0.1, 1.0, 1)
-        for (name, m), (_, r) in zip(params.matrices(), before.matrices()):
-            np.testing.assert_array_equal(bits(m), bits(r), err_msg=name)
+    def test_waits_for_the_tables_lock(self):
+        # Two threads stepping through one set of tables would share its scratch.
+        free, free_tables = self._tables(109)
+        want = kernel.phrase_step(free_tables, 0, 2, [3, 1], 0.1, 1)
+        params, tables = self._tables(109)
+        got = []
+        with tables.lock:
+            thread = threading.Thread(
+                target=lambda: got.append(kernel.phrase_step(tables, 0, 2, [3, 1], 0.1, 1))
+            )
+            thread.start()
+            thread.join(0.2)
+            assert thread.is_alive() and got == []
+        thread.join(30)
+        assert not thread.is_alive()
+        assert got == [want]
+        for (name, m), (_, r) in zip(params.matrices(), free.matrices()):
+            np.testing.assert_array_equal(m, r, err_msg=name)
 
 
 class TestAddRows:
@@ -654,37 +720,42 @@ class TestWordPassMatchesReference:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_per_pair_loop_on_drawn_runs(self, data):
-        vocab_size = data.draw(st.integers(3, 12), label="vocab_size")
-        word = st.integers(-1, vocab_size - 1)  # holes and, from so few ids, repeats
-        phrase = st.integers(-1, len(PHRASES) - 1)
-        sentences = data.draw(
-            st.lists(
-                st.builds(
-                    MappedSentence,
-                    st.one_of(st.lists(word, min_size=1, max_size=1), st.lists(word, max_size=14)),
-                    st.lists(phrase, max_size=6),
-                ),
-                min_size=1,
-                max_size=5,
+        check_drawn_passes(data)
+
+
+def check_drawn_passes(data):
+    """run_against_reference on drawn sentences, modes, tables and sizes."""
+    vocab_size = data.draw(st.integers(3, 12), label="vocab_size")
+    word = st.integers(-1, vocab_size - 1)  # holes and, from so few ids, repeats
+    phrase = st.integers(-1, len(PHRASES) - 1)
+    sentences = data.draw(
+        st.lists(
+            st.builds(
+                MappedSentence,
+                st.one_of(st.lists(word, min_size=1, max_size=1), st.lists(word, max_size=14)),
+                st.lists(phrase, max_size=6),
             ),
-            label="sentences",
-        )
-        run_against_reference(
-            data.draw(st.sampled_from(list(Mode)), label="mode"),
-            vocab_size,
-            sentences,
-            alpha=data.draw(st.sampled_from([1.0, 1.5, 3.0]), label="alpha"),
-            subsample=data.draw(st.sampled_from([0.0, 0.02]), label="subsample"),
-            seed=data.draw(st.integers(0, 2**16), label="seed"),
-            dim=data.draw(st.one_of(st.integers(1, 9), st.just(101)), label="dim"),
-            counts=data.draw(
-                st.lists(st.integers(1, 60), min_size=vocab_size, max_size=vocab_size),
-                label="counts",
-            ),
-            window=data.draw(st.integers(1, 5), label="window"),
-            k=data.draw(st.integers(1, 12), label="k"),
-            beta=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]), label="beta"),
-        )
+            min_size=1,
+            max_size=5,
+        ),
+        label="sentences",
+    )
+    run_against_reference(
+        data.draw(st.sampled_from(list(Mode)), label="mode"),
+        vocab_size,
+        sentences,
+        alpha=data.draw(st.sampled_from([1.0, 1.5, 3.0]), label="alpha"),
+        subsample=data.draw(st.sampled_from([0.0, 0.02]), label="subsample"),
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+        dim=data.draw(st.one_of(st.integers(1, 9), st.just(101)), label="dim"),
+        counts=data.draw(
+            st.lists(st.integers(1, 60), min_size=vocab_size, max_size=vocab_size),
+            label="counts",
+        ),
+        window=data.draw(st.integers(1, 5), label="window"),
+        k=data.draw(st.integers(1, 12), label="k"),
+        beta=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]), label="beta"),
+    )
 
 
 class TestPhrasePass:
@@ -698,18 +769,35 @@ class TestPhrasePass:
         clone = np.random.default_rng()
         clone.bit_generator.state = rng.bit_generator.state
         lr, beta, k, alpha = 0.05, 2.0, 5, 1.5
+        tables = kernel.PhraseTables(expected, PHRASES, alpha, k)
         want = 0.0
         for center, context, offset in ((2, 0, 1), (0, 2, -1)):
-            negs = noise.sample(clone, k, exclude=center)
-            want += phrase_step(
-                expected, PHRASES[center], PHRASES[context], [PHRASES[g] for g in negs],
-                lr * beta, alpha, bank_for_offset(offset, 1, True),
+            negs = noise.sample(clone, k, exclude=center).tolist()
+            want += kernel.phrase_step(
+                tables, center, context, negs, lr * beta, bank_for_offset(offset, 1, True)
             )
         phrase_pass = trainer.PhrasePass(params, noise, PHRASES, rng, k, 1, True, alpha, beta)
         assert phrase_pass([2, 0], lr) == (want, 2)
         for (name, m), (_, r) in zip(params.matrices(), expected.matrices()):
             np.testing.assert_array_equal(m, r, err_msg=name)
         assert rng.bit_generator.state == clone.bit_generator.state
+
+    def test_steps_through_trainer_phrase_step_once_per_pair(self, monkeypatch):
+        # Tracing tools wrap trainer.phrase_step, so the pass must look it up there.
+        params = rand_params(np.random.default_rng(83), mode=Mode.COMPOSITIONAL_POSITIONAL)
+        noise = trainer.build_noise_distribution(np.array([5, 4, 3, 2]))
+        phrase_pass = trainer.PhrasePass(
+            params, noise, PHRASES, np.random.default_rng(1), 2, 2, True, 1.0, 1.0
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return kernel.phrase_step(*args)
+
+        monkeypatch.setattr(trainer, "phrase_step", counted)
+        assert phrase_pass([1, -1, 3, 0], 0.05)[1] == 4
+        assert calls == [(1, 3), (3, 1), (3, 0), (0, 3)]
 
 
 class TestTrainEndToEnd:
