@@ -5,14 +5,17 @@
  * drawing each pair's negatives and applying the skip-gram negative-sampling
  * step.  It alone consumes the word stream: one uniform per in-vocab token
  * when subsampling, in sentence order, then k per pair in visiting order.
- * Each negative is looked up through the noise table's guide table, which
- * gives the id np.searchsorted gives for every uniform.  phrase_step is the
- * same step on composed vectors: it looks the context, negative and current
- * phrases up by id in the run's phrase inventory, held in compressed sparse
- * row form (one offset per phrase into one array of component word ids),
- * composes each from its component words' rows, scores them and writes every
- * component row.  The arithmetic is that of reference.word_step and
- * reference.phrase_step, the numpy steps the tests compare against:
+ * phrase_step is the same step on composed vectors: it draws the pair's k
+ * negative phrases from the phrase stream, k uniforms in order, then looks
+ * the context, negative and current phrases up by id in the run's phrase
+ * inventory, held in compressed sparse row form (one offset per phrase into
+ * one array of component word ids), composes each from its component words'
+ * rows, scores them and writes every component row.  Both look each negative
+ * up through the noise table's guide table, which gives the id
+ * np.searchsorted gives for every uniform; kernel.py checks each table once,
+ * when it prepares a pass, so that no draw can fail.  The arithmetic is that
+ * of reference.word_step and reference.phrase_step, the numpy steps the tests
+ * compare against:
  *
  *   - every score and gradient of a step is read from the pre-update
  *     parameters, and the writes to one matrix go in index order, so an id
@@ -281,7 +284,8 @@ INLINE int64_t lookup(const double *cum, const int64_t *guide, int64_t len, doub
 
 /* One draw of NoiseDistribution.sample: the id whose interval holds u, or,
  * when that is `exclude`, NoiseDistribution._redirect of u with the same
- * float clamps.  Returns -1 when `exclude` holds all the mass. */
+ * float clamps.  `exclude` must leave the other ids some mass, rest > 0, as
+ * kernel.py checks before any draw. */
 INLINE int64_t draw(const double *cum, const int64_t *guide, int64_t len, double u,
                     int64_t exclude)
 {
@@ -291,8 +295,6 @@ INLINE int64_t draw(const double *cum, const int64_t *guide, int64_t len, double
     double lo = exclude > 0 ? cum[exclude - 1] : 0.0;
     double hi = cum[exclude];
     double rest = lo + (1.0 - hi);
-    if (rest <= 0.0)
-        return -1;
     double t = (u - lo) / (hi - lo) * rest;
     if (t >= lo && hi < 1.0) {
         t = t + (hi - lo);
@@ -306,23 +308,18 @@ INLINE int64_t draw(const double *cum, const int64_t *guide, int64_t len, double
     return lookup(cum, guide, len, t);
 }
 
-/* Draws k ids excluding `exclude` from the uniforms u[0..k) into out.
- * Returns 0, or -1 when `exclude` holds all the mass. */
-INLINE int64_t draw_all(const double *cum, const int64_t *guide, int64_t len, const double *u,
-                        int64_t k, int64_t exclude, int64_t *out)
-{
-    for (int64_t i = 0; i < k; i++) {
-        out[i] = draw(cum, guide, len, u[i], exclude);
-        if (out[i] < 0)
-            return -1;
-    }
-    return 0;
-}
-
-int64_t sample_noise(const double *cum, const int64_t *guide, int64_t len, const double *u,
+/* Draws k ids excluding `exclude` from the uniforms u[0..k) into out. */
+INLINE void draw_all(const double *cum, const int64_t *guide, int64_t len, const double *u,
                      int64_t k, int64_t exclude, int64_t *out)
 {
-    return draw_all(cum, guide, len, u, k, exclude, out);
+    for (int64_t i = 0; i < k; i++)
+        out[i] = draw(cum, guide, len, u[i], exclude);
+}
+
+void sample_noise(const double *cum, const int64_t *guide, int64_t len, const double *u,
+                  int64_t k, int64_t exclude, int64_t *out)
+{
+    draw_all(cum, guide, len, u, k, exclude, out);
 }
 
 typedef double (*next_double_fn)(void *state); /* from BitGenerator.ctypes */
@@ -336,8 +333,7 @@ typedef double (*next_double_fn)(void *state); /* from BitGenerator.ctypes */
  * ids; guide: its vocab + 1 cell edges (see lookup); next_double and state:
  * the generator the uniforms come from; coef: k + 1 doubles; negs: k + 1 ids.
  * A token is dropped iff its uniform is >= keep[id].  Stores the sum of the
- * pre-update objective terms in *objective.  Returns the number of pairs, or
- * -1 - center when a center holds all the noise mass.
+ * pre-update objective terms in *objective.  Returns the number of pairs.
  */
 #if defined(__x86_64__) && defined(__GNUC__)
 __attribute__((target_clones("avx2", "default")))
@@ -370,8 +366,7 @@ int64_t word_pass(double *inp, double *const *out, int64_t dim,
             /* The uniforms wait in coef[1..k] until the scores overwrite them. */
             for (int64_t i = 1; i <= k; i++)
                 coef[i] = next_double(state);
-            if (draw_all(cum, guide, vocab, coef + 1, k, center, negs + 1) < 0)
-                return -1 - center;
+            draw_all(cum, guide, vocab, coef + 1, k, center, negs + 1);
             pairs++;
 
             score_rows(bank, negs, k + 1, v, dim, coef);
@@ -390,27 +385,34 @@ int64_t word_pass(double *inp, double *const *out, int64_t dim,
  * compressed sparse row form, phrase q's component word ids being
  * words[offsets[q]] .. words[offsets[q + 1] - 1], at least one per phrase;
  * k: the negative phrases of a step; phrase: a step's k + 2 phrase ids, the
- * context phrase's, then those of the k negative phrases, then the current
- * phrase's; order: the ids 0 .. k; work: (k + 3) * dim + k + 1 doubles, and
- * one row of dim more per component word of a step's phrases when
- * alpha != 1. */
+ * context phrase's, the k negative phrases' and the current phrase's; order:
+ * the ids 0 .. k; work: (k + 3) * dim + k + 1 doubles, and one row of dim more
+ * per component word of a step's phrases when alpha != 1; cum, guide and
+ * phrases: the phrase noise table (see lookup); next_double and state: the
+ * phrase stream's generator. */
 struct phrase_tables {
     double *inp;
     int64_t dim;
     const int64_t *offsets;
     const int64_t *words;
     int64_t k;
-    const int64_t *phrase;
+    int64_t *phrase;
     const int64_t *order;
     double alpha;
     double *work;
+    const double *cum;
+    const int64_t *guide;
+    int64_t phrases;
+    next_double_fn next_double;
+    void *state;
 };
 
-/* One gradient-ascent step of the phrase objective for a (phrase, context
- * phrase) pair, the pair and its negatives in t->phrase, scored against the
- * phrase output bank pout: reference.phrase_step.  Every phrase id must index
- * t->offsets and every word id both matrices: nothing here checks.  Returns
- * the pre-update objective term.
+/* One gradient-ascent step of the phrase objective for a (current, context)
+ * pair of phrase ids, scored against the phrase output bank pout: the k
+ * negatives of reference.phrase_step as NoiseDistribution.sample draws them
+ * with the current phrase excluded, then that step.  Every phrase id must
+ * index t->offsets and every word id both matrices: nothing here checks.
+ * Returns the pre-update objective term.
  *
  * Each phrase is composed into work as one ordered sum from -0.0 of
  * (1 / n) * sigma(row) over its rows, in component order: -0.0 is the one start
@@ -425,14 +427,23 @@ struct phrase_tables {
 #if defined(__x86_64__) && defined(__GNUC__)
 __attribute__((target_clones("avx2", "default")))
 #endif
-double phrase_step(const struct phrase_tables *t, double *pout, double lr)
+double phrase_step(const struct phrase_tables *t, double *pout, int64_t current,
+                   int64_t context, double lr)
 {
     double *inp = t->inp, alpha = t->alpha;
     int64_t dim = t->dim, k = t->k, phrases = k + 2;
-    const int64_t *offsets = t->offsets, *words = t->words, *phrase = t->phrase;
+    const int64_t *offsets = t->offsets, *words = t->words;
+    int64_t *phrase = t->phrase;
     int powered = alpha != 1.0;
     double *composed = t->work, *grad = composed + phrases * dim, *coef = grad + dim;
     double *jac = coef + k + 1;
+
+    /* The uniforms wait in coef until the scores overwrite them. */
+    for (int64_t i = 0; i < k; i++)
+        coef[i] = t->next_double(t->state);
+    draw_all(t->cum, t->guide, t->phrases, coef, k, current, phrase + 1);
+    phrase[0] = context;
+    phrase[k + 1] = current;
 
     double *jrow = jac;
     for (int64_t p = 0; p < phrases; p++) {

@@ -338,8 +338,9 @@ def nearest_neighbors(
 ) -> list[tuple[str, float]]:
     """Top-k cosine neighbors of a word or a bracketed phrase.
 
-    A query of the form ``[w1 w2 ...]`` is composed from its word
-    vectors (comp defaults to alpha=1, the mean).  The query's own words,
+    A query of the form ``[w1 w2 ...]``, one word too, is composed from
+    its word vectors (comp defaults to alpha=1, the mean); a bare word
+    keeps its own row.  The query's own words,
     and rows that are not finite, are excluded from the result.  Neighbors
     come by descending float64 cosine, equal cosines by lower row id, as
     `_exact_top` finds them in `unit_matrix_f32()`.
@@ -347,21 +348,18 @@ def nearest_neighbors(
     if k < 1:
         raise ValueError("k must be positive")
     query = query.strip()
-    if query.startswith("[") and query.endswith("]"):
-        words = query[1:-1].split()
-        if not words:
-            raise ValueError("empty phrase query")
-    else:
-        words = [query]
+    phrase = query.startswith("[") and query.endswith("]")
+    words = query[1:-1].split() if phrase else [query]
+    if not words:
+        raise ValueError("empty phrase query")
     ids = [embeddings.id_of(w) for w in words]
     missing = [w for w, i in zip(words, ids) if i is None]
     if missing:
         raise KeyError("out of vocabulary: " + ", ".join(missing))
-    if len(ids) == 1:
-        target = embeddings.matrix[ids[0]]
+    if phrase:
+        target = compose_rows(embeddings.matrix, ids, comp.alpha if comp is not None else 1.0)
     else:
-        alpha = comp.alpha if comp is not None else 1.0
-        target = compose_rows(embeddings.matrix, ids, alpha)
+        target = embeddings.matrix[ids[0]]
     norm = math.sqrt(target @ target)  # np.linalg.norm's arithmetic, without its checks
     if not (norm > 0.0 and math.isfinite(norm)):
         raise ValueError(f"query vector of {query} is {'zero' if norm == 0.0 else 'not finite'}")
@@ -453,9 +451,12 @@ def phrase_similarity_eval(
 
 def _number(text: str, what: str, where: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"{where}: {what} is not a number: {text!r}") from None
+    if not math.isfinite(value):  # spearman would rank a NaN above every score
+        raise ValueError(f"{where}: {what} is not finite: {text!r}")
+    return value
 
 
 def load_similarity_dataset(path: str | Path) -> list[SimilarityPair]:

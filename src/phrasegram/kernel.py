@@ -31,19 +31,20 @@ with a word output bank (a word step holds its center's vector while it
 writes the rows), and every id it reads must index them.
 Noise draws look ids up through a NoiseDistribution's `cumulative` table
 and its `guide` table, which the kernel indexes by cell: the guide must
-have one entry more than the table has ids, and the uniforms given to
-`sample_noise` must lie in [0, 1).  A `WordPass` is the word pass
-prepared for one run: its construction does every check and conversion
-that is fixed for the run, so a call only copies and range-checks the
-sentence's ids.  The word pass draws its uniforms itself, through
-numpy's documented `BitGenerator.ctypes` interface, holding the
-generator's lock as `Generator.random` does.  `PhraseTables` is the
-phrase step prepared for one run in the same way: it checks the matrices
-once, and packs and range-checks the phrase inventory once into
-compressed sparse rows, from which the kernel composes each phrase by
-id.  `phrase_step` is one step through those tables: it checks only what
-varies per call (the phrase ids, the number of negatives and the bank),
-then makes one kernel call, holding the tables' lock over their scratch.
+have one entry more than the table has ids, an id a draw excludes must
+leave mass to the others, and the uniforms given to `sample_noise` must
+lie in [0, 1).  A `WordPass` is the word pass prepared for one run: its
+construction does every check and conversion that is fixed for the run,
+so a call only copies and range-checks the sentence's ids.
+`PhraseTables` is the phrase step prepared for one run in the same way:
+it checks the matrices once, and packs and range-checks the phrase
+inventory once into compressed sparse rows, from which the kernel
+composes each phrase by id.  `phrase_step` is one step through those
+tables: it checks only the phrase ids and the bank, then makes one
+kernel call.  Both passes check their noise table once, and draw their
+uniforms in the kernel through numpy's documented `BitGenerator.ctypes`
+interface, holding the generator's lock as `Generator.random` does; the
+lock also guards the pass's scratch.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ import shlex
 import subprocess
 import sys
 import sysconfig
-import threading
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -131,9 +131,9 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
 _SIGNATURES = {  # name: (restype, argtypes)
-    "sample_noise": (_I, [_P, _P, _I, _P, _I, _I, _P]),
+    "sample_noise": (None, [_P, _P, _I, _P, _I, _I, _P]),
     "word_pass": (_I, [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P]),
-    "phrase_step": (_D, [_P, _P, _D]),
+    "phrase_step": (_D, [_P, _P, _I, _I, _D]),
 }
 
 
@@ -163,8 +163,12 @@ def _address(m: np.ndarray, shape: tuple[int, int], name: str) -> int:
     return m.ctypes.data
 
 
-def _noise_mass_error(exclude: int) -> ValueError:
-    return ValueError(f"id {exclude} holds all the noise mass; no other id to draw")
+def _check_mass(cum: np.ndarray, ids: Sequence[int]) -> None:
+    """Rejects the first of `ids` that leaves the other ids no mass, lo + (1 - hi)
+    <= 0 as the kernel's draw computes it: a draw excluding it has none to draw."""
+    held = [i for i in np.flatnonzero(np.append(0.0, cum[:-1]) + (1.0 - cum) <= 0.0) if i in ids]
+    if held:
+        raise ValueError(f"id {held[0]} holds all the noise mass; no other id to draw")
 
 
 def _guide_table(guide: np.ndarray, ids: int) -> np.ndarray:
@@ -174,24 +178,35 @@ def _guide_table(guide: np.ndarray, ids: int) -> np.ndarray:
     return np.ascontiguousarray(guide, dtype=np.int64)
 
 
+def _noise_tables(noise: NoiseDistribution, ids: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """`noise`'s cumulative and guide tables as a pass's draws read them, checked
+    once for the pass, so that no draw can fail: one entry per id of `ids`
+    (`what`), and mass left to the others whichever id a draw excludes."""
+    if len(noise.cumulative) != ids:
+        raise ValueError(f"noise table has {len(noise.cumulative)} ids for {ids} {what}")
+    cum = np.ascontiguousarray(noise.cumulative, dtype=np.float64)
+    _check_mass(cum, range(ids))
+    return cum, _guide_table(noise.guide, ids)
+
+
 def sample_noise(
     cumulative: np.ndarray, guide: np.ndarray, u: np.ndarray, exclude: int
 ) -> np.ndarray:
     """The kernel's draws for the uniforms u, as NoiseDistribution.sample.
 
     `cumulative` and `guide` are a NoiseDistribution's tables; every
-    uniform must lie in [0, 1).
+    uniform must lie in [0, 1), and `exclude` must leave mass to the others.
     """
     cum = np.ascontiguousarray(cumulative, dtype=np.float64)
     guide = _guide_table(guide, len(cum))
     u = np.ascontiguousarray(u, dtype=np.float64)
     if not np.all((u >= 0.0) & (u < 1.0)):
         raise ValueError("uniforms must lie in [0, 1)")
+    _check_mass(cum, [exclude])
     out = np.empty(len(u), dtype=np.int64)
-    if load().sample_noise(
+    load().sample_noise(
         cum.ctypes.data, guide.ctypes.data, len(cum), u.ctypes.data, len(u), exclude, out.ctypes.data
-    ):
-        raise _noise_mass_error(exclude)
+    )
     return out
 
 
@@ -199,8 +214,9 @@ class _Tables(ctypes.Structure):
     """`struct phrase_tables` of `_kernel.c`."""
 
     _fields_ = [
-        ("inp", _P), ("dim", _I), ("offsets", _P), ("words", _P), ("k", _I),
-        ("phrase", _P), ("order", _P), ("alpha", _D), ("work", _P),
+        ("inp", _P), ("dim", _I), ("offsets", _P), ("words", _P), ("k", _I), ("phrase", _P),
+        ("order", _P), ("alpha", _D), ("work", _P), ("cum", _P), ("guide", _P),
+        ("phrases", _I), ("next_double", _P), ("state", _P),
     ]
 
 
@@ -208,21 +224,23 @@ class PhraseTables:
     """The phrase step of a training run, prepared once for the run.
 
     `params` is the model the steps update, `components` each phrase id's
-    component word ids, `alpha` the power map's exponent and `k` the
-    number of negative phrases of every step.  Everything fixed for the
-    run is checked and converted here, once: the input matrix and every
-    phrase output bank (`_address`), and the components, which must each
-    be non-empty and index the input rows.  They are packed as compressed
-    sparse rows, int64 `offsets` into one int64 array of word ids, from
-    which the kernel composes every phrase.  The step's scratch is sized
-    here for the longest phrase.  The object holds every array whose
-    address it passes to the kernel, so the matrices are updated in place
-    for as long as it lives and must not be replaced meanwhile.
-    `phrase_step` holds `lock` while it uses the scratch.
+    component word ids, `noise` the phrase NoiseDistribution, `rng` the
+    generator every step draws its k negative phrases from and `alpha` the
+    power map's exponent.  Everything fixed for the run is checked and
+    converted here, once: the input matrix and every phrase output bank
+    (`_address`), the noise table (`_noise_tables`), and the components,
+    which must each be non-empty and index the input rows.  They are
+    packed as compressed sparse rows, int64 `offsets` into one int64 array
+    of word ids, from which the kernel composes every phrase.  The step's
+    scratch is sized here for the longest phrase.  The object holds every
+    array whose address it passes to the kernel, so the matrices are
+    updated in place for as long as it lives and must not be replaced
+    meanwhile.
     """
 
     def __init__(
-        self, params: ModelParams, components: Sequence[Sequence[int]], alpha: float, k: int
+        self, params: ModelParams, components: Sequence[Sequence[int]], noise: NoiseDistribution,
+        rng: np.random.Generator, alpha: float, k: int,
     ) -> None:
         inp = params.input_words
         rows, dim = inp.shape
@@ -244,68 +262,57 @@ class PhraseTables:
             raise ValueError(
                 f"phrase {phrase} has component id {words[bad[0]]}, out of range for {rows} rows"
             )
+        cum, guide = _noise_tables(noise, len(sizes), "phrases")
         # The composed phrases, the gradient, the coefficients and, at alpha != 1,
         # one Jacobian row per component word of a step's k + 2 phrases.
         longest = int(sizes.max(initial=0))
         work = np.empty((k + 3 + (0 if alpha == 1.0 else (k + 2) * longest)) * dim + k + 1)
         order = np.arange(k + 1, dtype=np.int64)
         ids = np.empty(k + 2, dtype=np.int64)
+        bitgen = rng.bit_generator
+        fns = bitgen.ctypes
         tables = _Tables(
             address, dim, offsets.ctypes.data, words.ctypes.data, k, ids.ctypes.data,
-            order.ctypes.data, alpha, work.ctypes.data,
+            order.ctypes.data, alpha, work.ctypes.data, cum.ctypes.data, guide.ctypes.data,
+            len(sizes), ctypes.cast(fns.next_double, _P), fns.state_address,
         )
-        self.k = k
         self.phrases = len(sizes)
-        self.lock = threading.Lock()
-        # A step's phrase ids, written through a ctypes view of ids.
-        self._ids = (ctypes.c_int64 * (k + 2)).from_buffer(ids)
         # Everything whose address the kernel is given, kept alive with the object.
-        self._held = (inp, *banks, offsets, words, work, order, ids, tables)
+        self._held = (inp, *banks, offsets, words, work, order, ids, cum, guide, bitgen, fns, tables)
+        self._lock = bitgen.lock
         self._fn = load().phrase_step
         self._tables = ctypes.addressof(tables)
 
 
 def phrase_step(
-    tables: PhraseTables,
-    current: int,
-    context: int,
-    negatives: Sequence[int],
-    lr: float,
-    bank: int = 0,
+    tables: PhraseTables, current: int, context: int, lr: float, bank: int = 0
 ) -> float:
     """One gradient-ascent update for a (phrase, context phrase) pair, in the kernel.
 
-    `current`, `context` and the k `negatives` are phrase ids of the
-    tables.  The context and negative phrases, composed in the phrase
-    output space of the bank, are scored against the current phrase,
-    composed in the input space, and each component word moves by its
-    phrase's coefficient times the composition's 1/n weight and the
-    diagonal Jacobian of its power map.  The step keeps the update order
-    of `reference.phrase_step`, the numpy step the tests compare it
-    against: every delta comes from the pre-update rows, and a word
-    repeated within the step accumulates.  Returns the objective term
-    evaluated before the update.
+    `current` and `context` are phrase ids of the tables.  The step draws
+    k negative phrases from the tables' generator, as one
+    `NoiseDistribution.sample(rng, k, exclude=current)` call does.  The
+    context and negative phrases, composed in the phrase output space of
+    the bank, are scored against the current phrase, composed in the input
+    space, and each component word moves by its phrase's coefficient times
+    the composition's 1/n weight and the diagonal Jacobian of its power
+    map.  The step keeps the update order of `reference.phrase_step`, the
+    numpy step the tests compare it against: every delta comes from the
+    pre-update rows, and a word repeated within the step accumulates.
+    Returns the objective term evaluated before the update.
 
     Checks only what varies per call, the tables having checked the rest:
-    raises ValueError, before any write, for a phrase id out of range, a
-    number of negatives other than the tables' k, or a bank index out of
-    range.
+    raises ValueError, before any draw or write, for a phrase id or a bank
+    index out of range.
     """
-    k, n, pouts = tables.k, tables.phrases, tables._pouts
-    if len(negatives) != k:
-        raise ValueError(f"{len(negatives)} negative phrases for tables of k = {k}")
+    n, pouts = tables.phrases, tables._pouts
     if not 0 <= bank < len(pouts):
         raise ValueError(f"bank {bank} is out of range for {len(pouts)} phrase output banks")
-    if not (0 <= current < n and 0 <= context < n and 0 <= min(negatives, default=0)
-            and max(negatives, default=0) < n):
-        bad = next(q for q in (current, context, *negatives) if not 0 <= q < n)
+    if not (0 <= current < n and 0 <= context < n):
+        bad = context if 0 <= current < n else current
         raise ValueError(f"phrase id {bad} is out of range for {n} phrases")
-    with tables.lock:
-        ids = tables._ids
-        ids[0] = context
-        ids[1 : k + 1] = negatives
-        ids[k + 1] = current
-        return tables._fn(tables._tables, pouts[bank], lr)
+    with tables._lock:
+        return tables._fn(tables._tables, pouts[bank], current, context, lr)
 
 
 class WordPass:
@@ -335,15 +342,12 @@ class WordPass:
         rows, dim = inp.shape
         if len(banks) != bank_count(window, positional):
             raise ValueError(f"{len(banks)} output banks for window {window}")
-        if len(noise.cumulative) != rows:
-            raise ValueError(f"noise table has {len(noise.cumulative)} ids for {rows} rows")
+        cum, guide = _noise_tables(noise, rows, "rows")
         if keep is not None:
             if len(keep) != rows:
                 raise ValueError(f"keep table has {len(keep)} ids for {rows} rows")
             keep = np.ascontiguousarray(keep, dtype=np.float64)
         self._rows = rows
-        cum = np.ascontiguousarray(noise.cumulative, dtype=np.float64)
-        guide = _guide_table(noise.guide, rows)
         table = (ctypes.c_void_p * len(banks))(
             *(_address(m, inp.shape, f"output bank {i}") for i, m in enumerate(banks))
         )
@@ -382,7 +386,4 @@ class WordPass:
             pairs = self._fn(
                 *self._head, ids.ctypes.data, len(ids), *self._tail, lr, *self._scratch
             )
-            objective = self._objective.value
-        if pairs < 0:
-            raise _noise_mass_error(-1 - pairs)
-        return objective, pairs
+            return self._objective.value, pairs

@@ -11,8 +11,8 @@ compiled kernel: with V ids, guide[j] is the id the table search returns
 for the cell edge j/V.  A uniform in cell j then needs a search only
 between guide[j] and guide[j + 1], about one id on average, and the
 lookup still returns the id `np.searchsorted` returns for every uniform.
-`NoiseDistribution.sample`, the whole-table search, is the reference the
-kernel is tested against.
+Training draws every negative in the kernel; `NoiseDistribution.sample`,
+the whole-table search, is the reference its draws are tested against.
 """
 
 from __future__ import annotations
@@ -49,26 +49,20 @@ class NoiseDistribution:
         self,
         rng: np.random.Generator,
         k: int,
-        exclude: int | np.ndarray | None = None,
+        exclude: int | None = None,
     ) -> np.ndarray:
         """Draw k ids i.i.d., each conditioned on being != exclude.
 
         Uses exactly k uniforms.  A draw that lands on the excluded id is
-        moved to the conditional distribution without drawing again.  An
-        array of m excluded ids returns m rows of k draws, row i excluding
-        exclude[i]; its m * k uniforms are those of m scalar calls, in
-        their order, so it returns their ids and leaves rng in their state.
+        moved to the conditional distribution without drawing again.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        u = rng.random(k) if np.ndim(exclude) == 0 else rng.random((len(exclude), k))
+        u = rng.random(k)
         ids = np.searchsorted(self.cumulative, u, side="right")
         if exclude is not None:
-            excluded = np.asarray(exclude)
-            hit = ids == excluded[..., None]
-            if hit.any():  # cheaper than nonzero on the collision-free path
-                for at in zip(*np.nonzero(hit)):
-                    ids[at] = self._redirect(float(u[at]), int(excluded[at[:-1]]))
+            for i in np.flatnonzero(ids == exclude):
+                ids[i] = self._redirect(float(u[i]), exclude)
         return ids
 
     def _redirect(self, u: float, exclude: int) -> int:

@@ -22,18 +22,18 @@ The objectives and the numpy steps that the tests hold the kernel to
 live in `phrasegram.reference`, which training never imports.
 
 The word pass is one kernel call per sentence.  It also subsamples the
-sentence and draws every uniform of the pass itself, from the word
+sentence and draws every uniform of the pass itself from the word
 stream's generator, in the per-pair reference's order: one per in-vocab
-token when subsampling, then k per pair, each negative looked up through
-the noise table's guide table (`NoiseDistribution.guide`), which returns
-the id `sample`'s whole-table search returns.  So every seed keeps the
-same tokens and draws the same negatives.  The phrase pass packs and
-checks the phrase inventory and the matrices once per run, into
-`kernel.PhraseTables`, and then loops in Python: it lists a sentence's
-window pairs (`iter_window_pairs`), draws all their negatives in one
-`NoiseDistribution.sample` call, and applies `kernel.phrase_step` once
-per pair, which checks only the pair's phrase ids and bank and makes one
-kernel call.
+token when subsampling, then k per pair.  The phrase pass packs and
+checks the phrase inventory, its noise table and the matrices once per
+run into `kernel.PhraseTables`, then applies `kernel.phrase_step` to
+each window pair of a sentence (`iter_window_pairs`): one kernel call,
+which draws the pair's k uniforms from the phrase stream's generator.
+Both look each negative up through the noise table's guide table
+(`NoiseDistribution.guide`), which returns the id
+`NoiseDistribution.sample`'s whole-table search returns, so every seed
+keeps the same tokens and draws the same negatives as the per-pair
+reference.
 
 Window distances are surface distances: positions in the token sequence
 for words and in the chunk sequence for phrases.  Out-of-vocab tokens and
@@ -151,16 +151,13 @@ def _rng_from(seedseq: np.random.SeedSequence) -> np.random.Generator:
 class PhrasePass:
     """The phrase-level pass, prepared once for a run.
 
-    `params` is the model it updates, `noise` the phrase NoiseDistribution
-    and `components` each phrase id's component word ids, which the pass
-    packs and checks once into `kernel.PhraseTables`; it looks each
-    offset's bank up in a table built once too.  A call lists the window
-    pairs of a sentence's phrase ids (-1 for a chunk that is not a
-    retained phrase), then draws every pair's k negatives from rng in one
-    `NoiseDistribution.sample` call, each row excluding its pair's center
-    phrase: the uniforms and their order are those of one call per pair.
-    It then applies phrase_step to each pair in turn, at lr * beta in the
-    bank of the pair's offset.
+    `params` is the model it updates, `noise` the phrase NoiseDistribution,
+    `components` each phrase id's component word ids and rng the generator
+    of the negatives, all prepared once into `kernel.PhraseTables`; each
+    offset's bank is looked up in a table built once too.  A call applies
+    phrase_step, which draws the pair's negatives, to each window pair of a
+    sentence's phrase ids (-1 for a chunk that is not a retained phrase) in
+    turn, at lr * beta in the bank of the pair's offset.
     """
 
     def __init__(
@@ -175,8 +172,8 @@ class PhrasePass:
         alpha: float,
         beta: float,
     ) -> None:
-        self.tables = kernel.PhraseTables(params, components, alpha, k)
-        self.noise, self.rng, self.k, self.window, self.beta = noise, rng, k, window, beta
+        self.tables = kernel.PhraseTables(params, components, noise, rng, alpha, k)
+        self.window, self.beta = window, beta
         # Each offset's phrase output bank, looked up per pair.
         self.banks = {
             off: bank_for_offset(off, window, positional)
@@ -185,17 +182,12 @@ class PhrasePass:
 
     def __call__(self, phrase_ids: Sequence[int], lr: float) -> tuple[float, int]:
         """Returns the summed pre-update objective and the number of pairs."""
-        pairs = list(iter_window_pairs(phrase_ids, self.window))
-        if not pairs:
-            return 0.0, 0
-        centers = np.array([phrase_ids[i] for i, _, _ in pairs])
-        negatives = self.noise.sample(self.rng, self.k, exclude=centers).tolist()
-        tables, banks = self.tables, self.banks
-        phrase_lr = lr * self.beta
-        ep = 0.0
-        for (i, j, off), negs in zip(pairs, negatives):
-            ep += phrase_step(tables, phrase_ids[i], phrase_ids[j], negs, phrase_lr, banks[off])
-        return ep, len(pairs)
+        tables, banks, phrase_lr = self.tables, self.banks, lr * self.beta
+        ep, pairs = 0.0, 0
+        for i, j, off in iter_window_pairs(phrase_ids, self.window):
+            ep += phrase_step(tables, phrase_ids[i], phrase_ids[j], phrase_lr, banks[off])
+            pairs += 1
+        return ep, pairs
 
 
 def _no_phrase_pass(phrase_ids: Sequence[int], lr: float) -> tuple[float, int]:

@@ -5,27 +5,38 @@ Analytic gradients are recovered from an update step as
 finite differences of the scalar objective.  Rows that appear several
 times in a step (duplicate negative ids) are deduplicated first: both
 the net analytic delta and the finite difference see the combined
-effect of the shared row.  `compiled_phrase_step` gives the compiled
-phrase step the word-list signature of the numpy one, so that both run
-through the same checks.
+effect of the shared row.  `compiled_phrase_step` prepares the compiled
+phrase step on word lists, as the numpy one takes them, and says which
+negatives it will draw, so that both run through the same checks.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Sequence
 
 import numpy as np
 
 from phrasegram import kernel
+from phrasegram.sampling import build_noise_distribution
 
 EPS = 1e-5
 
 
-def compiled_phrase_step(params, current, context, negatives, lr, alpha, bank=0) -> float:
-    """kernel.phrase_step with reference.phrase_step's word-list signature:
-    one step through tables that hold just these phrases."""
-    tables = kernel.PhraseTables(params, [current, context, *negatives], alpha, len(negatives))
-    return kernel.phrase_step(tables, 0, 1, list(range(2, 2 + len(negatives))), lr, bank)
+def compiled_phrase_step(params, current, context, candidates, alpha, rng, bank=0):
+    """kernel.phrase_step on word lists: tables that hold the phrases
+    current, context and candidates, under uniform noise, whose steps draw
+    len(candidates) negative phrases from rng, excluding current.
+
+    Returns the word lists of the negatives that the first step draws,
+    replayed through NoiseDistribution.sample on a copy of rng, and the
+    step as a function of the learning rate.
+    """
+    inventory = [current, context, *candidates]
+    noise = build_noise_distribution(np.ones(len(inventory)))
+    drawn = noise.sample(copy.deepcopy(rng), len(candidates), exclude=0)
+    tables = kernel.PhraseTables(params, inventory, noise, rng, alpha, len(candidates))
+    return [inventory[g] for g in drawn], lambda lr: kernel.phrase_step(tables, 0, 1, lr, bank)
 
 
 def bound_away_from_zero(params, floor: float = 0.05) -> None:

@@ -119,7 +119,10 @@ def _word_instance(rng, params):
 
 
 def _phrase_instances(rng, params, alpha):
-    """One phrase instance, stepped by the compiled step and by its numpy reference."""
+    """One phrase instance, stepped by its numpy reference on the negatives
+    picked here and by the compiled step on the negatives it draws from
+    the current phrase's context and the picked ones (from a child of rng,
+    so that the instances drawn after it do not change)."""
     bank = int(rng.integers(len(params.phrase_output_words)))
 
     def pick():
@@ -128,20 +131,22 @@ def _phrase_instances(rng, params, alpha):
     current, context = pick(), pick()
     negatives = [pick(), pick()]
     pout = params.phrase_output_words[bank]
-    touched = [("in", params.input_words, w) for w in current]
-    for ws in (context, *negatives):
-        touched += [("pout", pout, w) for w in ws]
+    drawn, compiled = compiled_phrase_step(params, current, context, negatives, alpha, rng.spawn(1)[0], bank)
 
-    def step_with(phrase_step):
-        return lambda: phrase_step(params, current, context, negatives, LR, alpha, bank)
+    def instance(step, negatives):
+        touched = [("in", params.input_words, w) for w in current]
+        for ws in (context, *negatives):
+            touched += [("pout", pout, w) for w in ws]
 
-    def objective():
-        return phrase_objective(params, current, context, negatives, alpha, bank)
+        def objective():
+            return phrase_objective(params, current, context, negatives, alpha, bank)
 
-    return [
-        (step_with(phrase_step), objective, touched)
-        for phrase_step in (compiled_phrase_step, reference.phrase_step)
-    ]
+        return step, objective, touched
+
+    def oracle():
+        return reference.phrase_step(params, current, context, negatives, LR, alpha, bank)
+
+    return [instance(lambda: compiled(LR), drawn), instance(oracle, negatives)]
 
 
 def test_gradient_suite(verdict):

@@ -383,6 +383,19 @@ class TestNearestNeighbors:
         )
         assert results[0][0] == best[0]
 
+    @pytest.mark.parametrize("alpha", [1.0, 3.0])
+    def test_bracketed_word_is_composed_and_a_bare_word_is_not(self, alpha):
+        emb = WordEmbeddings([f"w{i}" for i in range(50)], np.random.default_rng(0).normal(size=(50, 6)))
+        comp = CompositionConfig(alpha=alpha)
+        phrase = nearest_neighbors(emb, "[w3]", k=5, comp=comp)
+        word = nearest_neighbors(emb, "w3", k=5, comp=comp)
+        assert_same_neighbors(phrase, brute_force_neighbors(emb, [3], compose_rows(emb.matrix, [3], alpha), 5))
+        assert_same_neighbors(word, brute_force_neighbors(emb, [3], emb.matrix[3], 5))
+        if alpha == 1.0:
+            assert phrase == word  # the mean of one row is the row, bit for bit
+        else:
+            assert [w for w, _ in phrase][:3] == ["w37", "w32", "w36"] != [w for w, _ in word][:3]
+
     def test_oov_query_lists_missing_words(self):
         emb = WordEmbeddings(["a", "b"], np.ones((2, 2)))
         with pytest.raises(KeyError, match="ghost"):
@@ -1042,6 +1055,14 @@ class TestCliExitCodes:
             pytest.param(
                 "eval-phrase d.tsv --embeddings e.txt", {"d.tsv": b"a\tb\ta\thigh\n"},
                 "d.tsv:1: rating is not a number: 'high'", id="phrase-rating",
+            ),
+            pytest.param(
+                "eval-sim d.tsv --embeddings e.txt", {"d.tsv": b"a\tb\t1\nb\ta\tnan\n"},
+                "d.tsv:2: score is not finite: 'nan'", id="similarity-score-nan",
+            ),
+            pytest.param(
+                "eval-phrase d.tsv --embeddings e.txt", {"d.tsv": b"# c\na\tb\ta\t-inf\n"},
+                "d.tsv:2: rating is not finite: '-inf'", id="phrase-rating-inf",
             ),
             pytest.param(
                 "eval-sim missing.tsv --model m.ckpt", {},

@@ -4,6 +4,7 @@ and the dataset file loaders.
 """
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -649,6 +650,17 @@ class TestLoaders:
         items = load_phrase_dataset(path)
         assert items[0] == PhraseCompositionItem("fire", "glow", "burn", 6.2)
         assert items[1].rating == 5.0
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+    def test_loaders_reject_non_finite_scores(self, tmp_path, value):
+        # spearman ranks a NaN above every score, so one would skew rho silently
+        sim, phrase = tmp_path / "sim.tsv", tmp_path / "ph.tsv"
+        sim.write_text(f"a\tb\t1\nc\td\t{value}\n")
+        phrase.write_text(f"a\tb\tc\t{value}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(sim))}:2: score is not finite: '{value}'$"):
+            load_similarity_dataset(sim)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(phrase))}:1: rating is not finite: '{value}'$"):
+            load_phrase_dataset(phrase)
 
     def test_phrase_loader_rejects_bad_field_count(self, tmp_path):
         path = tmp_path / "ph.tsv"

@@ -3,9 +3,9 @@
 The noise draw must give the ids NoiseDistribution.sample gives for the
 same uniforms, on every table edge and every cell edge of the guide
 table.  The word pass must check its inputs, leave the caller's ids
-alone and draw one subsampling uniform per in-vocab token; its pairs
-and updates are checked against the per-pair reference in test_trainer,
-as are the phrase step's checks and arithmetic.  Builds for other
+alone and draw one subsampling uniform per in-vocab token; its pairs,
+draws and updates are checked against the per-pair reference in
+test_trainer, as are the phrase step's checks, draws and arithmetic.  Builds for other
 instruction sets must train the word and phrase passes bitwise as the
 shipped object does, and a build with AddressSanitizer and
 UndefinedBehaviorSanitizer must run the differential tests and those
@@ -138,10 +138,14 @@ def _prepare(inp, banks, noise, keep=None, rng=None, window=1, positional=False)
 
 
 class TestWordPass:
-    def test_center_holding_all_noise_mass_is_named(self):
-        word_pass = _prepare(*_matrices(), build_noise_distribution(np.array([0, 4, 0])))
+    def test_id_holding_all_noise_mass_rejected_before_any_draw(self):
+        # Each pair excludes its center from the draws, which must then leave
+        # some mass; the pass checks every id once, so no draw fails.
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"^id 1 holds all the noise mass"):
-            word_pass([0, 1], 0.05)
+            _prepare(*_matrices(), build_noise_distribution(np.array([0, 4, 0])), rng=rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("keep", [0.0, 0.5])
     def test_callers_ids_unchanged_by_subsampling(self, keep):

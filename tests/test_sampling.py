@@ -204,48 +204,6 @@ class TestExclusion:
         np.testing.assert_array_equal(draws, np.ones(10000, dtype=draws.dtype))
 
 
-class TestBatchedExclusion:
-    """An array of m excluded ids against m scalar-exclude calls."""
-
-    @staticmethod
-    def assert_same_as_scalar_calls(dist, seed, k, exclude):
-        batched_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = dist.sample(batched_rng, k, exclude=np.array(exclude))
-        want = [dist.sample(scalar_rng, k, exclude=e) for e in exclude]
-        assert got.shape == (len(exclude), k)
-        np.testing.assert_array_equal(got, np.array(want).reshape(got.shape))
-        assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
-
-    def test_heavy_id_excluded_in_every_row(self):
-        # id 0 holds 99.98% of the mass, so each row excluding it collides
-        counts = np.array([10**6, 1, 2, 3])
-        dist = build_noise_distribution(counts)
-        exclude, k, seed = [0, 0, 3, 0, 0, 1, 0], 5, 29
-        uniforms = np.random.default_rng(seed).random((len(exclude), k))
-        hits = np.searchsorted(dist.cumulative, uniforms, side="right") == np.array(exclude)[:, None]
-        assert hits[np.array(exclude) == 0].any(axis=1).all()
-        self.assert_same_as_scalar_calls(dist, seed, k, exclude)
-
-    def test_a_collision_in_each_row(self):
-        # two ids: every draw that lands on a row's excluded id collides
-        dist = build_noise_distribution(np.array([3, 5]))
-        exclude = [1, 0, 1, 1, 0]
-        uniforms = np.random.default_rng(31).random((len(exclude), 8))
-        hits = np.searchsorted(dist.cumulative, uniforms, side="right") == np.array(exclude)[:, None]
-        assert hits.any(axis=1).all()
-        self.assert_same_as_scalar_calls(dist, 31, 8, exclude)
-
-    @given(
-        st.lists(st.integers(1, 500), min_size=2, max_size=8),
-        st.integers(1, 6),
-        st.data(),
-    )
-    def test_matches_scalar_calls(self, counts, k, data):
-        dist = build_noise_distribution(np.array(counts))
-        exclude = data.draw(st.lists(st.integers(0, len(counts) - 1), max_size=12))
-        self.assert_same_as_scalar_calls(dist, data.draw(st.integers(0, 2**32 - 1)), k, exclude)
-
-
 class TestStatistics:
     def test_empirical_frequencies_track_probabilities(self):
         dist = build_noise_distribution(np.array([2, 3, 7, 20]))

@@ -2,11 +2,13 @@
 phrase_step against the numpy one in `phrasegram.reference`, window-pair
 enumeration against brute force, the compiled word and phrase passes
 against the per-pair numpy loops they replaced, the phrase pass's calls
-of phrase_step, and end-to-end run properties: objective ascent,
-determinism, resume fidelity, the beta = 0 reduction to the baseline
-mode, and that training never imports the oracles.
+of phrase_step and its one-word-phrase reduction to the word pass, and
+end-to-end run properties: objective ascent, determinism, resume
+fidelity, the beta = 0 reduction to the baseline mode, and that training
+never imports the oracles or draws through NoiseDistribution.sample.
 """
 
+import copy
 import os
 import subprocess
 import sys
@@ -32,6 +34,7 @@ from phrasegram.model import (
 )
 from phrasegram import kernel, reference, trainer
 from phrasegram.manifest import read_manifest
+from phrasegram.sampling import NoiseDistribution
 from phrasegram.reference import (
     _add_rows,
     phrase_objective,
@@ -188,16 +191,17 @@ class TestPhraseStepGradient:
                 bound_away_from_zero(params)
             current = rng.integers(0, 10, size=int(rng.integers(1, 5))).tolist()
             context = rng.integers(0, 10, size=int(rng.integers(1, 5))).tolist()
-            negs = [
+            candidates = [
                 rng.integers(0, 10, size=int(rng.integers(1, 5))).tolist()
                 for _ in range(int(rng.integers(1, 4)))
             ]
+            negs, step = compiled_phrase_step(params, current, context, candidates, alpha, rng)
             pout = params.phrase_output_words[0]
             touched = [("input", params.input_words, w) for w in current]
             for ws in [context, *negs]:
                 touched += [("pout", pout, w) for w in ws]
             err = check_step_against_fd(
-                step=lambda: compiled_phrase_step(params, current, context, negs, lr, alpha),
+                step=lambda: step(lr),
                 objective=lambda: phrase_objective(
                     params, current, context, negs, alpha
                 ),
@@ -207,20 +211,20 @@ class TestPhraseStepGradient:
             assert err < 1e-4
 
     def test_shared_word_across_phrases_accumulates(self):
-        # word 5 sits in the context phrase and in both negative phrases
+        # word 5 sits in the context phrase and in every negative phrase
         rng = np.random.default_rng(29)
         params = rand_params(rng)
         bound_away_from_zero(params)
         alpha = 1.5
         lr = 1e-3
         current, context = [0, 1], [5, 2]
-        negs = [[5, 3], [4, 5]]
+        negs, step = compiled_phrase_step(params, current, context, [[5, 3], [4, 5]], alpha, rng)
         pout = params.phrase_output_words[0]
         touched = [("input", params.input_words, w) for w in current]
         for ws in [context, *negs]:
             touched += [("pout", pout, w) for w in ws]
         err = check_step_against_fd(
-            step=lambda: compiled_phrase_step(params, current, context, negs, lr, alpha),
+            step=lambda: step(lr),
             objective=lambda: phrase_objective(params, current, context, negs, alpha),
             touched=touched,
             lr=lr,
@@ -232,13 +236,13 @@ class TestPhraseStepGradient:
         params = rand_params(rng)
         alpha = 1.0
         lr = 1e-3
-        current = [3, 3, 7]
-        context, negs = [1], [[2]]
+        current, context = [3, 3, 7], [1]
+        negs, step = compiled_phrase_step(params, current, context, [[2]], alpha, rng)
         pout = params.phrase_output_words[0]
         touched = [("input", params.input_words, w) for w in current]
         touched += [("pout", pout, w) for w in [1, 2]]
         err = check_step_against_fd(
-            step=lambda: compiled_phrase_step(params, current, context, negs, lr, alpha),
+            step=lambda: step(lr),
             objective=lambda: phrase_objective(params, current, context, negs, alpha),
             touched=touched,
             lr=lr,
@@ -268,19 +272,20 @@ class TestPhraseStepGradient:
     def test_returns_pre_update_objective(self):
         rng = np.random.default_rng(41)
         params = rand_params(rng)
-        before = phrase_objective(params, [0, 1], [2], [[3]], 1.5)
-        returned = compiled_phrase_step(params, [0, 1], [2], [[3]], 0.05, 1.5)
-        assert returned == pytest.approx(before, rel=1e-12)
+        negs, step = compiled_phrase_step(params, [0, 1], [2], [[3], [4, 5]], 1.5, rng)
+        before = phrase_objective(params, [0, 1], [2], negs, 1.5)
+        assert step(0.05) == pytest.approx(before, rel=1e-12)
 
     def test_repeated_steps_ascend(self):
+        # each step draws two of [2, 3], [4] and [5, 6] as negatives
         rng = np.random.default_rng(43)
         params = rand_params(rng)
         args = ([0, 1], [2, 3], [[4], [5, 6]])
+        _, step = compiled_phrase_step(params, *args, 1.0, rng)
         for _ in range(80):
-            compiled_phrase_step(params, *args, 0.1, 1.0)
-        first = compiled_phrase_step(params, *args, 0.0, 1.0)  # lr 0: evaluate only
+            step(0.1)
         fresh = rand_params(np.random.default_rng(43))
-        assert first > phrase_objective(fresh, *args, 1.0)
+        assert phrase_objective(params, *args, 1.0) > phrase_objective(fresh, *args, 1.0)
 
 
 def bits(x):
@@ -290,21 +295,33 @@ def bits(x):
 
 def check_drawn_phrase_steps(data):
     """Draws whole phrase tables and steps through them, each step against
-    reference.phrase_step on the expanded word lists, from equal matrices.
+    reference.phrase_step on the expanded word lists, from equal matrices,
+    with the negatives that NoiseDistribution.sample draws from a copy of
+    the tables' generator.
 
     Few word ids, so that phrases share words and a word repeats within a
-    phrase; a context phrase that may equal the current one and negatives
-    that may equal the context; 0 to 12 negative phrases, which leave every
-    remainder of the kernel's three-row scoring blocks; dims on and off
-    the kernel's four lanes; positional banks, to check that the bank is
-    the one named; and matrices with -0.0 entries and columns: -0.0 is the
-    one value the composition's -0.0 start leaves as it is and a 0.0 start
-    does not, and a -0.0 column reaches every delta.  Up to three steps
-    run through one set of tables, which reuse their scratch.
+    phrase; noise tables with zero counts, over 2 to 8 phrases, so that
+    negatives often equal the context or each other and draws often land
+    on the current phrase; a context phrase that may equal the current one;
+    0 to 12 negative phrases, which leave every remainder of the kernel's
+    three-row scoring blocks; dims on and off the kernel's four lanes;
+    positional banks, to check that the bank is the one named; and
+    matrices with -0.0 entries and columns: -0.0 is the one value the
+    composition's -0.0 start leaves as it is and a 0.0 start does not, and
+    a -0.0 column reaches every delta.  Up to three steps run through one
+    set of tables, which reuse their scratch, and leave the generator in
+    the state the draws of the copy leave it in.
     """
     vocab_size = data.draw(st.integers(1, 6), label="vocab_size")
     phrase = st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=4)
-    inventory = data.draw(st.lists(phrase, min_size=1, max_size=8), label="inventory")
+    inventory = data.draw(st.lists(phrase, min_size=2, max_size=8), label="inventory")
+    counts = data.draw(
+        st.lists(st.integers(0, 4), min_size=len(inventory), max_size=len(inventory)).filter(
+            lambda c: np.count_nonzero(c) >= 2  # else one phrase holds all the mass
+        ),
+        label="counts",
+    )
+    noise = trainer.build_noise_distribution(np.array(counts))
     k = data.draw(st.integers(0, 12), label="k")
     dim = data.draw(st.one_of(st.integers(1, 9), st.sampled_from([100, 101])), label="dim")
     alpha = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="alpha")
@@ -316,19 +333,18 @@ def check_drawn_phrase_steps(data):
         m[rng.random(m.shape) < density] = -0.0
         if column is not None:
             m[:, column] = -0.0
-    tables = kernel.PhraseTables(params, inventory, alpha, k)
+    replay = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="stream"))
+    stream = copy.deepcopy(replay)
+    tables = kernel.PhraseTables(params, inventory, noise, stream, alpha, k)
     ids = st.integers(0, len(inventory) - 1)
     for step in range(data.draw(st.integers(1, 3), label="steps")):
         current = data.draw(ids, label=f"current {step}")
         context = data.draw(st.one_of(st.just(current), ids), label=f"context {step}")
-        negatives = data.draw(
-            st.lists(st.one_of(st.just(context), ids), min_size=k, max_size=k),
-            label=f"negatives {step}",
-        )
+        negatives = noise.sample(replay, k, exclude=current) if k else []
         lr = data.draw(st.sampled_from([0.0, 0.025, 0.5]), label=f"lr {step}")
         bank = data.draw(st.integers(0, len(params.phrase_output_words) - 1), label=f"bank {step}")
         want = params.copy()
-        got = kernel.phrase_step(tables, current, context, negatives, lr, bank)
+        got = kernel.phrase_step(tables, current, context, lr, bank)
         expected = reference.phrase_step(
             want, inventory[current], inventory[context], [inventory[g] for g in negatives],
             lr, alpha, bank,
@@ -336,6 +352,7 @@ def check_drawn_phrase_steps(data):
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
         for (name, m), (_, r) in zip(params.matrices(), want.matrices()):
             np.testing.assert_allclose(m, r, rtol=1e-12, atol=1e-15, err_msg=name)
+        assert stream.bit_generator.state == replay.bit_generator.state
 
 
 def spoil_matrix(params, which, how):
@@ -372,7 +389,7 @@ class TestPhraseTables:
         phrases = [list(ws) for ws in PHRASES]
         phrases[empty] = []
         with pytest.raises(ValueError, match=f"^phrase {empty} is empty: cannot compose an empty phrase$"):
-            kernel.PhraseTables(params, phrases, 1.0, 2)
+            kernel.PhraseTables(params, phrases, PHRASE_NOISE, np.random.default_rng(1), 1.0, 2)
         assert_bitwise_unchanged(params, before)
 
     @pytest.mark.parametrize("phrase, bad", [(0, -1), (0, 8), (1, 8), (3, -3), (3, 99)])
@@ -384,7 +401,7 @@ class TestPhraseTables:
         with pytest.raises(
             ValueError, match=f"^phrase {phrase} has component id {bad}, out of range for 8 rows$"
         ):
-            kernel.PhraseTables(params, phrases, 1.5, 2)
+            kernel.PhraseTables(params, phrases, PHRASE_NOISE, np.random.default_rng(1), 1.5, 2)
         assert_bitwise_unchanged(params, before)
 
     @pytest.mark.parametrize("how", ["read-only", "non-contiguous", "float32", "more-columns", "fewer-rows"])
@@ -399,13 +416,30 @@ class TestPhraseTables:
         with pytest.raises(
             ValueError, match=f"^{name}: the training kernel updates writable C-contiguous float64"
         ):
-            kernel.PhraseTables(params, PHRASES, 1.0, 2)
+            kernel.PhraseTables(params, PHRASES, PHRASE_NOISE, np.random.default_rng(1), 1.0, 2)
         assert_bitwise_unchanged(params, before)
+
+    def test_noise_table_of_wrong_length_rejected(self):
+        params = rand_params(np.random.default_rng(107))
+        noise = trainer.build_noise_distribution(np.array([5, 4, 3, 2, 1]))
+        with pytest.raises(ValueError, match="^noise table has 5 ids for 4 phrases$"):
+            kernel.PhraseTables(params, PHRASES, noise, np.random.default_rng(1), 1.0, 2)
+
+    def test_id_holding_all_noise_mass_rejected_before_any_draw(self):
+        # Each step excludes its current phrase from the draws, which must then
+        # leave some mass; the tables check every phrase once, so no step fails.
+        params = rand_params(np.random.default_rng(109))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        noise = trainer.build_noise_distribution(np.array([0, 0, 7, 0]))
+        with pytest.raises(ValueError, match=r"^id 2 holds all the noise mass"):
+            kernel.PhraseTables(params, PHRASES, noise, rng, 1.0, 2)
+        assert rng.bit_generator.state == state
 
 
 class TestCompiledPhraseStep:
     """kernel.phrase_step through prepared tables: against reference.phrase_step,
-    and its per-call checks, which raise before any write."""
+    and its per-call checks, which raise before any draw or write."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(st.data())
@@ -414,45 +448,40 @@ class TestCompiledPhraseStep:
 
     def _tables(self, seed, alpha=1.5):
         params = rand_params(np.random.default_rng(seed), mode=Mode.COMPOSITIONAL_POSITIONAL)
-        return params, kernel.PhraseTables(params, PHRASES, alpha, 2)
+        rng = np.random.default_rng(seed)
+        return params, rng, kernel.PhraseTables(params, PHRASES, PHRASE_NOISE, rng, alpha, 2)
 
-    @pytest.mark.parametrize(
-        "where, bad", [("current", -1), ("current", 4), ("context", 4), ("negative", -3), ("negative", 99)]
-    )
+    @pytest.mark.parametrize("where, bad", [("current", -1), ("current", 4), ("context", 4)])
     def test_phrase_id_out_of_range_raises_before_any_write(self, where, bad):
-        params, tables = self._tables(97)
-        before = params.copy()
-        ids = {"current": 0, "context": 1, "negative": 2}
+        params, rng, tables = self._tables(97)
+        before, state = params.copy(), rng.bit_generator.state
+        ids = {"current": 0, "context": 1}
         ids[where] = bad
         with pytest.raises(ValueError, match=f"^phrase id {bad} is out of range for 4 phrases$"):
-            kernel.phrase_step(tables, ids["current"], ids["context"], [3, ids["negative"]], 0.1, 1)
+            kernel.phrase_step(tables, ids["current"], ids["context"], 0.1, 1)
         assert_bitwise_unchanged(params, before)
-
-    @pytest.mark.parametrize("negatives", [[], [3], [3, 2, 1]])
-    def test_wrong_negative_count_raises_before_any_write(self, negatives):
-        params, tables = self._tables(99)
-        before = params.copy()
-        with pytest.raises(ValueError, match=f"^{len(negatives)} negative phrases for tables of k = 2$"):
-            kernel.phrase_step(tables, 0, 1, negatives, 0.1, 1)
-        assert_bitwise_unchanged(params, before)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("bank", [-1, 4, 5])
     def test_bank_out_of_range_raises_before_any_write(self, bank):
-        params, tables = self._tables(101, alpha=1.0)
-        before = params.copy()
+        params, rng, tables = self._tables(101, alpha=1.0)
+        before, state = params.copy(), rng.bit_generator.state
         with pytest.raises(ValueError, match=f"^bank {bank} is out of range for 4 phrase output banks$"):
-            kernel.phrase_step(tables, 0, 2, [3, 1], 0.1, bank)
+            kernel.phrase_step(tables, 0, 2, 0.1, bank)
         assert_bitwise_unchanged(params, before)
+        assert rng.bit_generator.state == state
 
-    def test_waits_for_the_tables_lock(self):
-        # Two threads stepping through one set of tables would share its scratch.
-        free, free_tables = self._tables(109)
-        want = kernel.phrase_step(free_tables, 0, 2, [3, 1], 0.1, 1)
-        params, tables = self._tables(109)
+    def test_waits_for_the_generators_lock(self):
+        # numpy's Generator methods hold bit_generator.lock while they draw; the
+        # step must too, or a second thread's draws interleave with its own, and
+        # the lock guards the tables' scratch as well.
+        free, _, free_tables = self._tables(109)
+        want = kernel.phrase_step(free_tables, 0, 2, 0.1, 1)
+        params, rng, tables = self._tables(109)
         got = []
-        with tables.lock:
+        with rng.bit_generator.lock:
             thread = threading.Thread(
-                target=lambda: got.append(kernel.phrase_step(tables, 0, 2, [3, 1], 0.1, 1))
+                target=lambda: got.append(kernel.phrase_step(tables, 0, 2, 0.1, 1))
             )
             thread.start()
             thread.join(0.2)
@@ -594,6 +623,7 @@ class ReferencePhrasePass:
 
 
 PHRASES = [(0, 1), (2,), (1, 1, 0), (2, 0)]  # components over word ids 0..2
+PHRASE_NOISE = trainer.build_noise_distribution(np.array([5, 4, 3, 2]))
 
 
 def run_against_reference(
@@ -616,14 +646,12 @@ def run_against_reference(
     vocab = Vocab([f"w{i}" for i in range(len(counts))], counts)
     keep = trainer._subsample_keep_prob(vocab, subsample) if subsample else None
     word_noise = trainer.build_noise_distribution(vocab.counts)
-    phrase_noise = trainer.build_noise_distribution(np.array([5, 4, 3, 2]))
-
     def prepare(word_pass, phrase_pass_class, p):
         word_rng, phrase_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 2)
         phrase_pass = trainer._no_phrase_pass
         if mode.compositional and beta > 0:
             phrase_pass = phrase_pass_class(
-                p, phrase_noise, PHRASES, phrase_rng, 2, window, mode.positional, alpha, beta
+                p, PHRASE_NOISE, PHRASES, phrase_rng, 2, window, mode.positional, alpha, beta
             )
         words = word_pass(
             p.input_words, p.output_words, word_noise, keep, word_rng, k, window, mode.positional
@@ -675,9 +703,9 @@ class TestWordPassPairSelection:
 
 
 class TestWordPassMatchesReference:
-    @pytest.mark.parametrize("mode", [Mode.BASELINE, Mode.POSITIONAL, Mode.COMPOSITIONAL_POSITIONAL])
+    @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("vocab_size", [3, 9])
-    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("subsample", [0.0, 0.02])
     def test_matches_per_pair_loop(self, mode, vocab_size, alpha, subsample):
         sentences = random_sentences(np.random.default_rng(61), vocab_size)
@@ -759,24 +787,19 @@ def check_drawn_passes(data):
 
 
 class TestPhrasePass:
-    def test_hands_phrase_step_its_pairs_banks_negatives_and_rate(self):
+    def test_hands_phrase_step_its_pairs_banks_and_rate(self):
         # Window 1 over two retained phrases: (2 -> 0, offset +1), then
         # (0 -> 2, offset -1), each applied by hand as the pass must apply it.
         params = rand_params(np.random.default_rng(73), mode=Mode.COMPOSITIONAL_POSITIONAL, window=1)
         expected = params.copy()
-        noise = trainer.build_noise_distribution(np.array([5, 4, 3, 2]))
         rng = np.random.default_rng(79)
-        clone = np.random.default_rng()
-        clone.bit_generator.state = rng.bit_generator.state
+        clone = copy.deepcopy(rng)
         lr, beta, k, alpha = 0.05, 2.0, 5, 1.5
-        tables = kernel.PhraseTables(expected, PHRASES, alpha, k)
+        tables = kernel.PhraseTables(expected, PHRASES, PHRASE_NOISE, clone, alpha, k)
         want = 0.0
         for center, context, offset in ((2, 0, 1), (0, 2, -1)):
-            negs = noise.sample(clone, k, exclude=center).tolist()
-            want += kernel.phrase_step(
-                tables, center, context, negs, lr * beta, bank_for_offset(offset, 1, True)
-            )
-        phrase_pass = trainer.PhrasePass(params, noise, PHRASES, rng, k, 1, True, alpha, beta)
+            want += kernel.phrase_step(tables, center, context, lr * beta, bank_for_offset(offset, 1, True))
+        phrase_pass = trainer.PhrasePass(params, PHRASE_NOISE, PHRASES, rng, k, 1, True, alpha, beta)
         assert phrase_pass([2, 0], lr) == (want, 2)
         for (name, m), (_, r) in zip(params.matrices(), expected.matrices()):
             np.testing.assert_array_equal(m, r, err_msg=name)
@@ -785,9 +808,8 @@ class TestPhrasePass:
     def test_steps_through_trainer_phrase_step_once_per_pair(self, monkeypatch):
         # Tracing tools wrap trainer.phrase_step, so the pass must look it up there.
         params = rand_params(np.random.default_rng(83), mode=Mode.COMPOSITIONAL_POSITIONAL)
-        noise = trainer.build_noise_distribution(np.array([5, 4, 3, 2]))
         phrase_pass = trainer.PhrasePass(
-            params, noise, PHRASES, np.random.default_rng(1), 2, 2, True, 1.0, 1.0
+            params, PHRASE_NOISE, PHRASES, np.random.default_rng(1), 2, 2, True, 1.0, 1.0
         )
         calls = []
 
@@ -798,6 +820,27 @@ class TestPhrasePass:
         monkeypatch.setattr(trainer, "phrase_step", counted)
         assert phrase_pass([1, -1, 3, 0], 0.05)[1] == 4
         assert calls == [(1, 3), (3, 1), (3, 0), (0, 3)]
+
+    @pytest.mark.parametrize("positional", [False, True])
+    def test_one_word_phrases_at_alpha_one_are_the_word_pass(self, positional):
+        # Phrase w = (w,) composes to row w itself at alpha 1, so over the phrase
+        # output banks the phrase pass is the word pass, bit for bit, as long as
+        # it draws the same negatives from the same uniforms in the same order.
+        vocab, window, k = 7, 2, 4
+        mode = Mode.COMPOSITIONAL_POSITIONAL if positional else Mode.COMPOSITIONAL
+        params = rand_params(np.random.default_rng(127), vocab_size=vocab, mode=mode, window=window)
+        inp, banks = params.input_words.copy(), [m.copy() for m in params.phrase_output_words]
+        noise = trainer.build_noise_distribution(np.arange(vocab, 0, -1))
+        phrase_pass = trainer.PhrasePass(
+            params, noise, [(w,) for w in range(vocab)], np.random.default_rng(3), k, window,
+            positional, 1.0, 1.0,
+        )
+        word_pass = kernel.WordPass(inp, banks, noise, None, np.random.default_rng(3), k, window, positional)
+        for sentence in random_sentences(np.random.default_rng(131), vocab):
+            assert phrase_pass(sentence.word_ids, 0.05) == word_pass(sentence.word_ids, 0.05)
+        np.testing.assert_array_equal(bits(params.input_words), bits(inp))
+        for got, want in zip(params.phrase_output_words, banks):
+            np.testing.assert_array_equal(bits(got), bits(want))
 
 
 class TestTrainEndToEnd:
@@ -830,6 +873,18 @@ class TestTrainEndToEnd:
         assert stats[-1].mean_ew > stats[0].mean_ew
         assert stats[-1].mean_ep > stats[0].mean_ep
         assert stats[0].phrase_steps > 0
+
+    def test_training_draws_through_the_kernel_only(self, tmp_path, monkeypatch):
+        # NoiseDistribution.sample is the tests' oracle: both passes draw their
+        # negatives in the kernel.
+        def refuse(*args, **kwargs):
+            raise AssertionError("training called NoiseDistribution.sample")
+
+        monkeypatch.setattr(NoiseDistribution, "sample", refuse)
+        corpus = tmp_path / "c.txt"
+        self._write_corpus(corpus)
+        result = train(corpus, self._config(mode=Mode.COMPOSITIONAL_POSITIONAL, beta=0.5))
+        assert all(e.phrase_steps > 0 for e in result.report.epochs)
 
     def test_phrase_pass_learns_at_alpha_above_one(self, tmp_path):
         # The power map's Jacobian is 0 at 0 when alpha > 1, so zero phrase
