@@ -131,15 +131,17 @@ def _phrase_instances(rng, params, alpha):
     current, context = pick(), pick()
     negatives = [pick(), pick()]
     pout = params.phrase_output_words[bank]
-    drawn, compiled = compiled_phrase_step(params, current, context, negatives, alpha, rng.spawn(1)[0], bank)
+    drawn, compiled = compiled_phrase_step(
+        params, current, context, negatives, alpha, rng.spawn(1)[0], bank
+    )
 
-    def instance(step, negatives):
+    def instance(step, negs):
         touched = [("in", params.input_words, w) for w in current]
-        for ws in (context, *negatives):
+        for ws in (context, *negs):
             touched += [("pout", pout, w) for w in ws]
 
         def objective():
-            return phrase_objective(params, current, context, negatives, alpha, bank)
+            return phrase_objective(params, current, context, negs, alpha, bank)
 
         return step, objective, touched
 

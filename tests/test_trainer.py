@@ -34,7 +34,6 @@ from phrasegram.model import (
 )
 from phrasegram import kernel, reference, trainer
 from phrasegram.manifest import read_manifest
-from phrasegram.sampling import NoiseDistribution
 from phrasegram.reference import (
     _add_rows,
     phrase_objective,
@@ -42,6 +41,7 @@ from phrasegram.reference import (
     word_objective,
     word_step,
 )
+from phrasegram.sampling import NoiseDistribution
 from phrasegram.trainer import MappedSentence, iter_window_pairs, map_sentence, train
 
 
