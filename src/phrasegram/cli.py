@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from phrasegram.composition import CompositionConfig
-from phrasegram.corpus import output_file
+from phrasegram.corpus import RepeatedKeyError, output_file
 from phrasegram.evaluation import (
     WordEmbeddings,
     analogy_eval,
@@ -157,16 +157,22 @@ def _add_embeddings_source(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_embeddings(args: argparse.Namespace) -> tuple[WordEmbeddings, float]:
-    """Resolve --model/--embeddings into embeddings plus composition alpha."""
+def _load_embeddings(args: argparse.Namespace) -> tuple[WordEmbeddings, CompositionConfig]:
+    """Embeddings from --model or --embeddings, and the composition at --alpha, else the model's."""
     if args.model is not None:
         ckpt = checkpoint_load(args.model)
-        emb = WordEmbeddings(
-            ckpt.vocab.words, ckpt.params.input_words, ckpt.config.lowercase
-        )
-        return emb, ckpt.config.alpha
-    words, matrix = read_embeddings(args.embeddings, args.format)
-    return WordEmbeddings(words, matrix, args.lowercase), 1.0
+        emb = WordEmbeddings(ckpt.vocab.words, ckpt.params.input_words, ckpt.config.lowercase)
+        alpha = ckpt.config.alpha
+    else:
+        words, matrix = read_embeddings(args.embeddings, args.format)
+        try:
+            emb = WordEmbeddings(words, matrix, args.lowercase)
+        except RepeatedKeyError as exc:  # row i of a text file is on line i + 2, after the header
+            line = f":{exc.ids[1] + 2}" if args.format == "text" else ""
+            raise ValueError(f"{args.embeddings}{line}: {exc}") from None
+        alpha = 1.0
+    given = getattr(args, "alpha", None)
+    return emb, CompositionConfig(alpha=alpha if given is None else given)
 
 
 def _check_distinct(*named: tuple[str, str]) -> None:
@@ -234,22 +240,15 @@ def _cmd_eval_analogy(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_phrase(args: argparse.Namespace) -> int:
-    emb, model_alpha = _load_embeddings(args)
-    alpha = args.alpha if args.alpha is not None else model_alpha
-    rho, coverage = phrase_similarity_eval(
-        emb, CompositionConfig(alpha=alpha), load_phrase_dataset(args.dataset)
-    )
+    emb, comp = _load_embeddings(args)
+    rho, coverage = phrase_similarity_eval(emb, comp, load_phrase_dataset(args.dataset))
     print(f"spearman={rho:.4f} coverage={coverage:.3f}")
     return 0
 
 
 def _cmd_neighbors(args: argparse.Namespace) -> int:
-    emb, model_alpha = _load_embeddings(args)
-    alpha = args.alpha if args.alpha is not None else model_alpha
-    results = nearest_neighbors(
-        emb, args.query, args.k, CompositionConfig(alpha=alpha)
-    )
-    for word, score in results:
+    emb, comp = _load_embeddings(args)
+    for word, score in nearest_neighbors(emb, args.query, args.k, comp):
         print(f"{word}\t{score:.6f}")
     return 0
 

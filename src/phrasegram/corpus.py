@@ -28,12 +28,14 @@ import numpy as np
 __all__ = [
     "ChunkedSentence",
     "ParseError",
+    "RepeatedKeyError",
     "Vocab",
     "PhraseVocab",
     "parse_chunked_line",
     "build_vocab",
     "build_phrase_vocab",
     "chunk_spans",
+    "index_of",
     "iter_corpus",
     "numbered_lines",
     "output_file",
@@ -242,6 +244,25 @@ def iter_corpus(
             yield sent
 
 
+class RepeatedKeyError(ValueError):
+    """A vocabulary lists one word or phrase key twice; `ids` are its first two ids."""
+
+    def __init__(self, what: str, key: object, first: int, second: int):
+        self.ids = (first, second)
+        super().__init__(f"{what} {key!r} is repeated: ids {first} and {second}")
+
+
+def index_of(items: Sequence, what: str) -> dict:
+    """Each item's id, its position in `items`; raises RepeatedKeyError at the first repeat."""
+    index = {item: i for i, item in enumerate(items)}
+    if len(index) != len(items):
+        first: dict = {}
+        for i, item in enumerate(items):
+            if first.setdefault(item, i) != i:
+                raise RepeatedKeyError(what, item, first[item], i)
+    return index
+
+
 class Vocab:
     """Dense word-id assignment with frequency counts.
 
@@ -257,7 +278,7 @@ class Vocab:
         self.counts: np.ndarray = np.asarray(counts, dtype=np.int64)
         if len(self.counts) and self.counts.min() <= 0:
             raise ValueError("counts must be positive")
-        self.word2id: dict[str, int] = {w: i for i, w in enumerate(self.words)}
+        self.word2id: dict[str, int] = index_of(self.words, "word")
         self.total_tokens: int = int(self.counts.sum())
 
     def __len__(self) -> int:
@@ -309,7 +330,7 @@ class PhraseVocab:
         self.counts: np.ndarray = np.asarray(counts, dtype=np.int64)
         if len(self.counts) and self.counts.min() <= 0:
             raise ValueError("counts must be positive")
-        self.key2id: dict[PhraseKey, int] = {k: i for i, k in enumerate(self.keys)}
+        self.key2id: dict[PhraseKey, int] = index_of(self.keys, "phrase key")
 
     def __len__(self) -> int:
         return len(self.keys)

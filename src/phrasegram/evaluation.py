@@ -1,34 +1,32 @@
 """Embedding quality evaluation and serving: similarity, analogy, neighbors.
 
-Word similarity reports Spearman's rank correlation between human scores
-and cosine similarities of the input embeddings.  The phrase task
-composes a (subject, reference verb) pair with the configured composition
-function and correlates its cosine against the landmark verb's vector
-with the human ratings.  Analogy questions are answered with 3CosAdd
-over unit-normalized vectors, excluding the three question words.
+Word and phrase similarity are one procedure: Spearman's rank correlation
+of human scores with the cosines of two vectors per item, two words' input
+embeddings, or a (subject, reference verb) pair composed with the
+configured composition function and the landmark verb's vector.  Analogy
+questions are answered with 3CosAdd over unit-normalized vectors,
+excluding the three question words.  Items with an out-of-vocabulary word,
+and similarity items with no defined cosine, are dropped and counted:
+every evaluator reports coverage alongside its score.
 
 `analogy_eval` and `nearest_neighbors` scan the float32 copy of the unit
 matrix and rescore near ties in float64 through one function,
 `_exact_top`, so every answer is a float64 scan's; `_float32_score_error`
 bounds the float32 error that the rescore covers.
-
-Items containing out-of-vocabulary words, and similarity items with no
-defined cosine, are dropped and counted; every evaluator reports coverage
-alongside its score.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from phrasegram.composition import CompositionConfig, compose_rows
-from phrasegram.corpus import numbered_lines
+from phrasegram.corpus import index_of, numbered_lines
 
 __all__ = [
     "EvaluationError",
@@ -90,16 +88,14 @@ class WordEmbeddings:
     build a new WordEmbeddings for new values, or the cached rows go stale.
     """
 
-    def __init__(
-        self, words: Sequence[str], matrix: np.ndarray, lowercased: bool = False
-    ):
+    def __init__(self, words: Sequence[str], matrix: np.ndarray, lowercased: bool = False):
         if len(words) != matrix.shape[0]:
             raise ValueError("word list and matrix row count differ")
         self.words = list(words)
         self.matrix = np.asarray(matrix, dtype=np.float64).view()
         self.matrix.flags.writeable = False
         self.lowercased = lowercased
-        self.word2id = {w: i for i, w in enumerate(self.words)}
+        self.word2id = index_of(self.words, "word")
         self._unit: np.ndarray | None = None
         self._unit32: np.ndarray | None = None
         self._non_finite: np.ndarray | None = None
@@ -154,54 +150,48 @@ class WordEmbeddings:
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1] against rounding."""
+    """Cosine similarity, clamped to [-1, 1] against rounding.
+
+    Raises ValueError if the shapes differ, or if a norm is 0 or not
+    finite (a NaN or infinite entry, or a norm that overflows)."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("dimension mismatch")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine undefined for zero vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    score = _defined_cosine(u, v)
+    if score is None:
+        raise ValueError("cosine undefined for a zero or non-finite vector")
+    return score
 
 
-def _defined_cosine(u: np.ndarray | None, v: np.ndarray | None) -> float | None:
-    """`cosine` of two float64 vectors, or None if one is missing or a norm is 0 or not finite."""
-    if u is None or v is None:
-        return None
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if not (0.0 < nu < math.inf and 0.0 < nv < math.inf):
-        return None
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
-def _average_ranks(xs: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing the average of their rank range."""
-    order = np.argsort(xs, kind="stable")
-    ranks = np.empty(len(xs))
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _defined_cosine(u: np.ndarray, v: np.ndarray) -> float | None:
+    """`cosine` of two float64 vectors of one shape, or None if a norm is 0 or not finite."""
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, and undefined
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        if not (0.0 < nu < math.inf and 0.0 < nv < math.inf):
+            return None
+        return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman's rho: Pearson correlation of average-ranked data."""
+    """Spearman's rho: Pearson correlation of ranks 1..n, equal values sharing their mean rank.
+
+    Raises ValueError unless both inputs are 1-D, of one length and
+    finite; EvaluationError for fewer than two points or a constant side."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("inputs must be 1-D and equal length")
+    if xs.shape != ys.shape or xs.ndim != 1 or not np.isfinite([xs, ys]).all():
+        raise ValueError("inputs must be finite, 1-D and of equal length")
     if len(xs) < 2:
         raise EvaluationError("need at least two points")
-    rx = _average_ranks(xs)
-    ry = _average_ranks(ys)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
+    deviations = []
+    for side in (xs, ys):
+        _, inverse, counts = np.unique(side, return_inverse=True, return_counts=True)
+        end = np.cumsum(counts)
+        # Sorted positions end - counts .. end - 1 share the mean rank, an exact half-integer.
+        ranks = ((2 * end - counts - 1) / 2.0 + 1.0)[inverse]
+        deviations.append(ranks - ranks.mean())
+    dx, dy = deviations
     sx = np.sqrt(np.dot(dx, dx))
     sy = np.sqrt(np.dot(dy, dy))
     if sx == 0.0 or sy == 0.0:
@@ -218,15 +208,21 @@ def word_similarity_eval(
     dropped; returns (rho, coverage) where coverage is the usable fraction
     of the dataset.
     """
+    items = [(embeddings.get(p.word_a), embeddings.get(p.word_b), p.score) for p in dataset]
+    return _similarity_score(items, "word pair")
+
+
+def _similarity_score(items: list[tuple], what: str) -> tuple[float, float]:
+    """word_similarity_eval's (rho, coverage) of (vector | None, vector | None, score) items."""
     model_scores, human_scores = [], []
-    for pair in dataset:
-        score = _defined_cosine(embeddings.get(pair.word_a), embeddings.get(pair.word_b))
+    for u, v, human in items:
+        score = None if u is None or v is None else _defined_cosine(u, v)
         if score is not None:
             model_scores.append(score)
-            human_scores.append(pair.score)
+            human_scores.append(human)
     if not model_scores:
-        raise EvaluationError("no word pair is fully in vocabulary with a defined cosine")
-    return spearman(model_scores, human_scores), len(model_scores) / len(dataset)
+        raise EvaluationError(f"no {what} is fully in vocabulary with a defined cosine")
+    return spearman(model_scores, human_scores), len(model_scores) / len(items)
 
 
 def analogy_eval(
@@ -429,19 +425,12 @@ def phrase_similarity_eval(
     landmark verb's vector.  Items with an out-of-vocab word, or with no
     defined cosine, are dropped.  Returns (rho, coverage).
     """
-    model_scores, human_scores = [], []
+    items = []
     for item in dataset:
         ids = [embeddings.id_of(item.subject), embeddings.id_of(item.reference_verb)]
-        if None in ids:
-            continue
-        composed = compose_rows(embeddings.matrix, ids, comp.alpha)
-        score = _defined_cosine(composed, embeddings.get(item.landmark))
-        if score is not None:
-            model_scores.append(score)
-            human_scores.append(item.rating)
-    if not model_scores:
-        raise EvaluationError("no phrase item is fully in vocabulary with a defined cosine")
-    return spearman(model_scores, human_scores), len(model_scores) / len(dataset)
+        composed = None if None in ids else compose_rows(embeddings.matrix, ids, comp.alpha)
+        items.append((composed, embeddings.get(item.landmark), item.rating))
+    return _similarity_score(items, "phrase item")
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +438,33 @@ def phrase_similarity_eval(
 # ---------------------------------------------------------------------------
 
 
-def _number(text: str, what: str, where: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{where}: {what} is not a number: {text!r}") from None
-    if not math.isfinite(value):  # spearman would rank a NaN above every score
-        raise ValueError(f"{where}: {what} is not finite: {text!r}")
-    return value
-
-
-def load_similarity_dataset(path: str | Path) -> list[SimilarityPair]:
-    """Tab-separated ``word_a<TAB>word_b<TAB>score``; '#' lines are comments."""
-    pairs = []
+def _read_rated(path: str | Path, item: type) -> list:
+    """One `item` per line of a tab-separated file of its fields, the last a
+    finite number named after it; blank and '#' lines are skipped."""
+    columns = fields(item)
+    what = columns[-1].name
+    items = []
     with closing(numbered_lines(path)) as lines:
         for where, line in lines:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{where}: expected 3 tab-separated fields")
-            score = _number(fields[2], "score", where)
-            pairs.append(SimilarityPair(fields[0], fields[1], score))
-    return pairs
+            values = line.split("\t")
+            if len(values) != len(columns):
+                raise ValueError(f"{where}: expected {len(columns)} tab-separated fields")
+            try:
+                value = float(values[-1])
+            except ValueError:
+                raise ValueError(f"{where}: {what} is not a number: {values[-1]!r}") from None
+            if not math.isfinite(value):  # spearman rejects one too, but cannot name its line
+                raise ValueError(f"{where}: {what} is not finite: {values[-1]!r}")
+            items.append(item(*values[:-1], value))
+    return items
+
+
+def load_similarity_dataset(path: str | Path) -> list[SimilarityPair]:
+    """Tab-separated ``word_a<TAB>word_b<TAB>score``; '#' lines are comments."""
+    return _read_rated(path, SimilarityPair)
 
 
 def load_analogy_dataset(path: str | Path) -> dict[str, list[AnalogyQuestion]]:
@@ -496,15 +488,4 @@ def load_analogy_dataset(path: str | Path) -> dict[str, list[AnalogyQuestion]]:
 
 def load_phrase_dataset(path: str | Path) -> list[PhraseCompositionItem]:
     """Tab-separated ``subject<TAB>reference_verb<TAB>landmark<TAB>rating``."""
-    items = []
-    with closing(numbered_lines(path)) as lines:
-        for where, line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{where}: expected 4 tab-separated fields")
-            rating = _number(fields[3], "rating", where)
-            items.append(PhraseCompositionItem(fields[0], fields[1], fields[2], rating))
-    return items
+    return _read_rated(path, PhraseCompositionItem)

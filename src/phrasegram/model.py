@@ -607,7 +607,4 @@ def _load_vocabularies(header: dict, rows: int) -> tuple[Vocab, PhraseVocab | No
                 raise ValueError(
                     f"phrase_vocab.keys component {i!r} is not a word id in [0, {rows})"
                 )
-    phrase_vocab = PhraseVocab(
-        [(tuple(ids), label) for ids, label in keys], header["phrase_vocab"]["counts"]
-    )
-    return vocab, phrase_vocab
+    return vocab, PhraseVocab(keys, header["phrase_vocab"]["counts"])

@@ -1474,6 +1474,25 @@ class TestCliWorkflows:
         assert main(["neighbors", "a", "--embeddings", str(path)]) == 0
         assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == ["c", "d"]
 
+    def test_repeated_word_in_a_checkpoint_is_data_error(self, tmp_path, capsys):
+        cfg = TrainConfig(dim=2, window=1, min_count=1)
+        ckpt = tmp_path / "m.ckpt"
+        vocab = Vocab(["cat", "dog", "eel"], [3, 2, 1])
+        checkpoint_save(ckpt, init_params(3, cfg, np.random.default_rng(0)), cfg, vocab)
+        _edit_checkpoint_header(ckpt, lambda h: h["vocab"]["words"].__setitem__(2, "cat"))
+        assert main(["neighbors", "cat", "--model", str(ckpt)]) == 2
+        assert capsys.readouterr() == ("", f"error: {ckpt}: word 'cat' is repeated: ids 0 and 2\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_repeated_word_in_an_embeddings_file_is_data_error(self, tmp_path, capsys, fmt):
+        # Before, the last row won: `neighbors cat` listed cat itself first.
+        path = tmp_path / "e.vec"
+        write = write_embeddings_text if fmt == "text" else write_embeddings_binary
+        write(path, ["cat", "dog", "cat"], np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-4]]))
+        assert main(["neighbors", "cat", "--embeddings", str(path), "--format", fmt]) == 2
+        where = f"{path}:4" if fmt == "text" else str(path)  # row 2 is on line 4, after the header
+        assert capsys.readouterr() == ("", f"error: {where}: word 'cat' is repeated: ids 0 and 2\n")
+
     def test_inspect_manifest_prints_items(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         tiny_corpus(corpus)

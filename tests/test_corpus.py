@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from phrasegram.corpus import (
     ChunkedSentence,
     ParseError,
+    PhraseVocab,
+    RepeatedKeyError,
     Vocab,
     build_phrase_vocab,
     build_vocab,
@@ -412,6 +414,12 @@ class TestVocab:
         assert vocab.id_of("y") == 1
         assert vocab.id_of("q") is None
 
+    def test_repeated_word_rejected(self):
+        # A repeat would shadow the first id: that row could never be looked up.
+        with pytest.raises(RepeatedKeyError, match=r"^word 'cat' is repeated: ids 0 and 2$") as info:
+            Vocab(["cat", "dog", "cat"], [3, 2, 1])
+        assert info.value.ids == (0, 2)
+
 
 def _zipf(n):
     ranks = np.arange(1, n + 1, dtype=np.float64)
@@ -487,4 +495,10 @@ class TestPhraseVocab:
         )
         assert pv.component_ids(0) == (0, 1)
         assert pv.label(0) == "NP"
+
+    def test_repeated_key_rejected(self):
+        # Keys are compared as stored: a list of ids repeats the tuple of the same ids.
+        keys = [((0, 1), "NP"), ((0, 1), "VP"), ([0, 1], "NP")]
+        with pytest.raises(RepeatedKeyError, match=r"^phrase key \(\(0, 1\), 'NP'\) is repeated: ids 0 and 2$"):
+            PhraseVocab(keys, [3, 2, 1])
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from phrasegram import evaluation
 from phrasegram.composition import CompositionConfig
+from phrasegram.corpus import RepeatedKeyError
 from phrasegram.evaluation import (
     AnalogyQuestion,
     EvaluationError,
@@ -57,9 +58,30 @@ class TestCosine:
         with pytest.raises(ValueError, match="zero"):
             cosine(np.zeros(3), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [[np.inf, 0.0], [np.nan, 1.0], [1e200, 1e200]], ids=["inf", "nan", "overflow"])
+    def test_non_finite_vector_rejected_without_a_warning(self, bad):
+        # A norm that overflows is infinite: no direction, and no RuntimeWarning from np.dot.
+        for u, v in [(bad, [1.0, 0.0]), ([1.0, 0.0], bad)]:
+            with pytest.raises(ValueError, match="^cosine undefined for a zero or non-finite vector$"):
+                cosine(np.array(u), np.array(v))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             cosine(np.ones(3), np.ones(4))
+
+
+def loop_average_ranks(xs):
+    """Ranks 1..n by a stable sort, each run of equal values sharing (first + last) / 2 + 1."""
+    order = np.argsort(xs, kind="stable")
+    ranks = np.empty(len(xs))
+    i = 0
+    while i < len(xs):
+        j = i
+        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 class TestSpearman:
@@ -93,6 +115,22 @@ class TestSpearman:
             expected = scipy.stats.spearmanr(xs, ys).statistic
             assert spearman(xs, ys) == pytest.approx(expected, abs=1e-12)
 
+    def test_bitwise_equal_to_the_sort_and_scan_ranks(self):
+        # spearman ranks with np.unique; the loop it replaced is the reference,
+        # with -0.0 and 0.0 tied, on tie-heavy data at several scales.
+        rng = np.random.default_rng(29)
+        for case in range(300):
+            n = int(rng.integers(2, 50))
+            xs = rng.integers(-3, 4, size=n) * [1.0, 0.5, 1e-3, -1e6][case % 4]
+            xs[rng.random(n) < 0.1] = -0.0
+            ys = xs + rng.integers(-2, 3, size=n)
+            rx, ry = loop_average_ranks(xs), loop_average_ranks(ys)
+            dx, dy = rx - rx.mean(), ry - ry.mean()
+            sx, sy = np.sqrt(np.dot(dx, dx)), np.sqrt(np.dot(dy, dy))
+            if sx == 0.0 or sy == 0.0:
+                continue
+            assert spearman(xs, ys) == float(np.dot(dx, dy) / (sx * sy))
+
     def test_constant_input_rejected(self):
         with pytest.raises(EvaluationError, match="constant"):
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
@@ -104,6 +142,14 @@ class TestSpearman:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # A NaN would rank above every value, and rho would come out as if it were one.
+        with pytest.raises(ValueError, match="finite"):
+            spearman([bad, 1.0, 2.0, 3.0], [4.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            spearman([4.0, 1.0, 2.0, 3.0], [1.0, 2.0, bad, 3.0])
 
 
 def toy_embeddings(lowercased=False):
@@ -132,6 +178,12 @@ class TestWordEmbeddings:
         assert "KING" in emb
         np.testing.assert_array_equal(emb.get("King"), emb.matrix[0])
         assert "KING" not in toy_embeddings(lowercased=False)
+
+    def test_repeated_word_rejected(self):
+        # The first repeat is named: b at id 2, before a at id 3.
+        with pytest.raises(RepeatedKeyError, match=r"^word 'b' is repeated: ids 1 and 2$") as info:
+            WordEmbeddings(["a", "b", "b", "a"], np.eye(4))
+        assert info.value.ids == (1, 2)
 
     def test_unit_matrix_rows_have_norm_one(self):
         unit = toy_embeddings().unit_matrix()
@@ -221,7 +273,8 @@ class TestWordSimilarityEval:
         with pytest.raises(EvaluationError, match="vocabulary"):
             word_similarity_eval(toy_embeddings(), [SimilarityPair("x", "y", 1.0)])
 
-    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    # 1e155: the row's norm overflows, and is dropped without a RuntimeWarning.
+    @pytest.mark.parametrize("bad", [0.0, np.nan, 1e155])
     def test_pairs_without_a_cosine_dropped_and_counted(self, bad):
         emb = WordEmbeddings(["a", "b", "c", "z"], np.vstack([np.eye(3)[:, :2] + 0.5, [bad, bad]]))
         good = [SimilarityPair("a", "b", 3.0), SimilarityPair("a", "c", 2.0), SimilarityPair("b", "c", 1.0)]
@@ -578,7 +631,7 @@ class TestPhraseSimilarityEval:
         )
         assert coverage == pytest.approx(2.0 / 3.0)
 
-    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    @pytest.mark.parametrize("bad", [0.0, np.nan, 1e155])
     def test_items_without_a_cosine_dropped_and_counted(self, bad):
         rng = np.random.default_rng(23)
         emb = WordEmbeddings(["a", "b", "c", "d", "z"], np.vstack([rng.normal(size=(4, 3)), [bad, bad, bad]]))
