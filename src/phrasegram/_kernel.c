@@ -1,5 +1,5 @@
-/* Training kernel: the word-level pass of a sentence and the phrase-level step
- * of a pair.
+/* The compiled kernel: the word-level pass of a sentence and the phrase-level
+ * step of a pair, for training, and the text export's number formatting.
  *
  * word_pass subsamples one mapped sentence, then visits its window pairs,
  * drawing each pair's negatives and applying the skip-gram negative-sampling
@@ -43,9 +43,13 @@
  * only does more of the same IEEE operations, each rounded as before, in the
  * same order.  The C library's functions are another matter: glibc picks their
  * implementation per host, and those may differ in the last bit.
+ *
+ * format_rows, at the end, writes float32 rows as word2vec text, each value
+ * as Python's '%.9g' % v prints it; its own comment gives the arithmetic.
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Inlined even into a clone, which would otherwise call the baseline build. */
 #define INLINE static inline __attribute__((always_inline))
@@ -488,4 +492,128 @@ double phrase_step(const struct phrase_tables *t, double *pout, int64_t current,
         }
     }
     return objective;
+}
+
+/* Text export: float32 values as Python's '%.9g' % v prints them.
+ *
+ * %.9g rounds a value to 9 significant digits, correctly and ties to even,
+ * and prints it in fixed notation when the rounded value's decimal exponent E
+ * lies in [-4, 8], without trailing zeros or a bare point.  For a float32 x
+ * with 1e-4 <= |x| < 1e9 that takes no general conversion:
+ *
+ *   - s = |x| * 1e4 is exact in double, a 24-bit significand times 5^4, so
+ *     s < 1 decides |x| < 1e-4 exactly, and comparing s with the exact powers
+ *     of ten gives E0 = floor(log10 |x|), the exponent before rounding;
+ *   - y = |x| * 10^(8 - E0) is exact too: 8 - E0 <= 12, and a 24-bit
+ *     significand times 5^12 < 2^28 fits in 53 bits.  So 1e8 <= y < 1e9, and
+ *     nearbyint(y), which rounds ties to even, is the 9 digits %.9g prints:
+ *     0.5009765625 prints 0.500976562;
+ *   - no float32 rounds up to the next power of ten, which would print at
+ *     exponent E0 + 1: its y would lie within 0.5 of 1e9, and over every
+ *     float32 of the range the y nearest 1e9 is 1e9 - 22.35, that of the
+ *     float32 below 0.01;
+ *   - nor does a float32 below 1e-4: float32(1e-4) lies 2.5e-12 below 1e-4,
+ *     and rounding to 9 digits moves it by at most 5e-14.
+ *
+ * Zeros print as 0 and -0.  Every other value (|x| < 1e-4 or >= 1e9,
+ * subnormals among them, infinities and NaN) prints in exponent notation or
+ * as a word, and is left to the caller: its place in the text holds the
+ * directive %.9g itself, and the value goes to `rest`, in text order, so that
+ * the caller's `text % rest` prints it by the format's own definition.  A
+ * value takes at most 16 bytes with the space or newline after it, as in
+ * "-0.000123456789 ".
+ */
+
+static const double POW10[14] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13,
+};
+
+/* The two digits of each number below 100, in order. */
+static const char PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Writes the fixed-notation text of x at p, given a = |x| and s = a * 1e4 in
+ * [1, 1e13); returns the end of the text.  Its stores reach at most 15 bytes
+ * past p, which is the widest text. */
+INLINE char *write_fixed(char *p, float x, double a, double s)
+{
+    uint64_t bits;
+    memcpy(&bits, &s, sizeof bits);
+    int e2 = (int)(bits >> 52) - 1023; /* s in [2^e2, 2^(e2 + 1)), e2 in [0, 43] */
+    int j = (e2 * 1233) >> 12;          /* floor(e2 * log10(2)) for such e2 */
+    if (s >= POW10[j + 1])
+        j++; /* j = floor(log10(s)) = E0 + 4, in [0, 12] */
+    /* nearbyint(y) for y in [0, 2^52): the sum lies in [2^52, 2^53), where
+     * doubles are the integers, so it rounds y to an integer, ties to even,
+     * and the difference is exact. */
+    double d = (a * POW10[12 - j] + 0x1p52) - 0x1p52;
+    int e = j - 4;
+
+    /* The 9 digits, then 8 bytes of padding for the copy below. */
+    char digits[17] = {0};
+    uint32_t n = (uint32_t)d, low = n % 10000000, mid = low % 100000, tail = mid % 1000;
+    memcpy(digits, PAIRS + 2 * (n / 10000000), 2);
+    memcpy(digits + 2, PAIRS + 2 * (low / 100000), 2);
+    memcpy(digits + 4, PAIRS + 2 * (mid / 1000), 2);
+    memcpy(digits + 6, PAIRS + 2 * (tail / 10), 2);
+    digits[8] = (char)('0' + tail % 10);
+    /* The digits up to the last that is not 0; the first is not. */
+    int len = 9;
+    while (digits[len - 1] == '0')
+        len--;
+
+    /* Fixed-size copies, each kept within the widest text; the bytes past the
+     * returned end are overwritten by whatever follows. */
+    *p = '-';
+    p += x < 0.0f;
+    if (e >= 0) {
+        char text[19];
+        memcpy(text, digits, 9);
+        text[e + 1] = '.';
+        memcpy(text + e + 2, digits + e + 1, 8);
+        memcpy(p, text, 10);
+        /* The integer part whole, then the point and the fraction if any. */
+        return p + (len > e + 1 ? len + 1 : e + 1);
+    }
+    memcpy(p, "0.000", 5);
+    p += 1 - e;
+    memcpy(p, digits, 9);
+    return p + len;
+}
+
+/* Writes the rows x[0..rows) of dim values each to out, every value followed
+ * by a space and the last of a row by a newline instead (a row of no values
+ * is a newline), and the values left to the caller to rest.  out must hold
+ * rows * max(dim, 1) * 16 bytes and rest rows * dim doubles.  Stores
+ * the number of values in rest in *n_rest; returns the number of bytes
+ * written. */
+int64_t format_rows(const float *x, int64_t rows, int64_t dim, char *out, double *rest,
+                    int64_t *n_rest)
+{
+    char *p = out;
+    int64_t r = 0;
+    for (int64_t i = 0; i < rows; i++) {
+        for (int64_t j = 0; j < dim; j++) {
+            float v = x[i * dim + j];
+            double a = fabs((double)v), s = a * 1e4;
+            if (j > 0)
+                *p++ = ' ';
+            if (v == 0.0f) {
+                if (signbit(v))
+                    *p++ = '-';
+                *p++ = '0';
+            } else if (s >= 1.0 && a < 1e9) {
+                p = write_fixed(p, v, a, s);
+            } else {
+                memcpy(p, "%.9g", 4);
+                p += 4;
+                rest[r++] = v;
+            }
+        }
+        *p++ = '\n';
+    }
+    *n_rest = r;
+    return p - out;
 }

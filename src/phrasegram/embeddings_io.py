@@ -1,11 +1,12 @@
 """word2vec-compatible embedding interchange.
 
 Text format: a header line ``<count> <dim>`` followed by one line per
-word, ``word v1 ... vd`` with floats printed via %.9g (lossless for
-float32).  Binary format: the same ASCII header line, then for each word
-its UTF-8 bytes, a single space, d little-endian float32 values, and a
-trailing newline byte.  Vectors are stored at float32 precision in both
-formats.
+word, ``word v1 ... vd`` with floats printed as ``'%.9g' % v`` prints
+them, byte for byte (lossless for float32); the compiled kernel prints
+them, a block of rows at a time (`kernel.format_rows`).  Binary format:
+the same ASCII header line, then for each word its UTF-8 bytes, a single
+space, d little-endian float32 values, and a trailing newline byte.
+Vectors are stored at float32 precision in both formats.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from phrasegram import kernel
 from phrasegram.corpus import Vocab, numbered_lines, output_file
 from phrasegram.evaluation import nearest_neighbors  # re-exported; defined beside analogy_eval
 from phrasegram.model import ModelParams
@@ -34,6 +36,10 @@ __all__ = [
     "export_embeddings",
     "nearest_neighbors",
 ]
+
+
+# Values the text writer formats per kernel call.
+TEXT_BLOCK_VALUES = 8192
 
 
 class EmbeddingsFormatError(ValueError):
@@ -60,16 +66,24 @@ def select_matrix(params: ModelParams, which: str, bank: int = 0) -> np.ndarray:
 def write_embeddings_text(
     path: str | Path, words: Sequence[str], matrix: np.ndarray
 ) -> None:
-    matrix = np.asarray(matrix, dtype=np.float32)
+    """Writes `matrix`'s rows at float32 as word2vec text, each under its word.
+
+    The rows go to the kernel a block at a time, TEXT_BLOCK_VALUES values
+    or one row, so the float32 copy and the text held at once stay small
+    and fixed whatever the number of rows.
+    """
+    matrix = np.asarray(matrix)
     if len(words) != matrix.shape[0]:
         raise ValueError("word list and matrix row count differ")
-    # One format for the whole row, filled one row at a time: converting
-    # the whole matrix to Python floats at once would hold it all in memory.
-    fmt = " ".join(["%.9g"] * matrix.shape[1])
+    step = max(TEXT_BLOCK_VALUES // max(matrix.shape[1], 1), 1)
     with output_file(path) as fh:
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
-        for word, row in zip(words, matrix):
-            fh.write(word + " " + fmt % tuple(row.tolist()) + "\n")
+        for start in range(0, len(words), step):
+            rows = np.ascontiguousarray(matrix[start : start + step], dtype=np.float32)
+            fh.write("".join([
+                f"{word} {text}\n"
+                for word, text in zip(words[start : start + step], kernel.format_rows(rows))
+            ]))
 
 
 def write_embeddings_binary(

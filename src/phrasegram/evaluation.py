@@ -75,8 +75,10 @@ class PhraseCompositionItem:
 class WordEmbeddings:
     """Word -> vector lookup over a dense embedding matrix.
 
-    lowercased marks whether the training corpus was lowercased; dataset
-    words are folded the same way on lookup.
+    lowercased marks whether the training corpus was lowercased; the
+    stored words and every looked-up word are then folded the same way,
+    so two stored words that fold alike are a repeated word.  Answers name
+    the stored words as given.
 
     The embeddings are a snapshot.  `matrix` is a read-only view of the
     array passed in (a float64 copy if it had another dtype), and
@@ -95,7 +97,8 @@ class WordEmbeddings:
         self.matrix = np.asarray(matrix, dtype=np.float64).view()
         self.matrix.flags.writeable = False
         self.lowercased = lowercased
-        self.word2id = index_of(self.words, "word")
+        folded = list(map(str.lower, self.words)) if lowercased else self.words
+        self.word2id = index_of(folded, "word")
         self._unit: np.ndarray | None = None
         self._unit32: np.ndarray | None = None
         self._non_finite: np.ndarray | None = None

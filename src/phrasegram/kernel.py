@@ -1,26 +1,27 @@
-"""Builds, caches and calls the compiled training kernel, `_kernel.c`.
+"""Builds, caches and calls the compiled kernel, `_kernel.c`: the training
+passes, and the number formatting of the text export.
 
-The first epoch a process trains loads the kernel with ctypes from
-`__pycache__/_kernel-<key>.so` next to this file, compiling it there
-first with the C compiler Python was built with (`sysconfig` CC) if that
-file does not exist.  `FLAGS` build at -O3 with -ffp-contract=off and no
-host-specific instruction set: the optimizer may vectorize, but never
-fuses a multiply-add or reorders a sum, so the kernel's own arithmetic
-does not depend on the host's instruction set (its exp, log1p and, in a
-phrase step at alpha != 1, pow come from the C library, whose variants
-for different hosts may differ in the last bit).  On x86-64 the object
-holds two clones of the word pass and of the phrase step, for AVX2 and
-for baseline x86-64, and the dynamic loader picks one for the host when
-it loads the object (an ifunc), so the object stays portable and both
-clones compute the same bits.  Every helper is inlined, so a clone runs
-a whole step in its own instruction set and calls only the generator
-and the C library.  It scores a few rows per sweep over the scored
-vector and writes the word step in one sweep over the columns; neither
-changes the order of any sum, so the bits are those of one dot product
-and one pass per vector.  The key hashes the source, the compiler
-command, the flags, the interpreter's cache tag and the machine, so a
-change to any of them builds a new object and an unchanged one is
-reused.  The object is written through `corpus.output_file`, so a
+The first epoch a process trains, or its first text export, loads the
+kernel with ctypes from `__pycache__/_kernel-<key>.so` next to this
+file, compiling it there first with the C compiler Python was built with
+(`sysconfig` CC) if that file does not exist.  `FLAGS` build at -O3 with
+-ffp-contract=off and no host-specific instruction set: the optimizer
+may vectorize, but never fuses a multiply-add or reorders a sum, so the
+kernel's own arithmetic does not depend on the host's instruction set
+(its exp, log1p and, in a phrase step at alpha != 1, pow come from the C
+library, whose variants for different hosts may differ in the last bit).
+On x86-64 the object holds two clones of the word pass and of the phrase
+step, for AVX2 and for baseline x86-64, and the dynamic loader picks one
+for the host when it loads the object (an ifunc), so the object stays
+portable and both clones compute the same bits.  Every helper is
+inlined, so a clone runs a whole step in its own instruction set and
+calls only the generator and the C library.  It scores a few rows per
+sweep over the scored vector and writes the word step in one sweep over
+the columns; neither changes the order of any sum, so the bits are those
+of one dot product and one pass per vector.  The key hashes the source,
+the compiler command, the flags, the interpreter's cache tag and the
+machine, so a change to any of them builds a new object and an unchanged
+one is reused.  The object is written through `corpus.output_file`, so a
 concurrent process never loads a half-written one.
 
 The kernel indexes matrices by id without bounds checks, so the wrappers
@@ -45,6 +46,9 @@ kernel call.  Both passes check their noise table once, and draw their
 uniforms in the kernel through numpy's documented `BitGenerator.ctypes`
 interface, holding the generator's lock as `Generator.random` does; the
 lock also guards the pass's scratch.
+`format_rows` writes float32 rows as text, each value as `'%.9g' % v`
+prints it; it checks the rows' dtype and layout, and sizes the kernel's
+output for the widest text a value can take.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ __all__ = [
     "PhraseTables",
     "WordPass",
     "build",
+    "format_rows",
     "load",
     "phrase_step",
     "sample_noise",
@@ -85,7 +90,7 @@ LIBS = ("-lm",)
 
 
 class KernelBuildError(OSError):
-    """The training kernel could not be compiled."""
+    """The kernel could not be compiled."""
 
 
 def compiler() -> list[str]:
@@ -120,7 +125,7 @@ def build(source: Path, cache_dir: Path, cc: Sequence[str]) -> Path:
                 )
             os.chmod(fh.name, 0o755)  # every user loads it, whatever the umask
     except OSError as exc:
-        raise KernelBuildError(f"cannot build the training kernel: {exc}") from exc
+        raise KernelBuildError(f"cannot build the kernel: {exc}") from exc
     for stale in cache_dir.glob(f"{source.stem}-*.so"):
         if stale != target:
             stale.unlink(missing_ok=True)
@@ -134,6 +139,7 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "sample_noise": (None, [_P, _P, _I, _P, _I, _I, _P]),
     "word_pass": (_I, [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P]),
     "phrase_step": (_D, [_P, _P, _I, _I, _D]),
+    "format_rows": (_I, [_P, _I, _I, _P, _P, _P]),
 }
 
 
@@ -208,6 +214,38 @@ def sample_noise(
         cum.ctypes.data, guide.ctypes.data, len(cum), u.ctypes.data, len(u), exclude, out.ctypes.data
     )
     return out
+
+
+# The most bytes `format_rows` in `_kernel.c` writes per value, the space or
+# newline after it included.
+_TEXT_WIDEST = 16
+
+
+def format_rows(rows: np.ndarray) -> list[str]:
+    """Each row of a 2-D float32 array as text, its values printed as
+    `'%.9g' % v` prints them and joined by single spaces.
+
+    The kernel writes zeros and every value that %.9g prints in fixed
+    notation.  It writes the directive %.9g itself in place of every other
+    value, in exponent notation or not finite, which the one `%` here
+    formats with Python's own conversion.  The kernel's buffers hold the
+    whole of `rows`, so a caller bounds its memory by the rows it passes
+    at once.
+    """
+    if not (rows.dtype == np.float32 and rows.ndim == 2 and rows.flags.c_contiguous):
+        raise ValueError(
+            f"the text writer reads 2-D C-contiguous float32 rows; got {rows.dtype} {rows.shape} "
+            f"(contiguous={rows.flags.c_contiguous})"
+        )
+    count, dim = rows.shape
+    out = ctypes.create_string_buffer(count * max(dim, 1) * _TEXT_WIDEST)
+    rest = np.empty(rows.size)
+    n_rest = ctypes.c_int64()
+    size = load().format_rows(rows.ctypes.data, count, dim, out, rest.ctypes.data, ctypes.byref(n_rest))
+    text = ctypes.string_at(out, size)
+    if n_rest.value:
+        text %= tuple(rest[: n_rest.value].tolist())
+    return text.decode("ascii").split("\n")[:-1]
 
 
 class _Tables(ctypes.Structure):

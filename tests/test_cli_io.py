@@ -12,6 +12,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 import zlib
@@ -80,7 +81,81 @@ def random_embedding(rng, n=5, d=3):
     return words, matrix
 
 
+def check_text_export(words, matrix):
+    """write_embeddings_text's bytes against per-value '%.9g', header included."""
+    matrix = np.asarray(matrix, dtype=np.float32)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "e.txt")
+        write_embeddings_text(path, words, matrix)
+        got = path.read_bytes()
+    expected = f"{len(words)} {matrix.shape[1]}\n" + "".join(
+        word + " " + " ".join(["%.9g" % x for x in row.tolist()]) + "\n"
+        for word, row in zip(words, matrix)
+    )
+    assert got == expected.encode("utf-8")
+
+
+def _float32_window(x, half):
+    """The 2 * half float32s nearest float32(x) in bit order, and their negations."""
+    bits = np.array(x, dtype=np.float32).view(np.uint32)
+    window = np.arange(bits - half, bits + half, dtype=np.uint32).view(np.float32)
+    return np.concatenate([window, -window])
+
+
+def check_text_export_cases():
+    """The text writer on the edges of the kernel's fixed notation, ties, its
+    widest text and every special value, in rows that span blocks.
+
+    Every float32 of the binades around 1e-4 and 1e9 would take some 30 s;
+    the windows here hold the 2^15 on either side of each edge.
+    """
+    dim = 128
+    step = max(phrasegram.embeddings_io.TEXT_BLOCK_VALUES // dim, 1)
+    # Both edges of fixed notation, 1e-4 and 1e9, and the powers of ten around them.
+    edges = np.concatenate(
+        [_float32_window(x, 1 << 15) for x in (1e-4, 1e9)]
+        + [_float32_window(10.0**k, 64) for k in range(-6, 11)]
+    )
+    # Ties at 9 digits, rounding down and up to an even 9th digit.
+    ties = [sign * x for sign in (1, -1) for x in (513 / 1024, 515 / 1024, 513 / 512, 515 / 512,
+                                                   1 / 8192, 3 / 8192)]
+    specials = [0.0, -0.0, 1e-45, -1e-45, 1.17549435e-38, 3.4028235e38, -3.4028235e38,
+                np.inf, -np.inf, np.nan, 1.0, 1e8, 123456789.0, 999999936.0]
+    values = np.concatenate([edges, np.array(ties + specials, dtype=np.float32)])
+    values = np.concatenate([values, np.zeros(-len(values) % dim, dtype=np.float32)])
+    check_text_export([f"w{i}" for i in range(len(values) // dim)], values.reshape(-1, dim))
+    # Every value at the widest text: a block fills the kernel's buffer.
+    widest = np.float32(-0.000123456775)
+    assert len("%.9g" % widest) == 15
+    check_text_export(["a"] * step, np.full((step, dim), widest))
+    # Rows that straddle block boundaries, each under its own word.
+    rows = 3 * step + 1
+    words = [f"w{i}" for i in range(rows - 1)] + ["café"]
+    check_text_export(words, np.arange(rows * 3).reshape(rows, 3) / 7.0)
+    check_text_export(["x", "y"], np.zeros((2, 0)))
+    check_text_export([], np.zeros((0, 4)))
+
+
+def check_drawn_bit_patterns(data):
+    """Rows of uint32 bit patterns, drawn, viewed as float32."""
+    rows = data.draw(st.integers(0, 6), label="rows")
+    dim = data.draw(st.integers(0, 24), label="dim")
+    bits = data.draw(
+        st.lists(st.integers(0, 2**32 - 1), min_size=rows * dim, max_size=rows * dim), label="bits"
+    )
+    matrix = np.array(bits, dtype=np.uint32).view(np.float32).reshape(rows, dim)
+    check_text_export([f"w{i}" for i in range(rows)], matrix)
+
+
 class TestTextFormat:
+    def test_edges_specials_and_blocks_match_per_value_formatting(self):
+        check_text_export_cases()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drawn_bit_patterns_match_per_value_formatting(self, data):
+        check_drawn_bit_patterns(data)
+
     def test_round_trip_is_exact_at_float32(self, tmp_path):
         rng = np.random.default_rng(3)
         words, matrix = random_embedding(rng, n=20, d=7)
@@ -1492,6 +1567,20 @@ class TestCliWorkflows:
         assert main(["neighbors", "cat", "--embeddings", str(path), "--format", fmt]) == 2
         where = f"{path}:4" if fmt == "text" else str(path)  # row 2 is on line 4, after the header
         assert capsys.readouterr() == ("", f"error: {where}: word 'cat' is repeated: ids 0 and 2\n")
+
+    def test_lowercase_queries_reach_upper_case_rows(self, tmp_path, capsys):
+        path = tmp_path / "e.txt"
+        path.write_text("2 2\nCat 1 0\ndog 0 1\n")
+        for query, answer in (("Cat", "dog"), ("cat", "dog"), ("dog", "Cat")):
+            assert main(["neighbors", query, "--embeddings", str(path), "--lowercase"]) == 0
+            assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == [answer]
+
+    def test_rows_that_fold_alike_are_a_repeated_word(self, tmp_path, capsys):
+        path = tmp_path / "e.txt"
+        path.write_text("3 2\nCat 1 0\ndog 0 1\ncat 1 1\n")
+        assert main(["neighbors", "dog", "--embeddings", str(path), "--lowercase"]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}:4: word 'cat' is repeated: ids 0 and 2\n")
+        assert main(["neighbors", "dog", "--embeddings", str(path)]) == 0
 
     def test_inspect_manifest_prints_items(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -179,6 +179,18 @@ class TestWordEmbeddings:
         np.testing.assert_array_equal(emb.get("King"), emb.matrix[0])
         assert "KING" not in toy_embeddings(lowercased=False)
 
+    def test_lowercased_lookup_folds_the_stored_words(self):
+        emb = WordEmbeddings(["Cat", "dog"], np.eye(2), lowercased=True)
+        assert "Cat" in emb and "cat" in emb and emb.id_of("CAT") == 0
+        assert emb.words == ["Cat", "dog"]
+        assert "cat" not in WordEmbeddings(["Cat", "dog"], np.eye(2))
+
+    def test_words_that_fold_alike_are_repeated(self):
+        with pytest.raises(RepeatedKeyError, match=r"^word 'cat' is repeated: ids 0 and 2$") as info:
+            WordEmbeddings(["Cat", "dog", "cat"], np.eye(3), lowercased=True)
+        assert info.value.ids == (0, 2)
+        assert len(WordEmbeddings(["Cat", "dog", "cat"], np.eye(3))) == 3
+
     def test_repeated_word_rejected(self):
         # The first repeat is named: b at id 2, before a at id 3.
         with pytest.raises(RepeatedKeyError, match=r"^word 'b' is repeated: ids 1 and 2$") as info:

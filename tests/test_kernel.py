@@ -29,7 +29,8 @@ import pytest
 
 from phrasegram import kernel, trainer
 from phrasegram.cli import main
-from phrasegram.model import TrainConfig
+from phrasegram.corpus import Vocab
+from phrasegram.model import TrainConfig, checkpoint_save, init_params
 from phrasegram.sampling import build_noise_distribution
 from test_sampling import SCRIPTED_COLLISIONS, ScriptedRng
 
@@ -322,7 +323,7 @@ class TestBuildCache:
         with pytest.raises(kernel.KernelBuildError) as info:
             kernel.build(kernel.SOURCE, cache, cc)
         message = str(info.value)
-        assert "cannot build the training kernel" in message
+        assert "cannot build the kernel" in message
         assert shlex.join(cc) in message and expected in message
         assert list(cache.iterdir()) == []  # no temporary file left behind
 
@@ -347,8 +348,26 @@ class TestBuildCache:
             kernel.load.cache_clear()
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot build the training kernel")
+        assert err.startswith("error: cannot build the kernel")
         assert "no-such-cc" in err
+
+    def test_cli_export_reports_build_failure(self, tmp_path, monkeypatch, capsys):
+        # The text export formats its numbers in the kernel too.
+        config = TrainConfig(dim=2, window=1, min_count=1)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "e.txt"
+        params = init_params(2, config, np.random.default_rng(0))
+        checkpoint_save(ckpt, params, config, Vocab(["a", "b"], [2, 1]))
+        monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(kernel, "compiler", lambda: [str(tmp_path / "no-such-cc")])
+        kernel.load.cache_clear()
+        try:
+            code = main(["export", "--model", str(ckpt), "--out", str(out)])
+        finally:
+            kernel.load.cache_clear()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot build the kernel") and "no-such-cc" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "m.ckpt"]
 
     def test_loaded_only_by_training(self, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -500,21 +519,24 @@ SANITIZE = (
 )
 SANITIZED_EXAMPLES = 40
 
-# Runs both hypothesis differential tests of test_trainer, argv[3] examples
-# each, with the kernel built from argv[1] into argv[2] at kernel.FLAGS plus
-# the flags in argv[4:].
+# Runs both hypothesis differential tests of test_trainer and that of the
+# text writer, argv[3] examples each, and the text writer's fixed cases, with
+# the kernel built from argv[1] into argv[2] at kernel.FLAGS plus the flags in
+# argv[4:].
 DIFFERENTIAL_RUN = """
 import sys
 from pathlib import Path
 from hypothesis import given, settings, strategies as st
 from phrasegram import kernel
-import test_trainer
+import test_cli_io, test_trainer
 
 kernel.SOURCE, kernel.CACHE_DIR = Path(sys.argv[1]), Path(sys.argv[2])
 kernel.FLAGS = kernel.FLAGS + tuple(sys.argv[4:])
 examples = settings(derandomize=True, max_examples=int(sys.argv[3]), deadline=None, database=None)
-for check in (test_trainer.check_drawn_phrase_steps, test_trainer.check_drawn_passes):
+for check in (test_trainer.check_drawn_phrase_steps, test_trainer.check_drawn_passes,
+              test_cli_io.check_drawn_bit_patterns):
     examples(given(st.data())(check))()
+test_cli_io.check_text_export_cases()
 """
 
 
@@ -535,11 +557,13 @@ class TestSanitizedBuild:
     runs the differential tests and the cross-build corpora cleanly.
 
     The kernel indexes by id without bounds checks, trusting the tables
-    and ids that the Python side checked; an out-of-bounds read or write,
-    say an off-by-one in a phrase's component range, aborts the sanitized
-    run with a report.  The runtime is preloaded into the interpreter,
-    which is not built with it, and Python's allocator is set to malloc so
-    that the sanitizer sees every buffer.  The sanitizers change no
+    and ids that the Python side checked, and writes text into a buffer
+    sized for the widest text; an out-of-bounds read or write, say an
+    off-by-one in a phrase's component range or a value's text longer
+    than its share of the buffer, aborts the sanitized run with a report.
+    The runtime is preloaded into the interpreter, which is not built
+    with it, and Python's allocator is set to malloc so that the
+    sanitizer sees every buffer.  The sanitizers change no
     floating-point operation, so the corpora train to the shipped bits.
     """
 
