@@ -1,5 +1,5 @@
 /* The compiled kernel: the word-level pass of a sentence and the phrase-level
- * step of a pair, for training, and the text export's number formatting.
+ * step of a pair, for training, and the text export's lines.
  *
  * word_pass subsamples one mapped sentence, then visits its window pairs,
  * drawing each pair's negatives and applying the skip-gram negative-sampling
@@ -29,8 +29,8 @@
  * matrix must not share memory with an output bank: a word step holds v while
  * it writes the rows.  The caller supplies the scratch buffers, so nothing here
  * allocates.  Build with -ffp-contract=off: a fused multiply-add would round
- * differently from the numpy reference.  The four-double vectors need GCC or
- * Clang.
+ * differently from the numpy reference.  The four-double vectors, and the
+ * text writer's 128-bit integers, need GCC or Clang.
  *
  * On x86-64 word_pass and phrase_step are cloned for AVX2 and for baseline
  * x86-64, and the dynamic loader picks the clone for the host when it loads
@@ -44,8 +44,10 @@
  * same order.  The C library's functions are another matter: glibc picks their
  * implementation per host, and those may differ in the last bit.
  *
- * format_rows, at the end, writes float32 rows as word2vec text, each value
- * as Python's '%.9g' % v prints it; its own comment gives the arithmetic.
+ * format_rows, at the end, writes word2vec text lines, each a word and its
+ * float32 row, every value as Python's '%.9g' % v prints it, in fixed or
+ * exponent notation, exactly, in integer and double arithmetic; its own
+ * comment gives the arithmetic.
  */
 #include <math.h>
 #include <stdint.h>
@@ -494,12 +496,16 @@ double phrase_step(const struct phrase_tables *t, double *pout, int64_t current,
     return objective;
 }
 
-/* Text export: float32 values as Python's '%.9g' % v prints them.
+/* Text export: word2vec text lines, each float32 value as Python's '%.9g' % v
+ * prints it.
  *
  * %.9g rounds a value to 9 significant digits, correctly and ties to even,
  * and prints it in fixed notation when the rounded value's decimal exponent E
- * lies in [-4, 8], without trailing zeros or a bare point.  For a float32 x
- * with 1e-4 <= |x| < 1e9 that takes no general conversion:
+ * lies in [-4, 8], else in exponent notation, d.dddddddde+XX, without trailing
+ * zeros or a bare point either way.  For a float32 that takes no general
+ * conversion.
+ *
+ * Fixed notation, 1e-4 <= |x| < 1e9 (write_fixed):
  *
  *   - s = |x| * 1e4 is exact in double, a 24-bit significand times 5^4, so
  *     s < 1 decides |x| < 1e-4 exactly, and comparing s with the exact powers
@@ -515,17 +521,40 @@ double phrase_step(const struct phrase_tables *t, double *pout, int64_t current,
  *   - nor does a float32 below 1e-4: float32(1e-4) lies 2.5e-12 below 1e-4,
  *     and rounding to 9 digits moves it by at most 5e-14.
  *
- * Zeros print as 0 and -0.  Every other value (|x| < 1e-4 or >= 1e9,
- * subnormals among them, infinities and NaN) prints in exponent notation or
- * as a word, and is left to the caller: its place in the text holds the
- * directive %.9g itself, and the value goes to `rest`, in text order, so that
- * the caller's `text % rest` prints it by the format's own definition.  A
- * value takes at most 16 bytes with the space or newline after it, as in
- * "-0.000123456789 ".
+ * Exponent notation, |x| < 1e-4 (subnormals included) or |x| >= 1e9
+ * (write_exponent): x = m * 2^e exactly, with an integer m < 2^24.  The 9
+ * digits at exponent E are |x| / 10^(E - 8) rounded, computed exactly in
+ * integers (scale10):
+ *
+ *   - below 1e-4, k = 8 - E lies in [13, 54], and |x| * 10^k = m * 5^k /
+ *     2^-(e + k): the product m * 5^k < 2^24 * 5^54 < 2^150 is held in three
+ *     64-bit limbs, and the shift rounds it (round_shift);
+ *   - from 1e9 up, q = E - 8 lies in [0, 31], and |x| / 10^q = m * 2^(e - q) /
+ *     5^q: the numerator is below 2^128 and 5^q is odd, so the remainder of
+ *     one 128-bit division rounds it and never ties;
+ *   - E starts from floor(floor(log2 |x|) * log10(2)), within one of
+ *     E0 = floor(log10 |x|), and the exact floor of |x| / 10^(E - 8), which
+ *     must lie in [1e8, 1e9), corrects it to E0; a value whose 9 digits round
+ *     up to 1e9 prints the digits 100000000 at exponent E0 + 1, as one float32
+ *     does: 9.9999999982e-24 prints 1e-23.
+ *
+ * Zeros print as 0 and -0, infinities as inf and -inf, and every NaN, of
+ * either sign and any payload, as nan.  A value takes at most 16 bytes with
+ * the space or newline after it, as in "-0.000123456789 " or
+ * "-1.23456789e-38 ".
  */
 
 static const double POW10[14] = {
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13,
+};
+
+/* 5^k for k in [0, 27], each below 2^63. */
+static const uint64_t POW5[28] = {
+    1u, 5u, 25u, 125u, 625u, 3125u, 15625u, 78125u, 390625u, 1953125u, 9765625u,
+    48828125u, 244140625u, 1220703125u, 6103515625u, 30517578125u, 152587890625u,
+    762939453125u, 3814697265625u, 19073486328125u, 95367431640625u,
+    476837158203125u, 2384185791015625u, 11920928955078125u, 59604644775390625u,
+    298023223876953125u, 1490116119384765625u, 7450580596923828125u,
 };
 
 /* The two digits of each number below 100, in order. */
@@ -533,6 +562,32 @@ static const char PAIRS[201] =
     "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
     "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
     "8081828384858687888990919293949596979899";
+
+typedef unsigned __int128 u128;
+
+/* 5^k for k in [0, 54], below 2^126. */
+INLINE u128 pow5(int k)
+{
+    return k > 27 ? (u128)POW5[k - 27] * POW5[27] : POW5[k];
+}
+
+/* Writes the 9 digits of n in [1e8, 1e9) to digits[0..9) and 8 bytes of
+ * padding after them; returns the number of digits up to the last that is not
+ * 0 (the first is not). */
+INLINE int nine_digits(uint32_t n, char digits[17])
+{
+    uint32_t low = n % 10000000, mid = low % 100000, tail = mid % 1000;
+    memset(digits, 0, 17);
+    memcpy(digits, PAIRS + 2 * (n / 10000000), 2);
+    memcpy(digits + 2, PAIRS + 2 * (low / 100000), 2);
+    memcpy(digits + 4, PAIRS + 2 * (mid / 1000), 2);
+    memcpy(digits + 6, PAIRS + 2 * (tail / 10), 2);
+    digits[8] = (char)('0' + tail % 10);
+    int len = 9;
+    while (digits[len - 1] == '0')
+        len--;
+    return len;
+}
 
 /* Writes the fixed-notation text of x at p, given a = |x| and s = a * 1e4 in
  * [1, 1e13); returns the end of the text.  Its stores reach at most 15 bytes
@@ -550,19 +605,8 @@ INLINE char *write_fixed(char *p, float x, double a, double s)
      * and the difference is exact. */
     double d = (a * POW10[12 - j] + 0x1p52) - 0x1p52;
     int e = j - 4;
-
-    /* The 9 digits, then 8 bytes of padding for the copy below. */
-    char digits[17] = {0};
-    uint32_t n = (uint32_t)d, low = n % 10000000, mid = low % 100000, tail = mid % 1000;
-    memcpy(digits, PAIRS + 2 * (n / 10000000), 2);
-    memcpy(digits + 2, PAIRS + 2 * (low / 100000), 2);
-    memcpy(digits + 4, PAIRS + 2 * (mid / 1000), 2);
-    memcpy(digits + 6, PAIRS + 2 * (tail / 10), 2);
-    digits[8] = (char)('0' + tail % 10);
-    /* The digits up to the last that is not 0; the first is not. */
-    int len = 9;
-    while (digits[len - 1] == '0')
-        len--;
+    char digits[17];
+    int len = nine_digits((uint32_t)d, digits);
 
     /* Fixed-size copies, each kept within the widest text; the bytes past the
      * returned end are overwritten by whatever follows. */
@@ -583,18 +627,107 @@ INLINE char *write_fixed(char *p, float x, double a, double s)
     return p + len;
 }
 
-/* Writes the rows x[0..rows) of dim values each to out, every value followed
- * by a space and the last of a row by a newline instead (a row of no values
- * is a newline), and the values left to the caller to rest.  out must hold
- * rows * max(dim, 1) * 16 bytes and rest rows * dim doubles.  Stores
- * the number of values in rest in *n_rest; returns the number of bytes
+/* N / 2^s rounded to nearest, ties to even, for N = hi * 2^64 + lo and s >= 1,
+ * with the quotient below 2^64; stores its floor in *q.  Above 64 the shift
+ * drops lo, which then only breaks a tie. */
+INLINE uint64_t round_shift(u128 hi, uint64_t lo, int s, uint64_t *q)
+{
+    int sticky = 0;
+    u128 n = hi << 64 | lo; /* N itself, when s <= 64: N < 2^(64 + s) */
+    if (s > 64) {
+        n = hi;
+        sticky = lo != 0;
+        s -= 64;
+    }
+    u128 rest = n & (((u128)1 << s) - 1), half = (u128)1 << (s - 1);
+    *q = (uint64_t)(n >> s);
+    return *q + (rest > half || (rest == half && (sticky || (*q & 1))));
+}
+
+/* m * 2^e * 10^k rounded to nearest, ties to even, and its floor in *q, for
+ * a float32's m and e and a k that puts the result near [1e8, 1e9): k >= 0
+ * with e + k < 0 below 1e-4, k < 0 with e + k >= 0 from 1e9 up. */
+INLINE uint64_t scale10(uint64_t m, int e, int k, uint64_t *q)
+{
+    if (k > 0) {
+        u128 p = pow5(k);
+        u128 lo = (u128)m * (uint64_t)p;
+        u128 hi = (u128)m * (uint64_t)(p >> 64) + (lo >> 64);
+        return round_shift(hi, (uint64_t)lo, -(e + k), q);
+    }
+    u128 d = pow5(-k), n = (u128)m << (e + k);
+    u128 f = n / d, r = n - f * d;
+    *q = (uint64_t)f;
+    return *q + (2 * r > d);
+}
+
+/* Writes the exponent-notation text of x at p, given a = |x|, finite, with
+ * 0 < a < 1e-4 or a >= 1e9; returns the end of the text.  Its stores reach
+ * at most 15 bytes past p, which is the widest text. */
+INLINE char *write_exponent(char *p, float x, double a)
+{
+    uint32_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t m = bits & 0x7fffff;
+    int e = (int)(bits >> 23 & 0xff);
+    if (e) {
+        m |= 0x800000;
+        e -= 150;
+    } else {
+        e = -149; /* subnormal */
+    }
+    uint64_t abits;
+    memcpy(&abits, &a, sizeof abits);
+    int b = (int)(abits >> 52) - 1023; /* floor(log2 a): a is a normal double */
+    int exp10 = (b * 78913) >> 18;     /* within one of floor(log10 a) */
+    uint64_t q, n;
+    for (;;) {
+        n = scale10(m, e, 8 - exp10, &q);
+        if (q < 100000000)
+            exp10--;
+        else if (q >= 1000000000)
+            exp10++;
+        else
+            break;
+    }
+    if (n == 1000000000) {
+        n = 100000000;
+        exp10++;
+    }
+    char digits[17];
+    int len = nine_digits((uint32_t)n, digits);
+
+    *p = '-';
+    p += x < 0.0f;
+    p[0] = digits[0];
+    p[1] = '.';
+    memcpy(p + 2, digits + 1, 8);
+    p += len > 1 ? len + 1 : 1;
+    p[0] = 'e';
+    p[1] = exp10 < 0 ? '-' : '+';
+    memcpy(p + 2, PAIRS + 2 * (exp10 < 0 ? -exp10 : exp10), 2);
+    return p + 4;
+}
+
+/* Writes the lines of rows x[0..rows) of dim values each to out: the row's
+ * word, a space, then each value followed by a space, the last by a newline
+ * instead (a row of no values is its word, a space and a newline).  The
+ * words are words[0..nbytes), the rows' words joined by newlines, in UTF-8
+ * (a word holds no newline; one missing reads as empty).  out must hold
+ * nbytes + 1 + rows * max(dim, 1) * 16 bytes; returns the number of bytes
  * written. */
-int64_t format_rows(const float *x, int64_t rows, int64_t dim, char *out, double *rest,
-                    int64_t *n_rest)
+int64_t format_rows(const float *x, int64_t rows, int64_t dim, const char *words,
+                    int64_t nbytes, char *out)
 {
     char *p = out;
-    int64_t r = 0;
+    const char *w = words, *end = words + nbytes;
     for (int64_t i = 0; i < rows; i++) {
+        const char *nl = memchr(w, '\n', (size_t)(end - w));
+        size_t len = (size_t)((nl ? nl : end) - w);
+        memcpy(p, w, len);
+        p += len;
+        w = nl ? nl + 1 : end;
+        *p++ = ' ';
         for (int64_t j = 0; j < dim; j++) {
             float v = x[i * dim + j];
             double a = fabs((double)v), s = a * 1e4;
@@ -606,14 +739,19 @@ int64_t format_rows(const float *x, int64_t rows, int64_t dim, char *out, double
                 *p++ = '0';
             } else if (s >= 1.0 && a < 1e9) {
                 p = write_fixed(p, v, a, s);
+            } else if (a != a) {
+                memcpy(p, "nan", 3);
+                p += 3;
+            } else if (a == INFINITY) {
+                *p = '-';
+                p += v < 0.0f;
+                memcpy(p, "inf", 3);
+                p += 3;
             } else {
-                memcpy(p, "%.9g", 4);
-                p += 4;
-                rest[r++] = v;
+                p = write_exponent(p, v, a);
             }
         }
         *p++ = '\n';
     }
-    *n_rest = r;
     return p - out;
 }

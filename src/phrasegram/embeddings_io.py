@@ -2,11 +2,16 @@
 
 Text format: a header line ``<count> <dim>`` followed by one line per
 word, ``word v1 ... vd`` with floats printed as ``'%.9g' % v`` prints
-them, byte for byte (lossless for float32); the compiled kernel prints
-them, a block of rows at a time (`kernel.format_rows`).  Binary format:
-the same ASCII header line, then for each word its UTF-8 bytes, a single
+them, byte for byte (lossless for float32).  The compiled kernel writes
+whole lines, every value included, a block of rows at a time
+(`kernel.TextLines`), into one buffer allocated once per export, and the
+writer hands each block's bytes to a file opened in binary mode; so the
+memory of an export does not grow with its rows.  Binary format: the
+same ASCII header line, then for each word its UTF-8 bytes, a single
 space, d little-endian float32 values, and a trailing newline byte.
-Vectors are stored at float32 precision in both formats.
+Vectors are stored at float32 precision in both formats.  Neither format
+can hold a word that is empty or holds whitespace, so both writers
+reject one, naming its row, before they create the file.
 """
 
 from __future__ import annotations
@@ -63,35 +68,62 @@ def select_matrix(params: ModelParams, which: str, bank: int = 0) -> np.ndarray:
     return matrices[bank]
 
 
+def _joined_words(path: str | Path, words: Sequence[str], start: int, stop: int) -> str:
+    """Rows [start, stop) of `words` joined by newlines, each checked to be a
+    word that both formats can hold: not empty, and free of whitespace as
+    `str.split()` splits at it, else the reader would split it or take the
+    next value for it.  The corpus reader never makes such a word.  The join
+    and the split run at C speed; only a block that fails looks at its words
+    one by one, to name the first bad one.
+    """
+    block = list(words[start:stop])
+    text = "\n".join(block)
+    if text.split() != block:
+        row, word = next((start + i, w) for i, w in enumerate(block) if w.split() != [w])
+        raise EmbeddingsFormatError(
+            f"{path}: row {row}: word {word!r} is empty or holds whitespace, "
+            f"which the word2vec formats cannot hold"
+        )
+    return text
+
+
 def write_embeddings_text(
     path: str | Path, words: Sequence[str], matrix: np.ndarray
 ) -> None:
     """Writes `matrix`'s rows at float32 as word2vec text, each under its word.
 
-    The rows go to the kernel a block at a time, TEXT_BLOCK_VALUES values
-    or one row, so the float32 copy and the text held at once stay small
-    and fixed whatever the number of rows.
+    Every word is checked, and encoded a block at a time, before the file
+    is created.  The rows go to the kernel a block at a time,
+    TEXT_BLOCK_VALUES values or one row, with their words, and each
+    block's lines go to the file as the kernel wrote them.  The float32
+    copy of a block and the kernel's buffers, which are allocated once,
+    stay small and fixed whatever the number of rows.
     """
     matrix = np.asarray(matrix)
     if len(words) != matrix.shape[0]:
         raise ValueError("word list and matrix row count differ")
-    step = max(TEXT_BLOCK_VALUES // max(matrix.shape[1], 1), 1)
-    with output_file(path) as fh:
-        fh.write(f"{len(words)} {matrix.shape[1]}\n")
-        for start in range(0, len(words), step):
-            rows = np.ascontiguousarray(matrix[start : start + step], dtype=np.float32)
-            fh.write("".join([
-                f"{word} {text}\n"
-                for word, text in zip(words[start : start + step], kernel.format_rows(rows))
-            ]))
+    dim = matrix.shape[1]
+    step = max(TEXT_BLOCK_VALUES // max(dim, 1), 1)
+    blocks = [
+        _joined_words(path, words, start, start + step).encode() for start in range(0, len(words), step)
+    ]
+    lines = kernel.TextLines(step, dim, max(map(len, blocks), default=0))
+    with output_file(path, "wb") as fh:
+        fh.write(f"{len(words)} {dim}\n".encode())
+        for i, block in enumerate(blocks):
+            rows = np.ascontiguousarray(matrix[i * step : (i + 1) * step], dtype=np.float32)
+            fh.write(lines(block, rows))
 
 
 def write_embeddings_binary(
     path: str | Path, words: Sequence[str], matrix: np.ndarray
 ) -> None:
+    """Writes `matrix`'s rows at float32 as word2vec binary, each under its
+    word; every word is checked before the file is created."""
     matrix = np.asarray(matrix, dtype="<f4")
     if len(words) != matrix.shape[0]:
         raise ValueError("word list and matrix row count differ")
+    _joined_words(path, words, 0, len(words))
     with output_file(path, "wb") as fh:
         fh.write(f"{len(words)} {matrix.shape[1]}\n".encode("utf-8"))
         for word, row in zip(words, matrix):

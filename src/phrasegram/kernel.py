@@ -1,5 +1,5 @@
 """Builds, caches and calls the compiled kernel, `_kernel.c`: the training
-passes, and the number formatting of the text export.
+passes, and the lines of the text export.
 
 The first epoch a process trains, or its first text export, loads the
 kernel with ctypes from `__pycache__/_kernel-<key>.so` next to this
@@ -46,9 +46,11 @@ kernel call.  Both passes check their noise table once, and draw their
 uniforms in the kernel through numpy's documented `BitGenerator.ctypes`
 interface, holding the generator's lock as `Generator.random` does; the
 lock also guards the pass's scratch.
-`format_rows` writes float32 rows as text, each value as `'%.9g' % v`
-prints it; it checks the rows' dtype and layout, and sizes the kernel's
-output for the widest text a value can take.
+`TextLines` writes the text export's lines, each word and then its float32
+row, every value as `'%.9g' % v` prints it, into one byte buffer that it
+allocates once per export, sized for a block of rows at the widest text a
+value can take plus the most bytes a block's words take; it checks each
+block's dtype, layout and size, and that it holds one word per row.
 """
 
 from __future__ import annotations
@@ -75,9 +77,9 @@ from phrasegram.sampling import NoiseDistribution
 __all__ = [
     "KernelBuildError",
     "PhraseTables",
+    "TextLines",
     "WordPass",
     "build",
-    "format_rows",
     "load",
     "phrase_step",
     "sample_noise",
@@ -139,7 +141,7 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "sample_noise": (None, [_P, _P, _I, _P, _I, _I, _P]),
     "word_pass": (_I, [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P]),
     "phrase_step": (_D, [_P, _P, _I, _I, _D]),
-    "format_rows": (_I, [_P, _I, _I, _P, _P, _P]),
+    "format_rows": (_I, [_P, _I, _I, _P, _I, _P]),
 }
 
 
@@ -221,31 +223,47 @@ def sample_noise(
 _TEXT_WIDEST = 16
 
 
-def format_rows(rows: np.ndarray) -> list[str]:
-    """Each row of a 2-D float32 array as text, its values printed as
-    `'%.9g' % v` prints them and joined by single spaces.
+class TextLines:
+    """The lines of a text export, `word v1 ... vd`, a block of rows at a time.
 
-    The kernel writes zeros and every value that %.9g prints in fixed
-    notation.  It writes the directive %.9g itself in place of every other
-    value, in exponent notation or not finite, which the one `%` here
-    formats with Python's own conversion.  The kernel's buffers hold the
-    whole of `rows`, so a caller bounds its memory by the rows it passes
-    at once.
+    Holds the kernel's two byte buffers for one export, each allocated
+    once: one for a block's words, and one for its lines, sized for
+    `block_rows` rows of `dim` values at the widest text plus
+    `word_bytes` bytes of words, the most that a block's words take.
     """
-    if not (rows.dtype == np.float32 and rows.ndim == 2 and rows.flags.c_contiguous):
-        raise ValueError(
-            f"the text writer reads 2-D C-contiguous float32 rows; got {rows.dtype} {rows.shape} "
-            f"(contiguous={rows.flags.c_contiguous})"
-        )
-    count, dim = rows.shape
-    out = ctypes.create_string_buffer(count * max(dim, 1) * _TEXT_WIDEST)
-    rest = np.empty(rows.size)
-    n_rest = ctypes.c_int64()
-    size = load().format_rows(rows.ctypes.data, count, dim, out, rest.ctypes.data, ctypes.byref(n_rest))
-    text = ctypes.string_at(out, size)
-    if n_rest.value:
-        text %= tuple(rest[: n_rest.value].tolist())
-    return text.decode("ascii").split("\n")[:-1]
+
+    def __init__(self, block_rows: int, dim: int, word_bytes: int) -> None:
+        self._rows, self._dim = block_rows, dim
+        self._words = np.empty(word_bytes, dtype=np.uint8)
+        self._out = np.empty(block_rows * max(dim, 1) * _TEXT_WIDEST + 1 + word_bytes, dtype=np.uint8)
+        self._fn = load().format_rows
+
+    def __call__(self, words: bytes, rows: np.ndarray) -> memoryview:
+        """The lines of `rows`, 2-D C-contiguous float32, each under its word
+        of `words`, the rows' words joined by newlines in UTF-8.  Every value
+        prints as `'%.9g' % v` prints it.  The view is of the object's
+        buffer, which the next call overwrites.
+        """
+        if not (rows.dtype == np.float32 and rows.ndim == 2 and rows.flags.c_contiguous):
+            raise ValueError(
+                f"the text writer reads 2-D C-contiguous float32 rows; got {rows.dtype} {rows.shape} "
+                f"(contiguous={rows.flags.c_contiguous})"
+            )
+        count, dim = rows.shape
+        if dim != self._dim or count > self._rows or len(words) > len(self._words):
+            raise ValueError(
+                f"a block of {count} rows of {dim} values and {len(words)} bytes of words exceeds "
+                f"the writer's {self._rows} rows of {self._dim} values and {len(self._words)} bytes"
+            )
+        newlines = words.count(b"\n")
+        if count and newlines != count - 1:
+            raise ValueError(f"{newlines + 1} words for {count} rows")
+        # At the end of their buffer, so that a read past the last word is one
+        # past the allocation.
+        tail = self._words[len(self._words) - len(words) :]
+        tail[:] = np.frombuffer(words, dtype=np.uint8)
+        size = self._fn(rows.ctypes.data, count, dim, tail.ctypes.data, len(words), self._out.ctypes.data)
+        return memoryview(self._out)[:size]
 
 
 class _Tables(ctypes.Structure):

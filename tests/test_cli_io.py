@@ -96,38 +96,57 @@ def check_text_export(words, matrix):
 
 
 def _float32_window(x, half):
-    """The 2 * half float32s nearest float32(x) in bit order, and their negations."""
-    bits = np.array(x, dtype=np.float32).view(np.uint32)
-    window = np.arange(bits - half, bits + half, dtype=np.uint32).view(np.float32)
+    """The 2 * half float32s nearest float32(x) in bit order, from bit pattern
+    0 at the least, and their negations."""
+    bits = int(np.array(x, dtype=np.float32).view(np.uint32))
+    window = np.arange(max(bits - half, 0), bits + half, dtype=np.uint32).view(np.float32)
     return np.concatenate([window, -window])
 
 
 def check_text_export_cases():
-    """The text writer on the edges of the kernel's fixed notation, ties, its
-    widest text and every special value, in rows that span blocks.
+    """The text writer on the edges of the kernel's fixed notation, every
+    power of ten, ties, the carry into a power of ten, its widest texts and
+    every special value, in rows that span blocks.
 
     Every float32 of the binades around 1e-4 and 1e9 would take some 30 s;
     the windows here hold the 2^15 on either side of each edge.
     """
     dim = 128
     step = max(phrasegram.embeddings_io.TEXT_BLOCK_VALUES // dim, 1)
-    # Both edges of fixed notation, 1e-4 and 1e9, and the powers of ten around them.
+    # Both edges of fixed notation, 1e-4 and 1e9, and every power of ten of
+    # float32, 1e-45 (a subnormal) to 1e38.
     edges = np.concatenate(
         [_float32_window(x, 1 << 15) for x in (1e-4, 1e9)]
-        + [_float32_window(10.0**k, 64) for k in range(-6, 11)]
+        + [_float32_window(10.0**k, 64) for k in range(-45, 39)]
     )
     # Ties at 9 digits, rounding down and up to an even 9th digit.
     ties = [sign * x for sign in (1, -1) for x in (513 / 1024, 515 / 1024, 513 / 512, 515 / 512,
                                                    1 / 8192, 3 / 8192)]
     specials = [0.0, -0.0, 1e-45, -1e-45, 1.17549435e-38, 3.4028235e38, -3.4028235e38,
                 np.inf, -np.inf, np.nan, 1.0, 1e8, 123456789.0, 999999936.0]
-    values = np.concatenate([edges, np.array(ties + specials, dtype=np.float32)])
+    bits = np.array([
+        0x00000001, 0x007FFFFF, 0x00800000, 0x7F7FFFFF, 0xFF7FFFFF,  # subnormals, normal, FLT_MAX
+        # The one float32 whose 9 digits round up into the next power of ten,
+        # 9.99999999820e-24, which prints as 1e-23: a scan of the float32 below
+        # each power of ten from 1e-45 to 1e39 found no other.
+        0x19416D9A, 0x99416D9A,
+        # NaNs of either sign, quiet and signaling, with other payloads.
+        0xFFC00000, 0x7FC00001, 0x7F800001, 0xFF800001, 0x7FFFFFFF, 0xFFFFFFFF,
+    ], dtype=np.uint32).view(np.float32)
+    values = np.concatenate([edges, np.array(ties + specials, dtype=np.float32), bits])
     values = np.concatenate([values, np.zeros(-len(values) % dim, dtype=np.float32)])
     check_text_export([f"w{i}" for i in range(len(values) // dim)], values.reshape(-1, dim))
-    # Every value at the widest text: a block fills the kernel's buffer.
-    widest = np.float32(-0.000123456775)
-    assert len("%.9g" % widest) == 15
-    check_text_export(["a"] * step, np.full((step, dim), widest))
+    # Every value at the widest text, fixed and exponent: a block fills the
+    # kernel's buffer, and the exponent blocks' long multi-byte words fill the
+    # words' share of it.
+    for widest, words in [
+        (np.float32(-0.000123456775), ["a"] * step),
+        (np.float32(-1.23456787e-38), [f"{i:03d}" + "жд€" * 20 for i in range(2 * step)]),
+    ]:
+        assert len("%.9g" % widest) == 15
+        check_text_export(words, np.full((len(words), dim), widest))
+    # Words that hold the directive character: the text never goes through `%`.
+    check_text_export(["100%", "%s", "%.9g", "%%", "%(x)s"], np.full((5, 2), 1e-5))
     # Rows that straddle block boundaries, each under its own word.
     rows = 3 * step + 1
     words = [f"w{i}" for i in range(rows - 1)] + ["café"]
@@ -334,6 +353,49 @@ class TestBinaryFormat:
         got_words, got = read_embeddings_binary(path)
         assert got_words == words
         np.testing.assert_array_equal(got, matrix)
+
+
+# Words that neither format can hold: each would read back split in two, or
+# read as no word at all.
+BAD_WORDS = {"space": "a b", "newline": "a\nb", "empty": "", "tab": "a\tb", "ideographic-space": "a\u3000b"}
+WRITERS = {"text": write_embeddings_text, "binary": write_embeddings_binary}
+
+
+class TestWordsTheFormatsCannotHold:
+    """Both writers reject a word that is empty or holds whitespace, naming
+    its row, before they create the file."""
+
+    @pytest.mark.parametrize("fmt", sorted(WRITERS))
+    @pytest.mark.parametrize("case", sorted(BAD_WORDS))
+    def test_rejected_before_the_file_is_created(self, tmp_path, fmt, case):
+        word = BAD_WORDS[case]
+        path = tmp_path / "e"
+        path.write_bytes(b"previous contents")
+        message = f"{path}: row 1: word {word!r} is empty or holds whitespace"
+        with pytest.raises(EmbeddingsFormatError, match="^" + re.escape(message)):
+            WRITERS[fmt](path, ["c", word, "d"], np.ones((3, 2), dtype=np.float32))
+        assert [p.name for p in tmp_path.iterdir()] == ["e"]
+        assert path.read_bytes() == b"previous contents"
+
+    @pytest.mark.parametrize("fmt", sorted(WRITERS))
+    def test_names_the_row_in_a_later_block(self, tmp_path, fmt):
+        words = [f"w{i}" for i in range(3 * phrasegram.embeddings_io.TEXT_BLOCK_VALUES)]
+        words[-2] = "x y"
+        with pytest.raises(EmbeddingsFormatError, match=f"row {len(words) - 2}: word 'x y'"):
+            WRITERS[fmt](tmp_path / "e", words, np.zeros((len(words), 1), dtype=np.float32))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", sorted(WRITERS))
+    def test_cli_export_exits_2(self, tmp_path, capsys, fmt):
+        cfg = TrainConfig(dim=2, window=1, min_count=1)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "e"
+        checkpoint_save(ckpt, init_params(2, cfg, np.random.default_rng(0)), cfg, Vocab(["c", "a b"], [2, 1]))
+        assert main(["export", "--model", str(ckpt), "--out", str(out), "--format", fmt]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}: row 1: word 'a b' is empty or holds whitespace, "
+            "which the word2vec formats cannot hold\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
 class TestExportSelection:

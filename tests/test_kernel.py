@@ -254,6 +254,37 @@ class TestWordPass:
         np.testing.assert_array_equal(banks[0], free_banks[0])
 
 
+class TestTextLines:
+    """The kernel writes a block's lines into buffers sized when the writer
+    is made, and reads one word per row: a block that breaks either is
+    refused before the kernel runs."""
+
+    def test_writes_lines_into_its_buffer(self):
+        lines = kernel.TextLines(2, 3, 8)
+        rows = np.array([[1.5, -0.0, 1e-5], [np.inf, np.nan, 3e38]], dtype=np.float32)
+        assert bytes(lines(b"ab\ncd\xc3\xa9", rows)) == (
+            "ab 1.5 -0 9.99999975e-06\ncdé inf nan 3.00000001e+38\n".encode()
+        )
+        assert bytes(lines(b"x", rows[:1])) == b"x 1.5 -0 9.99999975e-06\n"
+
+    @pytest.mark.parametrize(
+        "words, rows, reason",
+        [
+            (b"a\nb", np.zeros((2, 3), dtype=np.float64), "2-D C-contiguous float32"),
+            (b"a\nb", np.zeros((3, 2), dtype=np.float32)[:, :1].T, "2-D C-contiguous float32"),
+            (b"a\nb\nc", np.zeros((3, 3), dtype=np.float32), "3 rows of 3 values"),
+            (b"a\nb", np.zeros((2, 4), dtype=np.float32), "2 rows of 4 values"),
+            (b"abcd\nefgh", np.zeros((2, 3), dtype=np.float32), "9 bytes of words"),
+            (b"a", np.zeros((2, 3), dtype=np.float32), "1 words for 2 rows"),
+            (b"a\nb\nc", np.zeros((2, 3), dtype=np.float32), "3 words for 2 rows"),
+        ],
+    )
+    def test_refuses_a_block_that_does_not_fit(self, words, rows, reason):
+        lines = kernel.TextLines(2, 3, 8)
+        with pytest.raises(ValueError, match=reason):
+            lines(words, rows)
+
+
 def _fake_compiler() -> list[str]:
     """A compiler command that only creates its -o file."""
     code = "import sys; open(sys.argv[sys.argv.index('-o') + 1], 'w').close()"
