@@ -1,5 +1,6 @@
 /* The compiled kernel: the word-level pass of a sentence and the phrase-level
- * step of a pair, for training, and the text export's lines.
+ * step of a pair, for training, the text export's lines, and the CRC-32 of a
+ * checkpoint.
  *
  * word_pass subsamples one mapped sentence, then visits its window pairs,
  * drawing each pair's negatives and applying the skip-gram negative-sampling
@@ -44,10 +45,14 @@
  * same order.  The C library's functions are another matter: glibc picks their
  * implementation per host, and those may differ in the last bit.
  *
- * format_rows, at the end, writes word2vec text lines, each a word and its
- * float32 row, every value as Python's '%.9g' % v prints it, in fixed or
- * exponent notation, exactly, in integer and double arithmetic; its own
- * comment gives the arithmetic.
+ * format_rows writes word2vec text lines, each a word and its float32 row,
+ * every value as Python's '%.9g' % v prints it, in fixed or exponent notation,
+ * exactly, in integer and double arithmetic; its own comment gives the
+ * arithmetic.
+ *
+ * crc32, at the end, is zlib's crc32(): by carry-less multiplication on an
+ * x86-64 host with PCLMULQDQ, picked once when the object is loaded, and by a
+ * portable table loop elsewhere and for the last len % 16 bytes.
  */
 #include <math.h>
 #include <stdint.h>
@@ -754,4 +759,138 @@ int64_t format_rows(const float *x, int64_t rows, int64_t dim, const char *words
         *p++ = '\n';
     }
     return p - out;
+}
+
+/* Checkpoint checksums: the CRC-32 that zlib's crc32() computes (CRC-32/ISO-HDLC:
+ * the reflected polynomial 0xEDB88320, the register inverted before and after),
+ * so crc32(crc32(0, a), b) is the CRC of a then b, as with zlib.
+ *
+ * Every host can run the portable loop, slicing-by-8: eight tables fold eight
+ * bytes per step, table t holding each byte's remainder after t further zero
+ * bytes.  An x86-64 host with PCLMULQDQ folds the data by carry-less
+ * multiplication instead (Gopal et al., "Fast CRC Computation for Generic
+ * Polynomials Using PCLMULQDQ Instruction", Intel, 2009), 64 bytes a step in
+ * four 128-bit lanes while at least 64 remain, then 16 bytes a step in one;
+ * the last len % 16 bytes take the portable loop.  crc32_init fills the tables
+ * and picks the path once, when the object is loaded. */
+
+static uint32_t CRC_TABLE[8][256];
+
+/* The inverted CRC register c after the bytes p[0..len), one table step per
+ * eight bytes, then one per byte.  The words are assembled byte by byte, so
+ * the loop reads little-endian on any host. */
+static uint32_t crc32_slice8(uint32_t c, const unsigned char *p, size_t len)
+{
+    for (; len >= 8; p += 8, len -= 8) {
+        uint32_t lo = c ^ ((uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 |
+                           (uint32_t)p[3] << 24);
+        uint32_t hi = (uint32_t)p[4] | (uint32_t)p[5] << 8 | (uint32_t)p[6] << 16 |
+                      (uint32_t)p[7] << 24;
+        c = CRC_TABLE[7][lo & 0xff] ^ CRC_TABLE[6][lo >> 8 & 0xff] ^
+            CRC_TABLE[5][lo >> 16 & 0xff] ^ CRC_TABLE[4][lo >> 24] ^
+            CRC_TABLE[3][hi & 0xff] ^ CRC_TABLE[2][hi >> 8 & 0xff] ^
+            CRC_TABLE[1][hi >> 16 & 0xff] ^ CRC_TABLE[0][hi >> 24];
+    }
+    for (; len; p++, len--)
+        c = CRC_TABLE[0][(c ^ *p) & 0xff] ^ c >> 8;
+    return c;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+
+/* The folding constants, in the reflected domain, each (x^n mod P) bit-reflected
+ * and shifted left by one: k1 and k2 fold a lane 512 bits on (n = 4 * 128 + 32 and
+ * 4 * 128 - 32), k3 and k4 fold 128 bits on (n = 128 + 32 and 128 - 32), and k5
+ * folds the last 64 bits to 32 (n = 64).  MU is floor(x^64 / P) and POLY P itself,
+ * both bit-reflected over 33 bits, for the Barrett reduction. */
+#define CRC_K1 0x154442bd4
+#define CRC_K2 0x1c6e41596
+#define CRC_K3 0x1751997d0
+#define CRC_K4 0x0ccaa009e
+#define CRC_K5 0x163cd6124
+#define CRC_POLY 0x1db710641
+#define CRC_MU 0x1f7011641
+
+/* x times k_lo on its low quadword plus x times k_hi on its high one: x
+ * carried 128 bits further on. */
+__attribute__((target("pclmul,sse4.1"))) static inline __m128i fold16(__m128i x, __m128i k)
+{
+    return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+/* The inverted CRC register c after the bytes p[0..len), len a multiple of 16
+ * and at least 64: it reads exactly those bytes, at any alignment. */
+__attribute__((target("pclmul,sse4.1"))) static uint32_t crc32_clmul(uint32_t c,
+                                                                      const unsigned char *p,
+                                                                      size_t len)
+{
+    const __m128i *q = (const __m128i *)p;
+    __m128i x0 = _mm_xor_si128(_mm_loadu_si128(q), _mm_cvtsi32_si128((int)c));
+    __m128i x1 = _mm_loadu_si128(q + 1), x2 = _mm_loadu_si128(q + 2), x3 = _mm_loadu_si128(q + 3);
+    q += 4;
+    len -= 64;
+    __m128i k = _mm_set_epi64x(CRC_K2, CRC_K1);
+    for (; len >= 64; q += 4, len -= 64) {
+        x0 = _mm_xor_si128(fold16(x0, k), _mm_loadu_si128(q));
+        x1 = _mm_xor_si128(fold16(x1, k), _mm_loadu_si128(q + 1));
+        x2 = _mm_xor_si128(fold16(x2, k), _mm_loadu_si128(q + 2));
+        x3 = _mm_xor_si128(fold16(x3, k), _mm_loadu_si128(q + 3));
+    }
+    k = _mm_set_epi64x(CRC_K4, CRC_K3);
+    x0 = _mm_xor_si128(fold16(x0, k), x1);
+    x0 = _mm_xor_si128(fold16(x0, k), x2);
+    x0 = _mm_xor_si128(fold16(x0, k), x3);
+    for (; len >= 16; q++, len -= 16)
+        x0 = _mm_xor_si128(fold16(x0, k), _mm_loadu_si128(q));
+
+    /* 128 bits to 64: the low quadword times k4, added to the high one. */
+    const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), _mm_clmulepi64_si128(x0, k, 0x10));
+    /* 64 bits to 32 more: the low 32 times k5, added to the rest. */
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x0, low32), _mm_cvtsi64_si128(CRC_K5),
+                                            0x00));
+    /* Barrett's reduction to the 32-bit remainder, in the register's high half. */
+    const __m128i pm = _mm_set_epi64x(CRC_MU, CRC_POLY);
+    __m128i t = _mm_and_si128(_mm_clmulepi64_si128(_mm_and_si128(x0, low32), pm, 0x10), low32);
+    x0 = _mm_xor_si128(x0, _mm_clmulepi64_si128(t, pm, 0x00));
+    return (uint32_t)_mm_extract_epi32(x0, 1);
+}
+
+static int crc32_has_clmul;
+#endif
+
+__attribute__((constructor)) static void crc32_init(void)
+{
+    for (uint32_t n = 0; n < 256; n++) {
+        uint32_t c = n;
+        for (int bit = 0; bit < 8; bit++)
+            c = c & 1 ? 0xedb88320u ^ c >> 1 : c >> 1;
+        CRC_TABLE[0][n] = c;
+    }
+    for (int t = 1; t < 8; t++)
+        for (int n = 0; n < 256; n++)
+            CRC_TABLE[t][n] = CRC_TABLE[0][CRC_TABLE[t - 1][n] & 0xff] ^ CRC_TABLE[t - 1][n] >> 8;
+#if defined(__x86_64__) && defined(__GNUC__)
+    __builtin_cpu_init();
+    crc32_has_clmul = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#endif
+}
+
+/* zlib's crc32(crc, buf, len): the CRC-32 of buf[0..len) continued from crc,
+ * the CRC of the bytes before them (0 for none). */
+uint32_t crc32(uint32_t crc, const unsigned char *buf, int64_t len)
+{
+    uint32_t c = ~crc;
+    size_t n = (size_t)len;
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (crc32_has_clmul && n >= 64) {
+        size_t folded = n & ~(size_t)15;
+        c = crc32_clmul(c, buf, folded);
+        buf += folded;
+        n -= folded;
+    }
+#endif
+    return ~crc32_slice8(c, buf, n);
 }

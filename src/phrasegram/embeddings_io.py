@@ -8,10 +8,13 @@ whole lines, every value included, a block of rows at a time
 writer hands each block's bytes to a file opened in binary mode; so the
 memory of an export does not grow with its rows.  Binary format: the
 same ASCII header line, then for each word its UTF-8 bytes, a single
-space, d little-endian float32 values, and a trailing newline byte.
-Vectors are stored at float32 precision in both formats.  Neither format
-can hold a word that is empty or holds whitespace, so both writers
-reject one, naming its row, before they create the file.
+space, d little-endian float32 values, and a trailing newline byte; the
+writer joins a block of rows into one bytes object per write.  Vectors
+are stored at float32 precision in both formats.  Neither format can
+hold a word that is empty or holds whitespace, so both writers reject
+one, naming its row, before they create the file, and both readers
+reject one, the text reader naming its line and the binary reader its
+row.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ __all__ = [
 ]
 
 
-# Values the text writer formats per kernel call.
-TEXT_BLOCK_VALUES = 8192
+# Values per block of rows: the text writer formats a block per kernel call,
+# and both writers write a block at a time.
+BLOCK_VALUES = 8192
 
 
 class EmbeddingsFormatError(ValueError):
@@ -68,22 +72,26 @@ def select_matrix(params: ModelParams, which: str, bank: int = 0) -> np.ndarray:
     return matrices[bank]
 
 
+def _word_error(where: str, word: str) -> EmbeddingsFormatError:
+    return EmbeddingsFormatError(
+        f"{where}: word {word!r} is empty or holds whitespace, which the word2vec formats cannot hold"
+    )
+
+
 def _joined_words(path: str | Path, words: Sequence[str], start: int, stop: int) -> str:
     """Rows [start, stop) of `words` joined by newlines, each checked to be a
     word that both formats can hold: not empty, and free of whitespace as
     `str.split()` splits at it, else the reader would split it or take the
-    next value for it.  The corpus reader never makes such a word.  The join
-    and the split run at C speed; only a block that fails looks at its words
-    one by one, to name the first bad one.
+    next value for it.  The corpus reader never makes such a word, and both
+    readers reject one.  The join and the split run at C speed; only a
+    block that fails looks at its words one by one, to name the first bad
+    one.
     """
     block = list(words[start:stop])
     text = "\n".join(block)
     if text.split() != block:
         row, word = next((start + i, w) for i, w in enumerate(block) if w.split() != [w])
-        raise EmbeddingsFormatError(
-            f"{path}: row {row}: word {word!r} is empty or holds whitespace, "
-            f"which the word2vec formats cannot hold"
-        )
+        raise _word_error(f"{path}: row {row}", word)
     return text
 
 
@@ -94,7 +102,7 @@ def write_embeddings_text(
 
     Every word is checked, and encoded a block at a time, before the file
     is created.  The rows go to the kernel a block at a time,
-    TEXT_BLOCK_VALUES values or one row, with their words, and each
+    BLOCK_VALUES values or one row, with their words, and each
     block's lines go to the file as the kernel wrote them.  The float32
     copy of a block and the kernel's buffers, which are allocated once,
     stay small and fixed whatever the number of rows.
@@ -103,7 +111,7 @@ def write_embeddings_text(
     if len(words) != matrix.shape[0]:
         raise ValueError("word list and matrix row count differ")
     dim = matrix.shape[1]
-    step = max(TEXT_BLOCK_VALUES // max(dim, 1), 1)
+    step = max(BLOCK_VALUES // max(dim, 1), 1)
     blocks = [
         _joined_words(path, words, start, start + step).encode() for start in range(0, len(words), step)
     ]
@@ -119,15 +127,30 @@ def write_embeddings_binary(
     path: str | Path, words: Sequence[str], matrix: np.ndarray
 ) -> None:
     """Writes `matrix`'s rows at float32 as word2vec binary, each under its
-    word; every word is checked before the file is created."""
-    matrix = np.asarray(matrix, dtype="<f4")
+    word.
+
+    Every word is checked, and encoded a block at a time, before the file
+    is created.  Each block of BLOCK_VALUES values or one row is joined
+    into one bytes object, its words, spaces, rows and newlines in one
+    pass, and written in one call.
+    """
+    matrix = np.asarray(matrix)
     if len(words) != matrix.shape[0]:
         raise ValueError("word list and matrix row count differ")
-    _joined_words(path, words, 0, len(words))
+    dim = matrix.shape[1]
+    step = max(BLOCK_VALUES // max(dim, 1), 1)
+    blocks = [
+        _joined_words(path, words, start, start + step).encode() for start in range(0, len(words), step)
+    ]
     with output_file(path, "wb") as fh:
-        fh.write(f"{len(words)} {matrix.shape[1]}\n".encode("utf-8"))
-        for word, row in zip(words, matrix):
-            fh.write(word.encode("utf-8") + b" " + row.tobytes() + b"\n")
+        fh.write(f"{len(words)} {dim}\n".encode())
+        for i, block in enumerate(blocks):
+            rows = np.ascontiguousarray(matrix[i * step : (i + 1) * step], dtype="<f4")
+            # Each row's word and space, its values, then a newline.
+            parts = [b"\n"] * (3 * len(rows))
+            parts[0::3] = [word + b" " for word in block.split(b"\n")]
+            parts[1::3] = rows
+            fh.write(b"".join(parts))
 
 
 def _parse_header(fields: Sequence[str | bytes], where: str, body: float) -> tuple[int, int]:
@@ -170,6 +193,8 @@ def read_embeddings_text(path: str | Path) -> tuple[list[str], np.ndarray]:
             fields = line.removesuffix(" ").split(" ")
             if len(fields) != dim + 1:
                 raise EmbeddingsFormatError(f"{where}: expected {dim} values, got {len(fields) - 1}")
+            if fields[0].split() != [fields[0]]:
+                raise _word_error(where, fields[0])
             words.append(fields[0])
             # Parsed to float64 first, then rounded to float32, as float() would.
             try:
@@ -202,11 +227,14 @@ def read_embeddings_binary(path: str | Path) -> tuple[list[str], np.ndarray]:
         if sep < 0:
             raise EmbeddingsFormatError(f"{path}: row {i}: missing word separator")
         try:
-            words.append(data[pos:sep].decode("utf-8"))
+            word = data[pos:sep].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise EmbeddingsFormatError(
                 f"{path}: row {i}: invalid UTF-8 at byte offset {pos + exc.start}"
             ) from None
+        if word.split() != [word]:
+            raise _word_error(f"{path}: row {i}", word)
+        words.append(word)
         start = sep + 1
         end = start + row_bytes
         if end + 1 > len(data):

@@ -1,10 +1,11 @@
 """Builds, caches and calls the compiled kernel, `_kernel.c`: the training
-passes, and the lines of the text export.
+passes, the lines of the text export, and the CRC-32 of a checkpoint.
 
-The first epoch a process trains, or its first text export, loads the
-kernel with ctypes from `__pycache__/_kernel-<key>.so` next to this
-file, compiling it there first with the C compiler Python was built with
-(`sysconfig` CC) if that file does not exist.  `FLAGS` build at -O3 with
+The first epoch a process trains, its first text export, or its first
+checkpoint read or write, loads the kernel with ctypes from
+`__pycache__/_kernel-<key>.so` next to this file, compiling it there
+first with the C compiler Python was built with (`sysconfig` CC) if that
+file does not exist.  `FLAGS` build at -O3 with
 -ffp-contract=off and no host-specific instruction set: the optimizer
 may vectorize, but never fuses a multiply-add or reorders a sum, so the
 kernel's own arithmetic does not depend on the host's instruction set
@@ -51,6 +52,9 @@ row, every value as `'%.9g' % v` prints it, into one byte buffer that it
 allocates once per export, sized for a block of rows at the widest text a
 value can take plus the most bytes a block's words take; it checks each
 block's dtype, layout and size, and that it holds one word per row.
+`crc32` is `zlib.crc32` of any C-contiguous buffer, computed in the
+kernel; `model` imports it where it saves or loads a checkpoint, not at
+its top, since this module imports `model`.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ __all__ = [
     "TextLines",
     "WordPass",
     "build",
+    "crc32",
     "load",
     "phrase_step",
     "sample_noise",
@@ -142,6 +147,7 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "word_pass": (_I, [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P]),
     "phrase_step": (_D, [_P, _P, _I, _I, _D]),
     "format_rows": (_I, [_P, _I, _I, _P, _I, _P]),
+    "crc32": (ctypes.c_uint32, [ctypes.c_uint32, _P, _I]),
 }
 
 
@@ -154,6 +160,17 @@ def load() -> ctypes.CDLL:
         fn.argtypes = argtypes
         fn.restype = restype
     return lib
+
+
+def crc32(data: object, crc: int = 0) -> int:
+    """`zlib.crc32(data, crc)`: the CRC-32 of the bytes of `data`, any
+    C-contiguous buffer, continued from `crc`, the CRC of the bytes before
+    them."""
+    view = memoryview(data)
+    if not view.c_contiguous:
+        raise ValueError(f"crc32 reads a C-contiguous buffer; got a {view.ndim}-D one that is not")
+    buf = np.frombuffer(view, dtype=np.uint8)
+    return load().crc32(crc, buf.ctypes.data, len(buf))
 
 
 def _address(m: np.ndarray, shape: tuple[int, int], name: str) -> int:

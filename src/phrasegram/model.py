@@ -22,11 +22,11 @@ import numbers
 import os
 import stat
 import struct
-import zlib
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -422,7 +422,10 @@ def checkpoint_save(
     the payload, u64 payload length, payload.  The payload is a u32-length-
     prefixed JSON header (config, vocabularies, optional resume state,
     matrix manifest) followed by the raw float64 matrices in manifest order.
+    The CRC is taken in the kernel, a piece at a time.
     """
+    from phrasegram import kernel  # not at the top: kernel imports this module
+
     header = {
         "config": config.to_dict(),
         "vocab": {"words": vocab.words, "counts": [int(c) for c in vocab.counts]},
@@ -444,7 +447,7 @@ def checkpoint_save(
     pieces += [np.ascontiguousarray(m, dtype="<f8") for _, m in params.matrices()]
     crc = length = 0
     for piece in pieces:
-        crc = zlib.crc32(piece, crc)
+        crc = kernel.crc32(piece, crc)
         length += memoryview(piece).nbytes
     with output_file(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -458,6 +461,11 @@ def checkpoint_save(
 def checkpoint_load(path: str | Path) -> CheckpointData:
     """Read a checkpoint written by checkpoint_save.
 
+    The payload is read into one numpy allocation (see `_read_payload_bytes`),
+    its CRC-32 taken in the kernel, and every matrix returned is a view of
+    that allocation: writable, aligned, C-contiguous float64, no two
+    overlapping, so a resumed model trains in place without a copy.
+
     Raises CheckpointFormatError, CheckpointVersionError,
     CheckpointTruncatedError or CheckpointChecksumError, each starting
     with the path: CheckpointFormatError also for a payload whose header
@@ -466,9 +474,12 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
     do not fill the payload exactly).  Raises ValueError, starting with
     the path and naming the field, when the config or the vocabularies
     break their rules or do not fit the matrices, or when the resume state
-    breaks a rule of `TrainingState.from_dict`.  Never returns a partially
-    read model.
+    breaks a rule of `TrainingState.from_dict`.  Raises
+    `kernel.KernelBuildError` when the kernel cannot be built.  Never
+    returns a partially read model.
     """
+    from phrasegram import kernel  # not at the top: kernel imports this module
+
     path = Path(path)
     with path.open("rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -482,21 +493,12 @@ def checkpoint_load(path: str | Path) -> CheckpointData:
             raise CheckpointVersionError(
                 f"{path}: format version {version}, expected {_FORMAT_VERSION}"
             )
-        # read() sizes its buffer from its argument: a regular file's size
-        # caps it, so it is one read; a pipe's size is not known, so it is
-        # read in blocks, holding only the bytes that have arrived.
-        st = os.fstat(fh.fileno())
-        block = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else _PIPE_BLOCK
-        blocks, left = [], length
-        while left and (part := fh.read(min(left, block))):
-            blocks.append(part)
-            left -= len(part)
-        payload = b"".join(blocks)  # one block is returned as is, uncopied
+        payload = _read_payload_bytes(fh, length)
     if len(payload) < length:
         raise CheckpointTruncatedError(
             f"{path}: payload is {len(payload)} bytes, expected {length}"
         )
-    if zlib.crc32(payload) != crc:
+    if kernel.crc32(payload) != crc:
         raise CheckpointChecksumError(f"{path}: checksum mismatch")
 
     header, params = _read_payload(payload, path)
@@ -520,12 +522,50 @@ _HEADER_TYPES = {
 }
 
 
-def _list_of(value: object, kind: type) -> bool:
+def _read_payload_bytes(fh: BinaryIO, length: int) -> np.ndarray:
+    """Up to `length` bytes of `fh`, as uint8 in one numpy allocation, placed
+    so that the matrices after the payload's header start 8-byte aligned.
+
+    The first 4 bytes, the header's length, are read first to place the
+    rest.  A regular file's size caps the allocation, and the rest is read
+    into it with readinto.  A pipe's size is not known, so it is read in
+    blocks, holding only the bytes that have arrived, which are then copied
+    into the allocation once.
+    """
+    lead = fh.read(min(length, 4))
+    pad = -(4 + struct.unpack("<I", lead)[0]) % 8 if len(lead) == 4 else 0
+    st = os.fstat(fh.fileno())
+    parts = [lead]
+    if stat.S_ISREG(st.st_mode):
+        size = len(lead) + min(length - len(lead), max(st.st_size - fh.tell(), 0))
+    else:
+        left = length - len(lead)
+        while left and (part := fh.read(min(left, _PIPE_BLOCK))):
+            parts.append(part)
+            left -= len(part)
+        size = length - left
+    # float64 elements, so that the allocation itself is 8-byte aligned.
+    buf = np.empty((pad + size + 7) // 8).view(np.uint8)[pad : pad + size]
+    got = 0
+    for part in parts:
+        buf[got : got + len(part)] = np.frombuffer(part, dtype=np.uint8)
+        got += len(part)
+    # The rest of a regular file, straight into the allocation.
+    while got < size and (n := fh.readinto(buf[got:])):
+        got += n
+    return buf[:got]
+
+
+def _all_of(values: Iterable[object], kind: type) -> bool:
     # type(), not isinstance(): JSON true and false must not pass as integers.
-    return isinstance(value, list) and all(type(v) is kind for v in value)
+    return set(map(type, values)) <= {kind}
 
 
-def _read_payload(payload: bytes, path: Path) -> tuple[dict, ModelParams]:
+def _list_of(value: object, kind: type) -> bool:
+    return isinstance(value, list) and _all_of(value, kind)
+
+
+def _read_payload(payload: np.ndarray, path: Path) -> tuple[dict, ModelParams]:
     """The payload's JSON header and the matrices it describes.
 
     Checks the structure only: keys, types, matrix names and sizes.  What
@@ -540,7 +580,7 @@ def _read_payload(payload: bytes, path: Path) -> tuple[dict, ModelParams]:
     (header_len,) = struct.unpack("<I", payload[:4])
     require(4 + header_len <= len(payload), f"header of {header_len} bytes runs past the payload")
     try:
-        header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
+        header = json.loads(payload[4 : 4 + header_len].tobytes().decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
         raise CheckpointFormatError(f"{path}: header is not UTF-8 JSON: {exc}") from None
     require(isinstance(header, dict), "header is not a JSON object")
@@ -553,11 +593,10 @@ def _read_payload(payload: bytes, path: Path) -> tuple[dict, ModelParams]:
     if phrases is not None:
         keys = phrases.get("keys")
         require(
-            isinstance(keys, list)
-            and all(
-                isinstance(k, list) and len(k) == 2 and isinstance(k[0], list) and type(k[1]) is str
-                for k in keys
-            ),
+            _list_of(keys, list)
+            and set(map(len, keys)) <= {2}
+            and _all_of(map(itemgetter(0), keys), list)
+            and _all_of(map(itemgetter(1), keys), str),
             "phrase_vocab.keys is not a list of [[word ids], label] pairs",
         )
         require(_list_of(phrases.get("counts"), int), "phrase_vocab.counts is not a list of integers")
@@ -573,11 +612,11 @@ def _read_payload(payload: bytes, path: Path) -> tuple[dict, ModelParams]:
         )
         name, rows, dim = spec["name"], spec["rows"], spec["dim"]
         require(offset + 8 * rows * dim <= len(payload), f"matrix {name} runs past the payload")
-        # One copy per matrix, straight out of the payload: aligned, writable
-        # and C-contiguous, as training a resumed model needs.
-        mat = np.frombuffer(payload, dtype="<f8", count=rows * dim, offset=offset)
+        # A view of the payload, aligned, writable and C-contiguous, as training
+        # a resumed model needs; copied only on a big-endian host.
+        mat = payload[offset : offset + 8 * rows * dim].view("<f8").reshape(rows, dim)
         names.append(name)
-        matrices.append(mat.reshape(rows, dim).astype(np.float64))
+        matrices.append(mat.astype(np.float64, copy=False))
         offset += 8 * rows * dim
     require(offset == len(payload), f"{len(payload) - offset} payload bytes follow the matrices")
     n_out = sum(name.startswith("output:") for name in names)

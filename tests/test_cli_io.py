@@ -35,6 +35,7 @@ from phrasegram.evaluation import WordEmbeddings, _float32_score_error, cosine, 
 from phrasegram.embeddings_io import (
     EmbeddingsFormatError,
     export_embeddings,
+    read_embeddings,
     read_embeddings_binary,
     read_embeddings_text,
     select_matrix,
@@ -112,7 +113,7 @@ def check_text_export_cases():
     the windows here hold the 2^15 on either side of each edge.
     """
     dim = 128
-    step = max(phrasegram.embeddings_io.TEXT_BLOCK_VALUES // dim, 1)
+    step = max(phrasegram.embeddings_io.BLOCK_VALUES // dim, 1)
     # Both edges of fixed notation, 1e-4 and 1e9, and every power of ten of
     # float32, 1e-45 (a subnormal) to 1e38.
     edges = np.concatenate(
@@ -271,11 +272,11 @@ class TestTextFormat:
         assert words == ["a", "b"] and matrix.tolist() == [[1, 2], [3, 4]]
 
     def test_smallest_file_for_its_header_loads(self, tmp_path):
-        # Empty words, one-character values, no line break after the last row.
+        # One-character words and values, no line break after the last row.
         path = tmp_path / "e.txt"
-        path.write_text("2 2\n 1 2\n 3 4")
+        path.write_text("2 2\na 1 2\nb 3 4")
         words, matrix = read_embeddings_text(path)
-        assert words == ["", ""] and matrix.tolist() == [[1, 2], [3, 4]]
+        assert words == ["a", "b"] and matrix.tolist() == [[1, 2], [3, 4]]
 
 
 class TestBinaryFormat:
@@ -339,11 +340,31 @@ class TestBinaryFormat:
             read_embeddings_binary(path)
 
     def test_smallest_file_for_its_header_loads(self, tmp_path):
-        # Empty words: a separator, 4 * dim bytes and a newline per row.
+        # One-character words: a word, a separator, 4 * dim bytes and a
+        # newline per row.
         path = tmp_path / "e.bin"
-        path.write_bytes(b"2 1\n" + b" \0\0\0\0\n" * 2)
+        path.write_bytes(b"2 1\n" + b"a \0\0\0\0\n" + b"b \0\0\0\0\n")
         words, matrix = read_embeddings_binary(path)
-        assert words == ["", ""] and matrix.tolist() == [[0.0], [0.0]]
+        assert words == ["a", "b"] and matrix.tolist() == [[0.0], [0.0]]
+
+    @pytest.mark.parametrize(
+        "block_values, rows, dim, order",
+        [(9, rows, 3, "C") for rows in range(8)]
+        + [(9, 7, 3, "F"), (9, 4, 0, "C"), (None, 82, 100, "C")],
+    )
+    def test_bytes_match_the_per_row_form(self, tmp_path, monkeypatch, block_values, rows, dim, order):
+        # Blocks of 3 rows at 9 values, or the shipped blocks of 81 rows at
+        # dim 100: none, one or several blocks, a short last one included.
+        if block_values is not None:
+            monkeypatch.setattr(phrasegram.embeddings_io, "BLOCK_VALUES", block_values)
+        words = [f"{i}" + "жд€"[: i % 4] for i in range(rows)]
+        matrix = np.asarray(np.random.default_rng(rows).normal(size=(rows, dim)), order=order)
+        path = tmp_path / "e.bin"
+        write_embeddings_binary(path, words, matrix)
+        per_row = b"".join(
+            w.encode("utf-8") + b" " + row.astype("<f4").tobytes() + b"\n" for w, row in zip(words, matrix)
+        )
+        assert path.read_bytes() == f"{rows} {dim}\n".encode() + per_row
 
     def test_unicode_words_survive(self, tmp_path):
         words = ["café", "中文", "emoji✨"]
@@ -363,7 +384,29 @@ WRITERS = {"text": write_embeddings_text, "binary": write_embeddings_binary}
 
 class TestWordsTheFormatsCannotHold:
     """Both writers reject a word that is empty or holds whitespace, naming
-    its row, before they create the file."""
+    its row, before they create the file; both readers reject one, the text
+    reader naming its line and the binary reader its row."""
+
+    # A space ends a word in either format, and a newline a text line, so
+    # those words read as other rows, rejected by the checks on values.
+    @pytest.mark.parametrize(
+        "fmt, case",
+        [("text", c) for c in ("empty", "ideographic-space", "tab")]
+        + [("binary", c) for c in ("empty", "ideographic-space", "newline", "tab")],
+    )
+    def test_readers_reject_one(self, tmp_path, fmt, case):
+        word = BAD_WORDS[case]
+        path = tmp_path / "e"
+        words = ["c", word, "d"]
+        if fmt == "text":
+            path.write_text("3 2\n" + "".join(f"{w} 1 2\n" for w in words), encoding="utf-8")
+            message = f"{path}:3: word {word!r} is empty or holds whitespace"
+        else:
+            row = np.ones(2, dtype="<f4").tobytes()
+            path.write_bytes(b"3 2\n" + b"".join(w.encode() + b" " + row + b"\n" for w in words))
+            message = f"{path}: row 1: word {word!r} is empty or holds whitespace"
+        with pytest.raises(EmbeddingsFormatError, match="^" + re.escape(message)):
+            read_embeddings(path, fmt)
 
     @pytest.mark.parametrize("fmt", sorted(WRITERS))
     @pytest.mark.parametrize("case", sorted(BAD_WORDS))
@@ -379,7 +422,7 @@ class TestWordsTheFormatsCannotHold:
 
     @pytest.mark.parametrize("fmt", sorted(WRITERS))
     def test_names_the_row_in_a_later_block(self, tmp_path, fmt):
-        words = [f"w{i}" for i in range(3 * phrasegram.embeddings_io.TEXT_BLOCK_VALUES)]
+        words = [f"w{i}" for i in range(3 * phrasegram.embeddings_io.BLOCK_VALUES)]
         words[-2] = "x y"
         with pytest.raises(EmbeddingsFormatError, match=f"row {len(words) - 2}: word 'x y'"):
             WRITERS[fmt](tmp_path / "e", words, np.zeros((len(words), 1), dtype=np.float32))
@@ -1418,6 +1461,34 @@ class TestCheckpointConfigKeys:
             pytest.param(
                 _json_edit(lambda h: h["phrase_vocab"]["keys"].__setitem__(0, [0, 1])),
                 CheckpointFormatError, id="phrase-key-not-a-pair",
+            ),
+            # JSON true and false are not integers, though Python's bool is an int.
+            pytest.param(
+                _json_edit(lambda h: h["vocab"]["counts"].__setitem__(-1, True)),
+                CheckpointFormatError, id="count-a-bool",
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["phrase_vocab"]["counts"].__setitem__(0, False)),
+                CheckpointFormatError, id="phrase-count-a-bool",
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["vocab"]["words"].__setitem__(-1, 7)),
+                CheckpointFormatError, id="word-an-integer",
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["phrase_vocab"].update(keys={})), CheckpointFormatError, id="keys-an-object"
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["phrase_vocab"]["keys"][-1].append("NP")),
+                CheckpointFormatError, id="phrase-key-of-three",
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["phrase_vocab"]["keys"][-1].__setitem__(0, 0)),
+                CheckpointFormatError, id="phrase-key-ids-not-a-list",
+            ),
+            pytest.param(
+                _json_edit(lambda h: h["phrase_vocab"]["keys"][-1].__setitem__(1, None)),
+                CheckpointFormatError, id="phrase-key-label-not-a-string",
             ),
             pytest.param(
                 _json_edit(lambda h: h["matrices"][0].update(rows="5")), CheckpointFormatError, id="rows-a-string"

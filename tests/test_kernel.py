@@ -5,7 +5,8 @@ same uniforms, on every table edge and every cell edge of the guide
 table.  The word pass must check its inputs, leave the caller's ids
 alone and draw one subsampling uniform per in-vocab token; its pairs,
 draws and updates are checked against the per-pair reference in
-test_trainer, as are the phrase step's checks, draws and arithmetic.  Builds for other
+test_trainer, as are the phrase step's checks, draws and arithmetic.  The
+CRC-32 must be zlib's at every length, alignment and start value.  Builds for other
 instruction sets must train the word and phrase passes bitwise as the
 shipped object does, and a build with AddressSanitizer and
 UndefinedBehaviorSanitizer must run the differential tests and those
@@ -22,10 +23,13 @@ import signal
 import subprocess
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phrasegram import kernel, trainer
 from phrasegram.cli import main
@@ -285,6 +289,68 @@ class TestTextLines:
             lines(words, rows)
 
 
+def check_crc(data: bytes, offset: int, start: int, cut: int) -> None:
+    """kernel.crc32 equals zlib.crc32 on `data`, continued from `start`, whole
+    and chained at `cut`.  The bytes lie `offset` bytes into an allocation
+    that ends where they end, so the alignment varies and a read past the
+    last byte is a read past the allocation."""
+    buf = np.empty(offset + len(data), dtype=np.uint8)
+    buf[offset:] = np.frombuffer(data, dtype=np.uint8)
+    view = buf[offset:]
+    want = zlib.crc32(data, start)
+    assert kernel.crc32(view, start) == want
+    assert kernel.crc32(view[cut:], kernel.crc32(view[:cut], start)) == want
+
+
+def check_crc_cases() -> None:
+    """Every length 0-200 and the lengths about each fold boundary up to 1 KiB,
+    at offsets about 16- and 64-byte boundaries, and one odd length of a few
+    MB whose last 15 bytes lie past the last 16-byte fold."""
+    rng = np.random.default_rng(28)
+    lengths = sorted(set(range(201)) | {n + d for n in range(64, 1025, 64) for d in (-17, -1, 0, 1, 15, 16)})
+    for n in lengths:
+        data = rng.bytes(n)
+        for offset in (0, 1, 7, 8, 15, 63):
+            check_crc(data, offset, int(rng.integers(2**32)), int(rng.integers(n + 1)))
+    big = rng.bytes(3_000_015)
+    check_crc(big, 3, 0, 1_234_567)
+    check_crc(big, 0, 0xFFFFFFFF, len(big))
+
+
+def check_drawn_crcs(data) -> None:
+    """check_crc on drawn lengths 0-5000, offsets 0-63, start values and cuts."""
+    n = data.draw(st.integers(0, 5000), label="length")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    check_crc(
+        np.random.default_rng(seed).bytes(n),
+        data.draw(st.integers(0, 63), label="offset"),
+        data.draw(st.integers(0, 2**32 - 1), label="start"),
+        data.draw(st.integers(0, n), label="cut"),
+    )
+
+
+class TestCrc32:
+    """The kernel's CRC-32 is zlib's, on every path: the 64-byte and 16-byte
+    folds, the portable loop the last len % 16 bytes and short inputs take,
+    and chains of them."""
+
+    def test_lengths_offsets_and_chains_match_zlib(self):
+        check_crc_cases()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drawn_inputs_match_zlib(self, data):
+        check_drawn_crcs(data)
+
+    def test_any_c_contiguous_buffer(self):
+        matrix = np.arange(60.0).reshape(6, 10)
+        assert kernel.crc32(matrix) == zlib.crc32(matrix.tobytes())
+        assert kernel.crc32(b"abc", 7) == zlib.crc32(b"abc", 7)
+        assert kernel.crc32(bytearray(b"abc")) == zlib.crc32(b"abc")
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernel.crc32(matrix[:, :5])
+
+
 def _fake_compiler() -> list[str]:
     """A compiler command that only creates its -o file."""
     code = "import sys; open(sys.argv[sys.argv.index('-o') + 1], 'w').close()"
@@ -400,7 +466,7 @@ class TestBuildCache:
         assert err.startswith("error: cannot build the kernel") and "no-such-cc" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "m.ckpt"]
 
-    def test_loaded_only_by_training(self, tmp_path):
+    def test_loaded_by_training_not_by_ingest(self, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a b c\nb c a\n")
         script = (
@@ -550,24 +616,25 @@ SANITIZE = (
 )
 SANITIZED_EXAMPLES = 40
 
-# Runs both hypothesis differential tests of test_trainer and that of the
-# text writer, argv[3] examples each, and the text writer's fixed cases, with
-# the kernel built from argv[1] into argv[2] at kernel.FLAGS plus the flags in
-# argv[4:].
+# Runs both hypothesis differential tests of test_trainer, that of the text
+# writer and that of the CRC, argv[3] examples each, and the text writer's and
+# the CRC's fixed cases, with the kernel built from argv[1] into argv[2] at
+# kernel.FLAGS plus the flags in argv[4:].
 DIFFERENTIAL_RUN = """
 import sys
 from pathlib import Path
 from hypothesis import given, settings, strategies as st
 from phrasegram import kernel
-import test_cli_io, test_trainer
+import test_cli_io, test_kernel, test_trainer
 
 kernel.SOURCE, kernel.CACHE_DIR = Path(sys.argv[1]), Path(sys.argv[2])
 kernel.FLAGS = kernel.FLAGS + tuple(sys.argv[4:])
 examples = settings(derandomize=True, max_examples=int(sys.argv[3]), deadline=None, database=None)
 for check in (test_trainer.check_drawn_phrase_steps, test_trainer.check_drawn_passes,
-              test_cli_io.check_drawn_bit_patterns):
+              test_cli_io.check_drawn_bit_patterns, test_kernel.check_drawn_crcs):
     examples(given(st.data())(check))()
 test_cli_io.check_text_export_cases()
+test_kernel.check_crc_cases()
 """
 
 

@@ -249,6 +249,54 @@ class TestCheckpoint:
             for b in loaded[i + 1 :]:
                 assert not np.shares_memory(a, b)
 
+    def test_matrices_are_aligned_views_of_one_allocation(self, tmp_path):
+        # The matrices follow a header of any length; lengthening a word moves
+        # them through every offset mod 8 in the file.
+        params, cfg, _, pv, state = _fixture(Mode.COMPOSITIONAL_POSITIONAL)
+        path = tmp_path / "m.ckpt"
+        offsets = set()
+        for extra in range(8):
+            words = ["w0" + "x" * extra] + [f"w{i}" for i in range(1, 6)]
+            checkpoint_save(path, params, cfg, Vocab(words, [9, 8, 7, 3, 2, 2]), pv, state)
+            (header_len,) = struct.unpack("<I", path.read_bytes()[24:28])
+            offsets.add((28 + header_len) % 8)
+            loaded = [m for _, m in checkpoint_load(path).params.matrices()]
+            for m, (name, want) in zip(loaded, params.matrices()):
+                assert m.ctypes.data % 8 == 0 and m.flags.aligned, name
+                assert m.base is loaded[0].base, name
+                np.testing.assert_array_equal(m, want, err_msg=name)
+        assert offsets == set(range(8))
+
+    @pytest.mark.parametrize("region", ["header", "first 64 payload bytes", "each matrix", "last 15 bytes"])
+    def test_one_flipped_bit_fails_the_checksum(self, tmp_path, region):
+        params, cfg, vocab, pv, state = _fixture(Mode.COMPOSITIONAL_POSITIONAL)
+        path = tmp_path / "m.ckpt"
+        # A first word whose length leaves the payload 15 bytes past its last
+        # 16-byte fold, all of them read by the kernel's byte loop.
+        for extra in range(16):
+            words = ["w0" + "x" * extra] + vocab.words[1:]
+            checkpoint_save(path, params, cfg, Vocab(words, vocab.counts), pv, state)
+            data = path.read_bytes()
+            if (len(data) - 24) % 16 == 15:
+                break
+        assert (len(data) - 24) % 16 == 15
+        (header_len,) = struct.unpack("<I", data[24:28])
+        matrices = 28 + header_len
+        size = params.input_words.nbytes
+        positions = {
+            "header": [28, 28 + header_len // 2, matrices - 1],
+            "first 64 payload bytes": range(24, 24 + 64),
+            "each matrix": [matrices + i * size + size // 2 for i in range(len(params.matrices()))],
+            "last 15 bytes": range(len(data) - 15, len(data)),
+        }[region]
+        assert matrices + len(params.matrices()) * size == len(data)
+        for pos in positions:
+            flipped = bytearray(data)
+            flipped[pos] ^= 1 << pos % 8
+            path.write_bytes(flipped)
+            with pytest.raises(CheckpointChecksumError, match="checksum"):
+                checkpoint_load(path)
+
     def test_positional_banks_keep_their_order(self, tmp_path):
         params, cfg, vocab, _, _ = _fixture(Mode.COMPOSITIONAL_POSITIONAL)
         path = tmp_path / "m.ckpt"
