@@ -1,6 +1,6 @@
 /* The compiled kernel: the word-level pass of a sentence and the phrase-level
- * step of a pair, for training, the text export's lines, and the CRC-32 of a
- * checkpoint.
+ * step of a pair, for training, the text export's lines, and the carry-less
+ * fold of a checkpoint's CRC-32.
  *
  * word_pass subsamples one mapped sentence, then visits its window pairs,
  * drawing each pair's negatives and applying the skip-gram negative-sampling
@@ -50,9 +50,8 @@
  * exactly, in integer and double arithmetic; its own comment gives the
  * arithmetic.
  *
- * crc32, at the end, is zlib's crc32(): by carry-less multiplication on an
- * x86-64 host with PCLMULQDQ, picked once when the object is loaded, and by a
- * portable table loop elsewhere and for the last len % 16 bytes.
+ * crc32_fold, at the end, folds most of a buffer into zlib's CRC-32 by carry-less
+ * multiplication, on an x86-64 host with PCLMULQDQ; zlib takes the rest.
  */
 #include <math.h>
 #include <stdint.h>
@@ -762,39 +761,13 @@ int64_t format_rows(const float *x, int64_t rows, int64_t dim, const char *words
 }
 
 /* Checkpoint checksums: the CRC-32 that zlib's crc32() computes (CRC-32/ISO-HDLC:
- * the reflected polynomial 0xEDB88320, the register inverted before and after),
- * so crc32(crc32(0, a), b) is the CRC of a then b, as with zlib.
- *
- * Every host can run the portable loop, slicing-by-8: eight tables fold eight
- * bytes per step, table t holding each byte's remainder after t further zero
- * bytes.  An x86-64 host with PCLMULQDQ folds the data by carry-less
- * multiplication instead (Gopal et al., "Fast CRC Computation for Generic
- * Polynomials Using PCLMULQDQ Instruction", Intel, 2009), 64 bytes a step in
- * four 128-bit lanes while at least 64 remain, then 16 bytes a step in one;
- * the last len % 16 bytes take the portable loop.  crc32_init fills the tables
- * and picks the path once, when the object is loaded. */
-
-static uint32_t CRC_TABLE[8][256];
-
-/* The inverted CRC register c after the bytes p[0..len), one table step per
- * eight bytes, then one per byte.  The words are assembled byte by byte, so
- * the loop reads little-endian on any host. */
-static uint32_t crc32_slice8(uint32_t c, const unsigned char *p, size_t len)
-{
-    for (; len >= 8; p += 8, len -= 8) {
-        uint32_t lo = c ^ ((uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 |
-                           (uint32_t)p[3] << 24);
-        uint32_t hi = (uint32_t)p[4] | (uint32_t)p[5] << 8 | (uint32_t)p[6] << 16 |
-                      (uint32_t)p[7] << 24;
-        c = CRC_TABLE[7][lo & 0xff] ^ CRC_TABLE[6][lo >> 8 & 0xff] ^
-            CRC_TABLE[5][lo >> 16 & 0xff] ^ CRC_TABLE[4][lo >> 24] ^
-            CRC_TABLE[3][hi & 0xff] ^ CRC_TABLE[2][hi >> 8 & 0xff] ^
-            CRC_TABLE[1][hi >> 16 & 0xff] ^ CRC_TABLE[0][hi >> 24];
-    }
-    for (; len; p++, len--)
-        c = CRC_TABLE[0][(c ^ *p) & 0xff] ^ c >> 8;
-    return c;
-}
+ * the reflected polynomial 0xEDB88320, the register inverted before and after).
+ * An x86-64 host with PCLMULQDQ folds the data by carry-less multiplication
+ * (Gopal et al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+ * Instruction", Intel, 2009), 64 bytes a step in four 128-bit lanes while at
+ * least 64 remain, then 16 bytes a step in one; crc32_init checks the CPU once,
+ * when the object is loaded.  kernel.crc32 hands zlib.crc32 what the fold leaves,
+ * every byte on other hosts: zlib's table loop beat a portable one written here. */
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -859,38 +832,27 @@ __attribute__((target("pclmul,sse4.1"))) static uint32_t crc32_clmul(uint32_t c,
 }
 
 static int crc32_has_clmul;
-#endif
 
 __attribute__((constructor)) static void crc32_init(void)
 {
-    for (uint32_t n = 0; n < 256; n++) {
-        uint32_t c = n;
-        for (int bit = 0; bit < 8; bit++)
-            c = c & 1 ? 0xedb88320u ^ c >> 1 : c >> 1;
-        CRC_TABLE[0][n] = c;
-    }
-    for (int t = 1; t < 8; t++)
-        for (int n = 0; n < 256; n++)
-            CRC_TABLE[t][n] = CRC_TABLE[0][CRC_TABLE[t - 1][n] & 0xff] ^ CRC_TABLE[t - 1][n] >> 8;
-#if defined(__x86_64__) && defined(__GNUC__)
     __builtin_cpu_init();
     crc32_has_clmul = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
-#endif
 }
-
-/* zlib's crc32(crc, buf, len): the CRC-32 of buf[0..len) continued from crc,
- * the CRC of the bytes before them (0 for none). */
-uint32_t crc32(uint32_t crc, const unsigned char *buf, int64_t len)
-{
-    uint32_t c = ~crc;
-    size_t n = (size_t)len;
-#if defined(__x86_64__) && defined(__GNUC__)
-    if (crc32_has_clmul && n >= 64) {
-        size_t folded = n & ~(size_t)15;
-        c = crc32_clmul(c, buf, folded);
-        buf += folded;
-        n -= folded;
-    }
 #endif
-    return ~crc32_slice8(c, buf, n);
+
+/* Folds into *crc, zlib's CRC of the bytes before buf (0 for none), the longest
+ * prefix of buf[0..len) that the carry-less fold takes, a multiple of 16 bytes
+ * and at least 64, and returns its length: 0 where the host cannot fold. */
+int64_t crc32_fold(uint32_t *crc, const unsigned char *buf, int64_t len)
+{
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (crc32_has_clmul && len >= 64) {
+        int64_t folded = len & ~(int64_t)15;
+        *crc = ~crc32_clmul(~*crc, buf, (size_t)folded);
+        return folded;
+    }
+#else
+    (void)crc, (void)buf, (void)len;
+#endif
+    return 0;
 }

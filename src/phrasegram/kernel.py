@@ -52,9 +52,10 @@ row, every value as `'%.9g' % v` prints it, into one byte buffer that it
 allocates once per export, sized for a block of rows at the widest text a
 value can take plus the most bytes a block's words take; it checks each
 block's dtype, layout and size, and that it holds one word per row.
-`crc32` is `zlib.crc32` of any C-contiguous buffer, computed in the
-kernel; `model` imports it where it saves or loads a checkpoint, not at
-its top, since this module imports `model`.
+`crc32` is `zlib.crc32` of any C-contiguous buffer: the kernel folds
+what it can by carry-less multiplication and zlib takes the rest; `model`
+imports it where it saves or loads a checkpoint, not at its top, since
+this module imports `model`.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ import shlex
 import subprocess
 import sys
 import sysconfig
+import zlib
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -147,7 +149,7 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "word_pass": (_I, [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _I, _P, _P, _I, _D, _P, _P, _P]),
     "phrase_step": (_D, [_P, _P, _I, _I, _D]),
     "format_rows": (_I, [_P, _I, _I, _P, _I, _P]),
-    "crc32": (ctypes.c_uint32, [ctypes.c_uint32, _P, _I]),
+    "crc32_fold": (_I, [ctypes.POINTER(ctypes.c_uint32), _P, _I]),
 }
 
 
@@ -165,12 +167,14 @@ def load() -> ctypes.CDLL:
 def crc32(data: object, crc: int = 0) -> int:
     """`zlib.crc32(data, crc)`: the CRC-32 of the bytes of `data`, any
     C-contiguous buffer, continued from `crc`, the CRC of the bytes before
-    them."""
+    them.  zlib continues what the kernel's `crc32_fold` leaves."""
     view = memoryview(data)
     if not view.c_contiguous:
         raise ValueError(f"crc32 reads a C-contiguous buffer; got a {view.ndim}-D one that is not")
     buf = np.frombuffer(view, dtype=np.uint8)
-    return load().crc32(crc, buf.ctypes.data, len(buf))
+    state = ctypes.c_uint32(crc)
+    folded = load().crc32_fold(ctypes.byref(state), buf.ctypes.data, len(buf))
+    return zlib.crc32(buf[folded:], state.value)
 
 
 def _address(m: np.ndarray, shape: tuple[int, int], name: str) -> int:

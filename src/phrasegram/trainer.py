@@ -289,8 +289,6 @@ def train(
     is not finite after an epoch raises TrainingDivergedError.
     """
     corpus_path = Path(corpus_path)
-    if not corpus_path.exists():
-        raise FileNotFoundError(f"corpus file not found: {corpus_path}")
     check_corpus(corpus_path)
 
     def sentences():

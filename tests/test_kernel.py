@@ -6,7 +6,8 @@ table.  The word pass must check its inputs, leave the caller's ids
 alone and draw one subsampling uniform per in-vocab token; its pairs,
 draws and updates are checked against the per-pair reference in
 test_trainer, as are the phrase step's checks, draws and arithmetic.  The
-CRC-32 must be zlib's at every length, alignment and start value.  Builds for other
+CRC-32 must be zlib's at every length, alignment and start value, and the
+kernel's fold must take what the CPU's flags say it can.  Builds for other
 instruction sets must train the word and phrase passes bitwise as the
 shipped object does, and a build with AddressSanitizer and
 UndefinedBehaviorSanitizer must run the differential tests and those
@@ -15,6 +16,7 @@ processes, and a failing compiler is reported by command and message;
 the source compiles without warnings.
 """
 
+import ctypes
 import json
 import os
 import platform
@@ -289,14 +291,19 @@ class TestTextLines:
             lines(words, rows)
 
 
-def check_crc(data: bytes, offset: int, start: int, cut: int) -> None:
-    """kernel.crc32 equals zlib.crc32 on `data`, continued from `start`, whole
-    and chained at `cut`.  The bytes lie `offset` bytes into an allocation
-    that ends where they end, so the alignment varies and a read past the
-    last byte is a read past the allocation."""
+def placed(data: bytes, offset: int) -> np.ndarray:
+    """The bytes of `data`, `offset` bytes into an allocation that ends where
+    they end, so the alignment varies and a read past the last byte is a
+    read past the allocation."""
     buf = np.empty(offset + len(data), dtype=np.uint8)
     buf[offset:] = np.frombuffer(data, dtype=np.uint8)
-    view = buf[offset:]
+    return buf[offset:]
+
+
+def check_crc(data: bytes, offset: int, start: int, cut: int) -> None:
+    """kernel.crc32 equals zlib.crc32 on `data`, continued from `start`, whole
+    and chained at `cut`, with the bytes placed at `offset`."""
+    view = placed(data, offset)
     want = zlib.crc32(data, start)
     assert kernel.crc32(view, start) == want
     assert kernel.crc32(view[cut:], kernel.crc32(view[:cut], start)) == want
@@ -331,8 +338,9 @@ def check_drawn_crcs(data) -> None:
 
 class TestCrc32:
     """The kernel's CRC-32 is zlib's, on every path: the 64-byte and 16-byte
-    folds, the portable loop the last len % 16 bytes and short inputs take,
-    and chains of them."""
+    folds, zlib's own loop over what they leave, and chains of them; and the
+    fold runs wherever the host can run it, since a fold that never runs is
+    still zlib's CRC, only slower."""
 
     def test_lengths_offsets_and_chains_match_zlib(self):
         check_crc_cases()
@@ -341,6 +349,28 @@ class TestCrc32:
     @given(st.data())
     def test_drawn_inputs_match_zlib(self, data):
         check_drawn_crcs(data)
+
+    def test_fold_takes_what_the_cpu_flags_allow(self):
+        try:
+            cpuinfo = Path("/proc/cpuinfo").read_text()
+        except OSError as exc:
+            pytest.skip(f"cannot read the CPU's flags: {exc}")
+        flags = next(
+            (set(line.partition(":")[2].split()) for line in cpuinfo.splitlines()
+             if line.split(":")[0].strip() == "flags"),
+            set(),
+        )
+        folds = platform.machine().lower() in ("x86_64", "amd64") and {"pclmulqdq", "sse4_1"} <= flags
+        fold = kernel.load().crc32_fold
+        rng = np.random.default_rng(29)
+        for n in range(301):
+            data = rng.bytes(n)
+            for offset in (0, 1, 8, 15):
+                view, start = placed(data, offset), int(rng.integers(2**32))
+                state = ctypes.c_uint32(start)
+                taken = fold(ctypes.byref(state), view.ctypes.data, n)
+                assert taken == (n & ~15 if folds and n >= 64 else 0), (n, offset)
+                assert state.value == zlib.crc32(data[:taken], start)
 
     def test_any_c_contiguous_buffer(self):
         matrix = np.arange(60.0).reshape(6, 10)

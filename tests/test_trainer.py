@@ -1005,7 +1005,7 @@ class TestTrainEndToEnd:
         assert result.state_dict["tokens_processed"] == 2 * result.vocab.total_tokens
 
     def test_missing_corpus_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="not found"):
+        with pytest.raises(FileNotFoundError, match="No such file or directory"):
             train(tmp_path / "nope.txt", self._config())
 
     @pytest.mark.parametrize("kind", ["fifo", "device"])
