@@ -1,6 +1,6 @@
 /* The compiled kernel: the word-level pass of a sentence and the phrase-level
- * step of a pair, for training, the text export's lines, and the carry-less
- * fold of a checkpoint's CRC-32.
+ * step of a pair, for training, the exact top k of a serving query, the text
+ * export's lines, and the carry-less fold of a checkpoint's CRC-32.
  *
  * word_pass subsamples one mapped sentence, then visits its window pairs,
  * drawing each pair's negatives and applying the skip-gram negative-sampling
@@ -45,6 +45,12 @@
  * same order.  The C library's functions are another matter: glibc picks their
  * implementation per host, and those may differ in the last bit.
  *
+ * exact_top answers a neighbor query, or a 3CosAdd question whose float32
+ * runner-up is near its best, from every row's float32 score: it finds the k-th
+ * best score in a heap and rescores in float64, with score_block's four lanes,
+ * only the rows within a margin of it, so equal rows score equal and the answer
+ * is a float64 scan's; reference.exact_top is its numpy oracle.
+ *
  * format_rows writes word2vec text lines, each a word and its float32 row,
  * every value as Python's '%.9g' % v prints it, in fixed or exponent notation,
  * exactly, in integer and double arithmetic; its own comment gives the
@@ -53,6 +59,7 @@
  * crc32_fold, at the end, folds most of a buffer into zlib's CRC-32 by carry-less
  * multiplication, on an x86-64 host with PCLMULQDQ; zlib takes the rest.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -498,6 +505,122 @@ double phrase_step(const struct phrase_tables *t, double *pout, int64_t current,
         }
     }
     return objective;
+}
+
+/* Serving: the k rows of highest float64 score against a target, for a
+ * neighbor query or a 3CosAdd near tie, over the float32 scores of every row
+ * that a matrix product gave.  kernel.ExactTop prepares the struct once per
+ * WordEmbeddings and checks every id and size that exact_top reads.
+ *
+ * unit: the n x dim float64 unit matrix; non_finite: the non_finites ids of
+ * its rows that are not finite; drop: the ids of the rows a call leaves out,
+ * as many as it says; heap, ids and exact: cap floats, int64s and doubles of
+ * scratch, cap at most n. */
+struct exact_top {
+    const double *unit;
+    int64_t n, dim;
+    const int64_t *non_finite;
+    int64_t non_finites;
+    const int64_t *drop;
+    float *heap;
+    int64_t *ids;
+    double *exact;
+    int64_t cap;
+};
+
+/* Sifts heap[i] down a min-heap of len floats. */
+INLINE void sift_float(float *heap, int64_t len, int64_t i)
+{
+    float x = heap[i];
+    for (int64_t c; (c = 2 * i + 1) < len; i = c) {
+        if (c + 1 < len && heap[c + 1] < heap[c])
+            c++;
+        if (!(heap[c] < x))
+            break;
+        heap[i] = heap[c];
+    }
+    heap[i] = x;
+}
+
+/* Whether score s of row i ranks before score r of row j: higher, or equal at
+ * a lower id. */
+INLINE int ranks_before(double s, int64_t i, double r, int64_t j)
+{
+    return s > r || (s == r && i < j);
+}
+
+/* Sifts entry i down a heap of len (id, score) pairs whose root ranks last. */
+INLINE void sift_pair(int64_t *ids, double *score, int64_t len, int64_t i)
+{
+    int64_t id = ids[i];
+    double s = score[i];
+    for (int64_t c; (c = 2 * i + 1) < len; i = c) {
+        if (c + 1 < len && ranks_before(score[c], ids[c], score[c + 1], ids[c + 1]))
+            c++;
+        if (!ranks_before(s, id, score[c], ids[c]))
+            break;
+        ids[i] = ids[c];
+        score[i] = score[c];
+    }
+    ids[i] = id;
+    score[i] = s;
+}
+
+/* The k rows of highest float64 score unit[i] . target, written best first to
+ * t->ids and t->exact, equal scores by lower row id; returns how many, k or
+ * fewer when fewer rows are left.  scores holds every row's float32 score, and
+ * the rows t->drop[0..drops) and t->non_finite are set to -inf in it first,
+ * which leaves them out.  The k-th best float32 score kth comes from a
+ * min-heap of the k best; the candidates are the rows whose score is at least
+ * kth - margin, floored at float32's lowest value and rounded to float32, in
+ * ascending id order.  Each is scored in float64 by score_rows, row by row, so
+ * equal rows score equal, and a heapsort orders them.  With more candidates
+ * than t->cap it writes no result and returns minus their number.
+ * 1 <= k <= t->cap, every id of t->drop in [0, n) and no score NaN outside the
+ * rows left out: the caller checks. */
+int64_t exact_top(const struct exact_top *t, float *scores, const double *target,
+                  int64_t drops, int64_t k, double margin)
+{
+    int64_t n = t->n, cap = t->cap, *ids = t->ids;
+    double *exact = t->exact;
+    float *heap = t->heap;
+    for (int64_t i = 0; i < drops; i++)
+        scores[t->drop[i]] = -INFINITY;
+    for (int64_t i = 0; i < t->non_finites; i++)
+        scores[t->non_finite[i]] = -INFINITY;
+
+    memcpy(heap, scores, (size_t)k * sizeof *heap);
+    for (int64_t i = k / 2; i-- > 0;)
+        sift_float(heap, k, i);
+    for (int64_t i = k; i < n; i++)
+        if (scores[i] > heap[0]) {
+            heap[0] = scores[i];
+            sift_float(heap, k, 0);
+        }
+    double low = (double)heap[0] - margin;
+    float threshold = low > -FLT_MAX ? (float)low : -FLT_MAX;
+
+    int64_t found = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (scores[i] >= threshold) {
+            if (found < cap)
+                ids[found] = i;
+            found++;
+        }
+    if (found > cap)
+        return -found;
+
+    score_rows(t->unit, ids, found, target, t->dim, exact);
+    for (int64_t i = found / 2; i-- > 0;)
+        sift_pair(ids, exact, found, i);
+    for (int64_t end = found - 1; end > 0; end--) {
+        int64_t id = ids[0];
+        double s = exact[0];
+        ids[0] = ids[end], exact[0] = exact[end];
+        ids[end] = id, exact[end] = s;
+        sift_pair(ids, exact, end, 0);
+    }
+    return found < k ? found : k;
 }
 
 /* Text export: word2vec text lines, each float32 value as Python's '%.9g' % v

@@ -247,6 +247,8 @@ def _cmd_eval_phrase(args: argparse.Namespace) -> int:
 
 
 def _cmd_neighbors(args: argparse.Namespace) -> int:
+    if args.k < 1:  # before the embeddings load, which may read a large file
+        raise ValueError("k must be positive")
     emb, comp = _load_embeddings(args)
     for word, score in nearest_neighbors(emb, args.query, args.k, comp):
         print(f"{word}\t{score:.6f}")

@@ -10,9 +10,12 @@ and similarity items with no defined cosine, are dropped and counted:
 every evaluator reports coverage alongside its score.
 
 `analogy_eval` and `nearest_neighbors` scan the float32 copy of the unit
-matrix and rescore near ties in float64 through one function,
-`_exact_top`, so every answer is a float64 scan's; `_float32_score_error`
-bounds the float32 error that the rescore covers.
+matrix with one BLAS product and rescore near ties in float64 through one
+compiled entry, `kernel.ExactTop`, so every answer is a float64 scan's;
+`_float32_score_error` bounds the float32 error that the rescore covers,
+and `_rescore_margin` turns it into the rescore's margin.  Both load the
+kernel, as training does; `reference.exact_top` is the numpy oracle the
+tests compare it against.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from phrasegram import kernel
 from phrasegram.composition import CompositionConfig, compose_rows
 from phrasegram.corpus import index_of, numbered_lines
 
@@ -83,11 +87,13 @@ class WordEmbeddings:
     The embeddings are a snapshot.  `matrix` is a read-only view of the
     array passed in (a float64 copy if it had another dtype), and
     `unit_matrix()` caches its row-normalized form on first call, with a
-    float32 copy of it (`unit_matrix_f32()`, 4 more bytes per entry) and
-    the ids of the rows that normalize to NaN (`non_finite_rows()`).
-    `nearest_neighbors` and `_cos_add_answers` (for `analogy_eval`) read
-    all three.  The source array must not change after construction:
-    build a new WordEmbeddings for new values, or the cached rows go stale.
+    float32 copy of it (`unit_matrix_f32()`, 4 more bytes per entry), the
+    ids of the rows that normalize to NaN (`non_finite_rows()`) and the
+    prepared `kernel.ExactTop` over them (`exact_top()`), which loads the
+    kernel.  `nearest_neighbors` and `_cos_add_answers` (for
+    `analogy_eval`) read them.  The source array must not change after
+    construction: build a new WordEmbeddings for new values, or the cached
+    rows go stale.
     """
 
     def __init__(self, words: Sequence[str], matrix: np.ndarray, lowercased: bool = False):
@@ -102,6 +108,7 @@ class WordEmbeddings:
         self._unit: np.ndarray | None = None
         self._unit32: np.ndarray | None = None
         self._non_finite: np.ndarray | None = None
+        self._top: kernel.ExactTop | None = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -123,20 +130,23 @@ class WordEmbeddings:
         """Row-normalized matrix, read-only; zero rows are left at zero.
 
         A row holding NaN or an infinity normalizes to NaN, without a warning.
-        Computed on the first call, together with `unit_matrix_f32()` and
-        `non_finite_rows()`; every later call returns the same array.
+        Computed on the first call, together with `unit_matrix_f32()`,
+        `non_finite_rows()` and `exact_top()`; every later call returns the
+        same array.
         """
-        if self._unit is None:
+        if self._top is None:
             norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
             safe = np.where(norms == 0.0, 1.0, norms)
             with np.errstate(invalid="ignore"):  # inf / inf in a row holding an infinity
                 unit = self.matrix / safe
             # Only a row whose norm is not finite can normalize to NaN.
             suspect = np.flatnonzero(~np.isfinite(norms[:, 0]))
-            self._non_finite = suspect[~np.isfinite(unit[suspect]).all(axis=1)]
+            non_finite = suspect[~np.isfinite(unit[suspect]).all(axis=1)]
             unit32 = unit.astype(np.float32)
             unit.flags.writeable = unit32.flags.writeable = False
-            self._unit, self._unit32 = unit, unit32
+            top = kernel.ExactTop(unit, unit32, non_finite)
+            # The prepared top last: a thread that sees it sees the rest.
+            self._unit, self._unit32, self._non_finite, self._top = unit, unit32, non_finite, top
         return self._unit
 
     def unit_matrix_f32(self) -> np.ndarray:
@@ -150,6 +160,12 @@ class WordEmbeddings:
         if self._non_finite is None:
             self.unit_matrix()
         return self._non_finite
+
+    def exact_top(self) -> kernel.ExactTop:
+        """The prepared float64 rescore over `unit_matrix()`, built by its first call."""
+        if self._top is None:
+            self.unit_matrix()
+        return self._top
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -297,36 +313,19 @@ def _float32_score_error(dim: int, norm: float = 1.0) -> float:
     return norm * g / (1.0 - g) if g <= 0.5 else math.inf
 
 
-_FLOAT32_LOWEST = float(np.finfo(np.float32).min)
-
-
 def _rescore_margin(dim: int, norm: float) -> float:
-    """`_exact_top`'s margin: 2 eps(d, n), plus 2**-22 to round a threshold below 8 to float32."""
-    return 2.0 * _float32_score_error(dim, norm) + 2.0**-22
+    """The rescore's margin: 2 eps(d, n), plus 2**-22 to round a threshold below 8 to float32.
 
-
-def _exact_top(
-    unit: np.ndarray, target: np.ndarray, scores: np.ndarray, k: int, margin: float
-) -> list[tuple[int, float]]:
-    """The k rows of highest float64 score unit[i] @ target, as (row id, score), best first.
-
-    `scores` holds every row's float32 score s32, within eps of its float64
-    score s64, and -inf for the rows to leave out.  Only rows whose s32 is
-    within `margin` (2 eps, plus the threshold's rounding to float32) of
-    the k-th best s32, kth, are scored in float64, row by row so that
-    equal rows score equal.  They include the float64 top k: k rows have
+    `kernel.ExactTop` scores in float64 only the rows whose float32 score
+    s32, within eps of its float64 score s64, lies within the margin of the
+    k-th best s32, kth.  They include the float64 top k: k rows have
     s32 >= kth, so s64 >= kth - eps, so the k-th best s64, t64, is
     >= kth - eps, and a row with s64 >= t64 has s32 >= kth - 2 eps.  So
     the result, equal scores by lower row id, is a full float64 scan's;
     k = 1 is 3CosAdd's answer.  With fewer than k rows left, kth is -inf,
     and the floor at float32's lowest value keeps the left-out rows out.
     """
-    last = max(len(scores) - k, 0)
-    kth = np.partition(scores, last)[last]
-    candidates = np.flatnonzero(scores >= max(float(kth) - margin, _FLOAT32_LOWEST))
-    exact = np.einsum("ij,j->i", unit[candidates], target)
-    top = sorted(zip((-exact).tolist(), candidates.tolist()))[:k]
-    return [(i, -score) for score, i in top]
+    return 2.0 * _float32_score_error(dim, norm) + 2.0**-22
 
 
 def nearest_neighbors(
@@ -342,19 +341,20 @@ def nearest_neighbors(
     keeps its own row.  The query's own words,
     and rows that are not finite, are excluded from the result.  Neighbors
     come by descending float64 cosine, equal cosines by lower row id, as
-    `_exact_top` finds them in `unit_matrix_f32()`.
+    `kernel.ExactTop` finds them from one float32 scan of `unit_matrix_f32()`.
     """
     if k < 1:
         raise ValueError("k must be positive")
     query = query.strip()
+    if not query:
+        raise ValueError("empty query")
     phrase = query.startswith("[") and query.endswith("]")
     words = query[1:-1].split() if phrase else [query]
     if not words:
         raise ValueError("empty phrase query")
     ids = [embeddings.id_of(w) for w in words]
-    missing = [w for w, i in zip(words, ids) if i is None]
-    if missing:
-        raise KeyError("out of vocabulary: " + ", ".join(missing))
+    if None in ids:
+        raise KeyError("out of vocabulary: " + ", ".join(w for w, i in zip(words, ids) if i is None))
     if phrase:
         target = compose_rows(embeddings.matrix, ids, comp.alpha if comp is not None else 1.0)
     else:
@@ -362,13 +362,9 @@ def nearest_neighbors(
     norm = math.sqrt(target @ target)  # np.linalg.norm's arithmetic, without its checks
     if not (norm > 0.0 and math.isfinite(norm)):
         raise ValueError(f"query vector of {query} is {'zero' if norm == 0.0 else 'not finite'}")
-    unit = embeddings.unit_matrix()
-    target = target / norm
-    scores = embeddings.unit_matrix_f32() @ target.astype(np.float32)
-    scores[ids] = -np.inf
-    scores[embeddings.non_finite_rows()] = -np.inf
-    top = _exact_top(unit, target, scores, k, _rescore_margin(unit.shape[1], 1.0))
-    return [(embeddings.words[i], score) for i, score in top]
+    dim = embeddings.unit_matrix().shape[1]
+    rows, scores = embeddings.exact_top().neighbors(target, norm, ids, k, _rescore_margin(dim, 1.0))
+    return list(zip(map(embeddings.words.__getitem__, rows), scores))
 
 
 # Float32 scores held at once by one analogy block: big enough for a matrix
@@ -381,13 +377,15 @@ def _cos_add_answers(embeddings: WordEmbeddings, questions: np.ndarray) -> np.nd
     """3CosAdd's answer to each (a, b, c) id row of `questions`, or -1 where it has none.
 
     Questions are scored against the float32 unit matrix in blocks of
-    `_ANALOGY_BLOCK_BYTES`; `_exact_top` rescores only those whose float32
-    runner-up is within 2 eps(d, 3) of their best.  Rows that are not finite
-    score -inf, and so does every row for a question over one of them.
+    `_ANALOGY_BLOCK_BYTES`; `kernel.ExactTop` rescores, at k = 1, only
+    those whose float32 runner-up is within 2 eps(d, 3) of their best.  Rows
+    that are not finite score -inf, and so does every row for a question
+    over one of them.
     """
     unit = embeddings.unit_matrix()
     unit32 = embeddings.unit_matrix_f32()
     non_finite = embeddings.non_finite_rows()
+    exact_top = embeddings.exact_top()
     margin = _rescore_margin(unit.shape[1], 3.0)
     rows = max(1, _ANALOGY_BLOCK_BYTES // (unit32.itemsize * unit.shape[0]))
     answers = np.empty(len(questions), dtype=np.int64)
@@ -411,7 +409,7 @@ def _cos_add_answers(embeddings: WordEmbeddings, questions: np.ndarray) -> np.nd
         close = (scores.max(axis=1) >= top - margin) & (top > -np.inf)
         for i in np.flatnonzero(close):
             scores[i, best[i]] = top[i]
-            best[i] = _exact_top(unit, target[i], scores[i], 1, margin)[0][0]
+            best[i] = exact_top(scores[i], target[i], block[i].tolist(), 1, margin)[0][0]
         answers[start : start + rows] = np.where(top > -np.inf, best, -1)
     return answers
 

@@ -1,8 +1,10 @@
 """Builds, caches and calls the compiled kernel, `_kernel.c`: the training
-passes, the lines of the text export, and the CRC-32 of a checkpoint.
+passes, the lines of the text export, the CRC-32 of a checkpoint, and the
+exact top k of a neighbor query or a 3CosAdd near tie.
 
-The first epoch a process trains, its first text export, or its first
-checkpoint read or write, loads the kernel with ctypes from
+The first epoch a process trains, its first text export, its first
+checkpoint read or write, or the first unit matrix it builds for a
+neighbor query or an analogy evaluation, loads the kernel with ctypes from
 `__pycache__/_kernel-<key>.so` next to this file, compiling it there
 first with the C compiler Python was built with (`sysconfig` CC) if that
 file does not exist.  `FLAGS` build at -O3 with
@@ -56,6 +58,16 @@ block's dtype, layout and size, and that it holds one word per row.
 what it can by carry-less multiplication and zlib takes the rest; `model`
 imports it where it saves or loads a checkpoint, not at its top, since
 this module imports `model`.
+`ExactTop` is the serving rescore prepared once per unit matrix: it
+holds the matrix's address, its non-finite row ids, a float32 score per
+row, a target buffer and scratch, all under one lock.  A neighbor query
+scores every row in one BLAS product into that buffer, and one kernel
+call then leaves out the query's rows, finds the k-th best float32 score
+in a heap, rescores the rows within the margin of it in float64 in the
+training kernel's fixed lane order, and sorts them; the scratch grows,
+never past the row count, when more rows fall within the margin.  It
+checks the buffers it is handed and every row id before the kernel reads
+them.
 """
 
 from __future__ import annotations
@@ -69,6 +81,7 @@ import shlex
 import subprocess
 import sys
 import sysconfig
+import threading
 import zlib
 from itertools import chain
 from pathlib import Path
@@ -81,6 +94,7 @@ from phrasegram.model import ModelParams, bank_count
 from phrasegram.sampling import NoiseDistribution
 
 __all__ = [
+    "ExactTop",
     "KernelBuildError",
     "PhraseTables",
     "TextLines",
@@ -150,6 +164,7 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "phrase_step": (_D, [_P, _P, _I, _I, _D]),
     "format_rows": (_I, [_P, _I, _I, _P, _I, _P]),
     "crc32_fold": (_I, [ctypes.POINTER(ctypes.c_uint32), _P, _I]),
+    "exact_top": (_I, [_P, _P, _P, _I, _I, _D]),
 }
 
 
@@ -464,3 +479,116 @@ class WordPass:
                 *self._head, ids.ctypes.data, len(ids), *self._tail, lr, *self._scratch
             )
             return self._objective.value, pairs
+
+
+class _Top(ctypes.Structure):
+    """`struct exact_top` of `_kernel.c`."""
+
+    _fields_ = [
+        ("unit", _P), ("n", _I), ("dim", _I), ("non_finite", _P), ("non_finites", _I), ("drop", _P),
+        ("heap", _P), ("ids", _P), ("exact", _P), ("cap", _I),
+    ]
+
+
+class ExactTop:
+    """The exact top k of a serving scan over one unit matrix, prepared once.
+
+    `unit` is the n x dim row-normalized matrix, C-contiguous float64,
+    `unit32` its float32 copy and `non_finite` the ids of its rows that are
+    not finite, which no answer names.  The object holds float32 scores for
+    every row, a target buffer and the kernel's scratch: min(k, n) rows for
+    the largest k asked, grown, never past n, when more rows fall within the
+    margin.  One lock guards them all, so threads may share the object.
+    """
+
+    def __init__(self, unit: np.ndarray, unit32: np.ndarray, non_finite: np.ndarray) -> None:
+        n, dim = unit.shape
+        if not (unit.dtype == np.float64 and unit.flags.c_contiguous):
+            raise ValueError(f"the unit matrix must be C-contiguous float64; got {unit.dtype}")
+        if not (unit32.dtype == np.float32 and unit32.flags.c_contiguous and unit32.shape == unit.shape):
+            raise ValueError(f"the float32 unit matrix must be C-contiguous {unit.shape}")
+        non_finite = np.ascontiguousarray(non_finite, dtype=np.int64)
+        if len(non_finite) and not (non_finite.min() >= 0 and non_finite.max() < n):
+            raise ValueError(f"a non-finite row id is out of range for {n} rows")
+        self.n, self.dim = n, dim
+        self.scores = np.empty(n, dtype=np.float32)
+        self._unit32 = unit32
+        self._target = np.empty(dim)
+        self._target32 = np.empty(dim, dtype=np.float32)
+        # Addresses taken once: an array's `ctypes` attribute costs more than a small query's scan.
+        self._buffers = (self.scores.ctypes.data, self._target.ctypes.data)
+        self._top = _Top(unit.ctypes.data, n, dim, non_finite.ctypes.data, len(non_finite))
+        # Everything whose address the kernel is given, kept alive with the object.
+        self._held = (unit, non_finite)
+        # ctypes arrays, whose slices are lists without a numpy conversion.
+        self._drop, self._ids, self._exact = (_I * 0)(), (_I * 0)(), (_D * 0)()
+        self._lock = threading.Lock()
+        self._fn = load().exact_top
+        self._address = ctypes.addressof(self._top)
+
+    @property
+    def capacity(self) -> int:
+        """Rows the scratch holds: at most n."""
+        return self._top.cap
+
+    def _grow(self, rows: int, drops: int) -> None:
+        top = self._top
+        if drops > len(self._drop):
+            self._drop = (_I * max(drops, 2 * len(self._drop)))()
+            top.drop = ctypes.addressof(self._drop)
+        if rows > top.cap:
+            rows = min(max(rows, 2 * top.cap), self.n)
+            self._heap, self._ids, self._exact = (ctypes.c_float * rows)(), (_I * rows)(), (_D * rows)()
+            top.heap, top.ids, top.exact = map(ctypes.addressof, (self._heap, self._ids, self._exact))
+            top.cap = rows
+
+    def neighbors(
+        self, vector: np.ndarray, norm: float, drop: Sequence[int], k: int, margin: float
+    ) -> tuple[list[int], list[float]]:
+        """`__call__` for the target `vector` / `norm`, every row's float32
+        score from one BLAS product of `unit32` with the target rounded to
+        float32."""
+        with self._lock:
+            np.divide(vector, norm, out=self._target)
+            self._target32[...] = self._target
+            np.matmul(self._unit32, self._target32, out=self.scores)
+            return self._select(*self._buffers, drop, k, margin)
+
+    def __call__(
+        self, scores: np.ndarray, target: np.ndarray, drop: Sequence[int], k: int, margin: float
+    ) -> tuple[list[int], list[float]]:
+        """The k rows of highest float64 score unit[i] @ target, as a list of
+        row ids and one of their scores, best first, equal scores by lower row
+        id, the rows of `drop` and the non-finite rows left out; fewer when
+        fewer rows are left.
+
+        `scores` holds every row's float32 score, within eps of its float64
+        score for the `margin` of `evaluation._rescore_margin`, whose
+        docstring proves the result a full float64 scan's; the kernel sets
+        the scores of `drop`'s rows and of the non-finite rows to -inf.
+        """
+        if not (scores.dtype == np.float32 and scores.flags.c_contiguous and scores.flags.writeable
+                and scores.shape == (self.n,)):
+            raise ValueError(f"scores must be writable C-contiguous float32 ({self.n},)")
+        if not (target.dtype == np.float64 and target.flags.c_contiguous and target.shape == (self.dim,)):
+            raise ValueError(f"the target must be C-contiguous float64 ({self.dim},)")
+        with self._lock:
+            return self._select(scores.ctypes.data, target.ctypes.data, drop, k, margin)
+
+    def _select(
+        self, scores: int, target: int, drop: Sequence[int], k: int, margin: float
+    ) -> tuple[list[int], list[float]]:
+        """`__call__` on the buffers at `scores` and `target`, with the lock held."""
+        if k < 1:
+            raise ValueError("k must be positive")
+        if drop and not (min(drop) >= 0 and max(drop) < self.n):
+            raise ValueError(f"row id out of range for {self.n} rows in {list(drop)}")
+        k = min(k, self.n)
+        if not k:
+            return [], []
+        if k > self._top.cap or len(drop) > len(self._drop):
+            self._grow(k, len(drop))
+        self._drop[: len(drop)] = drop
+        while (found := self._fn(self._address, scores, target, len(drop), k, margin)) < 0:
+            self._grow(-found, 0)
+        return self._ids[:found], self._exact[:found]

@@ -1,10 +1,13 @@
-"""The numpy oracles: the objectives and the training steps the tests check.
+"""The numpy oracles: the objectives, the training steps and the serving
+rescore that the tests check.
 
-Training never imports this module.  `kernel.WordPass` runs the word
-step and `kernel.phrase_step` the phrase step in `_kernel.c`; the tests
-compare both with the steps here, which spell the same arithmetic out
-in numpy, one pair at a time, and check these steps' gradients against
-finite differences of the objectives here.
+Neither training nor serving imports this module.  `kernel.WordPass` runs
+the word step and `kernel.phrase_step` the phrase step in `_kernel.c`;
+the tests compare both with the steps here, which spell the same
+arithmetic out in numpy, one pair at a time, and check these steps'
+gradients against finite differences of the objectives here.
+`exact_top` is the numpy form of `kernel.ExactTop`, the top k of a
+neighbor query or a 3CosAdd near tie, with the kernel's float64 scores.
 
 `phrase_step` is `word_step` on composed vectors: both score through one
 core, `_negative_sampling`, which returns the objective term, each row's
@@ -35,6 +38,8 @@ __all__ = [
     "phrase_objective",
     "word_step",
     "phrase_step",
+    "lane_dots",
+    "exact_top",
 ]
 
 
@@ -196,3 +201,44 @@ def _add_rows(matrix: np.ndarray, rows: np.ndarray, deltas: np.ndarray) -> None:
     d = matrix.shape[1]
     flat = (rows[:, None] * d + np.arange(d)).ravel()
     np.add.at(matrix.reshape(-1), flat, deltas.reshape(-1))
+
+
+def lane_dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each row's dot product with v in the kernel's order (`score_block`).
+
+    Four partial sums from 0.0, lane j % 4 taking the terms of the first
+    dim - dim % 4 columns in column order, then the tail's terms added to
+    lane 0, combined as (s0 + s1) + (s2 + s3).  Every row sums on its own, so
+    equal rows score equal.
+    """
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, len(v))
+    whole = len(v) - len(v) % 4
+    lanes = np.zeros((len(rows), 4))
+    for j in range(0, whole, 4):
+        lanes += rows[:, j : j + 4] * v[j : j + 4]
+    s0 = lanes[:, 0]
+    for j in range(whole, len(v)):
+        s0 = s0 + rows[:, j] * v[j]
+    return (s0 + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])
+
+
+def exact_top(
+    unit: np.ndarray, target: np.ndarray, scores: np.ndarray, k: int, margin: float
+) -> list[tuple[int, float]]:
+    """The k rows of highest float64 score unit[i] @ target, as (row id, score), best first.
+
+    `scores` holds every row's float32 score, and -inf for the rows to
+    leave out.  The rows whose score is at least the k-th best, kth, less
+    `margin`, floored at float32's lowest value and rounded to float32,
+    are scored in float64 by `lane_dots` and ordered by descending score,
+    equal scores by lower row id.  With k past the row count, kth is the
+    lowest score.  `evaluation._rescore_margin` proves this a full float64
+    scan's.
+    """
+    last = max(len(scores) - k, 0)
+    kth = float(np.partition(scores, last)[last])
+    threshold = np.float32(max(kth - margin, float(np.finfo(np.float32).min)))
+    candidates = np.flatnonzero(scores >= threshold)
+    exact = lane_dots(unit[candidates], target)
+    top = sorted(zip((-exact).tolist(), candidates.tolist()))[:k]
+    return [(i, -score) for score, i in top]

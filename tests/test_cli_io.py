@@ -588,6 +588,64 @@ class TestNearestNeighbors:
         with pytest.raises(ValueError, match="k"):
             nearest_neighbors(emb, "a", k=0)
 
+    @pytest.mark.parametrize("query", ["", "   ", "\t\n"])
+    def test_empty_query_rejected(self, query):
+        emb = WordEmbeddings(["a", "b"], np.ones((2, 2)))
+        with pytest.raises(ValueError, match="^empty query$"):
+            nearest_neighbors(emb, query)
+        with pytest.raises(ValueError, match="^empty phrase query$"):
+            nearest_neighbors(emb, f"[{query}]")
+
+    def test_huge_k_returns_every_eligible_row_with_scratch_capped_at_n(self):
+        rng = np.random.default_rng(47)
+        n = 300
+        matrix = rng.normal(size=(n, 8))
+        matrix[[10, 20]] = np.nan
+        emb = WordEmbeddings([f"w{i}" for i in range(n)], matrix)
+        got = nearest_neighbors(emb, "[w1 w2]", k=2**62)
+        assert len(got) == n - 4
+        assert_same_neighbors(got, brute_force_neighbors(emb, [1, 2], (matrix[1] + matrix[2]) / 2, n))
+        assert emb.exact_top().capacity == n
+
+    def test_threads_sharing_embeddings_get_the_serial_answers(self):
+        rng = np.random.default_rng(53)
+        n, d = 3000, 50
+        matrix = rng.normal(size=(n, d))
+        matrix[rng.choice(n, 40)] = matrix[rng.choice(n, 40)]  # equal rows tie by id
+        words = [f"w{i}" for i in range(n)]
+        queries = [f"w{i}" for i in rng.choice(n, 30)]
+        queries += [f"[w{a} w{b}]" for a, b in rng.choice(n, (30, 2))]
+        ks = [1, 10, 40]
+        alone = WordEmbeddings(words, matrix)
+        serial = {(q, k): nearest_neighbors(alone, q, k) for q in queries for k in ks}
+        shared = WordEmbeddings(words, matrix)  # its first queries race to build the unit matrix
+        results, errors = [], []
+
+        def worker(seed):
+            order = np.random.default_rng(seed).permutation(len(queries) * len(ks))
+            try:
+                for _ in range(3):
+                    for j in order:
+                        q, k = queries[j // len(ks)], ks[j % len(ks)]
+                        results.append(((q, k), nearest_neighbors(shared, q, k)))
+            except Exception as exc:  # failed by the assert below, not lost with the thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside a query too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 4 * 3 * len(serial)
+        assert all(got == serial[key] for key, got in results)
+
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_serving_sized_matrix_matches_brute_force(self, alpha):
         # 5000 x 100 like the served benchmark checkpoint: init_params' input range,
@@ -1665,6 +1723,19 @@ class TestCliWorkflows:
         assert main(["neighbors", "[t0 t1]", "--model", str(ckpt), "-k", "2"]) == 0
         names = [ln.split("\t")[0] for ln in capsys.readouterr().out.splitlines()]
         assert "t0" not in names and "t1" not in names
+
+    @pytest.mark.parametrize("query", ["", "   "])
+    def test_neighbors_of_an_empty_query_is_data_error(self, tmp_path, capsys, query):
+        path = tmp_path / "e.txt"
+        path.write_text("2 2\na 1 0\nb 0 1\n")
+        assert main(["neighbors", query, "--embeddings", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: empty query\n")
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_neighbors_checks_k_before_loading(self, tmp_path, capsys, k):
+        # the checkpoint does not exist: k is rejected before anything is read
+        assert main(["neighbors", "a", "-k", k, "--model", str(tmp_path / "m.ckpt")]) == 2
+        assert capsys.readouterr() == ("", "error: k must be positive\n")
 
     def test_neighbors_oov_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -1,6 +1,7 @@
 """Evaluation math: Spearman correlation against an independent
-reference, 3CosAdd analogy against brute force, composed-phrase scoring,
-and the dataset file loaders.
+reference, 3CosAdd analogy against brute force, the kernel's exact top k
+against its numpy oracle, composed-phrase scoring, and the dataset file
+loaders.
 """
 
 import math
@@ -13,7 +14,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phrasegram import evaluation
+from phrasegram import evaluation, reference
 from phrasegram.composition import CompositionConfig
 from phrasegram.corpus import RepeatedKeyError
 from phrasegram.evaluation import (
@@ -527,26 +528,139 @@ def analogy_cases(draw):
     return emb, sections, draw(st.sampled_from([None, 1, 2, 3]))
 
 
+def bits(top):
+    """(row id, score) pairs with each score as its exact bits, -0.0 apart from 0.0."""
+    return [(i, score.hex()) for i, score in top]
+
+
+
+def check_exact_top(emb, target, scores, drop, k, margin):
+    """`kernel.ExactTop` on `emb` against `reference.exact_top`: the same rows
+    and bitwise the same scores, and `drop`'s and the non-finite rows' scores
+    set to -inf in the buffer it was given."""
+    left_out = scores.copy()
+    left_out[list(drop)] = -np.inf
+    left_out[emb.non_finite_rows()] = -np.inf
+    want = reference.exact_top(emb.unit_matrix(), target, left_out, k, margin)
+    got = list(zip(*emb.exact_top()(scores, target, drop, k, margin)))
+    assert bits(got) == bits(want)
+    np.testing.assert_array_equal(scores, left_out)
+    return got
+
+
+def check_drawn_exact_top(data) -> None:
+    """check_exact_top on drawn matrices with equal, near-equal, zero and
+    non-finite rows, drawn left-out rows, scores planted one float32 step
+    around the candidate threshold, margins up to 0.5 and k from 1 to past the
+    rows left."""
+    n = data.draw(st.integers(1, 40), label="rows")
+    dim = data.draw(st.integers(1, 9), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    matrix = rng.normal(size=(n, dim))
+    for i in range(n):
+        kind = data.draw(st.sampled_from(["plain"] * 3 + ["equal", "near", "zero", "nan", "inf"]))
+        j = int(rng.integers(n))
+        if kind == "equal":
+            matrix[i] = matrix[j]
+        elif kind == "near":
+            matrix[i] = matrix[j] + 1e-7 * rng.normal(size=dim)
+        elif kind == "zero":
+            matrix[i] = 0.0
+        elif kind in ("nan", "inf"):
+            matrix[i, rng.integers(dim)] = np.nan if kind == "nan" else np.inf
+    emb = WordEmbeddings([f"w{i}" for i in range(n)], matrix)
+    target = rng.normal(size=dim)
+    target /= np.linalg.norm(target)
+    scores = emb.unit_matrix_f32() @ target.astype(np.float32)
+    drop = data.draw(st.lists(st.integers(0, n - 1), max_size=4), label="drop")
+    scores[data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="-inf")] = -np.inf
+    k = data.draw(st.integers(1, n + 2) | st.just(2**62), label="k")
+    margin = data.draw(
+        st.sampled_from([evaluation._rescore_margin(dim, 1.0), evaluation._rescore_margin(dim, 3.0), 1e-3, 0.5]),
+        label="margin",
+    )
+    left_out = scores.copy()
+    left_out[drop] = -np.inf
+    left_out[emb.non_finite_rows()] = -np.inf
+    last = max(n - k, 0)
+    kth = float(np.partition(left_out, last)[last])
+    if kth > -np.inf:
+        threshold = np.float32(max(kth - margin, float(np.finfo(np.float32).min)))
+        below = np.flatnonzero((left_out > -np.inf) & (left_out < kth))
+        for i in data.draw(st.lists(st.sampled_from(below.tolist()), max_size=3) if len(below) else st.just([])):
+            step = data.draw(st.sampled_from([-np.inf, 0.0, np.inf]))
+            scores[i] = threshold if step == 0.0 else np.nextafter(threshold, np.float32(step))
+    got = check_exact_top(emb, target, scores, drop, k, margin)
+    assert len(got) == min(k, int((left_out > -np.inf).sum()))
+
+
 class TestExactTop:
-    """`_exact_top` with every float32 score as far from its float64 score as
-    the bound allows: the rows of the float64 top k low, all others high."""
+    """`kernel.ExactTop`, and its oracle `reference.exact_top`, with every
+    float32 score as far from its float64 score as the bound allows: the rows
+    of the float64 top k low, all others high."""
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_answers_a_float64_scan_at_the_error_bound(self, k):
         n, d = 60, 100
         eps = evaluation._float32_score_error(d)
         cos = 0.5 - 0.3 * eps * np.random.default_rng(k).permutation(n)
-        unit = np.zeros((n, d))
-        unit[:, 0], unit[:, 1] = cos, np.sqrt(1.0 - cos * cos)
+        matrix = np.zeros((n, d))
+        matrix[:, 0], matrix[:, 1] = cos, np.sqrt(1.0 - cos * cos)
+        emb = WordEmbeddings([f"w{i}" for i in range(n)], matrix)
         target = np.zeros(d)
         target[0] = 1.0
-        exact = np.einsum("ij,j->i", unit, target)
+        exact = np.array([math.fsum(row * target) for row in emb.unit_matrix()])
         order = np.lexsort((np.arange(n), -exact))
         error = np.full(n, 0.95 * eps)  # float32 rounding adds at most 2**-25
         error[order[:k]] *= -1.0
         scores = (exact + error).astype(np.float32)
-        got = evaluation._exact_top(unit, target, scores, k, evaluation._rescore_margin(d, 1.0))
+        got = check_exact_top(emb, target, scores, [], k, evaluation._rescore_margin(d, 1.0))
         assert got == [(int(i), float(exact[i])) for i in order[:k]]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_kernel_matches_the_oracle_bitwise(self, data):
+        check_drawn_exact_top(data)
+
+    def test_lane_order(self):
+        # 1 + 2**-53 rounds to 1, so a sum in column order gives 1.  Columns 1
+        # and 5 share lane 1, which holds 2**-52 for lane 0's 1; the tail
+        # column 8 joins lane 0 and rounds away there (in a lane of its own it
+        # would tie the total up to 1 + 2**-51).
+        row = np.zeros(9)
+        row[[0, 1, 5, 8]] = [1.0, 2.0**-53, 2.0**-53, 2.0**-53]
+        assert reference.lane_dots(row, np.ones(9))[0] == 1.0 + 2.0**-52
+        emb = WordEmbeddings(["a", "b"], np.vstack([row, np.zeros(9)]))
+        got = emb.exact_top()(np.zeros(2, dtype=np.float32), np.ones(9), [], 1, 0.5)
+        assert got == ([0], [1.0 + 2.0**-52])
+
+    def test_scratch_grows_past_k_and_never_past_n(self):
+        emb = WordEmbeddings([f"w{i}" for i in range(30)], np.ones((30, 3)))
+        top = emb.exact_top()
+        target = np.ones(3) / np.sqrt(3.0)
+        rows, _ = top(np.ones(30, dtype=np.float32), target, [4], 2, 1e-6)
+        assert rows == [0, 1] and top.capacity == 29  # every row but 4 a candidate
+        rows, _ = top(np.ones(30, dtype=np.float32), target, [], 2**62, 1e-6)
+        assert rows == list(range(30))
+        assert top.capacity == 30
+
+    def test_bad_arguments_rejected(self):
+        top = toy_embeddings().exact_top()
+        scores, target = np.zeros(5, dtype=np.float32), np.ones(3)
+        with pytest.raises(ValueError, match="k must be positive"):
+            top(scores, target, [], 0, 0.1)
+        with pytest.raises(ValueError, match="out of range"):
+            top(scores, target, [5], 1, 0.1)
+        with pytest.raises(ValueError, match="out of range"):
+            top(scores, target, [-1], 1, 0.1)
+        with pytest.raises(ValueError, match="scores"):
+            top(np.zeros(5), target, [], 1, 0.1)
+        with pytest.raises(ValueError, match="scores"):
+            top(np.zeros(4, dtype=np.float32), target, [], 1, 0.1)
+        with pytest.raises(ValueError, match="target"):
+            top(scores, np.ones(4), [], 1, 0.1)
+        with pytest.raises(ValueError, match="target"):
+            top(scores, np.ones(3, dtype=np.float32), [], 1, 0.1)
 
 
 class TestAnalogyMatchesFloat64Scan:

@@ -496,6 +496,21 @@ class TestBuildCache:
         assert err.startswith("error: cannot build the kernel") and "no-such-cc" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "m.ckpt"]
 
+    def test_cli_neighbors_of_an_embeddings_file_report_build_failure(self, tmp_path, monkeypatch, capsys):
+        # A neighbor query rescores its top rows in the kernel.
+        path = tmp_path / "e.txt"
+        path.write_text("3 2\na 1 0\nb 0 1\nc 1 1\n")
+        monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(kernel, "compiler", lambda: [str(tmp_path / "no-such-cc")])
+        kernel.load.cache_clear()
+        try:
+            code = main(["neighbors", "a", "--embeddings", str(path)])
+        finally:
+            kernel.load.cache_clear()
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot build the kernel") and "no-such-cc" in err
+
     def test_loaded_by_training_not_by_ingest(self, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a b c\nb c a\n")
@@ -647,21 +662,22 @@ SANITIZE = (
 SANITIZED_EXAMPLES = 40
 
 # Runs both hypothesis differential tests of test_trainer, that of the text
-# writer and that of the CRC, argv[3] examples each, and the text writer's and
-# the CRC's fixed cases, with the kernel built from argv[1] into argv[2] at
-# kernel.FLAGS plus the flags in argv[4:].
+# writer, that of the CRC and that of the serving rescore, argv[3] examples
+# each, and the text writer's and the CRC's fixed cases, with the kernel built
+# from argv[1] into argv[2] at kernel.FLAGS plus the flags in argv[4:].
 DIFFERENTIAL_RUN = """
 import sys
 from pathlib import Path
 from hypothesis import given, settings, strategies as st
 from phrasegram import kernel
-import test_cli_io, test_kernel, test_trainer
+import test_cli_io, test_evaluation, test_kernel, test_trainer
 
 kernel.SOURCE, kernel.CACHE_DIR = Path(sys.argv[1]), Path(sys.argv[2])
 kernel.FLAGS = kernel.FLAGS + tuple(sys.argv[4:])
 examples = settings(derandomize=True, max_examples=int(sys.argv[3]), deadline=None, database=None)
 for check in (test_trainer.check_drawn_phrase_steps, test_trainer.check_drawn_passes,
-              test_cli_io.check_drawn_bit_patterns, test_kernel.check_drawn_crcs):
+              test_cli_io.check_drawn_bit_patterns, test_kernel.check_drawn_crcs,
+              test_evaluation.check_drawn_exact_top):
     examples(given(st.data())(check))()
 test_cli_io.check_text_export_cases()
 test_kernel.check_crc_cases()

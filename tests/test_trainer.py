@@ -1152,14 +1152,20 @@ class TestSubsampleKeepProb:
 
 
 def test_training_never_imports_the_oracles(tmp_path):
-    """A compositional CLI run trains both passes without loading reference.py."""
+    """A compositional CLI run trains both passes, and serves a neighbor query
+    and an analogy evaluation of the result, without loading reference.py."""
     corpus = tmp_path / "c.txt"
     corpus.write_text("[NP a b] [NP b c] a\n[NP b c] [NP a b] c\n")
+    analogies = tmp_path / "q.txt"
+    analogies.write_text(": s\na b c a\n")
+    ckpt = str(tmp_path / "m.ckpt")
     script = (
         "import sys; from phrasegram.cli import main; "
-        "assert main(sys.argv[1:]) == 0; print('phrasegram.reference' in sys.modules)"
+        f"assert main(sys.argv[1:]) == 0; assert main(['neighbors', '[a b]', '--model', {ckpt!r}]) == 0; "
+        f"assert main(['eval-analogy', {str(analogies)!r}, '--model', {ckpt!r}]) == 0; "
+        "print('phrasegram.reference' in sys.modules)"
     )
-    argv = ["train", str(corpus), "--out", str(tmp_path / "m.ckpt"), "--mode", "compositional",
+    argv = ["train", str(corpus), "--out", ckpt, "--mode", "compositional",
             "--min-count", "1", "--phrase-min-count", "1", "--dim", "4", "--window", "1"]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],
